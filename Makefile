@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-json bench-contention bench-contention-smoke bench-e21 bench-replay bench-replay-smoke profile-replay serve-smoke torture clean
+.PHONY: build test check bench bench-contention-smoke bench-e21 bench-replay-smoke profile-replay serve-smoke torture clean
 
 build:
 	$(GO) build ./...
@@ -14,9 +14,11 @@ test:
 # and the invariant auditor, the golden-audit gate (the quick
 # experiment matrix must be conservation-clean under strict audit),
 # the sampling validation gate (1/8 set sampling within 2% on every
-# standard machine) and the segmented-replay equivalence gate (exact
-# oracle mode must be bit-identical to serial replay on every standard
-# machine, and ValidateSegmented must report zero miss-rate error).
+# standard machine), the replay composition gates (a replay split into
+# RunFrom pieces, or interrupted by Snapshot/Restore, must be
+# bit-identical to one uninterrupted run on every standard machine)
+# and the benchmark module's vet and tests (bench/ is its own Go
+# module, so the root ./... never compiles it).
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt: needs formatting:"; echo "$$unformatted"; exit 1; fi
@@ -28,45 +30,26 @@ check:
 	$(GO) test -run '^$$' -fuzz FuzzAuditReport -fuzztime 5s ./internal/invariant/
 	$(GO) test -run TestGoldenAuditQuickMatrix -count=1 ./internal/experiments/
 	$(GO) test -run TestSampleValidationQuickMatrix -count=1 ./internal/experiments/
-	$(GO) test -run TestRunSegmentedExactMatchesSerial -count=1 ./internal/sim/
-	$(GO) test -run 'TestValidateSegmentedOracle|TestSegmentedSmoke' -count=1 ./internal/engine/
+	$(GO) test -run 'TestRunFromSegmentComposition|TestRunSegmentedExact|TestSnapshotRestoreContinue' -count=1 ./internal/sim/
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# bench runs the repository benchmark (bench/, described by
+# BENCHMARK.json) once per workload with its default seed and window;
+# each run prints a host line and a result line of end-to-end metrics.
+BENCH_WORKLOADS = sweep-shared sweep-unique sweep-sampled daemon-jobs
 
 bench:
-	$(GO) test -bench=. -benchmem
-
-# bench-json regenerates BENCH_PR4.json (pipeline performance: replay
-# ns+allocs per access, quick-matrix speedup of the engine's shared
-# arena vs a trace-regenerating baseline), BENCH_PR5.json (set
-# sampling: quick-matrix speedup and validation errors at 1/8) and
-# BENCH_PR10.json (frame-kernel replay: min/median ns per access over
-# interleaved rounds — see perf_replay_test.go for the noise protocol).
-bench-json:
-	MC_BENCH_JSON=1 $(GO) test -run 'TestEmitBenchJSON$$|TestEmitBenchJSONPR5|TestEmitBenchJSONPR10$$' -count=1 -v .
-
-# bench-contention regenerates BENCH_PR7.json: 32 goroutines hammering
-# the warm run memo and warm trace arena, global-lock baseline vs the
-# lock-striped sharded caches (throughput and aggregate mutex wait;
-# see perf_contention_test.go for the methodology).
-bench-contention:
-	MC_BENCH_JSON=1 $(GO) test -run TestEmitBenchJSONPR7 -count=1 -v .
+	@for w in $(BENCH_WORKLOADS); do bash bench/run.sh --workload $$w || exit 1; done
 
 # bench-contention-smoke is the CI-safe structural pass: tiny op
-# counts, no throughput thresholds, verifies the harness and the
-# report schema (also part of the ordinary test suite).
+# counts, no throughput thresholds, verifies the contention harness
+# (also part of the ordinary test suite).
 bench-contention-smoke:
 	$(GO) test -run TestContentionSmoke -short -count=1 -v .
 
-# bench-replay regenerates BENCH_PR9.json: exact-path replay ns/access
-# with the frame-precompute stage, segmented single-cell wall clock and
-# speedup at 1/2/4 workers, and the audited stitch errors at the
-# default warmup (see perf_segment_test.go for the methodology; the
-# file records GOMAXPROCS — on a single-core host the speedup is ~1x
-# by construction).
-bench-replay:
-	MC_BENCH_JSON=1 $(GO) test -run 'TestEmitBenchJSONPR9$$' -count=1 -v .
-
 # bench-replay-smoke is the CI perf-regression gate for the replay hot
-# path: a short replay must stay allocation-free and under a generous
+# path: a short replay through every frame source must stay
+# allocation-free, and packed replay under a generous
 # structural ns/access budget (~40x the recorded steady state), so it
 # catches a reintroduced per-access allocation or a decode regression
 # without ever failing on a slow runner (also part of the ordinary

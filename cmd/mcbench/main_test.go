@@ -21,6 +21,16 @@ func TestList(t *testing.T) {
 	}
 }
 
+// TestRunRejectsRetiredSegmentFlag: the retired segmented-replay flag is
+// undefined, so an old script fails loudly instead of running serial.
+func TestRunRejectsRetiredSegmentFlag(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-segment-workers", "2", "-list"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "not defined: -segment-workers") {
+		t.Fatalf("run(-segment-workers 2) = %v, want an undefined-flag error", err)
+	}
+}
+
 func TestSingleExperiment(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{"-experiment", "E5", "-accesses", "5000", "-apps", "browser"}, &out)

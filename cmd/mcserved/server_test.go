@@ -29,6 +29,14 @@ func newTestServer(t *testing.T, opts jobs.Options) (*httptest.Server, *jobs.Man
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Cleanups run last-registered first: drain the manager before the
+	// temp root is removed, because a job publishes its terminal state
+	// before persisting it and may still be writing when a test ends.
+	t.Cleanup(func() {
+		if err := m.Shutdown(context.Background()); err != nil {
+			t.Errorf("manager shutdown: %v", err)
+		}
+	})
 	ts := httptest.NewServer(newServer(m))
 	t.Cleanup(ts.Close)
 	return ts, m

@@ -9,7 +9,7 @@
 //
 //	mcsim [-machine name | -config file.json] [-app name | -trace file]
 //	      [-accesses n] [-seed s] [-audit off|warn|strict] [-sample spec]
-//	      [-segment-workers n [-segment-warmup w]] [-dump-config]
+//	      [-dump-config]
 //
 // Examples:
 //
@@ -60,8 +60,6 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Uint64("seed", 1, "workload generator seed")
 	audit := fs.String("audit", "warn", "invariant audit mode: off, warn or strict")
 	sampleArg := fs.String("sample", "", `set-sampling spec, e.g. "1/8" or "hash:1/8" (default: exact simulation)`)
-	segWorkers := fs.Int("segment-workers", 0, "split the replay into this many segments replayed concurrently (0/1 = serial; see -segment-warmup)")
-	segWarmup := fs.Int("segment-warmup", 0, "per-segment warmup records for -segment-workers (0 = default, <0 = exact full-prefix oracle)")
 	dump := fs.Bool("dump-config", false, "print the machine config as JSON and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -71,15 +69,6 @@ func run(args []string, out io.Writer) error {
 	// any config or trace file is touched.
 	if *accesses < 0 {
 		return fmt.Errorf("-accesses %d is negative; use 0 to replay a whole trace", *accesses)
-	}
-	if *segWorkers < 0 {
-		return fmt.Errorf("-segment-workers %d is negative; use 0 or 1 for a serial replay", *segWorkers)
-	}
-	if *segWorkers > 1 && *sampleArg != "" {
-		return fmt.Errorf("-segment-workers does not compose with -sample")
-	}
-	if *segWorkers > 1 && *tracePath != "" {
-		return fmt.Errorf("-segment-workers needs a generated app (trace-file replays have no arena identity)")
 	}
 	if err := engine.CheckAudit(*audit); err != nil {
 		return fmt.Errorf("-audit: %w", err)
@@ -127,12 +116,7 @@ func run(args []string, out io.Writer) error {
 		}
 		eng := engine.New(engine.Config{})
 		cell := engine.Cell{Machine: cfg.Name, Config: cfg, App: prof.Name, Profile: prof, Seed: *seed}
-		if *segWorkers > 1 {
-			rep, err = eng.RunOneSegmented(context.Background(), cell,
-				*accesses, sim.SegmentPlan{Segments: *segWorkers, Warmup: *segWarmup, Workers: *segWorkers})
-		} else {
-			rep, err = eng.RunOneSampled(context.Background(), cell, *accesses, 0, spec)
-		}
+		rep, err = eng.RunOneSampled(context.Background(), cell, *accesses, 0, spec)
 		// One-shot runs still report the shared caching layer: the line is
 		// mostly misses here, but it keeps the four front ends' summary
 		// format identical for scripts that scrape it.
@@ -177,9 +161,6 @@ func printReport(out io.Writer, rep sim.RunReport) error {
 	tb := report.NewTable(fmt.Sprintf("mcsim: %s on %s", rep.Workload, rep.Machine), "metric", "value")
 	if rep.SampleFactor > 1 {
 		tb.AddRow("sampling", fmt.Sprintf("1/%d of set groups (scaled estimate)", rep.SampleFactor))
-	}
-	if rep.Segments > 1 {
-		tb.AddRow("segmented", fmt.Sprintf("%d segments, stitched estimate", rep.Segments))
 	}
 	tb.AddRow("accesses", fmt.Sprint(rep.CPU.Accesses))
 	tb.AddRow("instructions", fmt.Sprint(rep.CPU.Instructions))

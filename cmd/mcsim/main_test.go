@@ -108,6 +108,16 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunRejectsRetiredSegmentFlag: the retired segmented-replay flag is
+// undefined, so an old script fails loudly instead of running serial.
+func TestRunRejectsRetiredSegmentFlag(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-segment-workers", "2"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "not defined: -segment-workers") {
+		t.Fatalf("run(-segment-workers 2) = %v, want an undefined-flag error", err)
+	}
+}
+
 // TestRunSampleFlag: -sample runs the simulation set-sampled and the
 // report says so; malformed specs are rejected before anything runs.
 func TestRunSampleFlag(t *testing.T) {

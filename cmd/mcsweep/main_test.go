@@ -34,6 +34,16 @@ func TestDumpSpec(t *testing.T) {
 	}
 }
 
+// TestRunRejectsRetiredSegmentFlag: the retired segmented-replay flag is
+// undefined, so an old script fails loudly instead of running serial.
+func TestRunRejectsRetiredSegmentFlag(t *testing.T) {
+	path := writeSpec(t, `{"machines": ["sp"], "apps": ["music"], "seeds": [1], "accesses": 1000}`)
+	err := run([]string{"-spec", path, "-segment-workers", "2"}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "not defined: -segment-workers") {
+		t.Fatalf("run(-segment-workers 2) = %v, want an undefined-flag error", err)
+	}
+}
+
 func TestSweepProducesCSV(t *testing.T) {
 	path := writeSpec(t, `{
 		"machines": ["baseline-sram", "sp-mr"],

@@ -63,8 +63,8 @@ type Result struct {
 	CyclesByDomain [trace.NumDomains]uint64
 }
 
-// Add accumulates another result into r — the stitching operation for
-// composing per-segment results. Every field is a plain sum.
+// Add accumulates another result into r — how a RunState folds in each
+// RunFrom call's contribution. Every field is a plain sum.
 func (r *Result) Add(o Result) {
 	r.Instructions += o.Instructions
 	r.Cycles += o.Cycles
@@ -106,9 +106,9 @@ type CPU struct {
 	cfg  Config
 	hier *mem.Hierarchy
 	now  uint64
-	buf  []trace.Access
 	pre  []mem.FramePre
 	geom trace.FrameGeom
+	next nextFrames
 }
 
 // New builds a CPU over the hierarchy.
@@ -124,7 +124,6 @@ func New(cfg Config, hier *mem.Hierarchy) (*CPU, error) {
 	}
 	return &CPU{
 		cfg: cfg, hier: hier,
-		buf:  make([]trace.Access, stepBatchLen),
 		pre:  make([]mem.FramePre, stepBatchLen),
 		geom: hier.FrameGeom(),
 	}, nil
@@ -196,81 +195,35 @@ func (c *CPU) Run(src trace.Source, maxAccesses uint64) Result {
 // not synchronize the hierarchy's leakage clocks at the end — call
 // Finish after the last segment. maxAccesses bounds this call alone.
 //
-// Replay runs in frames: each iteration stages up to one frame of
-// records (stepBatchLen, clipped so no frame spans an idle or
-// leakage-sync boundary — see frameCap) and hands it to the
-// hierarchy's frame kernel in a single AccessFrame call. Cursors take
-// devirtualized fast paths: a trace.SliceCursor (hot-tier decoded
-// replay) stages zero-copy batches of its records through the frame
-// precompute, and a trace.Cursor (packed replay) decodes straight
-// into the frame buffer with the precompute fused into the varint
-// loop (DecodeFrame) — no intermediate Access staging at all. All
-// paths execute the identical frame step, so results never depend on
-// the source's type.
+// Replay runs in frames: each iteration asks the source for up to one
+// frame of precomputed records (stepBatchLen, clipped so no frame spans
+// an idle or leakage-sync boundary — see frameCap) and hands it to the
+// hierarchy's frame kernel in a single AccessFrame call. Every source
+// goes through the same trace.FrameSource contract: packed cursors
+// decode straight into the frame with the precompute fused into the
+// coded-width decode loop, hot-tier slice cursors precompute in place
+// from their shared records, the set-sampling filter precomputes what
+// it keeps, and a plain Source is staged through the CPU's own
+// adapter. There is one loop, so results never depend on the source's
+// type.
 func (c *CPU) RunFrom(rs *RunState, src trace.Source, maxAccesses uint64) Result {
 	var res Result
 	st := &rs.st
-	switch cur := src.(type) {
-	case *trace.SliceCursor:
-		// Hot-tier replay: the records already exist in memory, so frames
-		// stage as shared sub-slices of them — no decode, no copy.
-		for {
-			want := c.frameCap(st, &res, maxAccesses)
-			b := cur.Batch(want)
-			if len(b) == 0 {
-				break
-			}
-			c.hier.PrecomputeFrame(b, c.pre)
-			c.stepFrame(c.pre[:len(b)], &res, st)
-			c.frameEnd(len(b), &res, st)
-		}
-	case *trace.Cursor:
-		for {
-			want := c.frameCap(st, &res, maxAccesses)
-			n := cur.DecodeFrame(c.pre[:want], &c.geom)
-			if n == 0 {
-				break
-			}
-			c.stepFrame(c.pre[:n], &res, st)
-			c.frameEnd(n, &res, st)
-		}
-	default:
-		if bd, ok := src.(batchDecoder); ok {
-			// Any other bulk-decoding source (e.g. the set-sampling filter
-			// wrapping a cursor) fills the staging buffer the same way. The
-			// loop is duplicated rather than shared through a method value:
-			// binding bd.Decode to a func variable would allocate per Run.
-			for {
-				want := c.frameCap(st, &res, maxAccesses)
-				n := bd.Decode(c.buf[:want])
-				if n == 0 {
-					break
-				}
-				c.hier.PrecomputeFrame(c.buf[:n], c.pre)
-				c.stepFrame(c.pre[:n], &res, st)
-				c.frameEnd(n, &res, st)
-			}
-		} else {
-			for {
-				want := c.frameCap(st, &res, maxAccesses)
-				n := 0
-				for n < want {
-					a, ok := src.Next()
-					if !ok {
-						break
-					}
-					c.buf[n] = a
-					n++
-				}
-				if n == 0 {
-					break
-				}
-				c.hier.PrecomputeFrame(c.buf[:n], c.pre)
-				c.stepFrame(c.pre[:n], &res, st)
-				c.frameEnd(n, &res, st)
-			}
-		}
+	fsrc, ok := src.(trace.FrameSource)
+	if !ok {
+		c.next.src = src
+		fsrc = &c.next
 	}
+	for {
+		want := c.frameCap(st, &res, maxAccesses)
+		n := fsrc.DecodeFrame(c.pre[:want], &c.geom)
+		if n == 0 {
+			break
+		}
+		c.stepFrame(c.pre[:n], &res, st)
+		c.frameEnd(n, &res, st)
+	}
+	c.next.src = nil
 	rs.res.Add(res)
 	return res
 }
@@ -284,11 +237,24 @@ func (c *CPU) Finish() {
 	c.hier.Advance(c.now)
 }
 
-// batchDecoder is the bulk-fill contract sources can implement to
-// skip the per-access Source.Next round-trip without being one of the
-// two concrete cursor types.
-type batchDecoder interface {
-	Decode(dst []trace.Access) int
+// nextFrames adapts a plain Source — one without its own DecodeFrame —
+// to trace.FrameSource by precomputing its records one Next at a time.
+// The CPU owns one, so wrapping a source allocates nothing.
+type nextFrames struct {
+	src trace.Source
+}
+
+func (a *nextFrames) Next() (trace.Access, bool) { return a.src.Next() }
+
+func (a *nextFrames) DecodeFrame(dst []trace.FramePre, geom *trace.FrameGeom) int {
+	for n := range dst {
+		rec, ok := a.src.Next()
+		if !ok {
+			return n
+		}
+		dst[n] = trace.Precompute(&rec, geom)
+	}
+	return len(dst)
 }
 
 // stepState is the per-Run hot-loop state.
@@ -326,9 +292,9 @@ func (c *CPU) frameCap(st *stepState, res *Result, maxAccesses uint64) int {
 func (c *CPU) stepFrame(pre []mem.FramePre, res *Result, st *stepState) {
 	var instrs uint64
 	if !st.unitCPI {
-		// DecodeFrame/PrecomputeFrame fill Busy with the instruction
-		// count; rescale to base cycles here, preserving the old loop's
-		// at-least-one-cycle clamp.
+		// DecodeFrame fills Busy with the instruction count; rescale to
+		// base cycles here, preserving the old loop's at-least-one-cycle
+		// clamp.
 		for i := range pre {
 			instr := pre[i].Busy
 			instrs += instr

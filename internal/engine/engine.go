@@ -36,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -212,15 +211,7 @@ func (e *Engine) MemoStats() MemoStats { return e.memo.stats() }
 // full result are different content and must never alias; a disabled
 // spec appends nothing, so factor-1 keys equal the historical keys and
 // old journals resume cleanly.
-func keyOf(c Cell, accesses, warmup int, spec sample.Spec, seg sim.SegmentPlan) (checkpoint.Key, error) {
-	if seg.Enabled() {
-		// A stitched segmented estimate is different content from the
-		// serial run (and from any other segmentation), so the
-		// normalized plan joins the key. Workers stay out: concurrency
-		// never changes the stitched result.
-		seg = seg.Norm()
-		return checkpoint.KeyOf(c.Config, c.Profile, c.Seed, accesses, warmup, "segmented", seg.Segments, seg.Warmup)
-	}
+func keyOf(c Cell, accesses, warmup int, spec sample.Spec) (checkpoint.Key, error) {
 	if spec.Norm().Enabled() {
 		return checkpoint.KeyOf(c.Config, c.Profile, c.Seed, accesses, warmup, "sample", spec.Factor, spec.Hash)
 	}
@@ -243,48 +234,14 @@ func (e *Engine) RunOneSampled(ctx context.Context, c Cell, accesses, warmup int
 	if err := ctx.Err(); err != nil {
 		return sim.RunReport{}, err
 	}
-	key, err := keyOf(c, accesses, warmup, spec, sim.SegmentPlan{})
+	key, err := keyOf(c, accesses, warmup, spec)
 	if err != nil {
 		return sim.RunReport{}, err
 	}
 	if rep, ok := e.memo.get(key); ok {
 		return rep, nil
 	}
-	rep, err := e.simulate(c, accesses, warmup, spec, sim.SegmentPlan{})
-	if err != nil {
-		return rep, err
-	}
-	e.memo.add(key, rep)
-	return rep, nil
-}
-
-// RunOneSegmented executes a single cell as a segmented intra-cell
-// replay (sim.RunSegmented) through the same memo and trace arena as
-// RunOne. Segmented replay composes with neither plan-level warm
-// measurement nor set sampling, so the cell runs cold and unsampled.
-func (e *Engine) RunOneSegmented(ctx context.Context, c Cell, accesses int, seg sim.SegmentPlan) (sim.RunReport, error) {
-	if err := (Plan{Accesses: accesses}).Validate(); err != nil {
-		return sim.RunReport{}, err
-	}
-	if err := seg.Validate(); err != nil {
-		return sim.RunReport{}, err
-	}
-	if !seg.Enabled() || seg.Norm().FallsBackToSerial(accesses, runtime.GOMAXPROCS(0)) {
-		// Serial auto-fallback decided here, as in Execute, so the cell
-		// is keyed and memoized as the serial content it produces.
-		return e.RunOne(ctx, c, accesses, 0)
-	}
-	if err := ctx.Err(); err != nil {
-		return sim.RunReport{}, err
-	}
-	key, err := keyOf(c, accesses, 0, sample.Spec{}, seg)
-	if err != nil {
-		return sim.RunReport{}, err
-	}
-	if rep, ok := e.memo.get(key); ok {
-		return rep, nil
-	}
-	rep, err := e.simulate(c, accesses, 0, sample.Spec{}, seg)
+	rep, err := e.simulate(c, accesses, warmup, spec)
 	if err != nil {
 		return rep, err
 	}
@@ -293,10 +250,7 @@ func (e *Engine) RunOneSegmented(ctx context.Context, c Cell, accesses int, seg 
 }
 
 // simulate is the one place a cell becomes a sim call.
-func (e *Engine) simulate(c Cell, accesses, warmup int, spec sample.Spec, seg sim.SegmentPlan) (sim.RunReport, error) {
-	if seg.Enabled() {
-		return sim.RunSegmentedWorkloadFrom(e.store, c.Config, c.Profile, c.Seed, accesses, seg)
-	}
+func (e *Engine) simulate(c Cell, accesses, warmup int, spec sample.Spec) (sim.RunReport, error) {
 	if spec.Norm().Enabled() {
 		if warmup > 0 {
 			return sim.RunWarmWorkloadFromSampled(e.store, c.Config, c.Profile, c.Seed, warmup, accesses, spec)
@@ -340,28 +294,6 @@ type ExecOptions struct {
 	// and fair-share one machine-wide slot set across concurrent
 	// executions. See runner.Gate.
 	Gate runner.Gate
-	// SegmentWorkers, when >= 2, runs every cell as a segmented
-	// intra-cell replay (sim.RunSegmented): the record stream splits
-	// into that many segments replayed concurrently from warm states,
-	// and the measured deltas are stitched into one report. This is the
-	// parallelism axis for plans with fewer cells than cores; the
-	// segment workers multiply with the engine's cell workers, so
-	// sweeps should lower one when raising the other. Incompatible
-	// with plan-level Warmup and Sample (Execute rejects the
-	// combination). 0 or 1 replays serially as always.
-	SegmentWorkers int
-	// SegmentWarmup tunes the per-segment warmup prefix when
-	// SegmentWorkers is active: 0 selects sim.DefaultSegmentWarmup,
-	// >= 1 is a record count, and < 0 selects exact full-prefix warmup
-	// — bit-identical stitched integer counters, no speedup, the
-	// oracle the equivalence gate runs.
-	SegmentWarmup int
-	// SegmentForce disables the serial auto-fallback
-	// (sim.SegmentPlan.FallsBackToSerial) so the segmented machinery is
-	// exercised regardless of host shape and cell size — the validation
-	// harness and benchmark emitters set it; sweeps leave it off and
-	// let small cells and single-core hosts replay serially.
-	SegmentForce bool
 	// FS is the filesystem every durable artifact of this execution
 	// (checkpoint journal, failure manifest) goes through; nil selects
 	// the real one. Fault-injection tests swap in a faultfs.FaultFS to
@@ -418,26 +350,6 @@ func (e *Engine) Execute(ctx context.Context, plan Plan, opt ExecOptions, sinks 
 	if opt.Resume && opt.CheckpointPath == "" {
 		return sum, fmt.Errorf("engine: resume needs a checkpoint path")
 	}
-	var seg sim.SegmentPlan
-	if opt.SegmentWorkers > 1 {
-		seg = sim.SegmentPlan{Segments: opt.SegmentWorkers, Warmup: opt.SegmentWarmup, Workers: opt.SegmentWorkers, Force: opt.SegmentForce}
-		if plan.Warmup > 0 {
-			return sum, fmt.Errorf("engine: segmented replay does not compose with plan-level warmup (segments measure cold)")
-		}
-		if plan.Sample.Norm().Enabled() {
-			return sum, fmt.Errorf("engine: segmented replay does not compose with set sampling")
-		}
-		// If every cell of this plan would take the serial auto-fallback
-		// anyway, decide it here instead of inside sim.RunSegmented: the
-		// cells are then keyed, memoized and journaled as the ordinary
-		// serial content they actually are, so a memo entry written on
-		// this host can never alias a genuinely stitched estimate.
-		if seg.Norm().FallsBackToSerial(plan.Accesses, runtime.GOMAXPROCS(0)) {
-			fmt.Fprintf(logw, "segmented replay: falling back to serial (%d accesses, GOMAXPROCS=%d)\n",
-				plan.Accesses, runtime.GOMAXPROCS(0))
-			seg = sim.SegmentPlan{}
-		}
-	}
 	fsys := opt.FS
 	if fsys == nil {
 		fsys = faultfs.OS
@@ -450,7 +362,7 @@ func (e *Engine) Execute(ctx context.Context, plan Plan, opt ExecOptions, sinks 
 	index := make(map[runner.Cell]int, len(plan.Cells))
 	for i, c := range plan.Cells {
 		rc := runner.Cell{Machine: c.Machine, App: c.App, Seed: c.Seed}
-		key, err := keyOf(c, plan.Accesses, plan.Warmup, plan.Sample, seg)
+		key, err := keyOf(c, plan.Accesses, plan.Warmup, plan.Sample)
 		if err != nil {
 			return sum, fmt.Errorf("keying cell %s: %w", rc, err)
 		}
@@ -505,7 +417,7 @@ func (e *Engine) Execute(ctx context.Context, plan Plan, opt ExecOptions, sinks 
 			} else {
 				var memoized bool
 				var err error
-				rep, memoized, err = e.runKeyed(plan.Cells[i], key, plan.Accesses, plan.Warmup, plan.Sample, seg)
+				rep, memoized, err = e.runKeyed(plan.Cells[i], key, plan.Accesses, plan.Warmup, plan.Sample)
 				if err != nil {
 					return rep, err
 				}
@@ -585,11 +497,11 @@ func (e *Engine) Execute(ctx context.Context, plan Plan, opt ExecOptions, sinks 
 }
 
 // runKeyed satisfies one keyed cell from the memo or the simulator.
-func (e *Engine) runKeyed(c Cell, key checkpoint.Key, accesses, warmup int, spec sample.Spec, seg sim.SegmentPlan) (rep sim.RunReport, memoized bool, err error) {
+func (e *Engine) runKeyed(c Cell, key checkpoint.Key, accesses, warmup int, spec sample.Spec) (rep sim.RunReport, memoized bool, err error) {
 	if rep, ok := e.memo.get(key); ok {
 		return rep, true, nil
 	}
-	rep, err = e.simulate(c, accesses, warmup, spec, seg)
+	rep, err = e.simulate(c, accesses, warmup, spec)
 	if err != nil {
 		return rep, false, err
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mobilecache/internal/checkpoint"
 	"mobilecache/internal/sample"
 	"mobilecache/internal/sim"
 	"mobilecache/internal/workload"
@@ -24,15 +25,35 @@ func testCell(t *testing.T, machine string, app int, seed uint64) Cell {
 // An enabled sampling spec must change the content key (a sampled
 // estimate must never be served for a full run or vice versa), while a
 // disabled spec must keep the historical key so legacy journals stay
-// resumable.
+// resumable. Both key shapes are pinned against their historical
+// checkpoint.KeyOf input lists, so existing journals and memo entries
+// keep resolving.
 func TestSampleKeyAliasing(t *testing.T) {
 	c := testCell(t, "baseline-sram", 0, 1)
-	legacy, err := keyOf(c, 10_000, 0, sample.Spec{}, sim.SegmentPlan{})
+	legacy, err := keyOf(c, 10_000, 0, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	historical, err := checkpoint.KeyOf(c.Config, c.Profile, c.Seed, 10_000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if legacy != historical {
+		t.Fatal("unsampled content key drifted from the historical key")
+	}
+	sampled, err := keyOf(c, 10_000, 0, sample.Spec{Factor: 8, Hash: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	historical, err = checkpoint.KeyOf(c.Config, c.Profile, c.Seed, 10_000, 0, "sample", 8, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sampled != historical {
+		t.Fatal("sampled content key drifted from the historical key")
+	}
 	for _, spec := range []sample.Spec{{Factor: 1}, {Factor: 1, Hash: true}} {
-		k, err := keyOf(c, 10_000, 0, spec, sim.SegmentPlan{})
+		k, err := keyOf(c, 10_000, 0, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +63,7 @@ func TestSampleKeyAliasing(t *testing.T) {
 	}
 	seen := map[interface{}]string{legacy: "full"}
 	for _, spec := range []sample.Spec{{Factor: 2}, {Factor: 8}, {Factor: 8, Hash: true}, {Factor: 128}} {
-		k, err := keyOf(c, 10_000, 0, spec, sim.SegmentPlan{})
+		k, err := keyOf(c, 10_000, 0, spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,12 +9,12 @@ import (
 )
 
 // This file implements the frame-batched hierarchy kernel of the
-// replay hot path. cpu.Run stages the trace in frames of up to 256
-// precomputed records (trace.FramePre: decoded access plus set/tag
-// decomposition and routing) and hands each frame to AccessFrame,
-// which replays it with all invariant state — tag sidecars, way
-// strides, meter pointers, the line arrays — hoisted into locals once
-// per frame:
+// replay hot path, the hierarchy's only access entry point. cpu.Run
+// stages the trace in frames of up to 256 precomputed records
+// (trace.FramePre: decoded access plus set/tag decomposition and
+// routing) and hands each frame to AccessFrame, which replays it with
+// all invariant state — tag sidecars, way strides, meter pointers, the
+// line arrays — hoisted into locals once per frame:
 //
 //	hit path   branch-minimized scan of the target L1's tags sidecar
 //	           row (a full-slice expression, so the bounds check lifts
@@ -60,15 +60,6 @@ func (h *Hierarchy) FrameGeom() trace.FrameGeom {
 	}
 }
 
-// PrecomputeFrame fills pre[i] for each record of the frame. pre must
-// be at least len(batch) long. This staging pass serves sources that
-// produce []Access batches; the packed-cursor path fuses it into the
-// decode loop instead (trace.Cursor.DecodeFrame).
-func (h *Hierarchy) PrecomputeFrame(batch []trace.Access, pre []FramePre) {
-	geom := h.FrameGeom()
-	trace.PrecomputeInto(batch, pre, &geom)
-}
-
 // frameL1 is one L1's hoisted state plus its frame-local tallies.
 type frameL1 struct {
 	l1    *L1
@@ -106,7 +97,7 @@ func (s *frameL1) flush() {
 // time now, where pre[k].Busy is the busy cycles the CPU charges
 // before record k's access. It returns the frame's clock totals; the
 // caller's clock advances by Busy+Stall. Semantics are bit-identical
-// to calling Access per record at the same times.
+// to calling AccessPre per record at the same times.
 func (h *Hierarchy) AccessFrame(pre []FramePre, now uint64) FrameStats {
 	var fs FrameStats
 	if !h.L1D.c.FrameKernelOK() || !h.L1I.c.FrameKernelOK() {
@@ -197,9 +188,16 @@ func (h *Hierarchy) accessFrameSlow(pre []FramePre, now uint64) FrameStats {
 	return fs
 }
 
-// AccessPre is Access with the precomputed context applied: identical
-// counters, state transitions and stall cycles, minus the per-access
-// routing and index arithmetic.
+// AccessPre performs one precomputed access at time now and returns
+// the stall cycles the instruction suffers beyond its pipelined L1
+// hit. It is the general per-record path the frame kernel's fast loop
+// specializes.
+//
+// Model: L1 hits stall nothing. An L1 miss pays the L2 access (bank
+// wait + array read); an L2 miss additionally pays DRAM. Dirty L1
+// victims are written back into the L2 (write-allocate, no fetch);
+// dirty L2 victims are written back to DRAM. Writebacks consume
+// bandwidth and energy but do not stall the CPU.
 func (h *Hierarchy) AccessPre(p *FramePre, now uint64) uint64 {
 	l1 := h.L1D
 	if p.Kind == trace.KindIfetch {

@@ -3,8 +3,8 @@ package sample
 import "mobilecache/internal/trace"
 
 // fillLen is the staging-buffer size for filtering packed cursors:
-// large enough to amortize the bulk varint decode, small enough to
-// stay resident in L1.
+// large enough to amortize the bulk coded-width decode, small enough
+// to stay resident in L1.
 const fillLen = 512
 
 // maxRecordInstr caps how many instructions a single rewritten record
@@ -65,15 +65,19 @@ func (st Stats) TotalRatio(f int) float64 {
 	return float64(seen) / float64(kept)
 }
 
-// Source implements trace.Source and additionally exposes the bulk
-// Decode the CPU hot path batches through, with specialized fill paths
-// for the two zero-allocation cursor types.
+// Source implements trace.FrameSource, the contract the CPU replays
+// through, and additionally exposes the bulk Decode its DecodeFrame
+// filters with, with specialized fill paths for the two
+// zero-allocation cursor types.
 type Source struct {
 	sel    *Selector
 	slice  *trace.SliceCursor
 	packed *trace.Cursor
 	src    trace.Source
 	buf    []trace.Access
+	// frame stages the kept records of one replay frame for the
+	// precompute; sized on first use.
+	frame  []trace.Access
 	factor int64
 	// carry accumulates instructions seen (selected and dropped) that
 	// have not yet been charged to an emitted record. It can run
@@ -184,6 +188,19 @@ func (s *Source) Decode(dst []trace.Access) int {
 			}
 		}
 	}
+	return n
+}
+
+// DecodeFrame fills dst with the next selected accesses, precomputed
+// under geom, returning how many were produced; fewer than len(dst)
+// only at end of trace. It filters exactly as Decode does, so a frame
+// replay and a Decode drain keep the same records with the same gaps.
+func (s *Source) DecodeFrame(dst []trace.FramePre, geom *trace.FrameGeom) int {
+	if len(s.frame) < len(dst) {
+		s.frame = make([]trace.Access, len(dst))
+	}
+	n := s.Decode(s.frame[:len(dst)])
+	trace.PrecomputeInto(s.frame[:n], dst, geom)
 	return n
 }
 

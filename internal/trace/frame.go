@@ -3,15 +3,17 @@ package trace
 import "encoding/binary"
 
 // This file defines the frame record of the batched replay kernel and
-// the fused decode+precompute cursor entry point. The replay hot path
-// (cpu.Run -> mem.AccessFrame) consumes traces in fixed-size frames of
-// FramePre records: the decoded access plus everything the L1 lookup
-// needs precomputed — the target cache's (set, tag) decomposition, the
-// op classification and the instruction count. For packed traces the
-// precompute folds into the varint decode loop itself via DecodeFrame:
-// the set/tag arithmetic is independent of the serial varint position
-// chains, so it fills pipeline bubbles the decode would otherwise
-// stall on, and the intermediate Access staging pass disappears.
+// FrameSource, the one contract the replay loop consumes. The replay
+// hot path (cpu.Run -> mem.AccessFrame) takes traces in fixed-size
+// frames of FramePre records: the decoded access plus everything the
+// L1 lookup needs precomputed — the target cache's (set, tag)
+// decomposition, the op classification and the instruction count. For
+// packed traces the precompute folds into the coded-width decode loop
+// itself (Cursor.DecodeFrame): the set/tag arithmetic is independent
+// of the stream loads, so it fills pipeline slots the decode leaves
+// idle, and the intermediate Access staging pass disappears. Sources
+// whose records already exist in memory (SliceCursor) run
+// PrecomputeInto straight over them.
 //
 // The decomposition parameters arrive as plain shift/mask arithmetic
 // (SetTagGeom) rather than a cache dependency: trace stays the bottom
@@ -75,33 +77,46 @@ func (p *FramePre) Op() Op {
 	return Load
 }
 
+// FrameSource is a Source that can fill a replay frame directly: up to
+// len(dst) records, precomputed under geom, reporting how many it wrote
+// (0 at end of trace; fewer than len(dst) only there). DecodeFrame must
+// not consume records past the last one it reports, so a replay can
+// take frames of any size and stop between any two records.
+type FrameSource interface {
+	Source
+	DecodeFrame(dst []FramePre, geom *FrameGeom) int
+}
+
 // PrecomputeInto fills pre[i] for each record of batch under geom. pre
-// must be at least len(batch) long. This is the staging-path twin of
-// Cursor.DecodeFrame for records that already exist in memory (the hot
-// tier's zero-copy batches, the generic Source staging buffer).
+// must be at least len(batch) long. This is the in-memory twin of
+// Cursor.DecodeFrame for records that already exist as Accesses.
 func PrecomputeInto(batch []Access, pre []FramePre, geom *FrameGeom) {
 	if len(batch) == 0 {
 		return
 	}
 	_ = pre[len(batch)-1]
 	for i := range batch {
-		a := &batch[i]
-		kind := uint8(KindData)
-		if a.Op == Ifetch {
-			kind = KindIfetch
-		}
-		g := &geom[kind]
-		b := a.Addr >> g.BlockShift
-		pre[i] = FramePre{
-			Addr:  a.Addr,
-			PC:    a.PC,
-			Tag:   b >> g.TagShift,
-			Busy:  uint64(a.Gap) + 1,
-			Set:   int32(b & g.IndexMask),
-			Dom:   a.Domain,
-			Kind:  kind,
-			Write: a.Op == Store,
-		}
+		pre[i] = Precompute(&batch[i], geom)
+	}
+}
+
+// Precompute returns a's frame record under geom.
+func Precompute(a *Access, geom *FrameGeom) FramePre {
+	kind := uint8(KindData)
+	if a.Op == Ifetch {
+		kind = KindIfetch
+	}
+	g := &geom[kind]
+	b := a.Addr >> g.BlockShift
+	return FramePre{
+		Addr:  a.Addr,
+		PC:    a.PC,
+		Tag:   b >> g.TagShift,
+		Busy:  uint64(a.Gap) + 1,
+		Set:   int32(b & g.IndexMask),
+		Dom:   a.Domain,
+		Kind:  kind,
+		Write: a.Op == Store,
 	}
 }
 
@@ -109,14 +124,15 @@ func PrecomputeInto(batch []Access, pre []FramePre, geom *FrameGeom) {
 // advancing the cursor, and reports how many it wrote (0 at end of
 // trace). It is Decode with the frame precompute fused into the same
 // pass: each record's set/tag decomposition and op classification are
-// computed while the next varints decode, and no intermediate Access
-// staging is written. DecodeFrame performs no allocation.
+// computed alongside the next record's stream loads, and no
+// intermediate Access staging is written. DecodeFrame performs no
+// allocation.
 func (c *Cursor) DecodeFrame(dst []FramePre, geom *FrameGeom) int {
 	p := c.p
 	if p == nil {
 		return 0
 	}
-	n := c.end - c.i
+	n := p.n - c.i
 	if n <= 0 {
 		return 0
 	}

@@ -3,10 +3,9 @@ package trace
 // SliceCursor is a replay position over an already-materialized record
 // slice — the "hot tier" counterpart of Cursor. Where Cursor decodes
 // the packed streams record by record, SliceCursor replays records that
-// already exist in memory, and its Batch method exposes them as
-// zero-copy sub-slices: cpu.Run recognizes the concrete type and steps
-// the machine directly over the shared records without staging them
-// through a buffer, so a hot replay pays no decode and no copy at all.
+// already exist in memory: its DecodeFrame precomputes frames straight
+// from the shared records and Batch exposes them as zero-copy
+// sub-slices, so a hot replay pays no decode and no copy at all.
 //
 // The underlying slice is shared and must be treated as immutable; any
 // number of SliceCursors may replay it concurrently.
@@ -41,6 +40,16 @@ func (c *SliceCursor) Batch(max int) []Access {
 	b := c.recs[c.i : c.i+n : c.i+n]
 	c.i += n
 	return b
+}
+
+// DecodeFrame fills dst with up to len(dst) precomputed frame records
+// read in place from the shared slice, advancing the cursor, and
+// reports how many it wrote (0 at end of trace). It implements
+// FrameSource and performs no allocation.
+func (c *SliceCursor) DecodeFrame(dst []FramePre, geom *FrameGeom) int {
+	b := c.Batch(len(dst))
+	PrecomputeInto(b, dst, geom)
+	return len(b)
 }
 
 // Next returns the next record, implementing Source.

@@ -1,45 +1,21 @@
-// Contention contract of the lock-striped caching layer (PR 7). Both
-// hot caches — the engine run memo and the trace arena — used to
-// serialize every lookup on one global mutex; internal/shardlru
-// stripes them across per-shard locks. This file hammers a warm memo
-// and a warm arena with 32 goroutines in the access pattern a sweep
-// produces (each worker looks up its own cells' keys) and records two
-// quantities per cache in BENCH_PR7.json, global-lock baseline
-// (1 shard) versus the shipped sharded configuration:
-//
-//   - wall-clock throughput (ops/sec): scales near-linearly with
-//     available cores once striped, because workers on different
-//     shards never serialize;
-//   - aggregate mutex wait (runtime/metrics
-//     "/sync/mutex/wait/total:seconds"): the time goroutines spend
-//     blocked on the cache locks — the direct, core-count-independent
-//     measurement of the contention sharding removes.
-//
-// Regenerate with
-//
-//	make bench-contention   # = MC_BENCH_JSON=1 go test -run TestEmitBenchJSONPR7 -count=1 -v .
-//
-// The box this repo is developed on has one schedulable CPU, so the
-// emitter raises GOMAXPROCS to contentionGOMAXPROCS for its duration
-// (the standard -cpu=N methodology) and records both that and the
-// physical core count. On one core the throughput columns read near
-// parity — with no parallelism there is no wall-clock time to win —
-// while the lock-wait columns still expose the serialization: the
-// global-lock arms accrue seconds of blocked time that the sharded
-// arms reduce by well over the 4x acceptance bar (the memo's drops to
-// the metric's resolution floor). On a multicore runner the same
-// harness shows the wait gap as a throughput gap.
+// Contention harness of the lock-striped caching layer. Both hot
+// caches — the engine run memo and the trace arena — used to serialize
+// every lookup on one global mutex; internal/shardlru stripes them
+// across per-shard locks. The helpers here hammer a warm memo and a
+// warm arena with many goroutines in the access pattern a sweep
+// produces (each worker looks up its own cells' keys) and report
+// wall-clock throughput plus the aggregate mutex wait (runtime/metrics
+// "/sync/mutex/wait/total:seconds") accrued during the hammer.
+// BENCH_PR7.json records the global-lock vs sharded measurement.
 //
 // TestContentionSmoke is the structural gate CI runs (tiny op counts,
 // no throughput or wait thresholds — machine speed is not a pass/fail
-// criterion): it proves the harness, both cache shapes and the report
-// schema still hold together.
+// criterion): it proves the harness and both cache shapes still hold
+// together. BenchmarkMemoLookupGlobal/Sharded are the go-test-native
+// views of the same contention.
 package mobilecache
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"runtime/metrics"
 	"sync"
 	"testing"
@@ -55,9 +31,9 @@ const (
 	// contentionGoroutines is the hammer width: comfortably past any
 	// -jobs setting the front ends ship with.
 	contentionGoroutines = 32
-	// contentionGOMAXPROCS is forced during measurement so the scheduler
-	// actually multiplexes all 32 hammers (see the package comment).
-	contentionGOMAXPROCS = 32
+	// contentionShards is the shard count of the striped memo arm of
+	// the benchmark (run it with -cpu 32).
+	contentionShards = 32
 	// contentionMemoKeysPerWorker spaces the workers' keys apart in the
 	// warm population; the memo holds every worker's slice, so the
 	// measurement never misses or evicts.
@@ -186,7 +162,7 @@ func arenaContention(tb testing.TB, shards, workers, ops int) (float64, float64)
 //
 //	go test -bench 'MemoLookup' -cpu 32 .
 func BenchmarkMemoLookupGlobal(b *testing.B)  { benchMemoLookup(b, 1) }
-func BenchmarkMemoLookupSharded(b *testing.B) { benchMemoLookup(b, contentionGOMAXPROCS) }
+func BenchmarkMemoLookupSharded(b *testing.B) { benchMemoLookup(b, contentionShards) }
 
 func benchMemoLookup(b *testing.B, shards int) {
 	c := warmMemoShape(b, shards, contentionGoroutines)
@@ -201,121 +177,11 @@ func benchMemoLookup(b *testing.B, shards int) {
 	})
 }
 
-// contentionArm is one cache shape's measured pair of arms.
-type contentionArm struct {
-	GlobalOpsPerSec    float64 `json:"global_ops_per_sec"`
-	ShardedOpsPerSec   float64 `json:"sharded_ops_per_sec"`
-	ThroughputSpeedup  float64 `json:"throughput_speedup"`
-	GlobalLockWaitSec  float64 `json:"global_lock_wait_seconds"`
-	ShardedLockWaitSec float64 `json:"sharded_lock_wait_seconds"`
-	LockWaitReduction  float64 `json:"lock_wait_reduction"`
-	Shards             int     `json:"sharded_shards"`
-	OpsPerGoroutine    int     `json:"ops_per_goroutine"`
-}
-
-// contentionReport is the BENCH_PR7.json schema. lock_wait_reduction
-// is the contention headline (global wait / sharded wait, sharded
-// floored at 1ms so an unmeasurably small sharded wait reads as a
-// large finite factor, not infinity); throughput_speedup is the
-// wall-clock view, which tracks the same factor on multicore hosts and
-// reads near 1.0 when physical_cpus is 1.
-type contentionReport struct {
-	GoVersion    string        `json:"go_version"`
-	PhysicalCPUs int           `json:"physical_cpus"`
-	GOMAXPROCS   int           `json:"gomaxprocs"`
-	Goroutines   int           `json:"goroutines"`
-	Rounds       int           `json:"rounds"`
-	Memo         contentionArm `json:"memo"`
-	Arena        contentionArm `json:"arena"`
-}
-
-// waitReduction is globalSec/shardedSec with the denominator floored
-// at the metric's practical resolution.
-func waitReduction(globalSec, shardedSec float64) float64 {
-	const floor = 1e-3
-	if shardedSec < floor {
-		shardedSec = floor
-	}
-	return globalSec / shardedSec
-}
-
-// TestEmitBenchJSONPR7 measures the sharding win and writes
-// BENCH_PR7.json. Like the other emitters it is a measurement, not a
-// machine-speed gate, so it only runs when explicitly requested:
-//
-//	MC_BENCH_JSON=1 go test -run TestEmitBenchJSONPR7 -count=1 -v .
-func TestEmitBenchJSONPR7(t *testing.T) {
-	if os.Getenv("MC_BENCH_JSON") == "" {
-		t.Skip("set MC_BENCH_JSON=1 to measure and write BENCH_PR7.json")
-	}
-	prev := runtime.GOMAXPROCS(contentionGOMAXPROCS)
-	defer runtime.GOMAXPROCS(prev)
-
-	rep := contentionReport{
-		GoVersion:    runtime.Version(),
-		PhysicalCPUs: runtime.NumCPU(),
-		GOMAXPROCS:   contentionGOMAXPROCS,
-		Goroutines:   contentionGoroutines,
-		Rounds:       3,
-		Memo:         contentionArm{Shards: contentionGOMAXPROCS, OpsPerGoroutine: 100_000},
-		Arena:        contentionArm{Shards: tracestore.DefaultShards, OpsPerGoroutine: 20_000},
-	}
-
-	// Interleave the rounds so one scheduler hiccup cannot fabricate or
-	// erase the gap in either direction: keep each arm's best throughput
-	// and accumulate its lock wait across rounds (wait is a cumulative
-	// cost, so summing is fairer to the global arm than best-of).
-	measure := func(arm *contentionArm, run func(shards int) (float64, float64)) {
-		if ops, wait := run(1); true {
-			if ops > arm.GlobalOpsPerSec {
-				arm.GlobalOpsPerSec = ops
-			}
-			arm.GlobalLockWaitSec += wait
-		}
-		if ops, wait := run(arm.Shards); true {
-			if ops > arm.ShardedOpsPerSec {
-				arm.ShardedOpsPerSec = ops
-			}
-			arm.ShardedLockWaitSec += wait
-		}
-	}
-	for round := 0; round < rep.Rounds; round++ {
-		measure(&rep.Memo, func(shards int) (float64, float64) {
-			return memoContention(t, shards, contentionGoroutines, rep.Memo.OpsPerGoroutine)
-		})
-		measure(&rep.Arena, func(shards int) (float64, float64) {
-			return arenaContention(t, shards, contentionGoroutines, rep.Arena.OpsPerGoroutine)
-		})
-	}
-	rep.Memo.ThroughputSpeedup = rep.Memo.ShardedOpsPerSec / rep.Memo.GlobalOpsPerSec
-	rep.Memo.LockWaitReduction = waitReduction(rep.Memo.GlobalLockWaitSec, rep.Memo.ShardedLockWaitSec)
-	rep.Arena.ThroughputSpeedup = rep.Arena.ShardedOpsPerSec / rep.Arena.GlobalOpsPerSec
-	rep.Arena.LockWaitReduction = waitReduction(rep.Arena.GlobalLockWaitSec, rep.Arena.ShardedLockWaitSec)
-
-	for _, a := range []struct {
-		name string
-		arm  contentionArm
-	}{{"memo", rep.Memo}, {"arena", rep.Arena}} {
-		t.Logf("%s: global %.0f ops/s with %.3fs lock wait; sharded(%d) %.0f ops/s with %.3fs lock wait; %.2fx throughput, %.1fx wait reduction",
-			a.name, a.arm.GlobalOpsPerSec, a.arm.GlobalLockWaitSec, a.arm.Shards,
-			a.arm.ShardedOpsPerSec, a.arm.ShardedLockWaitSec,
-			a.arm.ThroughputSpeedup, a.arm.LockWaitReduction)
-	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_PR7.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestContentionSmoke is the CI gate: a miniature pass over both cache
-// shapes and the report schema. No throughput or wait assertions —
-// those depend on the runner — so it cannot flake on a loaded machine;
-// it verifies structure (warm caches serve every hammered key, the
-// hit arithmetic reconciles, the JSON marshals).
+// shapes. No throughput or wait assertions — those depend on the
+// runner — so it cannot flake on a loaded machine; it verifies
+// structure (warm caches serve every hammered key, the hit arithmetic
+// reconciles).
 func TestContentionSmoke(t *testing.T) {
 	const workers, ops = 4, 200
 	for _, shards := range []int{1, 4} {
@@ -335,8 +201,5 @@ func TestContentionSmoke(t *testing.T) {
 	st := c.Stats()
 	if st.Hits != uint64(workers*ops) {
 		t.Fatalf("warm hammer: %d hits, want %d (misses %d)", st.Hits, workers*ops, st.Misses)
-	}
-	if _, err := json.Marshal(contentionReport{GoVersion: runtime.Version()}); err != nil {
-		t.Fatalf("report schema does not marshal: %v", err)
 	}
 }

@@ -1,33 +1,12 @@
-// Performance contract of set-sampled simulation (internal/sample
-// through internal/sim and internal/engine). Two claims are checked
-// and recorded in BENCH_PR5.json:
-//
-//  1. replaying a packed trace through a sampled machine costs close
-//     to 1/factor of the full replay (BenchmarkSampledReplay sweeps
-//     factors 1..16), and
-//  2. the strict-audited quick matrix (7 standard machines x 3 apps,
-//     warm shared arena, memoization disabled) runs at least 4x
-//     faster at -sample 1/8 than exact, while the same grid's
-//     validation errors stay within the documented 2% bound.
-//
-// Regenerate the JSON with
-//
-//	make bench-json    # also regenerates BENCH_PR4.json
-//
-// EXPERIMENTS.md documents the methodology and the recorded numbers.
+// The set-sampled replay benchmark: replaying a packed trace through a
+// sampled machine should cost close to 1/factor of the full replay
+// (BenchmarkSampledReplay sweeps factors 1..16).
 package mobilecache
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
-	"mobilecache/internal/engine"
-	"mobilecache/internal/invariant"
 	"mobilecache/internal/sample"
 	"mobilecache/internal/sim"
 	"mobilecache/internal/tracestore"
@@ -76,150 +55,5 @@ func BenchmarkSampledReplay(b *testing.B) {
 		b.Run(fmt.Sprintf("1of%d", f), func(b *testing.B) {
 			benchSampledReplay(b, sample.Spec{Factor: f})
 		})
-	}
-}
-
-// runMatrixSampled times the quick matrix through a dedicated engine
-// with the given sampling spec. The arena is shared and pre-warmed by
-// the caller and memoization is disabled, so the two arms of the
-// speedup comparison both measure pure simulation over identical
-// cached traces — not trace generation and not memo hits.
-func runMatrixSampled(tb testing.TB, store *tracestore.Store, apps []workload.Profile, accesses int, spec sample.Spec) time.Duration {
-	tb.Helper()
-	var cells []engine.Cell
-	for _, name := range sim.StandardMachineNames() {
-		cfg, err := sim.MachineByName(name)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		for i := range apps {
-			cells = append(cells, engine.Cell{
-				Machine: name, Config: cfg, App: apps[i].Name, Profile: apps[i],
-				Seed: 1*1_000_003 + uint64(i)*7919,
-			})
-		}
-	}
-	eng := engine.New(engine.Config{Workers: 4, Store: store, MemoCapacity: -1})
-	start := time.Now()
-	if _, err := eng.Execute(context.Background(),
-		engine.Plan{Cells: cells, Accesses: accesses, Sample: spec}, engine.ExecOptions{}); err != nil {
-		tb.Fatal(err)
-	}
-	return time.Since(start)
-}
-
-// sampleBenchReport is the BENCH_PR5.json schema.
-type sampleBenchReport struct {
-	GoVersion      string  `json:"go_version"`
-	GOMAXPROCS     int     `json:"gomaxprocs"`
-	Spec           string  `json:"sample_spec"`
-	Matrix         string  `json:"matrix"`
-	MatrixWorkers  int     `json:"matrix_workers"`
-	MatrixAccesses int     `json:"matrix_accesses_per_cell"`
-	Audit          string  `json:"audit_mode"`
-	FullSeconds    float64 `json:"matrix_full_seconds"`
-	SampledSeconds float64 `json:"matrix_sampled_seconds"`
-	Speedup        float64 `json:"matrix_speedup"`
-	// Validation errors of the same quick-matrix grid (2 seed bases),
-	// from engine.ValidateSample: the worst per-machine relative error
-	// of each headline metric.
-	MaxMissRateRelErr float64 `json:"validation_max_miss_rate_rel_err"`
-	MaxEnergyRelErr   float64 `json:"validation_max_energy_rel_err"`
-	Tolerance         float64 `json:"validation_tolerance"`
-}
-
-// TestEmitBenchJSONPR5 records the sampling PR's performance and
-// accuracy evidence. Like TestEmitBenchJSON it is a measurement, not a
-// machine-speed gate, so it only runs when explicitly requested — but
-// the two recorded claims it does gate hard are the PR's acceptance
-// criteria: >= 4x quick-matrix speedup at 1/8, validation within 2%.
-//
-//	MC_BENCH_JSON=1 go test -run TestEmitBenchJSONPR5 -count=1 -v .
-func TestEmitBenchJSONPR5(t *testing.T) {
-	if os.Getenv("MC_BENCH_JSON") == "" {
-		t.Skip("set MC_BENCH_JSON=1 to measure and write BENCH_PR5.json")
-	}
-	restore := sim.SetAuditMode(invariant.ModeStrict)
-	defer restore()
-
-	spec := sample.Spec{Factor: 8}
-	rep := sampleBenchReport{
-		GoVersion:      runtime.Version(),
-		GOMAXPROCS:     runtime.GOMAXPROCS(0),
-		Spec:           spec.String(),
-		Matrix:         "7 standard machines x 3 apps",
-		MatrixWorkers:  4,
-		MatrixAccesses: 80_000,
-		Audit:          "strict",
-		Tolerance:      0.02,
-	}
-
-	apps := workload.Profiles()[:3]
-	store := tracestore.New(0)
-	// Warm the arena so neither arm pays trace generation, then
-	// interleave three timing rounds keeping the best of each arm.
-	runMatrixSampled(t, store, apps, rep.MatrixAccesses, sample.Spec{})
-	full, sampled := time.Duration(1<<62), time.Duration(1<<62)
-	for round := 0; round < 3; round++ {
-		if d := runMatrixSampled(t, store, apps, rep.MatrixAccesses, sample.Spec{}); d < full {
-			full = d
-		}
-		if d := runMatrixSampled(t, store, apps, rep.MatrixAccesses, spec); d < sampled {
-			sampled = d
-		}
-	}
-	rep.FullSeconds = full.Seconds()
-	rep.SampledSeconds = sampled.Seconds()
-	rep.Speedup = full.Seconds() / sampled.Seconds()
-
-	// The accuracy half of the evidence: the same grid's validation
-	// errors (2 seed bases, engine-level aggregation).
-	var cells []engine.Cell
-	for _, name := range sim.StandardMachineNames() {
-		cfg, err := sim.MachineByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range apps {
-			for _, base := range []uint64{1, 2} {
-				cells = append(cells, engine.Cell{
-					Machine: name, Config: cfg, App: apps[i].Name, Profile: apps[i],
-					Seed: base*1_000_003 + uint64(i)*7919,
-				})
-			}
-		}
-	}
-	eng := engine.New(engine.Config{Workers: 4, Store: store, MemoCapacity: -1})
-	v, err := eng.ValidateSample(context.Background(),
-		engine.Plan{Cells: cells, Accesses: rep.MatrixAccesses}, spec, rep.Tolerance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range v.Machines {
-		if m.MissRateRelErr > rep.MaxMissRateRelErr {
-			rep.MaxMissRateRelErr = m.MissRateRelErr
-		}
-		if m.EnergyRelErr > rep.MaxEnergyRelErr {
-			rep.MaxEnergyRelErr = m.EnergyRelErr
-		}
-	}
-
-	t.Logf("matrix: full %.3fs, sampled %.3fs, speedup %.2fx", rep.FullSeconds, rep.SampledSeconds, rep.Speedup)
-	t.Logf("validation: max miss-rate err %.2f%%, max energy err %.2f%%",
-		100*rep.MaxMissRateRelErr, 100*rep.MaxEnergyRelErr)
-
-	if rep.Speedup < 4 {
-		t.Errorf("quick-matrix speedup %.2fx below the 4x acceptance bar", rep.Speedup)
-	}
-	if err := v.Err(); err != nil {
-		t.Errorf("validation breach: %v", err)
-	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_PR5.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }
