@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-contention-smoke bench-e21 bench-replay-smoke profile-replay serve-smoke torture clean
+.PHONY: build test check bench bench-e21 profile-replay serve-smoke torture clean
 
 build:
 	$(GO) build ./...
@@ -9,16 +9,18 @@ test:
 	$(GO) test ./...
 
 # check is the pre-commit gate: gofmt cleanliness, vet, the full test
-# suite, a race-enabled short pass (the engine/runner/chaos tests are
-# where races would hide), fuzz smokes over the crash-recovery scanner
-# and the invariant auditor, the golden-audit gate (the quick
-# experiment matrix must be conservation-clean under strict audit),
-# the sampling validation gate (1/8 set sampling within 2% on every
-# standard machine), the replay composition gates (a replay split into
-# RunFrom pieces, or interrupted by Snapshot/Restore, must be
-# bit-identical to one uninterrupted run on every standard machine)
-# and the benchmark module's vet and tests (bench/ is its own Go
-# module, so the root ./... never compiles it).
+# suite (which includes the contention and replay smokes,
+# TestContentionSmoke and TestReplaySmoke), a race-enabled short pass
+# (the engine/runner/chaos tests are where races would hide), fuzz
+# smokes over the crash-recovery scanner, the invariant auditor and
+# the packed trace format, the golden-audit gate (the quick experiment
+# matrix must be conservation-clean under strict audit), the sampling
+# validation gate (1/8 set sampling within 2% on every standard
+# machine), the replay composition gates (a replay split into RunFrom
+# pieces, or interrupted by Snapshot/Restore, must be bit-identical to
+# one uninterrupted run on every standard machine) and the benchmark
+# module's vet and tests (bench/ is its own Go module, so the root
+# ./... never compiles it).
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt: needs formatting:"; echo "$$unformatted"; exit 1; fi
@@ -28,6 +30,7 @@ check:
 	$(GO) test -race ./internal/engine/ ./internal/runner/ ./internal/tracestore/ ./internal/shardlru/ ./internal/sim/ ./internal/sample/ ./internal/checkpoint/ ./internal/faultfs/ ./internal/invariant/ ./internal/jobs/ ./internal/cpu/ ./internal/trace/ ./internal/mem/ ./internal/core/ ./internal/cache/ ./internal/energy/ ./internal/sttram/ ./cmd/mcserved/ ./cmd/mcsweep/
 	$(GO) test -run '^$$' -fuzz FuzzJournalDecode -fuzztime 5s ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzAuditReport -fuzztime 5s ./internal/invariant/
+	$(GO) test -run '^$$' -fuzz FuzzPackedRoundTrip -fuzztime 5s ./internal/trace/
 	$(GO) test -run TestGoldenAuditQuickMatrix -count=1 ./internal/experiments/
 	$(GO) test -run TestSampleValidationQuickMatrix -count=1 ./internal/experiments/
 	$(GO) test -run 'TestRunFromSegmentComposition|TestRunSegmentedExact|TestSnapshotRestoreContinue' -count=1 ./internal/sim/
@@ -40,22 +43,6 @@ BENCH_WORKLOADS = sweep-shared sweep-unique sweep-sampled daemon-jobs
 
 bench:
 	@for w in $(BENCH_WORKLOADS); do bash bench/run.sh --workload $$w || exit 1; done
-
-# bench-contention-smoke is the CI-safe structural pass: tiny op
-# counts, no throughput thresholds, verifies the contention harness
-# (also part of the ordinary test suite).
-bench-contention-smoke:
-	$(GO) test -run TestContentionSmoke -short -count=1 -v .
-
-# bench-replay-smoke is the CI perf-regression gate for the replay hot
-# path: a short replay through every frame source must stay
-# allocation-free, and packed replay under a generous
-# structural ns/access budget (~40x the recorded steady state), so it
-# catches a reintroduced per-access allocation or a decode regression
-# without ever failing on a slow runner (also part of the ordinary
-# test suite).
-bench-replay-smoke:
-	$(GO) test -run TestReplaySmoke -count=1 -v .
 
 # profile-replay captures a CPU profile of the replay benchmark and
 # dumps the pprof top table into results/ — the artifact the README's

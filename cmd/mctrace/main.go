@@ -151,11 +151,7 @@ func genCmd(args []string, out io.Writer) error {
 		return err
 	}
 
-	phaseLen := uint64(0)
-	if prof.Phases > 1 {
-		phaseLen = uint64(*n / prof.Phases)
-	}
-	gen, err := workload.NewGenerator(prof, *seed, phaseLen)
+	gen, err := workload.NewGenerator(prof, *seed, workload.PhaseLen(prof, *n))
 	if err != nil {
 		return err
 	}

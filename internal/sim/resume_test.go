@@ -146,11 +146,16 @@ func TestRunSegmentedExactMatchesSerial(t *testing.T) {
 
 // TestRunSegmentedExactPackedTier repeats the segment-boundary check on
 // the packed-only tier (budget 1 demotes the hot decoded form), so the
-// packed cursor is the one resumed across segment boundaries.
+// packed cursor is the one resumed across segment boundaries. The
+// trace comes from a second lookup: the call that generated it still
+// gets its own records back, and only a hit is packed-only.
 func TestRunSegmentedExactPackedTier(t *testing.T) {
 	store := tracestore.New(1)
 	prof := smallProfile()
 	const total = 30_000
+	if _, err := store.GetTrace(prof, 7, total); err != nil {
+		t.Fatal(err)
+	}
 	tr, err := store.GetTrace(prof, 7, total)
 	if err != nil {
 		t.Fatal(err)

@@ -1,14 +1,14 @@
 // Package sim assembles machines from configs and runs workloads on
 // them, producing the uniform RunReport every experiment consumes. It
-// also defines the six standard machines the paper compares:
+// also defines the seven standard machines the paper compares:
 //
-//	baseline-sram  1MB 16-way unified SRAM L2 (normalization baseline)
-//	baseline-stt   1MB 16-way unified long-retention STT-RAM L2
+//	baseline-sram   1MB 16-way unified SRAM L2 (normalization baseline)
+//	baseline-stt    1MB 16-way unified long-retention STT-RAM L2
 //	baseline-drowsy 1MB 16-way drowsy SRAM L2 (circuit-level baseline)
-//	sp             static partition, 512KB user + 256KB kernel, SRAM
-//	sp-mr          static partition, multi-retention STT-RAM
-//	dp             dynamic partition, 1MB 16-way SRAM, way gating
-//	dp-sr          dynamic partition, short-retention STT-RAM
+//	sp              static partition, 512KB user + 256KB kernel, SRAM
+//	sp-mr           static partition, multi-retention STT-RAM
+//	dp              dynamic partition, 1MB 16-way SRAM, way gating
+//	dp-sr           dynamic partition, short-retention STT-RAM
 package sim
 
 import (

@@ -49,11 +49,18 @@ func TestStoreReplayMatchesGenerator(t *testing.T) {
 // TestStoreDemotedReplayMatchesGenerator covers the packed tier: with a
 // budget too small to hold any hot decoded form, every replay goes
 // through the packed decoding cursor and must still reproduce the
-// generator-driven reports exactly.
+// generator-driven reports exactly. The trace is generated before the
+// loop, because the call that generates it replays its own records;
+// every machine below is served by a packed-only hit.
 func TestStoreDemotedReplayMatchesGenerator(t *testing.T) {
 	store := tracestore.New(1) // demotes every trace to packed-only
 	prof := workload.Profiles()[1]
 	const seed, accesses = 13, 40_000
+	if tr, err := store.GetTrace(prof, seed, accesses); err != nil {
+		t.Fatal(err)
+	} else if tr.Records == nil {
+		t.Fatal("the generating call did not get its records back")
+	}
 
 	for _, name := range []string{"baseline-sram", "sp-mr", "dp-sr"} {
 		cfg, err := MachineByName(name)
@@ -72,8 +79,8 @@ func TestStoreDemotedReplayMatchesGenerator(t *testing.T) {
 			t.Errorf("%s: demoted packed replay diverges from generator run", name)
 		}
 	}
-	if st := store.Stats(); st.Demotions == 0 {
-		t.Fatalf("expected demotions under a 1-byte budget, got %+v", st)
+	if st := store.Stats(); st.Demotions == 0 || st.Hits != 3 {
+		t.Fatalf("expected demotions under a 1-byte budget and a hit per machine, got %+v", st)
 	}
 }
 

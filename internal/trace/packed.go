@@ -1,6 +1,9 @@
 package trace
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // This file implements the packed trace arena format: an immutable,
 // struct-of-arrays in-memory representation of a materialized trace.
@@ -29,11 +32,11 @@ import "encoding/binary"
 // tracestore), so trading a few percent of residency for a decode
 // that is pure straight-line ALU is the right side of the bargain.
 //
-// A 40-byte Access typically packs into 6-8 bytes, so a 400k-access
-// trace costs ~3MB instead of ~16MB, and the sweep engine can keep many
-// (app, seed) traces resident. Packed values are immutable after
-// construction; any number of Cursors may replay one concurrently, and
-// replay allocates nothing.
+// A 24-byte Access typically packs into about 7 bytes, so a
+// 400k-access trace costs ~2.8MB instead of ~9.6MB, and the sweep
+// engine can keep many (app, seed) traces resident. Packed values are
+// immutable after construction; any number of Cursors may replay one
+// concurrently, and replay allocates nothing.
 
 // domShift positions the domain bits above the op bits in the packed
 // op+domain byte.
@@ -43,36 +46,24 @@ const domShift = 2
 // load, for width code c.
 var widthMask = [4]uint64{0xff, 0xffff, 0xffff_ffff, ^uint64(0)}
 
-// widthCode returns the smallest width code whose 1<<c bytes hold v.
-func widthCode(v uint64) uint8 {
-	switch {
-	case v < 1<<8:
-		return 0
-	case v < 1<<16:
-		return 1
-	case v < 1<<32:
-		return 2
-	default:
-		return 3
+// lenCode maps bits.Len64(v) to the smallest width code c whose 1<<c
+// bytes hold v.
+var lenCode = func() (t [65]uint8) {
+	for n := range t {
+		switch {
+		case n > 32:
+			t[n] = 3
+		case n > 16:
+			t[n] = 2
+		case n > 8:
+			t[n] = 1
+		}
 	}
-}
+	return t
+}()
 
-// appendCoded appends v in the fixed width named by code.
-func appendCoded(b []byte, v uint64, code uint8) []byte {
-	switch code {
-	case 0:
-		return append(b, byte(v))
-	case 1:
-		return append(b, byte(v), byte(v>>8))
-	case 2:
-		return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	default:
-		return binary.LittleEndian.AppendUint64(b, v)
-	}
-}
-
-// Packed is an immutable packed trace. Build one with Pack or
-// PackSlice; replay it with Cursor.
+// Packed is an immutable packed trace. Build one with PackSlice;
+// replay it with Cursor.
 type Packed struct {
 	n     int
 	ctrl  []byte
@@ -97,106 +88,57 @@ func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
 // unzigzag inverts zigzag.
 func unzigzag(x uint64) int64 { return int64(x>>1) ^ -int64(x&1) }
 
-// packer accumulates records into the packed streams.
-type packer struct {
-	p        Packed
-	prevAddr uint64
-	prevPC   uint64
-}
-
-func (pk *packer) append(a Access) {
-	da := zigzag(int64(a.Addr - pk.prevAddr))
-	dp := zigzag(int64(a.PC - pk.prevPC))
-	ac, pc, gc := widthCode(da), widthCode(dp), widthCode(uint64(a.Gap))
-	pk.p.ctrl = append(pk.p.ctrl, ac|pc<<2|gc<<4)
-	pk.p.addr = appendCoded(pk.p.addr, da, ac)
-	pk.p.pc = appendCoded(pk.p.pc, dp, pc)
-	pk.p.opdom = append(pk.p.opdom, byte(a.Op)|byte(a.Domain)<<domShift)
-	pk.p.gap = appendCoded(pk.p.gap, uint64(a.Gap), gc)
-	pk.prevAddr, pk.prevPC = a.Addr, a.PC
-	pk.p.n++
-}
-
-// streamPad is the zero padding appended to each coded stream so the
-// decoder's unconditional 8-byte load is always in bounds from any
-// valid position, even when the trailing values are narrow.
+// streamPad is the zero padding after each coded stream: it keeps the
+// decoder's unconditional 8-byte load in bounds from any valid
+// position, and likewise the encoder's 8-byte store.
 const streamPad = 8
 
-// finish trims the streams to their final length (plus decoder padding)
-// so SizeBytes reflects what is actually retained.
-func (pk *packer) finish() *Packed {
-	p := pk.p
-	p.ctrl = append([]byte(nil), p.ctrl...)
-	p.addr = padded(p.addr)
-	p.pc = padded(p.pc)
-	p.opdom = append([]byte(nil), p.opdom...)
-	p.gap = padded(p.gap)
-	return &p
-}
-
-func padded(s []byte) []byte {
-	out := make([]byte, len(s)+streamPad)
-	copy(out, s)
-	return out
-}
-
-// Pack drains src into a packed trace, stopping after max records
-// (max <= 0 means until the source ends — do not pass an unbounded
-// source then).
-func Pack(src Source, max int) *Packed {
-	var pk packer
-	if max > 0 {
-		// Typical stream densities (addresses stride by a few KB, PCs by
-		// less, gaps are small byte-wide counts): sized so the append loop
-		// almost never regrows. finish trims whatever margin is left.
-		pk.p.ctrl = make([]byte, 0, max)
-		pk.p.addr = make([]byte, 0, 3*max)
-		pk.p.pc = make([]byte, 0, 3*max)
-		pk.p.opdom = make([]byte, 0, max)
-		pk.p.gap = make([]byte, 0, 2*max)
-	}
-	for max <= 0 || pk.p.n < max {
-		a, ok := src.Next()
-		if !ok {
-			break
-		}
-		pk.append(a)
-	}
-	return pk.finish()
-}
-
-// PackSlice packs an already-materialized record slice. It is the bulk
-// twin of Pack: the stream slices and both delta predecessors live in
-// locals across the loop instead of round-tripping through packer
-// fields per record.
+// PackSlice packs a materialized record slice in two passes. The first
+// computes every record's ctrl byte and, from the width codes, the
+// exact length of each coded stream. The second allocates each stream
+// once at its final size plus streamPad and writes every field as one
+// unconditional 8-byte little-endian store, advancing by the coded
+// width: the mirror of the decoder's masked load. A store's bytes past
+// the field's width are zero (the value fits its width) and the next
+// field's store overwrites them anyway, so the streams hold exactly
+// the coded values followed by zero padding, with no scratch buffers
+// and no trimming copies.
 func PackSlice(recs []Access) *Packed {
 	n := len(recs)
-	ctrl := make([]byte, 0, n)
-	addr := make([]byte, 0, 3*n)
-	pc := make([]byte, 0, 3*n)
-	opdom := make([]byte, 0, n)
-	gap := make([]byte, 0, 2*n)
+	ctrl := make([]byte, n)
+	opdom := make([]byte, n)
+	var addrLen, pcLen, gapLen int
 	var prevAddr, prevPC uint64
 	for i := range recs {
 		a := &recs[i]
-		da := zigzag(int64(a.Addr - prevAddr))
-		dp := zigzag(int64(a.PC - prevPC))
-		ac, pcc, gc := widthCode(da), widthCode(dp), widthCode(uint64(a.Gap))
-		ctrl = append(ctrl, ac|pcc<<2|gc<<4)
-		addr = appendCoded(addr, da, ac)
-		pc = appendCoded(pc, dp, pcc)
-		opdom = append(opdom, byte(a.Op)|byte(a.Domain)<<domShift)
-		gap = appendCoded(gap, uint64(a.Gap), gc)
+		ac := lenCode[bits.Len64(zigzag(int64(a.Addr-prevAddr)))]
+		pcc := lenCode[bits.Len64(zigzag(int64(a.PC-prevPC)))]
+		gc := lenCode[bits.Len32(a.Gap)]
+		ctrl[i] = ac | pcc<<2 | gc<<4
+		opdom[i] = byte(a.Op) | byte(a.Domain)<<domShift
+		addrLen += 1 << ac
+		pcLen += 1 << pcc
+		gapLen += 1 << gc
 		prevAddr, prevPC = a.Addr, a.PC
 	}
-	return &Packed{
-		n:     n,
-		ctrl:  append([]byte(nil), ctrl...),
-		addr:  padded(addr),
-		pc:    padded(pc),
-		opdom: append([]byte(nil), opdom...),
-		gap:   padded(gap),
+
+	addr := make([]byte, addrLen+streamPad)
+	pc := make([]byte, pcLen+streamPad)
+	gap := make([]byte, gapLen+streamPad)
+	var addrPos, pcPos, gapPos int
+	prevAddr, prevPC = 0, 0
+	for i := range recs {
+		a := &recs[i]
+		ct := ctrl[i]
+		binary.LittleEndian.PutUint64(addr[addrPos:], zigzag(int64(a.Addr-prevAddr)))
+		addrPos += 1 << (ct & 3)
+		binary.LittleEndian.PutUint64(pc[pcPos:], zigzag(int64(a.PC-prevPC)))
+		pcPos += 1 << (ct >> 2 & 3)
+		binary.LittleEndian.PutUint64(gap[gapPos:], uint64(a.Gap))
+		gapPos += 1 << (ct >> 4 & 3)
+		prevAddr, prevPC = a.Addr, a.PC
 	}
+	return &Packed{n: n, ctrl: ctrl, addr: addr, pc: pc, opdom: opdom, gap: gap}
 }
 
 // Cursor is a zero-allocation replay position over a Packed trace. It

@@ -1,6 +1,10 @@
 package trace
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 )
@@ -78,15 +82,121 @@ func TestPackedCursorReset(t *testing.T) {
 
 func TestPackFromSource(t *testing.T) {
 	recs := synthAccesses(500)
-	p := Pack(NewSliceSource(recs), 200)
+	p := PackSlice(Collect(NewSliceSource(recs), 200))
 	if p.Len() != 200 {
-		t.Fatalf("Pack with max 200 kept %d records", p.Len())
+		t.Fatalf("packing the first 200 records kept %d", p.Len())
 	}
 	cur := p.Cursor()
 	got := Collect(&cur, 0)
 	for i := range got {
 		if got[i] != recs[i] {
 			t.Fatalf("record %d = %+v, want %+v", i, got[i], recs[i])
+		}
+	}
+}
+
+// refWidthCode and refAppendCoded are the one-pass append encoder
+// PackSlice replaced, kept as its reference: the smallest width code
+// by comparison branches, and each value appended in its coded width.
+func refWidthCode(v uint64) uint8 {
+	switch {
+	case v < 1<<8:
+		return 0
+	case v < 1<<16:
+		return 1
+	case v < 1<<32:
+		return 2
+	default:
+		return 3
+	}
+}
+
+func refAppendCoded(b []byte, v uint64, code uint8) []byte {
+	switch code {
+	case 0:
+		return append(b, byte(v))
+	case 1:
+		return append(b, byte(v), byte(v>>8))
+	case 2:
+		return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+	default:
+		return binary.LittleEndian.AppendUint64(b, v)
+	}
+}
+
+// refPack encodes recs with the reference encoder into the five
+// streams, each coded stream followed by streamPad zero bytes.
+func refPack(recs []Access) (ctrl, addr, pc, opdom, gap []byte) {
+	var prevAddr, prevPC uint64
+	for _, a := range recs {
+		da := zigzag(int64(a.Addr - prevAddr))
+		dp := zigzag(int64(a.PC - prevPC))
+		ac, pcc, gc := refWidthCode(da), refWidthCode(dp), refWidthCode(uint64(a.Gap))
+		ctrl = append(ctrl, ac|pcc<<2|gc<<4)
+		addr = refAppendCoded(addr, da, ac)
+		pc = refAppendCoded(pc, dp, pcc)
+		opdom = append(opdom, byte(a.Op)|byte(a.Domain)<<domShift)
+		gap = refAppendCoded(gap, uint64(a.Gap), gc)
+		prevAddr, prevPC = a.Addr, a.PC
+	}
+	pad := make([]byte, streamPad)
+	return ctrl, append(addr, pad...), append(pc, pad...), opdom, append(gap, pad...)
+}
+
+// widthMixAccesses draws n records whose address and PC deltas and
+// gaps land in every width class, including the extremes (deltas up to
+// MaxUint64, gaps up to MaxUint32).
+func widthMixAccesses(r *rand.Rand, n int) []Access {
+	value := func(class int) uint64 {
+		switch class {
+		case 0:
+			return uint64(r.IntN(1 << 8))
+		case 1:
+			return uint64(r.IntN(1 << 16))
+		case 2:
+			return uint64(r.Uint32())
+		case 3:
+			return r.Uint64()
+		default:
+			return math.MaxUint64 - uint64(r.IntN(2))
+		}
+	}
+	recs := make([]Access, n)
+	var addr, pc uint64
+	for i := range recs {
+		addr += value(r.IntN(5))
+		pc -= value(r.IntN(5))
+		recs[i] = Access{
+			Addr:   addr,
+			PC:     pc,
+			Gap:    uint32(value(r.IntN(5))),
+			Op:     Op(r.IntN(NumOps)),
+			Domain: Domain(r.IntN(NumDomains)),
+		}
+	}
+	return recs
+}
+
+// TestPackSliceMatchesReferenceEncoder: the two-pass PackSlice writes
+// the reference encoder's five streams byte for byte on randomized
+// record sets of every width mix, on the synthetic trace mix and on
+// the empty trace.
+func TestPackSliceMatchesReferenceEncoder(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	sets := [][]Access{nil, synthAccesses(5000)}
+	for i := 0; i < 300; i++ {
+		sets = append(sets, widthMixAccesses(r, r.IntN(600)))
+	}
+	for i, recs := range sets {
+		p := PackSlice(recs)
+		ctrl, addr, pc, opdom, gap := refPack(recs)
+		for _, s := range []struct {
+			name      string
+			got, want []byte
+		}{{"ctrl", p.ctrl, ctrl}, {"addr", p.addr, addr}, {"pc", p.pc, pc}, {"opdom", p.opdom, opdom}, {"gap", p.gap, gap}} {
+			if !bytes.Equal(s.got, s.want) {
+				t.Fatalf("set %d (%d records): %s stream differs from the reference encoder", i, len(recs), s.name)
+			}
 		}
 	}
 }

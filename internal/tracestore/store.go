@@ -15,10 +15,14 @@
 // Traces are held in two tiers. The hot tier is the materialized record
 // slice the generator produced, replayed zero-copy (trace.SliceCursor)
 // with no per-record decoding; the packed tier is the struct-of-arrays
-// compressed form, an order of magnitude smaller, replayed through a
+// compressed form, several times smaller, replayed through a
 // zero-allocation decoding cursor. Under budget pressure the store
 // first demotes least-recently-used traces from hot to packed-only,
-// then evicts them entirely.
+// then evicts them entirely. The call that builds a trace always gets
+// its records back, even when the commit demoted them on arrival (a
+// trace larger than its shard's budget): it made them, so replaying
+// them costs nothing extra. Only later hits are limited to what the
+// arena kept.
 //
 // Synchronization is lock-striped (internal/shardlru): the trace key
 // hashes to one of a small number of shards, each with its own mutex,
@@ -253,10 +257,12 @@ func (s *Store) Stats() Stats {
 }
 
 // Trace is one store result: the packed form is always present, and
-// Records additionally holds the hot-tier decoded form when the budget
-// let the store keep it — replay that directly (via trace.SliceCursor)
-// to skip per-record decoding. Both forms are immutable and describe
-// the byte-identical stream.
+// Records additionally holds the decoded records when the caller may
+// replay them directly (via trace.SliceCursor) and skip per-record
+// decoding — on a hit, when the budget let the arena keep the hot
+// tier; on the call that generated the trace, always, since that call
+// holds the records it made whether or not the arena kept them.
+// Both forms are immutable and describe the byte-identical stream.
 type Trace struct {
 	Packed  *trace.Packed
 	Records []trace.Access
@@ -341,9 +347,13 @@ func (s *Store) getOrBuild(key Key, build func() (*trace.Packed, []trace.Access,
 
 // getOrBuildMeta is the store's single lookup/build path: join (or
 // start) the singleflight entry for key, run build outside any lock on
-// a miss, commit the result into the key's shard and return the
-// coherent hot/packed forms. derived, when non-nil, is bumped alongside
-// the generated counter on successful builds.
+// a miss, and commit the result into the key's shard. A hit returns
+// the forms the arena holds now: the packed stream, plus the records
+// unless they were demoted. The call that ran build returns the
+// records build made even when the commit demoted them at once, so a
+// trace bigger than its shard's budget is still replayed without
+// decoding by the cell that generated it. derived, when non-nil, is
+// bumped alongside the generated counter on successful builds.
 func (s *Store) getOrBuildMeta(key Key, build func() (*trace.Packed, []trace.Access, any, error),
 	derived *atomic.Uint64) (Trace, any, error) {
 	e := &entry{key: key, ready: make(chan struct{})}
@@ -380,10 +390,11 @@ func (s *Store) getOrBuildMeta(key Key, build func() (*trace.Packed, []trace.Acc
 		derived.Add(1)
 	}
 	// Commit charges the entry and may demote it on the spot (its shard
-	// budget can be smaller than the hot form); re-read decoded under
-	// the shard lock for a coherent return.
+	// budget can be smaller than the hot form). This call still holds
+	// the records build just made, so its caller replays them either
+	// way: a demotion only drops the arena's reference, and later hits
+	// see what the arena kept.
 	s.cache.Commit(key, e.sizeBytes())
-	s.cache.WithShardLock(key, func() { recs = e.decoded })
 	close(e.ready)
 	return Trace{Packed: packed, Records: recs}, meta, nil
 }

@@ -1,6 +1,7 @@
 package tracestore
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -51,6 +52,30 @@ func TestGetMatchesGenerator(t *testing.T) {
 		g, ok := cur.Next()
 		if !ok || g != w {
 			t.Fatalf("record %d = %+v (ok=%v), want %+v", i, g, ok, w)
+		}
+	}
+}
+
+// TestGenerateMatchesArenaShortTraces: workload.Generate and the arena
+// split a trace into phases by the same rule (workload.PhaseLen), so
+// they produce the same records even for traces shorter than one
+// access per phase.
+func TestGenerateMatchesArenaShortTraces(t *testing.T) {
+	s := New(0)
+	for _, prof := range workload.Profiles() {
+		for n := 1; n <= 8; n++ {
+			want, err := workload.Generate(prof, 3, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := s.Get(prof, 3, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur := p.Cursor()
+			if got := trace.Collect(&cur, 0); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s n=%d: arena records differ from Generate", prof.Name, n)
+			}
 		}
 	}
 }
@@ -144,7 +169,9 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 
 // TestGetTraceTiers: an unlimited budget keeps the hot decoded form
 // alongside the packed streams; a starved budget demotes entries to
-// packed-only while they stay resident and replayable.
+// packed-only while they stay resident and replayable. The call that
+// generated a demoted trace still gets its own records back; only
+// later hits are packed-only.
 func TestGetTraceTiers(t *testing.T) {
 	prof := testProfile("app")
 	const n = 5000
@@ -173,11 +200,17 @@ func TestGetTraceTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Records != nil {
-		t.Fatal("1-byte budget retained a hot decoded form")
-	}
 	if tr.Packed == nil || tr.Packed.Len() != n {
 		t.Fatal("demoted entry lost its packed form")
+	}
+	if len(tr.Records) != n {
+		t.Fatalf("generating call got %d of its %d records back after demotion", len(tr.Records), n)
+	}
+	cur = tr.Packed.Cursor()
+	for i, w := range tr.Records {
+		if g, ok := cur.Next(); !ok || g != w {
+			t.Fatalf("generated record %d: packed %+v (ok=%v) != returned %+v", i, g, ok, w)
+		}
 	}
 	st := s.Stats()
 	if st.Demotions == 0 || st.Entries != 1 {

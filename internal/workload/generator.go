@@ -140,14 +140,22 @@ func (p *Profile) kernelBurstMean() float64 {
 // Generator produces a deterministic access stream for one profile.
 // It implements trace.Source and never ends; wrap it in a
 // trace.LimitSource (or use Generate) for a finite trace.
+//
+// Every distribution constant (the geometric denominators, the zipf
+// exponents) is computed when the generator or a phase is built, not
+// per draw. The draws themselves keep their exact Log/Exp sequence:
+// the stream is pinned bit for bit, so any further saving has to come
+// from around that math, not from changing it.
 type Generator struct {
 	prof    Profile
 	rng     *RNG
-	total   uint64 // accesses generated so far
 	length  uint64 // accesses per phase (0 = stationary)
 	phase   int
+	toPhase uint64 // accesses left before the next phase boundary
 	inBurst trace.Domain
 	left    int // accesses left in current burst
+
+	userBurst, kernelBurst, gap geometric
 
 	user   domainState
 	kernel domainState
@@ -165,14 +173,20 @@ type domainState struct {
 }
 
 // NewGenerator builds a generator for prof seeded by seed. phaseLen is
-// the number of accesses per macro phase when prof.Phases > 1; pass 0
-// to let Generate derive it from the requested trace length.
+// the number of accesses per macro phase when prof.Phases > 1 (see
+// PhaseLen); 0 keeps the stream stationary.
 func NewGenerator(prof Profile, seed uint64, phaseLen uint64) (*Generator, error) {
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
-	g := &Generator{prof: prof, rng: NewRNG(seed), length: phaseLen, inBurst: trace.User}
-	g.left = g.rng.Geometric(prof.UserBurstMean)
+	g := &Generator{
+		prof: prof, rng: NewRNG(seed), length: phaseLen, inBurst: trace.User,
+		userBurst:   newGeometric(prof.UserBurstMean),
+		kernelBurst: newGeometric(prof.kernelBurstMean()),
+		gap:         newGeometric(prof.GapMean),
+	}
+	g.toPhase = g.phaseSpan()
+	g.left = g.userBurst.Sample(g.rng)
 
 	userBlocks := int(prof.UserWorkingSet / BlockBytes)
 	kernelBlocks := int(prof.KernelWorkingSet / BlockBytes)
@@ -202,6 +216,35 @@ func maxInt(a, b int) int {
 	return b
 }
 
+// phaseSpan is the countdown to the next phase boundary: one phase's
+// accesses, or never for a stationary stream.
+func (g *Generator) phaseSpan() uint64 {
+	if g.length > 0 && g.prof.Phases > 1 {
+		return g.length
+	}
+	return ^uint64(0)
+}
+
+// nextPhase crosses a phase boundary (phases cycle once the last one
+// ends): it moves the user working set to fresh addresses and rescales
+// it to the phase's demand level.
+func (g *Generator) nextPhase() {
+	g.toPhase = g.phaseSpan()
+	if g.length == 0 || g.prof.Phases <= 1 {
+		return
+	}
+	phase := (g.phase + 1) % g.prof.Phases
+	g.phase = phase
+	g.user.dataBase = UserBase + uint64(phase)*g.prof.UserWorkingSet*16
+	g.user.streamBase = g.user.dataBase + g.prof.UserWorkingSet*4
+	scale := phaseScales[phase%len(phaseScales)]
+	blocks := int(float64(g.prof.UserWorkingSet/BlockBytes) * scale)
+	if blocks < 1 {
+		blocks = 1
+	}
+	g.user.zipf = NewZipf(blocks, g.prof.UserZipf)
+}
+
 // Profile returns the profile this generator was built from.
 func (g *Generator) Profile() Profile { return g.prof }
 
@@ -212,31 +255,20 @@ func (g *Generator) Next() (trace.Access, bool) {
 	if g.left <= 0 {
 		if g.inBurst == trace.User && g.prof.KernelShare > 0 {
 			g.inBurst = trace.Kernel
-			g.left = g.rng.Geometric(g.prof.kernelBurstMean())
+			g.left = g.kernelBurst.Sample(g.rng)
 		} else {
 			g.inBurst = trace.User
-			g.left = g.rng.Geometric(g.prof.UserBurstMean)
+			g.left = g.userBurst.Sample(g.rng)
 		}
 	}
 	g.left--
 
-	// Macro phase shift: move the user working set to fresh addresses
-	// and rescale it to the phase's demand level.
-	if g.length > 0 && g.prof.Phases > 1 {
-		phase := int(g.total/g.length) % g.prof.Phases
-		if phase != g.phase {
-			g.phase = phase
-			g.user.dataBase = UserBase + uint64(phase)*g.prof.UserWorkingSet*16
-			g.user.streamBase = g.user.dataBase + g.prof.UserWorkingSet*4
-			scale := phaseScales[phase%len(phaseScales)]
-			blocks := int(float64(g.prof.UserWorkingSet/BlockBytes) * scale)
-			if blocks < 1 {
-				blocks = 1
-			}
-			g.user.zipf = NewZipf(blocks, g.prof.UserZipf)
-		}
+	// Macro phase shift: a countdown to the next boundary, not a
+	// divide per access.
+	if g.toPhase == 0 {
+		g.nextPhase()
 	}
-	g.total++
+	g.toPhase--
 
 	dom := g.inBurst
 	ds := &g.user
@@ -246,7 +278,7 @@ func (g *Generator) Next() (trace.Access, bool) {
 		streamFrac, writeRatio = g.prof.KernelStreamFrac, g.prof.KernelWriteRatio
 	}
 
-	a := trace.Access{Domain: dom, Gap: g.gap()}
+	gap := uint32(g.gap.Sample(g.rng) - 1)
 
 	// Advance a simple per-domain PC walk through the code footprint.
 	ds.pc += 4
@@ -256,45 +288,42 @@ func (g *Generator) Next() (trace.Access, bool) {
 	if g.rng.Bool(0.05) { // occasional branch to a random code block
 		ds.pc = ds.codeBase + uint64(g.rng.Intn(ds.codeBlocks))*BlockBytes
 	}
-	a.PC = ds.pc
 
+	// The record is assembled from locals in the return statement.
+	// Filled field by field, a returned trace.Access is copied back
+	// through the stack with wide loads over narrow stores, which
+	// stall store forwarding on every call.
+	var addr uint64
+	op := trace.Load
 	switch {
 	case g.rng.Bool(g.prof.IfetchFrac):
-		a.Op = trace.Ifetch
-		a.Addr = ds.pc
+		op = trace.Ifetch
+		addr = ds.pc
 	case g.rng.Bool(streamFrac):
 		// Streaming: sequential walk through a large region, wrapping
 		// far beyond any cache capacity.
-		a.Addr = ds.streamBase + (ds.streamPos%(1<<24))*BlockBytes
+		addr = ds.streamBase + (ds.streamPos%(1<<24))*BlockBytes
 		ds.streamPos++
-		a.Op = trace.Load
 		if g.rng.Bool(writeRatio) {
-			a.Op = trace.Store
+			op = trace.Store
 		}
 	default:
 		// Hot-set access with zipfian popularity, random offset within
 		// the block.
 		block := ds.zipf.Sample(g.rng)
-		a.Addr = ds.dataBase + uint64(block)*BlockBytes + uint64(g.rng.Intn(BlockBytes/8)*8)
-		a.Op = trace.Load
+		addr = ds.dataBase + uint64(block)*BlockBytes + uint64(g.rng.Intn(BlockBytes/8)*8)
 		if g.rng.Bool(writeRatio) {
-			a.Op = trace.Store
+			op = trace.Store
 		}
 	}
-	return a, true
-}
-
-func (g *Generator) gap() uint32 {
-	if g.prof.GapMean <= 0 {
-		return 0
-	}
-	return uint32(g.rng.Geometric(g.prof.GapMean) - 1)
+	return trace.Access{Addr: addr, PC: ds.pc, Gap: gap, Op: op, Domain: dom}, true
 }
 
 // PhaseLen derives the per-phase access count a full-trace run of n
 // accesses uses: n split evenly over the profile's macro phases, zero
-// (stationary) for single-phase profiles. sim.RunWorkload and the trace
-// store must agree on this value so cached traces replay identically to
+// (stationary) for single-phase profiles and for traces shorter than
+// one access per phase. Generate, sim.RunWorkload and the trace store
+// all take it from here, so cached traces replay identically to
 // generator-driven runs.
 func PhaseLen(p Profile, n int) uint64 {
 	if p.Phases > 1 && n > 0 {
@@ -304,16 +333,9 @@ func PhaseLen(p Profile, n int) uint64 {
 }
 
 // Generate materializes n accesses of prof, splitting the trace into
-// prof.Phases equal macro phases.
+// prof.Phases equal macro phases (see PhaseLen).
 func Generate(prof Profile, seed uint64, n int) ([]trace.Access, error) {
-	phaseLen := uint64(0)
-	if prof.Phases > 1 && n > 0 {
-		phaseLen = uint64(n / prof.Phases)
-		if phaseLen == 0 {
-			phaseLen = 1
-		}
-	}
-	g, err := NewGenerator(prof, seed, phaseLen)
+	g, err := NewGenerator(prof, seed, PhaseLen(prof, n))
 	if err != nil {
 		return nil, err
 	}

@@ -57,16 +57,31 @@ func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Geometric returns a sample from a geometric distribution with mean
-// approximately mean (support {1, 2, ...}).
-func (r *RNG) Geometric(mean float64) int {
+// geometric samples a geometric distribution with a fixed mean
+// (support {1, 2, ...}) by inverting its CDF. The inverse's
+// denominator log(1-1/mean) is a constant of the distribution, so it is
+// computed once here and a draw pays a single Log.
+type geometric struct {
+	logQ float64 // log(1 - 1/mean)
+	one  bool    // mean <= 1: every draw is 1 and consumes no randomness
+}
+
+// newGeometric builds a sampler whose draws have mean approximately
+// mean; a mean of 1 or less degenerates to the constant 1.
+func newGeometric(mean float64) geometric {
 	if mean <= 1 {
+		return geometric{one: true}
+	}
+	return geometric{logQ: math.Log(1 - 1/mean)}
+}
+
+// Sample draws one value using r.
+func (g geometric) Sample(r *RNG) int {
+	if g.one {
 		return 1
 	}
-	p := 1 / mean
 	u := r.Float64()
-	// Inverse CDF of the geometric distribution.
-	k := int(math.Ceil(math.Log(1-u) / math.Log(1-p)))
+	k := int(math.Ceil(math.Log(1-u) / g.logQ))
 	if k < 1 {
 		k = 1
 	}
@@ -83,9 +98,11 @@ func (r *RNG) Fork() *RNG {
 // exponent s, using Chlebus's approximate inverse-CDF method. Zipfian
 // reuse is the standard model for cache-resident working sets.
 type Zipf struct {
-	n    int
-	s    float64
-	hInt float64 // generalized harmonic normalizer H(n, s)
+	n         int
+	s         float64
+	hInt      float64 // generalized harmonic normalizer H(n, s)
+	oneMinusS float64 // 1 - s
+	exp       float64 // 1/(1-s), the CDF inverse's power
 }
 
 // NewZipf builds a zipfian sampler over n items with skew s (s=0 is
@@ -98,8 +115,9 @@ func NewZipf(n int, s float64) *Zipf {
 	if s < 0 {
 		panic("workload: Zipf with negative skew")
 	}
-	z := &Zipf{n: n, s: s}
+	z := &Zipf{n: n, s: s, oneMinusS: 1 - s}
 	z.hInt = harmonic(n, s)
+	z.exp = 1 / z.oneMinusS
 	return z
 }
 
@@ -133,7 +151,7 @@ func (z *Zipf) Sample(r *RNG) int {
 	if z.s == 1 {
 		k = math.Exp(u) - 1
 	} else {
-		k = math.Pow(u*(1-z.s)+1, 1/(1-z.s)) - 1
+		k = math.Pow(u*z.oneMinusS+1, z.exp) - 1
 	}
 	i := int(k)
 	if i < 0 {

@@ -78,10 +78,11 @@ func TestRNGFloat64Uniformish(t *testing.T) {
 func TestRNGGeometricMean(t *testing.T) {
 	r := NewRNG(13)
 	const target = 20.0
+	g := newGeometric(target)
 	sum := 0
 	const n = 200000
 	for i := 0; i < n; i++ {
-		k := r.Geometric(target)
+		k := g.Sample(r)
 		if k < 1 {
 			t.Fatalf("geometric sample %d < 1", k)
 		}
@@ -96,11 +97,54 @@ func TestRNGGeometricMean(t *testing.T) {
 func TestRNGGeometricDegenerate(t *testing.T) {
 	r := NewRNG(17)
 	for i := 0; i < 100; i++ {
-		if k := r.Geometric(0.5); k != 1 {
+		if k := newGeometric(0.5).Sample(r); k != 1 {
 			t.Fatalf("Geometric(0.5) = %d, want 1", k)
 		}
-		if k := r.Geometric(1); k != 1 {
+		if k := newGeometric(1).Sample(r); k != 1 {
 			t.Fatalf("Geometric(1) = %d, want 1", k)
+		}
+	}
+	if r.state != NewRNG(17).state {
+		t.Fatal("degenerate geometric draws consumed randomness")
+	}
+}
+
+// refGeometric is the per-draw formula the precomputed geometric
+// replaced, kept as its reference: ceil(log(1-u)/log(1-1/mean)),
+// computing both logs on every call.
+func refGeometric(r *RNG, mean float64) int {
+	if mean <= 1 {
+		return 1
+	}
+	p := 1 / mean
+	u := r.Float64()
+	k := int(math.Ceil(math.Log(1-u) / math.Log(1-p)))
+	if k < 1 {
+		k = 1
+	}
+	return k
+}
+
+// TestGeometricMatchesReference: the precomputed sampler draws the
+// reference's exact values and consumes exactly its randomness, for
+// every mean the standard profiles use and for the edge means:
+// degenerate, barely above 1, so large that 1-1/mean rounds to 1,
+// infinite, and NaN.
+func TestGeometricMatchesReference(t *testing.T) {
+	means := []float64{-1, 0, 0.5, 1, math.Nextafter(1, 2), 1.5, 2, 20, 1e17, math.Inf(1), math.NaN()}
+	for _, p := range Profiles() {
+		means = append(means, p.UserBurstMean, p.kernelBurstMean(), p.GapMean)
+	}
+	for _, mean := range means {
+		g := newGeometric(mean)
+		got, want := NewRNG(uint64(math.Float64bits(mean))), NewRNG(uint64(math.Float64bits(mean)))
+		for i := 0; i < 20000; i++ {
+			if k, w := g.Sample(got), refGeometric(want, mean); k != w {
+				t.Fatalf("mean %g draw %d: got %d, reference %d", mean, i, k, w)
+			}
+			if got.state != want.state {
+				t.Fatalf("mean %g draw %d: RNG state diverged from the reference", mean, i)
+			}
 		}
 	}
 }

@@ -80,8 +80,9 @@ func GenerateTrace(p Profile, seed uint64, n int) ([]Access, error) {
 	return workload.Generate(p, seed, n)
 }
 
-// StandardMachines returns the six machine configurations the paper
-// compares (baseline-sram, baseline-stt, sp, sp-mr, dp, dp-sr).
+// StandardMachines returns the seven machine configurations the paper
+// compares (baseline-sram, baseline-stt, baseline-drowsy, sp, sp-mr,
+// dp, dp-sr).
 func StandardMachines() []Machine { return sim.StandardMachines() }
 
 // StandardMachine finds one standard machine by name.

@@ -2,9 +2,9 @@
 // (mem.AccessFrame behind cpu.Run): every trace source decodes frames
 // straight into precomputed records and the kernel replays L1 hits
 // without a Lookup call, a Result struct, or any per-access stats or
-// energy write. TestReplaySmoke is the CI-safe structural gate (make
-// bench-replay-smoke): replay through every frame source must stay
-// allocation-free, and packed replay under a budget ~40x above the
+// energy write. TestReplaySmoke is the CI-safe structural gate, run
+// with the rest of the suite by go test ./... (and so by make check):
+// replay through every frame source must stay allocation-free, and packed replay under a budget ~40x above the
 // recorded steady state, so it catches a reintroduced per-access
 // allocation or interface round-trip without ever failing on a slow or
 // noisy runner. BENCH_PR10.json records the kernel's measurement.
@@ -29,7 +29,7 @@ import (
 // quadratic would blow through it.
 const replaySmokeBudgetNs = 2000
 
-// TestReplaySmoke is the bench-replay-smoke CI gate.
+// TestReplaySmoke is the replay kernel's CI gate.
 func TestReplaySmoke(t *testing.T) {
 	const accesses = 200_000
 	store := tracestore.New(0)
