@@ -16,11 +16,14 @@ test:
 # the packed trace format, the golden-audit gate (the quick experiment
 # matrix must be conservation-clean under strict audit), the sampling
 # validation gate (1/8 set sampling within 2% on every standard
-# machine), the replay composition gates (a replay split into RunFrom
-# pieces, or interrupted by Snapshot/Restore, must be bit-identical to
-# one uninterrupted run on every standard machine) and the benchmark
-# module's vet and tests (bench/ is its own Go module, so the root
-# ./... never compiles it).
+# machine), the uncached exact-replay gates (a replay split into
+# RunFrom pieces, or interrupted by Snapshot/Restore, must be
+# bit-identical to one uninterrupted run on every standard machine,
+# and every branch of sim.Run — arena or generator, hot or packed-only
+# tier, cold or warm, exact or 1/8-sampled — must match the arena-free
+# run, with a cold dynamic run keeping its epoch-0 allocation) and the
+# benchmark module's vet and tests (bench/ is its own Go module, so the
+# root ./... never compiles it).
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt: needs formatting:"; echo "$$unformatted"; exit 1; fi
@@ -33,7 +36,7 @@ check:
 	$(GO) test -run '^$$' -fuzz FuzzPackedRoundTrip -fuzztime 5s ./internal/trace/
 	$(GO) test -run TestGoldenAuditQuickMatrix -count=1 ./internal/experiments/
 	$(GO) test -run TestSampleValidationQuickMatrix -count=1 ./internal/experiments/
-	$(GO) test -run 'TestRunFromSegmentComposition|TestRunSegmentedExact|TestSnapshotRestoreContinue' -count=1 ./internal/sim/
+	$(GO) test -run 'TestRunFromSegmentComposition|TestRunSegmentedExact|TestSnapshotRestoreContinue|TestRunArenaMatchesGenerator' -count=1 ./internal/sim/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the repository benchmark (bench/, described by

@@ -151,9 +151,9 @@ func replayTraceFile(cfg config.Machine, path string, maxAccesses uint64, spec s
 			fmt.Fprintln(os.Stderr, "mcsim: trace warning:", r.Err())
 		}
 	}()
-	// RunSampledTrace audits internally (raw counters before scaling),
-	// so no ApplyAudit wrapper here — double-auditing a scaled report
-	// would check different numbers than the run produced.
+	// RunSampledTrace audits internally (raw counters before scaling);
+	// auditing its scaled report again would check different numbers
+	// than the run produced.
 	return sim.RunSampledTrace(m, path, r, maxAccesses)
 }
 

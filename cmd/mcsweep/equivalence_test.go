@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"mobilecache/internal/runner"
+	"mobilecache/internal/sample"
 	"mobilecache/internal/sim"
 	"mobilecache/internal/tracestore"
 	"mobilecache/internal/workload"
@@ -90,10 +91,7 @@ func referenceSweepCSV(t *testing.T, spec Spec, rcfg runner.Config) []byte {
 			if err != nil {
 				return sim.RunReport{}, err
 			}
-			if spec.Warmup > 0 {
-				return sim.RunWarmWorkloadFrom(store, cfg, c.app, c.seed, spec.Warmup, spec.Accesses)
-			}
-			return sim.RunWorkloadFrom(store, cfg, c.app, c.seed, spec.Accesses)
+			return sim.Run(store, cfg, c.app, c.seed, spec.Warmup, spec.Accesses, sample.Spec{})
 		})
 	if err != nil && !rcfg.KeepGoing {
 		t.Fatal(err)

@@ -23,6 +23,7 @@ import (
 	"mobilecache/internal/cache"
 	"mobilecache/internal/config"
 	"mobilecache/internal/core"
+	"mobilecache/internal/sample"
 	"mobilecache/internal/sim"
 	"mobilecache/internal/sttram"
 	"mobilecache/internal/trace"
@@ -94,7 +95,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := sim.RunWorkload(spmr, app, seed, accesses)
+	rep, err := sim.Run(nil, spmr, app, seed, 0, accesses, sample.Spec{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,9 +14,9 @@ func CheckAudit(name string) error {
 
 // ApplyAudit parses an audit-mode name and installs it as the
 // process-wide invariant-audit mode for every simulation (the audit
-// runs inside the sim entry points, so it covers direct runs as well
-// as engine-driven ones). The returned restore function reinstates the
-// previous mode.
+// runs inside sim.Run and sim.RunSampledTrace, so it covers direct
+// runs as well as engine-driven ones). The returned restore function
+// reinstates the previous mode.
 func ApplyAudit(name string) (restore func(), err error) {
 	m, err := invariant.ParseMode(name)
 	if err != nil {

@@ -14,8 +14,7 @@
 //     cells keyed by a content hash of each cell's full inputs, with
 //     resume-by-key so a killed sweep continues where it stopped;
 //   - internal/invariant: the off/warn/strict conservation audit
-//     (applied inside the sim entry points; ApplyAudit selects the
-//     mode);
+//     (applied inside sim.Run; ApplyAudit selects the mode);
 //   - incremental failure manifests (runner.ManifestLogger), streamed
 //     as cells fail and finalized at the end;
 //   - a bounded per-engine run memo keyed by the same content hash the
@@ -218,15 +217,10 @@ func keyOf(c Cell, accesses, warmup int, spec sample.Spec) (checkpoint.Key, erro
 	return checkpoint.KeyOf(c.Config, c.Profile, c.Seed, accesses, warmup)
 }
 
-// RunOne executes a single cell through the full pipeline — memo,
-// shared trace arena, audit — without the worker pool. It is the
-// single-cell entry the experiments package and cmd/mcsim use.
-func (e *Engine) RunOne(ctx context.Context, c Cell, accesses, warmup int) (sim.RunReport, error) {
-	return e.RunOneSampled(ctx, c, accesses, warmup, sample.Spec{})
-}
-
-// RunOneSampled is RunOne under a sampling spec; a disabled spec is
-// exactly RunOne.
+// RunOneSampled executes a single cell through the full pipeline —
+// memo, shared trace arena, audit — without the worker pool. It is the
+// single-cell entry the experiments package and cmd/mcsim use; a
+// disabled spec runs the cell exactly.
 func (e *Engine) RunOneSampled(ctx context.Context, c Cell, accesses, warmup int, spec sample.Spec) (sim.RunReport, error) {
 	if err := (Plan{Accesses: accesses, Warmup: warmup, Sample: spec}).Validate(); err != nil {
 		return sim.RunReport{}, err
@@ -238,29 +232,8 @@ func (e *Engine) RunOneSampled(ctx context.Context, c Cell, accesses, warmup int
 	if err != nil {
 		return sim.RunReport{}, err
 	}
-	if rep, ok := e.memo.get(key); ok {
-		return rep, nil
-	}
-	rep, err := e.simulate(c, accesses, warmup, spec)
-	if err != nil {
-		return rep, err
-	}
-	e.memo.add(key, rep)
-	return rep, nil
-}
-
-// simulate is the one place a cell becomes a sim call.
-func (e *Engine) simulate(c Cell, accesses, warmup int, spec sample.Spec) (sim.RunReport, error) {
-	if spec.Norm().Enabled() {
-		if warmup > 0 {
-			return sim.RunWarmWorkloadFromSampled(e.store, c.Config, c.Profile, c.Seed, warmup, accesses, spec)
-		}
-		return sim.RunWorkloadFromSampled(e.store, c.Config, c.Profile, c.Seed, accesses, spec)
-	}
-	if warmup > 0 {
-		return sim.RunWarmWorkloadFrom(e.store, c.Config, c.Profile, c.Seed, warmup, accesses)
-	}
-	return sim.RunWorkloadFrom(e.store, c.Config, c.Profile, c.Seed, accesses)
+	rep, _, err := e.runKeyed(c, key, accesses, warmup, spec)
+	return rep, err
 }
 
 // ExecOptions are the per-execution knobs (the per-engine ones live in
@@ -501,7 +474,7 @@ func (e *Engine) runKeyed(c Cell, key checkpoint.Key, accesses, warmup int, spec
 	if rep, ok := e.memo.get(key); ok {
 		return rep, true, nil
 	}
-	rep, err = e.simulate(c, accesses, warmup, spec)
+	rep, err = sim.Run(e.store, c.Config, c.Profile, c.Seed, warmup, accesses, spec)
 	if err != nil {
 		return rep, false, err
 	}

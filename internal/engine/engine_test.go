@@ -14,6 +14,7 @@ import (
 
 	"mobilecache/internal/checkpoint"
 	"mobilecache/internal/runner"
+	"mobilecache/internal/sample"
 	"mobilecache/internal/sim"
 	"mobilecache/internal/workload"
 )
@@ -89,7 +90,7 @@ func TestExecuteWorkerCountInvariance(t *testing.T) {
 
 // TestExecuteMatchesDirectSimulation: the engine is a pipeline, not a
 // model — every report it emits must be deeply equal to a direct
-// sim.RunWorkload of the same cell.
+// arena-free sim.Run of the same cell.
 func TestExecuteMatchesDirectSimulation(t *testing.T) {
 	p := testPlan(t, []string{"baseline-sram", "dp-sr"}, 2, []uint64{7}, 5000)
 	col := NewCollector()
@@ -97,7 +98,7 @@ func TestExecuteMatchesDirectSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range p.Cells {
-		want, err := sim.RunWorkload(c.Config, c.Profile, c.Seed, p.Accesses)
+		want, err := sim.Run(nil, c.Config, c.Profile, c.Seed, 0, p.Accesses, sample.Spec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,8 +109,8 @@ func TestExecuteMatchesDirectSimulation(t *testing.T) {
 	}
 }
 
-// TestExecuteWarmupMatchesDirect: warmup plans route through
-// RunWarmWorkload and must match it exactly.
+// TestExecuteWarmupMatchesDirect: warmup plans must match a direct
+// arena-free warm sim.Run exactly.
 func TestExecuteWarmupMatchesDirect(t *testing.T) {
 	p := testPlan(t, []string{"baseline-sram"}, 1, []uint64{3}, 4000)
 	p.Warmup = 4000
@@ -118,7 +119,7 @@ func TestExecuteWarmupMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := p.Cells[0]
-	want, err := sim.RunWarmWorkload(c.Config, c.Profile, c.Seed, p.Warmup, p.Accesses)
+	want, err := sim.Run(nil, c.Config, c.Profile, c.Seed, p.Warmup, p.Accesses, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,14 +137,14 @@ func TestRunOneMemoizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	cell := Cell{Machine: cfg.Name, Config: cfg, App: workload.Profiles()[0].Name, Profile: workload.Profiles()[0], Seed: 5}
-	first, err := eng.RunOne(context.Background(), cell, 4000, 0)
+	first, err := eng.RunOneSampled(context.Background(), cell, 4000, 0, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if eng.memo.len() != 1 {
 		t.Fatalf("memo holds %d entries after one run, want 1", eng.memo.len())
 	}
-	second, err := eng.RunOne(context.Background(), cell, 4000, 0)
+	second, err := eng.RunOneSampled(context.Background(), cell, 4000, 0, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,9 +399,9 @@ func TestAuditHelpers(t *testing.T) {
 		t.Fatal(err)
 	}
 	prof := workload.Profiles()[0]
-	_, err = New(Config{}).RunOne(context.Background(), Cell{
+	_, err = New(Config{}).RunOneSampled(context.Background(), Cell{
 		Machine: cfg.Name, Config: cfg, App: prof.Name, Profile: prof, Seed: 99,
-	}, 2000, 0)
+	}, 2000, 0, sample.Spec{})
 	if err == nil {
 		t.Fatal("strict audit let a tampered report pass")
 	}

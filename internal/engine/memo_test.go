@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"mobilecache/internal/sample"
 	"mobilecache/internal/sim"
 	"mobilecache/internal/workload"
 )
@@ -24,7 +25,7 @@ func TestMemoContentHashNoStaleness(t *testing.T) {
 	}
 	prof := workload.Profiles()[0]
 	cell := Cell{Machine: cfg.Name, Config: cfg, App: prof.Name, Profile: prof, Seed: 1}
-	base, err := eng.RunOne(context.Background(), cell, 5000, 0)
+	base, err := eng.RunOneSampled(context.Background(), cell, 5000, 0, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,16 +36,16 @@ func TestMemoContentHashNoStaleness(t *testing.T) {
 	seg := *cfg.Unified
 	seg.Ways /= 2
 	smaller.Unified = &seg
-	got, err := eng.RunOne(context.Background(), Cell{
+	got, err := eng.RunOneSampled(context.Background(), Cell{
 		Machine: cfg.Name, Config: smaller, App: prof.Name, Profile: prof, Seed: 1,
-	}, 5000, 0)
+	}, 5000, 0, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reflect.DeepEqual(got, base) {
 		t.Fatal("modified config under the same name was served the stale cached report")
 	}
-	want, err := sim.RunWorkload(smaller, prof, 1, 5000)
+	want, err := sim.Run(nil, smaller, prof, 1, 0, 5000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,9 +56,9 @@ func TestMemoContentHashNoStaleness(t *testing.T) {
 	// Same names, different profile content: shift the kernel share.
 	hotKernel := prof
 	hotKernel.KernelShare = prof.KernelShare + 0.2
-	got2, err := eng.RunOne(context.Background(), Cell{
+	got2, err := eng.RunOneSampled(context.Background(), Cell{
 		Machine: cfg.Name, Config: cfg, App: prof.Name, Profile: hotKernel, Seed: 1,
-	}, 5000, 0)
+	}, 5000, 0, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestMemoDisabled(t *testing.T) {
 	}
 	prof := workload.Profiles()[0]
 	cell := Cell{Machine: cfg.Name, Config: cfg, App: prof.Name, Profile: prof, Seed: 1}
-	if _, err := eng.RunOne(context.Background(), cell, 2000, 0); err != nil {
+	if _, err := eng.RunOneSampled(context.Background(), cell, 2000, 0, sample.Spec{}); err != nil {
 		t.Fatal(err)
 	}
 	sum, err := eng.Execute(context.Background(),

@@ -74,12 +74,12 @@ func TestSampleKeyAliasing(t *testing.T) {
 	}
 }
 
-// A factor-1 sampled run through the engine is the unsampled run:
-// identical report, same memo entry.
+// A factor-1 sampled run through the engine is the zero-spec unsampled
+// run: identical report, same memo entry.
 func TestRunOneSampledFactorOne(t *testing.T) {
 	c := testCell(t, "sp-mr", 0, 3)
 	full := New(Config{})
-	want, err := full.RunOne(context.Background(), c, 20_000, 0)
+	want, err := full.RunOneSampled(context.Background(), c, 20_000, 0, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ package experiments
 // package-global name-keyed run cache; it now goes through
 // internal/engine. These tests pin the contract that the move changed
 // nothing observable — matrix output is deeply equal to direct
-// sim.RunWorkload calls — and that the one intended change (the
+// arena-free sim.Run calls — and that the one intended change (the
 // name-keyed cache's staleness bug) is actually fixed.
 
 import (
@@ -13,12 +13,13 @@ import (
 	"testing"
 
 	"mobilecache/internal/engine"
+	"mobilecache/internal/sample"
 	"mobilecache/internal/sim"
 )
 
 // TestMatrixMatchesDirectRuns: matrix() over the canonical scheme list
 // returns, for every (machine, app), a report deeply equal to a direct
-// sim.RunWorkload with the same derived seed.
+// arena-free sim.Run with the same derived seed.
 func TestMatrixMatchesDirectRuns(t *testing.T) {
 	opts := QuickOptions()
 	opts.Engine = engine.New(engine.Config{}) // isolate from the shared default engine
@@ -32,12 +33,12 @@ func TestMatrixMatchesDirectRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, app := range opts.Apps {
-			want, err := sim.RunWorkload(cfg, app, appSeed(opts.Seed, i), opts.Accesses)
+			want, err := sim.Run(nil, cfg, app, appSeed(opts.Seed, i), 0, opts.Accesses, sample.Spec{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got[name][app.Name], want) {
-				t.Fatalf("matrix report for %s/%s diverges from direct sim.RunWorkload", name, app.Name)
+				t.Fatalf("matrix report for %s/%s diverges from direct sim.Run", name, app.Name)
 			}
 		}
 	}
@@ -54,7 +55,7 @@ func TestCachedRunMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.RunWorkload(cfg, app, 42, opts.Accesses)
+	want, err := sim.Run(nil, cfg, app, 42, 0, opts.Accesses, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestCachedRunMatchesDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("cachedRun pass %d diverges from direct sim.RunWorkload", pass)
+			t.Fatalf("cachedRun pass %d diverges from direct sim.Run", pass)
 		}
 	}
 }
@@ -97,7 +98,7 @@ func TestRunWorkloadNoStaleCache(t *testing.T) {
 	if reflect.DeepEqual(got, base) {
 		t.Fatal("content-modified profile was served the stale report")
 	}
-	want, err := sim.RunWorkload(cfg, perturbed, 1, opts.Accesses)
+	want, err := sim.Run(nil, cfg, perturbed, 1, 0, opts.Accesses, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}

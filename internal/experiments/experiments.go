@@ -63,7 +63,7 @@ func (o Options) eng() *engine.Engine {
 }
 
 // runWorkload is the engine-backed simulation entry every experiment
-// uses: identical results to sim.RunWorkload, minus the redundant
+// uses: identical results to a direct sim.Run, minus the redundant
 // trace regeneration and re-simulation. The engine memo keys on a
 // content hash of the machine config and profile, so experiments that
 // perturb a config or profile under an unchanged name always get a

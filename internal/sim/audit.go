@@ -8,9 +8,8 @@ import (
 )
 
 // This file wires the invariant auditor (internal/invariant) into the
-// workload entry points. Every report RunWorkload / RunWarmWorkload
-// (and their store-aware variants) returns is checked against the
-// simulator's conservation laws:
+// run entry points. Every report Run and RunSampledTrace return is
+// checked against the simulator's conservation laws:
 //
 //   - off:    no checking
 //   - warn:   violations are logged (rate-capped) and the run proceeds
@@ -19,15 +18,13 @@ import (
 //
 // The default is warn — a miscounting simulator should never fail
 // silently, but library users shouldn't see hard failures they didn't
-// opt into. CLI flags (-audit on mcsweep/mcbench) select the mode.
+// opt into. CLI flags (-audit on mcsweep/mcbench/mcsim/mcserved) select
+// the mode.
 
 // auditMode holds the active mode (stored as uint32 for atomicity).
 var auditMode atomic.Uint32
 
 func init() { auditMode.Store(uint32(invariant.ModeWarn)) }
-
-// AuditMode reports the active audit mode.
-func AuditMode() invariant.Mode { return invariant.Mode(auditMode.Load()) }
 
 // SetAuditMode selects how workload runs react to invariant
 // violations and returns a restore function. The mode is
@@ -79,33 +76,19 @@ func Audit(rep RunReport) []invariant.Violation {
 	return invariant.Auditor{}.Check(auditView(rep))
 }
 
-// ApplyAudit runs the active audit policy over a report produced
-// outside the workload entry points — a raw RunTrace replay of a
-// captured trace file, say. (RunWorkload and friends audit
-// automatically; calling this on their reports would double-count
-// warn-mode statistics.)
-func ApplyAudit(rep RunReport) (RunReport, error) { return auditExit(rep, nil) }
-
 // warnLogged caps warn-mode log spam: after warnLogCap violating
 // reports the audit keeps counting but stops printing.
 var warnLogged atomic.Uint64
 
 const warnLogCap = 8
 
-// AuditWarnings reports how many violating reports warn mode has seen
-// since process start (strict and off modes don't count).
-func AuditWarnings() uint64 { return warnLogged.Load() }
-
 // auditExit runs the active audit policy on a finished report. It is
-// the single exit gate for every workload entry point.
-func auditExit(rep RunReport, err error) (RunReport, error) {
-	if err != nil {
-		return rep, err
-	}
+// the single exit gate of Run and RunSampledTrace.
+func auditExit(rep RunReport) (RunReport, error) {
 	if t := auditTamper.Load(); t != nil {
 		(*t)(&rep)
 	}
-	mode := AuditMode()
+	mode := invariant.Mode(auditMode.Load())
 	if mode == invariant.ModeOff {
 		return rep, nil
 	}

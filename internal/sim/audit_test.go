@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mobilecache/internal/invariant"
+	"mobilecache/internal/sample"
 	"mobilecache/internal/workload"
 )
 
@@ -17,7 +18,7 @@ func TestStrictAuditCleanAcrossMachines(t *testing.T) {
 	apps := workload.Profiles()
 	for _, cfg := range StandardMachines() {
 		for _, prof := range apps[:2] {
-			rep, err := RunWorkload(cfg, prof, 7, 30_000)
+			rep, err := Run(nil, cfg, prof, 7, 0, 30_000, sample.Spec{})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", cfg.Name, prof.Name, err)
 			}
@@ -39,7 +40,7 @@ func TestStrictAuditCleanWarm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := RunWarmWorkload(cfg, apps[0], 11, 10_000, 20_000); err != nil {
+		if _, err := Run(nil, cfg, apps[0], 11, 10_000, 20_000, sample.Spec{}); err != nil {
 			t.Fatalf("%s warm: %v", name, err)
 		}
 	}
@@ -59,7 +60,7 @@ func TestStrictAuditCatchesTamperedReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunWorkload(cfg, workload.Profiles()[0], 1, 5_000)
+	_, err = Run(nil, cfg, workload.Profiles()[0], 1, 0, 5_000, sample.Spec{})
 	if err == nil {
 		t.Fatal("tampered report passed strict audit")
 	}
@@ -87,7 +88,7 @@ func TestAuditOffSkipsTamper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunWorkload(cfg, workload.Profiles()[0], 1, 5_000); err != nil {
+	if _, err := Run(nil, cfg, workload.Profiles()[0], 1, 0, 5_000, sample.Spec{}); err != nil {
 		t.Fatalf("off mode failed a run: %v", err)
 	}
 }
@@ -99,15 +100,15 @@ func TestAuditWarnDoesNotFail(t *testing.T) {
 	restoreTamper := SetAuditTamper(func(r *RunReport) { r.DRAMReads = ^uint64(0) })
 	t.Cleanup(restoreTamper)
 
-	before := AuditWarnings()
+	before := warnLogged.Load()
 	cfg, err := MachineByName("baseline-sram")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunWorkload(cfg, workload.Profiles()[0], 1, 5_000); err != nil {
+	if _, err := Run(nil, cfg, workload.Profiles()[0], 1, 0, 5_000, sample.Spec{}); err != nil {
 		t.Fatalf("warn mode failed a run: %v", err)
 	}
-	if AuditWarnings() != before+1 {
-		t.Fatalf("warn counter did not advance: %d -> %d", before, AuditWarnings())
+	if warnLogged.Load() != before+1 {
+		t.Fatalf("warn counter did not advance: %d -> %d", before, warnLogged.Load())
 	}
 }

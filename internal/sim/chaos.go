@@ -10,12 +10,11 @@ import (
 	"mobilecache/internal/runner"
 )
 
-// Chaos is a test-only hook that makes RunWorkload and RunWarmWorkload
-// misbehave at a configurable cell rate — forced panics, error
-// returns, transient (retry-then-succeed) failures and delays — so the
-// parallel run harness (internal/runner, cmd/mcsweep) can prove it
-// contains failures instead of letting one bad cell kill a sweep.
-// Draws are a pure function of (chaos seed, machine, app, workload
+// Chaos is a test-only hook that makes Run misbehave at a configurable
+// cell rate — forced panics, error returns, transient
+// (retry-then-succeed) failures and delays — so the parallel run
+// harness (internal/runner, cmd/mcsweep) can prove it contains
+// failures instead of letting one bad cell kill a sweep. Draws are a pure function of (chaos seed, machine, app, workload
 // seed), so a given configuration fails the same cells every run
 // regardless of scheduling.
 //
@@ -42,10 +41,10 @@ type Chaos struct {
 // installed holds the active chaos configuration; nil = no injection.
 var installed atomic.Pointer[Chaos]
 
-// InstallChaos activates failure injection for every subsequent
-// RunWorkload/RunWarmWorkload in this process and returns a restore
-// function that removes it. Tests must call the restore function
-// (typically via t.Cleanup) — chaos is process-global.
+// InstallChaos activates failure injection for every subsequent Run in
+// this process and returns a restore function that removes it. Tests
+// must call the restore function (typically via t.Cleanup) — chaos is
+// process-global.
 func InstallChaos(c *Chaos) (restore func()) {
 	prev := installed.Swap(c)
 	return func() { installed.Store(prev) }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mobilecache/internal/runner"
+	"mobilecache/internal/sample"
 	"mobilecache/internal/workload"
 )
 
@@ -17,7 +18,7 @@ func TestChaosOffByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunWorkload(cfg, prof, 1, 1000); err != nil {
+	if _, err := Run(nil, cfg, prof, 1, 0, 1000, sample.Spec{}); err != nil {
 		t.Fatalf("clean run failed without chaos: %v", err)
 	}
 }
@@ -41,7 +42,7 @@ func TestChaosRatesAndDeterminism(t *testing.T) {
 					res = "panic"
 				}
 			}()
-			if _, err := RunWorkload(cfg, prof, seed, 500); err != nil {
+			if _, err := Run(nil, cfg, prof, seed, 0, 500, sample.Spec{}); err != nil {
 				res = "error"
 				return
 			}
@@ -74,14 +75,14 @@ func TestChaosFlakyIsTransientOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunWorkload(cfg, prof, 9, 500)
+	_, err = Run(nil, cfg, prof, 9, 0, 500, sample.Spec{})
 	if err == nil || !runner.IsTransient(err) {
 		t.Fatalf("first attempt err = %v, want transient", err)
 	}
 	if !strings.Contains(err.Error(), "chaos") {
 		t.Fatalf("error does not identify chaos: %v", err)
 	}
-	if _, err := RunWorkload(cfg, prof, 9, 500); err != nil {
+	if _, err := Run(nil, cfg, prof, 9, 0, 500, sample.Spec{}); err != nil {
 		t.Fatalf("second attempt should succeed, got %v", err)
 	}
 }
@@ -91,7 +92,7 @@ func TestInstallChaosRestores(t *testing.T) {
 	restore()
 	cfg, _ := MachineByName("baseline-sram")
 	prof, _ := workload.ProfileByName("music")
-	if _, err := RunWorkload(cfg, prof, 1, 500); err != nil {
+	if _, err := Run(nil, cfg, prof, 1, 0, 500, sample.Spec{}); err != nil {
 		t.Fatalf("chaos still active after restore: %v", err)
 	}
 }

@@ -11,19 +11,19 @@ import (
 	"mobilecache/internal/workload"
 )
 
-// This file adds set-sampled workload runs: the machine comes from
-// BuildSampled, the replay stream is filtered to the selected sets,
-// and the finished report is scaled from the 1/Factor raw counters
-// back to full-cache estimates. The invariant audit runs on the RAW
-// counters — conservation must hold for what was actually simulated —
-// and because every integer counter scales by the same factor, the
-// scaled report satisfies the same exact identities (the per-class
-// energy ratio correction only touches float buckets, whose audit
-// checks are sign and sum consistency).
+// This file holds the set-sampling half of a run: the machine comes
+// from BuildSampled, the replay stream is filtered to the selected
+// sets, and the finished report is scaled from the 1/Factor raw
+// counters back to full-cache estimates. The invariant audit runs on
+// the RAW counters — conservation must hold for what was actually
+// simulated — and because every integer counter scales by the same
+// factor, the scaled report satisfies the same exact identities (the
+// per-class energy ratio correction only touches float buckets, whose
+// audit checks are sign and sum consistency).
 //
-// With a disabled spec (factor <= 1) every entry point here is
-// behaviorally identical to its unsampled counterpart: same machine,
-// same cursor, same report, SampleFactor zero.
+// With a disabled spec (factor <= 1) BuildSampled builds the unsampled
+// machine, and Run and RunSampledTrace replay the source untouched and
+// return the exact report, SampleFactor zero.
 
 // scaleBreakdown scales one energy account by the sampling factor.
 func scaleBreakdown(b *energy.Breakdown, f float64) {
@@ -96,46 +96,21 @@ func scaleReport(rep *RunReport, factor int, st sample.Stats) {
 	rep.Energy.L1D.WriteJ *= st.Ratio(trace.Store, factor) / ff
 }
 
-// sampledSource filters src through the machine's selector; an
-// unsampled machine replays src untouched (preserving its concrete
-// type, and with it the CPU's cursor fast paths). The second return
-// is the filter itself when one was interposed — finishSampled reads
-// its measured bias ratios.
-func sampledSource(m *Machine, src trace.Source) (trace.Source, *sample.Source) {
-	if m.Sample == nil {
-		return src, nil
-	}
-	fs := sample.NewSource(m.Sample, src)
-	return fs, fs
-}
-
-// statser yields the filter statistics of a sampled replay stream —
-// either live from the interposed sample.Source, or recorded alongside
-// a cached pre-filtered trace. It is read only after the replay
-// finishes, so a live source reports its final counts.
-type statser interface{ Stats() sample.Stats }
-
-// staticStats adapts recorded stats (from the arena's derived-trace
-// cache) to the statser the scaler reads.
-type staticStats sample.Stats
-
-func (st staticStats) Stats() sample.Stats { return sample.Stats(st) }
-
-// finishSampled stamps the factor, audits the raw counters, then
-// scales. The audit-before-scale order is deliberate: conservation is
-// checked on what was simulated, and the factor rides along in the
-// report so the auditor can apply sampled-mode context.
-func finishSampled(m *Machine, fs statser, rep RunReport) (RunReport, error) {
+// finishSampled stamps a sampled machine's factor on the report,
+// audits the raw counters, then scales them using st, the filter's
+// seen/kept statistics. The audit-before-scale order is deliberate:
+// conservation is checked on what was simulated, and the factor rides
+// along in the report so the auditor can apply sampled-mode context.
+// An unsampled machine's report is audited and returned unscaled.
+func finishSampled(m *Machine, st sample.Stats, rep RunReport) (RunReport, error) {
 	if m.Sample != nil {
 		rep.SampleFactor = m.Sample.Factor()
 	}
-	rep, err := auditExit(rep, nil)
+	rep, err := auditExit(rep)
 	if err != nil {
 		return rep, err
 	}
-	if fs != nil {
-		scaleReport(&rep, rep.SampleFactor, fs.Stats())
-	}
+	scaleReport(&rep, rep.SampleFactor, st)
 	return rep, nil
 }
 
@@ -180,107 +155,20 @@ func filteredTrace(store *tracestore.Store, m *Machine, prof workload.Profile, s
 // same bound covers — not the post-filter count.
 func RunSampledTrace(m *Machine, name string, src trace.Source, maxAccesses uint64) (RunReport, error) {
 	if m.Sample == nil {
-		return auditExit(RunTrace(m, name, src, maxAccesses), nil)
+		return auditExit(RunTrace(m, name, src, maxAccesses))
 	}
 	if maxAccesses > 0 {
 		src = trace.NewLimitSource(src, int(maxAccesses))
 	}
-	fsrc, fs := sampledSource(m, src)
-	return finishSampled(m, fs, RunTrace(m, name, fsrc, 0))
+	fs := sample.NewSource(m.Sample, src)
+	rep := RunTrace(m, name, fs, 0)
+	return finishSampled(m, fs.Stats(), rep)
 }
 
-// RunWorkloadSampled is RunWorkload under a sampling spec: the full
-// trace is generated, the selector keeps ~1/Factor of it, and the
-// scaled report estimates what the full replay would have measured.
+// RunWorkloadSampled is Run with neither an arena nor a warmup: the
+// generator's stream is filtered live on a sampled machine. The
+// repository benchmark checks its cells against it as the arena-free
+// reference.
 func RunWorkloadSampled(cfg config.Machine, prof workload.Profile, seed uint64, accesses int, spec sample.Spec) (RunReport, error) {
-	if !spec.Norm().Enabled() {
-		return RunWorkload(cfg, prof, seed, accesses)
-	}
-	if err := chaosEnter(cfg.Name, prof.Name, seed); err != nil {
-		return RunReport{}, err
-	}
-	m, err := BuildSampled(cfg, spec)
-	if err != nil {
-		return RunReport{}, err
-	}
-	gen, err := workload.NewGenerator(prof, seed, workload.PhaseLen(prof, accesses))
-	if err != nil {
-		return RunReport{}, err
-	}
-	fsrc, fs := sampledSource(m, trace.NewLimitSource(gen, accesses))
-	return finishSampled(m, fs, RunTrace(m, prof.Name, fsrc, 0))
-}
-
-// RunWorkloadFromSampled is the store-aware sampled run: the arena
-// generates and caches the FULL trace (shared with unsampled runs of
-// the same cell) and additionally caches the filtered derived stream,
-// so the per-cell replay touches only the ~1/Factor kept records.
-func RunWorkloadFromSampled(store *tracestore.Store, cfg config.Machine, prof workload.Profile, seed uint64, accesses int, spec sample.Spec) (RunReport, error) {
-	if !spec.Norm().Enabled() {
-		return RunWorkloadFrom(store, cfg, prof, seed, accesses)
-	}
-	if store == nil {
-		return RunWorkloadSampled(cfg, prof, seed, accesses, spec)
-	}
-	if err := chaosEnter(cfg.Name, prof.Name, seed); err != nil {
-		return RunReport{}, err
-	}
-	m, err := BuildSampled(cfg, spec)
-	if err != nil {
-		return RunReport{}, err
-	}
-	src, st, err := filteredTrace(store, m, prof, seed, accesses)
-	if err != nil {
-		return RunReport{}, err
-	}
-	return finishSampled(m, staticStats(st), RunTrace(m, prof.Name, src, 0))
-}
-
-// RunWarmWorkloadFromSampled is the warm-measurement sampled run. The
-// warmup boundary is access-denominated, so it compresses with the
-// stream: warmup/Factor filtered records warm the machine, and the
-// measured remainder covers the same trace extent the full run
-// measures. Counters are two-snapshot diffs, so scaling composes.
-func RunWarmWorkloadFromSampled(store *tracestore.Store, cfg config.Machine, prof workload.Profile, seed uint64, warmup, measure int, spec sample.Spec) (RunReport, error) {
-	spec = spec.Norm()
-	if !spec.Enabled() {
-		return RunWarmWorkloadFrom(store, cfg, prof, seed, warmup, measure)
-	}
-	if store == nil {
-		return RunWarmWorkloadSampled(cfg, prof, seed, warmup, measure, spec)
-	}
-	if err := chaosEnter(cfg.Name, prof.Name, seed); err != nil {
-		return RunReport{}, err
-	}
-	m, err := BuildSampled(cfg, spec)
-	if err != nil {
-		return RunReport{}, err
-	}
-	src, st, err := filteredTrace(store, m, prof, seed, warmup+measure)
-	if err != nil {
-		return RunReport{}, err
-	}
-	return finishSampled(m, staticStats(st), RunWarm(m, prof.Name, src, uint64(warmup)/uint64(spec.Factor), 0))
-}
-
-// RunWarmWorkloadSampled is the generator-driven warm sampled run.
-func RunWarmWorkloadSampled(cfg config.Machine, prof workload.Profile, seed uint64, warmup, measure int, spec sample.Spec) (RunReport, error) {
-	spec = spec.Norm()
-	if !spec.Enabled() {
-		return RunWarmWorkload(cfg, prof, seed, warmup, measure)
-	}
-	if err := chaosEnter(cfg.Name, prof.Name, seed); err != nil {
-		return RunReport{}, err
-	}
-	m, err := BuildSampled(cfg, spec)
-	if err != nil {
-		return RunReport{}, err
-	}
-	total := warmup + measure
-	gen, err := workload.NewGenerator(prof, seed, workload.PhaseLen(prof, total))
-	if err != nil {
-		return RunReport{}, err
-	}
-	fsrc, fs := sampledSource(m, trace.NewLimitSource(gen, total))
-	return finishSampled(m, fs, RunWarm(m, prof.Name, fsrc, uint64(warmup)/uint64(spec.Factor), 0))
+	return Run(nil, cfg, prof, seed, 0, accesses, spec)
 }

@@ -11,20 +11,21 @@ import (
 )
 
 // Property (satellite of PR 5): a disabled sampling spec is provably
-// zero-cost — for every standard machine the sampled entry points
-// return a RunReport DeepEqual to the unsampled ones.
+// zero-cost — for every standard machine, Run and RunWorkloadSampled
+// under a factor-1 spec return a RunReport DeepEqual to the zero-spec
+// run.
 func TestSampledFactorOneDeepEqual(t *testing.T) {
 	t.Cleanup(SetAuditMode(invariant.ModeStrict))
 	prof := workload.Profiles()[0]
 	const seed, accesses = 1, 20_000
 	for _, cfg := range StandardMachines() {
 		store := tracestore.New(0)
-		want, err := RunWorkloadFrom(store, cfg, prof, seed, accesses)
+		want, err := Run(store, cfg, prof, seed, 0, accesses, sample.Spec{})
 		if err != nil {
 			t.Fatalf("%s full: %v", cfg.Name, err)
 		}
 		for _, spec := range []sample.Spec{{}, {Factor: 1}, {Factor: 1, Hash: true}} {
-			got, err := RunWorkloadFromSampled(store, cfg, prof, seed, accesses, spec)
+			got, err := Run(store, cfg, prof, seed, 0, accesses, spec)
 			if err != nil {
 				t.Fatalf("%s sampled %v: %v", cfg.Name, spec, err)
 			}
@@ -49,11 +50,11 @@ func TestSampledWarmFactorOneDeepEqual(t *testing.T) {
 	const seed, warmup, measure = 7, 5_000, 15_000
 	for _, cfg := range StandardMachines() {
 		store := tracestore.New(0)
-		want, err := RunWarmWorkloadFrom(store, cfg, prof, seed, warmup, measure)
+		want, err := Run(store, cfg, prof, seed, warmup, measure, sample.Spec{})
 		if err != nil {
 			t.Fatalf("%s full warm: %v", cfg.Name, err)
 		}
-		got, err := RunWarmWorkloadFromSampled(store, cfg, prof, seed, warmup, measure, sample.Spec{Factor: 1})
+		got, err := Run(store, cfg, prof, seed, warmup, measure, sample.Spec{Factor: 1})
 		if err != nil {
 			t.Fatalf("%s sampled warm: %v", cfg.Name, err)
 		}
@@ -73,7 +74,7 @@ func TestSampledStrictAuditCleanRawAndScaled(t *testing.T) {
 	for _, cfg := range StandardMachines() {
 		for _, spec := range []sample.Spec{{Factor: 8}, {Factor: 8, Hash: true}} {
 			store := tracestore.New(0)
-			rep, err := RunWorkloadFromSampled(store, cfg, prof, 3, 40_000, spec)
+			rep, err := Run(store, cfg, prof, 3, 0, 40_000, spec)
 			if err != nil {
 				t.Fatalf("%s %s: %v", cfg.Name, spec, err)
 			}
@@ -106,13 +107,13 @@ func TestSampledScalingShape(t *testing.T) {
 	}
 	prof := workload.Profiles()[0]
 	store := tracestore.New(0)
-	full, err := RunWorkloadFrom(store, cfg, prof, 1, 80_000)
+	full, err := Run(store, cfg, prof, 1, 0, 80_000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, hash := range []bool{false, true} {
 		for _, f := range []int{2, 4, 8} {
-			rep, err := RunWorkloadFromSampled(store, cfg, prof, 1, 80_000, sample.Spec{Factor: f, Hash: hash})
+			rep, err := Run(store, cfg, prof, 1, 0, 80_000, sample.Spec{Factor: f, Hash: hash})
 			if err != nil {
 				t.Fatalf("factor %d: %v", f, err)
 			}
@@ -157,11 +158,11 @@ func TestSampledAccuracySmoke(t *testing.T) {
 	}
 	prof := workload.Profiles()[0]
 	store := tracestore.New(0)
-	full, err := RunWorkloadFrom(store, cfg, prof, 1, 80_000)
+	full, err := Run(store, cfg, prof, 1, 0, 80_000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunWorkloadFromSampled(store, cfg, prof, 1, 80_000, sample.Spec{Factor: 8})
+	rep, err := Run(store, cfg, prof, 1, 0, 80_000, sample.Spec{Factor: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

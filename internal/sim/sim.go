@@ -295,47 +295,78 @@ func RunTrace(m *Machine, name string, src trace.Source, maxAccesses uint64) Run
 	return rep
 }
 
-// RunWorkload builds the machine fresh, generates the app's trace and
-// replays it. Machines are single-use: each run gets cold caches.
-func RunWorkload(cfg config.Machine, prof workload.Profile, seed uint64, accesses int) (RunReport, error) {
+// Run is the one workload entry point. It builds the machine fresh —
+// set-sampled under an enabled spec, and single-use, so every run
+// starts with cold caches — replays warmup+accesses records of the
+// app's trace and returns the audited report of the last accesses of
+// them, scaled to full-cache estimates when the machine is sampled.
+//
+// With a store, the trace comes from the shared arena: generated once
+// per (profile, seed, length) across every machine that replays it,
+// and for a sampled machine filtered once per spec into a cached
+// derived stream (see filteredTrace). A nil store drives the workload
+// generator directly, filtering live when sampled. Both carry the
+// byte-identical stream, so reports do not depend on which one served
+// a run.
+//
+// A positive warmup measures only what follows the warmup prefix (see
+// runWarm). The prefix is access-denominated, so it compresses with a
+// sampled stream: warmup/Factor filtered records warm the machine, and
+// the measured remainder covers the same trace extent the full run
+// measures. Counters are two-snapshot diffs, so scaling composes.
+func Run(store *tracestore.Store, cfg config.Machine, prof workload.Profile, seed uint64, warmup, accesses int, spec sample.Spec) (RunReport, error) {
 	if err := chaosEnter(cfg.Name, prof.Name, seed); err != nil {
 		return RunReport{}, err
 	}
-	m, err := Build(cfg)
+	m, err := BuildSampled(cfg, spec)
 	if err != nil {
 		return RunReport{}, err
 	}
-	gen, err := workload.NewGenerator(prof, seed, workload.PhaseLen(prof, accesses))
-	if err != nil {
-		return RunReport{}, err
+	total := warmup + accesses
+	var (
+		src  trace.Source
+		live *sample.Source // the live filter, read after the replay
+		st   sample.Stats
+	)
+	switch {
+	case store == nil:
+		gen, err := workload.NewGenerator(prof, seed, workload.PhaseLen(prof, total))
+		if err != nil {
+			return RunReport{}, err
+		}
+		src = trace.NewLimitSource(gen, total)
+		if m.Sample != nil {
+			live = sample.NewSource(m.Sample, src)
+			src = live
+		}
+	case m.Sample != nil:
+		if src, st, err = filteredTrace(store, m, prof, seed, total); err != nil {
+			return RunReport{}, err
+		}
+	default:
+		tr, err := store.GetTrace(prof, seed, total)
+		if err != nil {
+			return RunReport{}, err
+		}
+		src = tr.Cursor()
 	}
-	return auditExit(RunTrace(m, prof.Name, trace.NewLimitSource(gen, accesses), 0), nil)
-}
-
-// RunWorkloadFrom is the store-aware variant of RunWorkload: the app's
-// trace comes from the shared trace arena (generated once per
-// (profile, seed, accesses) across every machine that replays it) and
-// is replayed zero-copy from the arena's hot tier, or through a
-// zero-allocation packed cursor once the budget has demoted it. A nil
-// store falls back to generator-driven RunWorkload. Reports are
-// identical to RunWorkload's for equal inputs — the arena caches the
-// byte-identical stream.
-func RunWorkloadFrom(store *tracestore.Store, cfg config.Machine, prof workload.Profile, seed uint64, accesses int) (RunReport, error) {
-	if store == nil {
-		return RunWorkload(cfg, prof, seed, accesses)
+	var rep RunReport
+	if warmup == 0 {
+		// Not runWarm with an empty prefix: that would trim the dynamic
+		// design's epoch-0 allocation from History, which a cold run
+		// reports.
+		rep = RunTrace(m, prof.Name, src, 0)
+	} else {
+		factor := 1
+		if m.Sample != nil {
+			factor = m.Sample.Factor()
+		}
+		rep = runWarm(m, prof.Name, src, uint64(warmup/factor))
 	}
-	if err := chaosEnter(cfg.Name, prof.Name, seed); err != nil {
-		return RunReport{}, err
+	if live != nil {
+		st = live.Stats()
 	}
-	m, err := Build(cfg)
-	if err != nil {
-		return RunReport{}, err
-	}
-	tr, err := store.GetTrace(prof, seed, accesses)
-	if err != nil {
-		return RunReport{}, err
-	}
-	return auditExit(RunTrace(m, prof.Name, tr.Cursor(), 0), nil)
+	return finishSampled(m, st, rep)
 }
 
 // buildStandardMachines constructs the seven schemes of the paper's

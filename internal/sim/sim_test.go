@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mobilecache/internal/config"
+	"mobilecache/internal/sample"
 	"mobilecache/internal/trace"
 	"mobilecache/internal/workload"
 )
@@ -90,7 +91,7 @@ func smallProfile() workload.Profile {
 }
 
 func TestRunWorkloadProducesReport(t *testing.T) {
-	rep, err := RunWorkload(config.Default(), smallProfile(), 3, 60000)
+	rep, err := Run(nil, config.Default(), smallProfile(), 3, 0, 60000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +119,11 @@ func TestRunWorkloadProducesReport(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a, err := RunWorkload(config.Default(), smallProfile(), 9, 30000)
+	a, err := Run(nil, config.Default(), smallProfile(), 9, 0, 30000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunWorkload(config.Default(), smallProfile(), 9, 30000)
+	b, err := Run(nil, config.Default(), smallProfile(), 9, 0, 30000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestDynamicRunRecordsHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunWorkload(cfg, smallProfile(), 5, 120000)
+	rep, err := Run(nil, cfg, smallProfile(), 5, 0, 120000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestDynamicRunRecordsHistory(t *testing.T) {
 }
 
 func TestStaticPartitionEliminatesInterference(t *testing.T) {
-	base, err := RunWorkload(config.Default(), smallProfile(), 7, 80000)
+	base, err := Run(nil, config.Default(), smallProfile(), 7, 0, 80000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestStaticPartitionEliminatesInterference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := RunWorkload(spCfg, smallProfile(), 7, 80000)
+	sp, err := Run(nil, spCfg, smallProfile(), 7, 0, 80000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestSchemesEnergyOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := RunWorkload(cfg, prof, 21, 100000)
+		rep, err := Run(nil, cfg, prof, 21, 0, 100000, sample.Spec{})
 		if err != nil {
 			t.Fatal(err)
 		}

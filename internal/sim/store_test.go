@@ -1,18 +1,22 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"mobilecache/internal/config"
+	"mobilecache/internal/invariant"
+	"mobilecache/internal/sample"
 	"mobilecache/internal/tracestore"
 	"mobilecache/internal/workload"
 )
 
 // TestStoreReplayMatchesGenerator is the arena's correctness contract:
-// replaying a cached packed trace through every standard machine yields
-// a RunReport identical — CPU result, L2 stats, energy buckets, DRAM
-// traffic, partition history — to the generator-driven RunWorkload for
-// the same (profile, seed, accesses).
+// replaying a cached trace through every standard machine yields a
+// RunReport identical — CPU result, L2 stats, energy buckets, DRAM
+// traffic, partition history — to the arena-free, generator-driven Run
+// for the same (profile, seed, accesses), and generates the trace once.
 func TestStoreReplayMatchesGenerator(t *testing.T) {
 	store := tracestore.New(0)
 	// A phased standard profile exercises the phase-length derivation;
@@ -25,11 +29,11 @@ func TestStoreReplayMatchesGenerator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := RunWorkload(cfg, prof, seed, accesses)
+		want, err := Run(nil, cfg, prof, seed, 0, accesses, sample.Spec{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunWorkloadFrom(store, cfg, prof, seed, accesses)
+		got, err := Run(store, cfg, prof, seed, 0, accesses, sample.Spec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,11 +71,11 @@ func TestStoreDemotedReplayMatchesGenerator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := RunWorkload(cfg, prof, seed, accesses)
+		want, err := Run(nil, cfg, prof, seed, 0, accesses, sample.Spec{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunWorkloadFrom(store, cfg, prof, seed, accesses)
+		got, err := Run(store, cfg, prof, seed, 0, accesses, sample.Spec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,11 +96,11 @@ func TestStoreWarmReplayMatchesGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := RunWarmWorkload(cfg, prof, 5, 20_000, 30_000)
+	want, err := Run(nil, cfg, prof, 5, 20_000, 30_000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunWarmWorkloadFrom(store, cfg, prof, 5, 20_000, 30_000)
+	got, err := Run(store, cfg, prof, 5, 20_000, 30_000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,19 +109,62 @@ func TestStoreWarmReplayMatchesGenerator(t *testing.T) {
 	}
 }
 
-// TestRunWorkloadFromNilStore: a nil store must behave exactly like
-// RunWorkload.
+// TestRunWorkloadFromNilStore: a nil store drives the generator
+// directly and measures exactly the requested accesses.
 func TestRunWorkloadFromNilStore(t *testing.T) {
 	cfg, err := MachineByName("baseline-sram")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunWorkloadFrom(nil, cfg, smallProfile(), 3, 10_000)
+	rep, err := Run(nil, cfg, smallProfile(), 3, 0, 10_000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.CPU.Accesses != 10_000 {
 		t.Fatalf("nil-store run replayed %d accesses", rep.CPU.Accesses)
+	}
+}
+
+// TestRunArenaMatchesGenerator pins every branch of Run. On every
+// standard machine, cold and warm, exact and 1/8-sampled, a replay
+// from an arena that keeps the hot tier and from one that demotes
+// every trace to packed-only must DeepEqual the arena-free run, which
+// drives the generator and filters it live when sampled, under strict
+// audit. Exact runs must measure exactly the requested accesses. The
+// DeepEqual cannot see a branch both sides share, so the test also
+// checks that a cold dynamic-design run keeps the epoch-0 allocation
+// in History (a warm replay with an empty prefix would trim it).
+func TestRunArenaMatchesGenerator(t *testing.T) {
+	t.Cleanup(SetAuditMode(invariant.ModeStrict))
+	prof := workload.Profiles()[0]
+	const seed, accesses = 17, 30_000
+	for _, budget := range []int64{0, 1} {
+		store := tracestore.New(budget)
+		for _, cfg := range StandardMachines() {
+			for _, warmup := range []int{0, 20_000} {
+				for _, spec := range []sample.Spec{{}, {Factor: 8}} {
+					name := fmt.Sprintf("budget %d/%s/warmup %d/%s", budget, cfg.Name, warmup, spec)
+					want, err := Run(nil, cfg, prof, seed, warmup, accesses, spec)
+					if err != nil {
+						t.Fatalf("%s generator: %v", name, err)
+					}
+					got, err := Run(store, cfg, prof, seed, warmup, accesses, spec)
+					if err != nil {
+						t.Fatalf("%s arena: %v", name, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: arena replay diverges from generator run", name)
+					}
+					if !spec.Enabled() && want.CPU.Accesses != accesses {
+						t.Errorf("%s: measured %d accesses, want %d", name, want.CPU.Accesses, accesses)
+					}
+					if warmup == 0 && cfg.Scheme == config.SchemeDynamic &&
+						(len(want.History) == 0 || want.History[0].Epoch != 0) {
+						t.Errorf("%s: cold run lost the epoch-0 allocation from History", name)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -1,13 +1,10 @@
 package sim
 
 import (
-	"mobilecache/internal/config"
 	"mobilecache/internal/core"
 	"mobilecache/internal/energy"
 	"mobilecache/internal/mem"
 	"mobilecache/internal/trace"
-	"mobilecache/internal/tracestore"
-	"mobilecache/internal/workload"
 )
 
 // This file adds warm measurement: run a warmup prefix to populate the
@@ -59,12 +56,11 @@ func subL2Stats(a, b core.L2Stats) core.L2Stats {
 	return out
 }
 
-// RunWarm replays warmupAccesses records of src to warm the machine,
-// then measures the next measureAccesses records (0 = until the source
-// ends). The returned report covers only the measured portion; its
-// History (for dynamic designs) is trimmed to decisions taken during
-// measurement.
-func RunWarm(m *Machine, name string, src trace.Source, warmupAccesses, measureAccesses uint64) RunReport {
+// runWarm replays warmupAccesses records of src to warm the machine,
+// then measures the rest of the source. The returned report covers
+// only the measured portion; its History (for dynamic designs) is
+// trimmed to decisions taken during measurement.
+func runWarm(m *Machine, name string, src trace.Source, warmupAccesses uint64) RunReport {
 	if warmupAccesses > 0 {
 		// Run bounds itself by the access count; skipping the LimitSource
 		// wrapper keeps packed-cursor sources on their fast path.
@@ -86,7 +82,7 @@ func RunWarm(m *Machine, name string, src trace.Source, warmupAccesses, measureA
 		beforeFlush = m.Dynamic.FlushWritebacks()
 	}
 
-	measured := m.CPU.Run(src, measureAccesses)
+	measured := m.CPU.Run(src, 0)
 	m.Hier.Advance(m.CPU.Now())
 
 	rep := RunReport{
@@ -106,47 +102,4 @@ func RunWarm(m *Machine, name string, src trace.Source, warmupAccesses, measureA
 		rep.FlushWritebacks = m.Dynamic.FlushWritebacks() - beforeFlush
 	}
 	return rep
-}
-
-// RunWarmWorkload is the convenience wrapper mirroring RunWorkload: it
-// builds the machine, generates warmup+measure accesses of the app and
-// measures only the post-warmup portion.
-func RunWarmWorkload(cfg config.Machine, prof workload.Profile, seed uint64, warmup, measure int) (RunReport, error) {
-	if err := chaosEnter(cfg.Name, prof.Name, seed); err != nil {
-		return RunReport{}, err
-	}
-	m, err := Build(cfg)
-	if err != nil {
-		return RunReport{}, err
-	}
-	total := warmup + measure
-	gen, err := workload.NewGenerator(prof, seed, workload.PhaseLen(prof, total))
-	if err != nil {
-		return RunReport{}, err
-	}
-	src := trace.NewLimitSource(gen, total)
-	return auditExit(RunWarm(m, prof.Name, src, uint64(warmup), uint64(measure)), nil)
-}
-
-// RunWarmWorkloadFrom is the store-aware variant of RunWarmWorkload:
-// the warmup+measure stream comes from the shared trace arena and is
-// replayed through one stateful cursor (hot-tier zero-copy when
-// resident, packed otherwise). A nil store falls back to the
-// generator-driven path.
-func RunWarmWorkloadFrom(store *tracestore.Store, cfg config.Machine, prof workload.Profile, seed uint64, warmup, measure int) (RunReport, error) {
-	if store == nil {
-		return RunWarmWorkload(cfg, prof, seed, warmup, measure)
-	}
-	if err := chaosEnter(cfg.Name, prof.Name, seed); err != nil {
-		return RunReport{}, err
-	}
-	m, err := Build(cfg)
-	if err != nil {
-		return RunReport{}, err
-	}
-	tr, err := store.GetTrace(prof, seed, warmup+measure)
-	if err != nil {
-		return RunReport{}, err
-	}
-	return auditExit(RunWarm(m, prof.Name, tr.Cursor(), uint64(warmup), uint64(measure)), nil)
 }

@@ -4,15 +4,16 @@ import (
 	"testing"
 
 	"mobilecache/internal/config"
+	"mobilecache/internal/sample"
 )
 
 func TestRunWarmExcludesWarmup(t *testing.T) {
 	prof := smallProfile()
-	cold, err := RunWorkload(config.Default(), prof, 5, 80_000)
+	cold, err := Run(nil, config.Default(), prof, 5, 0, 80_000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := RunWarmWorkload(config.Default(), prof, 5, 40_000, 40_000)
+	warm, err := Run(nil, config.Default(), prof, 5, 40_000, 40_000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestRunWarmExcludesWarmup(t *testing.T) {
 }
 
 func TestRunWarmCountersNonNegative(t *testing.T) {
-	warm, err := RunWarmWorkload(config.Default(), smallProfile(), 9, 20_000, 20_000)
+	warm, err := Run(nil, config.Default(), smallProfile(), 9, 20_000, 20_000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestRunWarmDynamicHistoryTrimmed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := RunWarmWorkload(cfg, smallProfile(), 3, 60_000, 60_000)
+	warm, err := Run(nil, cfg, smallProfile(), 3, 60_000, 60_000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +76,11 @@ func TestRunWarmDynamicHistoryTrimmed(t *testing.T) {
 }
 
 func TestRunWarmDeterministic(t *testing.T) {
-	a, err := RunWarmWorkload(config.Default(), smallProfile(), 2, 30_000, 30_000)
+	a, err := Run(nil, config.Default(), smallProfile(), 2, 30_000, 30_000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunWarmWorkload(config.Default(), smallProfile(), 2, 30_000, 30_000)
+	b, err := Run(nil, config.Default(), smallProfile(), 2, 30_000, 30_000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}

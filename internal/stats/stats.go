@@ -1,41 +1,10 @@
-// Package stats provides the small statistics toolkit used throughout
-// the simulator: counters, running means, linear and logarithmic
-// histograms, and rate trackers. All types are deterministic and safe
-// to copy only before first use; they are not synchronized — each
-// simulated component owns its own instances.
+// Package stats holds the two aggregates the experiments report over
+// runs: a running mean (Welford) and the geometric mean of normalized
+// results. Mean is deterministic and not synchronized; each caller
+// owns its own instances.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"strings"
-)
-
-// Counter is a monotonically increasing event counter.
-type Counter struct {
-	n uint64
-}
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds delta to the counter.
-func (c *Counter) Add(delta uint64) { c.n += delta }
-
-// Value reports the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Reset sets the counter back to zero.
-func (c *Counter) Reset() { c.n = 0 }
-
-// Ratio returns c/other as a float64, or 0 when other is zero.
-func (c *Counter) Ratio(other *Counter) float64 {
-	if other.n == 0 {
-		return 0
-	}
-	return float64(c.n) / float64(other.n)
-}
+import "math"
 
 // Mean accumulates a running arithmetic mean and variance using
 // Welford's algorithm, which is numerically stable for long runs.
@@ -90,238 +59,6 @@ func (m *Mean) Max() float64 { return m.max }
 
 // Reset discards all samples.
 func (m *Mean) Reset() { *m = Mean{} }
-
-// Histogram is a fixed-width linear histogram over [lo, hi). Samples
-// outside the range land in dedicated underflow/overflow bins so no
-// observation is ever silently dropped.
-type Histogram struct {
-	lo, hi    float64
-	width     float64
-	bins      []uint64
-	underflow uint64
-	overflow  uint64
-	total     uint64
-	sum       float64
-}
-
-// NewHistogram builds a histogram of n equal bins spanning [lo, hi).
-// It panics if n <= 0 or hi <= lo, which indicate programmer error.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 {
-		panic(fmt.Sprintf("stats: histogram bin count %d must be positive", n))
-	}
-	if hi <= lo {
-		panic(fmt.Sprintf("stats: histogram range [%g,%g) is empty", lo, hi))
-	}
-	return &Histogram{lo: lo, hi: hi, width: (hi - lo) / float64(n), bins: make([]uint64, n)}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(x float64) {
-	h.total++
-	h.sum += x
-	switch {
-	case x < h.lo:
-		h.underflow++
-	case x >= h.hi:
-		h.overflow++
-	default:
-		i := int((x - h.lo) / h.width)
-		if i >= len(h.bins) { // guard against float rounding at the top edge
-			i = len(h.bins) - 1
-		}
-		h.bins[i]++
-	}
-}
-
-// Count reports the total number of samples, including out-of-range ones.
-func (h *Histogram) Count() uint64 { return h.total }
-
-// Mean reports the arithmetic mean of all samples.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
-
-// Bin reports the count in bin i.
-func (h *Histogram) Bin(i int) uint64 { return h.bins[i] }
-
-// NumBins reports the number of in-range bins.
-func (h *Histogram) NumBins() int { return len(h.bins) }
-
-// Underflow reports the number of samples below the range.
-func (h *Histogram) Underflow() uint64 { return h.underflow }
-
-// Overflow reports the number of samples at or above the range.
-func (h *Histogram) Overflow() uint64 { return h.overflow }
-
-// Quantile returns an estimate of quantile q in [0,1] assuming samples
-// are uniform within each bin. Out-of-range mass is clamped to the
-// range boundaries.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(h.total)
-	cum := float64(h.underflow)
-	if target <= cum {
-		return h.lo
-	}
-	for i, b := range h.bins {
-		if cum+float64(b) >= target && b > 0 {
-			frac := (target - cum) / float64(b)
-			return h.lo + (float64(i)+frac)*h.width
-		}
-		cum += float64(b)
-	}
-	return h.hi
-}
-
-// Log2Histogram buckets non-negative samples by floor(log2(x)), with a
-// dedicated zero bucket. It suits block-lifetime and reuse-distance
-// distributions that span many orders of magnitude.
-type Log2Histogram struct {
-	zero  uint64
-	bins  []uint64 // bins[i] counts samples in [2^i, 2^(i+1))
-	total uint64
-	sum   float64
-}
-
-// NewLog2Histogram builds a log2 histogram with buckets up to 2^maxExp.
-// Samples at or above 2^maxExp saturate into the last bucket.
-func NewLog2Histogram(maxExp int) *Log2Histogram {
-	if maxExp <= 0 {
-		panic(fmt.Sprintf("stats: log2 histogram maxExp %d must be positive", maxExp))
-	}
-	return &Log2Histogram{bins: make([]uint64, maxExp)}
-}
-
-// Observe records one non-negative sample; negative samples count as zero.
-func (h *Log2Histogram) Observe(x float64) {
-	h.total++
-	if x > 0 {
-		h.sum += x
-	}
-	if x < 1 {
-		h.zero++
-		return
-	}
-	i := int(math.Floor(math.Log2(x)))
-	if i >= len(h.bins) {
-		i = len(h.bins) - 1
-	}
-	h.bins[i]++
-}
-
-// ObserveInt records an integer sample.
-func (h *Log2Histogram) ObserveInt(x uint64) { h.Observe(float64(x)) }
-
-// Count reports the total samples.
-func (h *Log2Histogram) Count() uint64 { return h.total }
-
-// Zero reports the count of samples < 1.
-func (h *Log2Histogram) Zero() uint64 { return h.zero }
-
-// Bin reports the count of samples in [2^i, 2^(i+1)).
-func (h *Log2Histogram) Bin(i int) uint64 { return h.bins[i] }
-
-// NumBins reports the number of power-of-two buckets.
-func (h *Log2Histogram) NumBins() int { return len(h.bins) }
-
-// Mean reports the mean of the positive part of all samples.
-func (h *Log2Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
-
-// CDF returns the fraction of samples strictly below 2^exp.
-func (h *Log2Histogram) CDF(exp int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	c := h.zero
-	for i := 0; i < exp && i < len(h.bins); i++ {
-		c += h.bins[i]
-	}
-	return float64(c) / float64(h.total)
-}
-
-// String renders a compact sparkline-style summary for logs.
-func (h *Log2Histogram) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "n=%d zero=%d [", h.total, h.zero)
-	for i, v := range h.bins {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%d", v)
-	}
-	b.WriteByte(']')
-	return b.String()
-}
-
-// Series is an append-only sequence of (x, y) points used by the
-// experiment harness to capture time-series such as partition sizes
-// per epoch.
-type Series struct {
-	X []float64
-	Y []float64
-}
-
-// Append adds one point.
-func (s *Series) Append(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// Len reports the number of points.
-func (s *Series) Len() int { return len(s.X) }
-
-// MaxY reports the largest y value, or 0 for an empty series.
-func (s *Series) MaxY() float64 {
-	m := 0.0
-	for i, y := range s.Y {
-		if i == 0 || y > m {
-			m = y
-		}
-	}
-	return m
-}
-
-// Percentile computes the p-th percentile (0..100) of a sample slice
-// using linear interpolation. It copies the input, leaving it unsorted.
-func Percentile(samples []float64, p float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := make([]float64, len(samples))
-	copy(s, samples)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
 
 // GeoMean computes the geometric mean of positive values; zero or
 // negative entries are skipped (returning 0 if none remain). Geometric

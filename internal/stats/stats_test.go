@@ -3,38 +3,9 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
-
-func TestCounterBasics(t *testing.T) {
-	var c Counter
-	if c.Value() != 0 {
-		t.Fatalf("zero counter = %d, want 0", c.Value())
-	}
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d, want 5", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatalf("reset counter = %d, want 0", c.Value())
-	}
-}
-
-func TestCounterRatio(t *testing.T) {
-	var a, b Counter
-	if r := a.Ratio(&b); r != 0 {
-		t.Fatalf("0/0 ratio = %g, want 0", r)
-	}
-	a.Add(3)
-	b.Add(4)
-	if r := a.Ratio(&b); r != 0.75 {
-		t.Fatalf("3/4 ratio = %g, want 0.75", r)
-	}
-}
 
 func TestMeanKnownValues(t *testing.T) {
 	var m Mean
@@ -89,222 +60,6 @@ func TestMeanMatchesNaive(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHistogramBinning(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Observe(float64(i) + 0.5)
-	}
-	for i := 0; i < 10; i++ {
-		if h.Bin(i) != 1 {
-			t.Fatalf("bin %d = %d, want 1", i, h.Bin(i))
-		}
-	}
-	h.Observe(-1)
-	h.Observe(10)
-	h.Observe(100)
-	if h.Underflow() != 1 || h.Overflow() != 2 {
-		t.Fatalf("under/over = %d/%d, want 1/2", h.Underflow(), h.Overflow())
-	}
-	if h.Count() != 13 {
-		t.Fatalf("count = %d, want 13", h.Count())
-	}
-}
-
-func TestHistogramConservation(t *testing.T) {
-	// Property: every observed sample lands in exactly one bucket.
-	f := func(raw []float64) bool {
-		h := NewHistogram(-100, 100, 37)
-		n := uint64(0)
-		for _, x := range raw {
-			if math.IsNaN(x) {
-				continue
-			}
-			h.Observe(x)
-			n++
-		}
-		inRange := uint64(0)
-		for i := 0; i < h.NumBins(); i++ {
-			inRange += h.Bin(i)
-		}
-		return h.Count() == n && inRange+h.Underflow()+h.Overflow() == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(0, 100, 100)
-	for i := 0; i < 100; i++ {
-		h.Observe(float64(i) + 0.5)
-	}
-	med := h.Quantile(0.5)
-	if med < 45 || med > 55 {
-		t.Fatalf("median = %g, want ~50", med)
-	}
-	if q := h.Quantile(0); q != 0 {
-		t.Fatalf("q0 = %g, want 0", q)
-	}
-	if q := h.Quantile(1); q < 99 {
-		t.Fatalf("q1 = %g, want >=99", q)
-	}
-}
-
-func TestHistogramPanicsOnBadArgs(t *testing.T) {
-	for _, tc := range []struct {
-		lo, hi float64
-		n      int
-	}{
-		{0, 10, 0},
-		{0, 10, -1},
-		{10, 10, 4},
-		{11, 10, 4},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewHistogram(%g,%g,%d) did not panic", tc.lo, tc.hi, tc.n)
-				}
-			}()
-			NewHistogram(tc.lo, tc.hi, tc.n)
-		}()
-	}
-}
-
-func TestLog2HistogramBuckets(t *testing.T) {
-	h := NewLog2Histogram(8)
-	h.Observe(0)
-	h.Observe(0.5)
-	h.Observe(1)
-	h.Observe(2)
-	h.Observe(3)
-	h.Observe(1024) // saturates into last bin (2^7..)
-	if h.Zero() != 2 {
-		t.Fatalf("zero bucket = %d, want 2", h.Zero())
-	}
-	if h.Bin(0) != 1 {
-		t.Fatalf("bin0 = %d, want 1", h.Bin(0))
-	}
-	if h.Bin(1) != 2 {
-		t.Fatalf("bin1 = %d, want 2", h.Bin(1))
-	}
-	if h.Bin(7) != 1 {
-		t.Fatalf("bin7 = %d, want 1 (saturated)", h.Bin(7))
-	}
-	if h.Count() != 6 {
-		t.Fatalf("count = %d, want 6", h.Count())
-	}
-}
-
-func TestLog2HistogramCDFMonotone(t *testing.T) {
-	h := NewLog2Histogram(20)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1000; i++ {
-		h.Observe(rng.Float64() * 1e5)
-	}
-	prev := 0.0
-	for e := 0; e <= 20; e++ {
-		c := h.CDF(e)
-		if c < prev {
-			t.Fatalf("CDF not monotone at exp %d: %g < %g", e, c, prev)
-		}
-		prev = c
-	}
-	if h.CDF(20) != 1 {
-		t.Fatalf("CDF(max) = %g, want 1", h.CDF(20))
-	}
-}
-
-func TestLog2HistogramConservation(t *testing.T) {
-	f := func(raw []uint32) bool {
-		h := NewLog2Histogram(32)
-		for _, x := range raw {
-			h.ObserveInt(uint64(x))
-		}
-		sum := h.Zero()
-		for i := 0; i < h.NumBins(); i++ {
-			sum += h.Bin(i)
-		}
-		return sum == uint64(len(raw)) && h.Count() == uint64(len(raw))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHistogramMean(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	if h.Mean() != 0 {
-		t.Fatal("empty histogram mean should be 0")
-	}
-	h.Observe(2)
-	h.Observe(4)
-	h.Observe(6)
-	if h.Mean() != 4 {
-		t.Fatalf("mean = %g, want 4", h.Mean())
-	}
-	// Out-of-range samples still contribute to the exact mean.
-	h.Observe(100)
-	if h.Mean() != 28 {
-		t.Fatalf("mean with overflow = %g, want 28", h.Mean())
-	}
-}
-
-func TestLog2HistogramMeanAndString(t *testing.T) {
-	h := NewLog2Histogram(8)
-	if h.Mean() != 0 {
-		t.Fatal("empty log2 histogram mean should be 0")
-	}
-	h.Observe(4)
-	h.Observe(8)
-	if h.Mean() != 6 {
-		t.Fatalf("mean = %g, want 6", h.Mean())
-	}
-	s := h.String()
-	if !strings.Contains(s, "n=2") || !strings.Contains(s, "zero=0") {
-		t.Fatalf("string rendering wrong: %q", s)
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	if s.Len() != 0 || s.MaxY() != 0 {
-		t.Fatal("empty series should be zero")
-	}
-	s.Append(0, 1)
-	s.Append(1, 5)
-	s.Append(2, 3)
-	if s.Len() != 3 {
-		t.Fatalf("len = %d, want 3", s.Len())
-	}
-	if s.MaxY() != 5 {
-		t.Fatalf("maxY = %g, want 5", s.MaxY())
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	if p := Percentile(xs, 0); p != 1 {
-		t.Fatalf("p0 = %g, want 1", p)
-	}
-	if p := Percentile(xs, 100); p != 5 {
-		t.Fatalf("p100 = %g, want 5", p)
-	}
-	if p := Percentile(xs, 50); p != 3 {
-		t.Fatalf("p50 = %g, want 3", p)
-	}
-	if p := Percentile(xs, 25); p != 2 {
-		t.Fatalf("p25 = %g, want 2", p)
-	}
-	if p := Percentile(nil, 50); p != 0 {
-		t.Fatalf("empty percentile = %g, want 0", p)
-	}
-	// Input must remain unsorted.
-	if xs[0] != 5 {
-		t.Fatal("Percentile mutated its input")
 	}
 }
 

@@ -165,36 +165,6 @@ func Collect(src Source, max int) []Access {
 	}
 }
 
-// FilterSource passes through only records matching a predicate.
-type FilterSource struct {
-	src  Source
-	keep func(Access) bool
-}
-
-// NewFilterSource wraps src, yielding only records for which keep
-// returns true.
-func NewFilterSource(src Source, keep func(Access) bool) *FilterSource {
-	return &FilterSource{src: src, keep: keep}
-}
-
-// Next returns the next matching record.
-func (f *FilterSource) Next() (Access, bool) {
-	for {
-		a, ok := f.src.Next()
-		if !ok {
-			return Access{}, false
-		}
-		if f.keep(a) {
-			return a, true
-		}
-	}
-}
-
-// DomainOnly returns a source containing only accesses from domain d.
-func DomainOnly(src Source, d Domain) *FilterSource {
-	return NewFilterSource(src, func(a Access) bool { return a.Domain == d })
-}
-
 // LimitSource truncates a source after n records.
 type LimitSource struct {
 	src  Source

@@ -99,19 +99,6 @@ func TestSliceSource(t *testing.T) {
 	}
 }
 
-func TestFilterAndDomainOnly(t *testing.T) {
-	src := DomainOnly(NewSliceSource(sampleTrace()), Kernel)
-	got := Collect(src, 0)
-	if len(got) != 2 {
-		t.Fatalf("kernel records = %d, want 2", len(got))
-	}
-	for _, a := range got {
-		if a.Domain != Kernel {
-			t.Fatalf("non-kernel record %+v leaked through filter", a)
-		}
-	}
-}
-
 func TestLimitSource(t *testing.T) {
 	src := NewLimitSource(NewSliceSource(sampleTrace()), 3)
 	if got := Collect(src, 0); len(got) != 3 {

@@ -41,7 +41,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -101,7 +100,7 @@ func shardHash(k Key) uint64 {
 }
 
 // KeyFor derives the store key a full-trace run of prof uses, applying
-// the same phase-length rule as sim.RunWorkload.
+// the same phase-length rule as sim.Run.
 func KeyFor(prof workload.Profile, seed uint64, accesses int) Key {
 	// Profiles are plain data; marshal only fails for non-finite
 	// floats, which the generator rejects anyway — such a key can never
@@ -119,10 +118,10 @@ func KeyFor(prof workload.Profile, seed uint64, accesses int) Key {
 // Stats is a snapshot of the store's counters. A sweep surfaces these
 // in its run summary so cache effectiveness is visible.
 type Stats struct {
-	// Hits counts Gets served from memory, including callers that
+	// Hits counts lookups served from memory, including callers that
 	// joined an in-flight generation instead of starting their own.
 	Hits uint64
-	// Misses counts Gets that had to start a generation.
+	// Misses counts lookups that had to start a build.
 	Misses uint64
 	// Generated counts completed generations (misses minus failures).
 	Generated uint64
@@ -191,11 +190,6 @@ type Store struct {
 	// insertions, not which insertions came from a derive transform.
 	generated atomic.Uint64
 	derived   atomic.Uint64
-
-	// onGenerate, when set, observes every generation start (test hook
-	// for counting deduplicated work).
-	hookMu     sync.Mutex
-	onGenerate func(Key)
 }
 
 // New builds a store with the given LRU byte budget and the default
@@ -221,20 +215,6 @@ func NewSharded(budgetBytes int64, shards int) *Store {
 		},
 	})
 	return s
-}
-
-// SetGenerateHook installs fn to be called at the start of every trace
-// generation (nil removes it). Tests use it to prove deduplication.
-func (s *Store) SetGenerateHook(fn func(Key)) {
-	s.hookMu.Lock()
-	s.onGenerate = fn
-	s.hookMu.Unlock()
-}
-
-func (s *Store) generateHook() func(Key) {
-	s.hookMu.Lock()
-	defer s.hookMu.Unlock()
-	return s.onGenerate
 }
 
 // Stats returns a snapshot of the counters, aggregated across shards
@@ -280,28 +260,18 @@ func (t Trace) Cursor() trace.Source {
 	return &cur
 }
 
-// Get returns the packed trace for (prof, seed, accesses), generating
-// it on first request. Concurrent Gets for one key share a single
-// generation. The returned Packed is immutable — callers replay it
-// through their own cursors and must not retain it longer than needed
-// (the LRU may drop it from the store at any time; dropped traces stay
-// valid for existing holders).
-func (s *Store) Get(prof workload.Profile, seed uint64, accesses int) (*trace.Packed, error) {
-	tr, err := s.GetTrace(prof, seed, accesses)
-	return tr.Packed, err
-}
-
-// GetTrace is Get plus the hot-tier decoded form when resident (see
-// Trace). The same retention rules apply to both forms.
+// GetTrace returns the trace for (prof, seed, accesses), generating it
+// on first request; see Trace for which forms it carries. Concurrent
+// calls for one key share a single generation. Both forms are
+// immutable — callers replay them through their own cursors and must
+// not retain them longer than needed (the LRU may drop or demote them
+// at any time; dropped forms stay valid for existing holders).
 func (s *Store) GetTrace(prof workload.Profile, seed uint64, accesses int) (Trace, error) {
 	if accesses <= 0 {
 		return Trace{}, fmt.Errorf("tracestore: accesses %d must be positive", accesses)
 	}
 	key := KeyFor(prof, seed, accesses)
 	return s.getOrBuild(key, func() (*trace.Packed, []trace.Access, any, error) {
-		if hook := s.generateHook(); hook != nil {
-			hook(key)
-		}
 		p, recs, err := generate(prof, seed, key)
 		return p, recs, nil, err
 	})
@@ -319,7 +289,7 @@ func (s *Store) GetTrace(prof workload.Profile, seed uint64, accesses int) (Trac
 // could not recover). The variant tag must capture the transform's
 // full identity: two different transforms under one tag would alias.
 //
-// Like Get, concurrent calls for one (key, variant) share a single
+// Like GetTrace, concurrent calls for one (key, variant) share a single
 // build, and failures are not cached.
 func (s *Store) DeriveTrace(prof workload.Profile, seed uint64, accesses int, variant string,
 	build func(Trace) (*trace.Packed, []trace.Access, any, error)) (Trace, any, error) {
@@ -378,7 +348,7 @@ func (s *Store) getOrBuildMeta(key Key, build func() (*trace.Packed, []trace.Acc
 
 	e.packed, e.err, e.meta = packed, err, meta
 	if err != nil {
-		// Failures are not cached: a later Get retries.
+		// Failures are not cached: a later lookup retries.
 		s.cache.Delete(key)
 		close(e.ready)
 		return Trace{}, nil, err
@@ -399,10 +369,10 @@ func (s *Store) getOrBuildMeta(key Key, build func() (*trace.Packed, []trace.Acc
 	return Trace{Packed: packed, Records: recs}, meta, nil
 }
 
-// generate runs the workload generator for exactly the stream
-// sim.RunWorkload would replay, materializing the records and packing
-// them. Both forms come from the same generator pass, so they are
-// identical by construction.
+// generate runs the workload generator for exactly the stream sim.Run
+// would replay, materializing the records and packing them. Both forms
+// come from the same generator pass, so they are identical by
+// construction.
 func generate(prof workload.Profile, seed uint64, key Key) (*trace.Packed, []trace.Access, error) {
 	gen, err := workload.NewGenerator(prof, seed, key.PhaseLen)
 	if err != nil {

@@ -30,24 +30,25 @@ func testProfile(name string) workload.Profile {
 }
 
 // TestGetMatchesGenerator proves the cached stream is byte-identical
-// to what sim.RunWorkload's generator produces for the same inputs.
+// to the generator's stream for the same inputs, which is what a
+// store-less sim.Run replays.
 func TestGetMatchesGenerator(t *testing.T) {
 	prof := testProfile("app")
 	const n = 20_000
 	s := New(0)
-	p, err := s.Get(prof, 7, n)
+	tr, err := s.GetTrace(prof, 7, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Len() != n {
-		t.Fatalf("packed trace has %d records, want %d", p.Len(), n)
+	if tr.Packed.Len() != n {
+		t.Fatalf("packed trace has %d records, want %d", tr.Packed.Len(), n)
 	}
 	gen, err := workload.NewGenerator(prof, 7, workload.PhaseLen(prof, n))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := trace.Collect(trace.NewLimitSource(gen, n), n)
-	cur := p.Cursor()
+	cur := tr.Packed.Cursor()
 	for i, w := range want {
 		g, ok := cur.Next()
 		if !ok || g != w {
@@ -68,11 +69,11 @@ func TestGenerateMatchesArenaShortTraces(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := s.Get(prof, 3, n)
+			tr, err := s.GetTrace(prof, 3, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cur := p.Cursor()
+			cur := tr.Packed.Cursor()
 			if got := trace.Collect(&cur, 0); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s n=%d: arena records differ from Generate", prof.Name, n)
 			}
@@ -83,13 +84,13 @@ func TestGenerateMatchesArenaShortTraces(t *testing.T) {
 func TestHitMissStats(t *testing.T) {
 	prof := testProfile("app")
 	s := New(0)
-	if _, err := s.Get(prof, 1, 5000); err != nil {
+	if _, err := s.GetTrace(prof, 1, 5000); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get(prof, 1, 5000); err != nil {
+	if _, err := s.GetTrace(prof, 1, 5000); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get(prof, 2, 5000); err != nil {
+	if _, err := s.GetTrace(prof, 2, 5000); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -106,8 +107,6 @@ func TestHitMissStats(t *testing.T) {
 func TestSingleFlight(t *testing.T) {
 	prof := testProfile("app")
 	s := New(0)
-	var generations atomic.Int64
-	s.SetGenerateHook(func(Key) { generations.Add(1) })
 
 	const goroutines = 16
 	var wg sync.WaitGroup
@@ -118,26 +117,26 @@ func TestSingleFlight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			p, err := s.Get(prof, 3, 30_000)
+			tr, err := s.GetTrace(prof, 3, 30_000)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			packs[i] = p
+			packs[i] = tr.Packed
 		}(i)
 	}
 	close(start)
 	wg.Wait()
 
-	if n := generations.Load(); n != 1 {
-		t.Fatalf("%d generations for one key, want exactly 1", n)
-	}
 	for i, p := range packs {
 		if p != packs[0] {
 			t.Fatalf("goroutine %d got a different Packed instance", i)
 		}
 	}
 	st := s.Stats()
+	if st.Generated != 1 {
+		t.Fatalf("%d generations for one key, want exactly 1", st.Generated)
+	}
 	if st.Misses != 1 || st.Hits != goroutines-1 {
 		t.Fatalf("stats = %+v, want 1 miss and %d hits", st, goroutines-1)
 	}
@@ -154,7 +153,7 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 			wg.Add(1)
 			go func(seed uint64) {
 				defer wg.Done()
-				if _, err := s.Get(prof, seed, 5000); err != nil {
+				if _, err := s.GetTrace(prof, seed, 5000); err != nil {
 					t.Error(err)
 				}
 			}(seed)
@@ -242,16 +241,16 @@ func TestGetTraceTiers(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	prof := testProfile("app")
 	s := New(0)
-	one, err := s.Get(prof, 1, 10_000)
+	one, err := s.GetTrace(prof, 1, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	per := one.SizeBytes()
+	per := one.Packed.SizeBytes()
 
 	// Budget fits two traces but not three.
 	s = NewSharded(2*per+per/2, 1)
 	for seed := uint64(1); seed <= 3; seed++ {
-		if _, err := s.Get(prof, seed, 10_000); err != nil {
+		if _, err := s.GetTrace(prof, seed, 10_000); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,7 +263,7 @@ func TestLRUEviction(t *testing.T) {
 	}
 	// Seed 1 was least recently used; asking again must regenerate.
 	misses := st.Misses
-	if _, err := s.Get(prof, 1, 10_000); err != nil {
+	if _, err := s.GetTrace(prof, 1, 10_000); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Stats().Misses; got != misses+1 {
@@ -277,12 +276,12 @@ func TestLRUEviction(t *testing.T) {
 func TestOversizedTraceSurvives(t *testing.T) {
 	prof := testProfile("app")
 	s := New(1) // 1 byte budget
-	p, err := s.Get(prof, 1, 5000)
+	tr, err := s.GetTrace(prof, 1, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Len() != 5000 {
-		t.Fatalf("oversized trace truncated: %d records", p.Len())
+	if tr.Packed.Len() != 5000 {
+		t.Fatalf("oversized trace truncated: %d records", tr.Packed.Len())
 	}
 	if st := s.Stats(); st.Entries != 1 {
 		t.Fatalf("oversized trace not retained: %+v", st)
@@ -293,16 +292,16 @@ func TestGenerationErrorNotCached(t *testing.T) {
 	bad := testProfile("bad")
 	bad.UserBurstMean = 0 // fails profile validation
 	s := New(0)
-	if _, err := s.Get(bad, 1, 1000); err == nil {
+	if _, err := s.GetTrace(bad, 1, 1000); err == nil {
 		t.Fatal("invalid profile did not error")
 	}
-	if _, err := s.Get(bad, 1, 1000); err == nil {
-		t.Fatal("second Get did not re-report the error")
+	if _, err := s.GetTrace(bad, 1, 1000); err == nil {
+		t.Fatal("second GetTrace did not re-report the error")
 	}
 	if st := s.Stats(); st.Entries != 0 || st.Generated != 0 {
 		t.Fatalf("failed generation left state: %+v", st)
 	}
-	if _, err := s.Get(bad, 1, 0); err == nil {
+	if _, err := s.GetTrace(bad, 1, 0); err == nil {
 		t.Fatal("non-positive accesses did not error")
 	}
 }
@@ -321,18 +320,18 @@ func TestContentDigestKeysDistinctProfiles(t *testing.T) {
 	}
 
 	s := New(0)
-	a, err := s.Get(prof, 7, 5000)
+	a, err := s.GetTrace(prof, 7, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Get(hot, 7, 5000)
+	b, err := s.GetTrace(hot, 7, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.Generated != 2 || st.Hits != 0 {
 		t.Fatalf("stats = %+v, want two generations and no hits", st)
 	}
-	ca, cb := a.Cursor(), b.Cursor()
+	ca, cb := a.Packed.Cursor(), b.Packed.Cursor()
 	same := true
 	for {
 		ra, oka := ca.Next()
@@ -454,11 +453,11 @@ func TestShardedStatsConsistency(t *testing.T) {
 	// Budget sized so demotions and evictions both happen: a few packed
 	// traces fit, the hot decoded forms mostly do not.
 	probe := New(0)
-	p, err := probe.Get(prof, 1, accesses)
+	tr, err := probe.GetTrace(prof, 1, accesses)
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := 6 * p.SizeBytes()
+	budget := 6 * tr.Packed.SizeBytes()
 	s := NewSharded(budget, 4)
 
 	stop := make(chan struct{})

@@ -322,9 +322,9 @@ func (g *Generator) Next() (trace.Access, bool) {
 // PhaseLen derives the per-phase access count a full-trace run of n
 // accesses uses: n split evenly over the profile's macro phases, zero
 // (stationary) for single-phase profiles and for traces shorter than
-// one access per phase. Generate, sim.RunWorkload and the trace store
-// all take it from here, so cached traces replay identically to
-// generator-driven runs.
+// one access per phase. Generate, sim.Run and the trace store all take
+// it from here, so cached traces replay identically to generator-driven
+// runs.
 func PhaseLen(p Profile, n int) uint64 {
 	if p.Phases > 1 && n > 0 {
 		return uint64(n / p.Phases)

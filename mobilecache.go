@@ -27,6 +27,7 @@ package mobilecache
 import (
 	"mobilecache/internal/config"
 	"mobilecache/internal/experiments"
+	"mobilecache/internal/sample"
 	"mobilecache/internal/sim"
 	"mobilecache/internal/trace"
 	"mobilecache/internal/workload"
@@ -94,7 +95,7 @@ func DefaultMachine() Machine { return config.Default() }
 // Run simulates an app on a machine and reports timing, cache and
 // energy statistics. Machines are built fresh (cold caches) per run.
 func Run(m Machine, p Profile, seed uint64, accesses int) (RunReport, error) {
-	return sim.RunWorkload(m, p, seed, accesses)
+	return sim.Run(nil, m, p, seed, 0, accesses, sample.Spec{})
 }
 
 // ExperimentIDs lists the reproducible paper experiments in order.

@@ -22,7 +22,7 @@ func benchSampledReplay(b *testing.B, spec sample.Spec) {
 	b.ReportAllocs()
 	store := tracestore.New(0)
 	prof := workload.Profiles()[0]
-	packed, err := store.Get(prof, 1, replayChunk)
+	tr, err := store.GetTrace(prof, 1, replayChunk)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func benchSampledReplay(b *testing.B, spec sample.Spec) {
 		if n > replayChunk {
 			n = replayChunk
 		}
-		cur := packed.Cursor()
+		cur := tr.Packed.Cursor()
 		if _, err := sim.RunSampledTrace(m, "bench", &cur, uint64(n)); err != nil {
 			b.Fatal(err)
 		}

@@ -25,7 +25,7 @@ func benchReplay(b *testing.B) {
 	b.ReportAllocs()
 	store := tracestore.New(0)
 	prof := workload.Profiles()[0]
-	packed, err := store.Get(prof, 1, replayChunk)
+	tr, err := store.GetTrace(prof, 1, replayChunk)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func benchReplay(b *testing.B) {
 		if n > replayChunk {
 			n = replayChunk
 		}
-		cur := packed.Cursor()
+		cur := tr.Packed.Cursor()
 		sim.RunTrace(m, "bench", &cur, uint64(n))
 		done += n
 	}
