@@ -10,15 +10,16 @@ test:
 
 # check is the pre-commit gate: gofmt cleanliness, vet, the full test
 # suite (which includes the contention and replay smokes,
-# TestContentionSmoke and TestReplaySmoke), a race-enabled short pass
-# (the engine/runner/chaos tests are where races would hide), fuzz
-# smokes over the crash-recovery scanner, the invariant auditor and
-# the packed trace format, the golden-audit gate (the quick experiment
-# matrix must be conservation-clean under strict audit), the sampling
-# validation gate (1/8 set sampling within 2% on every standard
-# machine), the uncached exact-replay gates (a replay split into
-# RunFrom pieces, or interrupted by Snapshot/Restore, must be
-# bit-identical to one uninterrupted run on every standard machine,
+# TestContentionSmoke and TestReplaySmoke, and the exported-API scan
+# TestNoTestOnlyExports, which skips under -short so the race pass does
+# not type-check the tree), a race-enabled short pass (the
+# engine/runner/chaos tests are where races would hide), fuzz smokes
+# over the crash-recovery scanner, the invariant auditor and the packed
+# trace format, the golden-audit gate (the quick experiment matrix must
+# be conservation-clean under strict audit), the sampling validation
+# gate (1/8 set sampling within 2% on every standard machine), the
+# uncached exact-replay gates (a replay split into RunFrom pieces must
+# be bit-identical to one uninterrupted run on every standard machine,
 # and every branch of sim.Run — arena or generator, hot or packed-only
 # tier, cold or warm, exact or 1/8-sampled — must match the arena-free
 # run, with a cold dynamic run keeping its epoch-0 allocation) and the
@@ -36,7 +37,7 @@ check:
 	$(GO) test -run '^$$' -fuzz FuzzPackedRoundTrip -fuzztime 5s ./internal/trace/
 	$(GO) test -run TestGoldenAuditQuickMatrix -count=1 ./internal/experiments/
 	$(GO) test -run TestSampleValidationQuickMatrix -count=1 ./internal/experiments/
-	$(GO) test -run 'TestRunFromSegmentComposition|TestRunSegmentedExact|TestSnapshotRestoreContinue|TestRunArenaMatchesGenerator' -count=1 ./internal/sim/
+	$(GO) test -run 'TestRunFromSegmentComposition|TestRunSegmentedExact|TestRunArenaMatchesGenerator' -count=1 ./internal/sim/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the repository benchmark (bench/, described by

@@ -209,7 +209,7 @@ func BenchmarkCacheAccess(b *testing.B) {
 
 // BenchmarkShadowTags measures the utility monitor's overhead.
 func BenchmarkShadowTags(b *testing.B) {
-	st := cache.NewShadowTags(1024, 16, 64, 3)
+	st := cache.NewShadowTagsSampled(1024, 16, 64, 3, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.Access(uint64(i) * 2654435761 % (4 << 20))

@@ -136,6 +136,9 @@ func run(args []string, out io.Writer) error {
 // arena) and applies the process audit mode to the result. An enabled
 // sampling spec replays the trace through the sampled machine and
 // scales the report, exactly as the engine does for generated apps.
+// A trace the reader cannot decode to the end of the replay (a bad
+// header, a truncated or invalid record) fails the run: a report over
+// the records before the fault would pass for a whole-trace result.
 func replayTraceFile(cfg config.Machine, path string, maxAccesses uint64, spec sample.Spec) (sim.RunReport, error) {
 	m, err := sim.BuildSampled(cfg, spec)
 	if err != nil {
@@ -146,15 +149,17 @@ func replayTraceFile(cfg config.Machine, path string, maxAccesses uint64, spec s
 		return sim.RunReport{}, err
 	}
 	defer closer.Close()
-	defer func() {
-		if r.Err() != nil {
-			fmt.Fprintln(os.Stderr, "mcsim: trace warning:", r.Err())
-		}
-	}()
 	// RunSampledTrace audits internally (raw counters before scaling);
 	// auditing its scaled report again would check different numbers
 	// than the run produced.
-	return sim.RunSampledTrace(m, path, r, maxAccesses)
+	rep, err := sim.RunSampledTrace(m, path, r, maxAccesses)
+	if err != nil {
+		return sim.RunReport{}, err
+	}
+	if err := r.Err(); err != nil {
+		return sim.RunReport{}, fmt.Errorf("trace %s: %w", path, err)
+	}
+	return rep, nil
 }
 
 func printReport(out io.Writer, rep sim.RunReport) error {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +11,7 @@ import (
 
 	"mobilecache/internal/sim"
 	"mobilecache/internal/trace"
+	"mobilecache/internal/workload"
 )
 
 func TestRunStandardMachineApp(t *testing.T) {
@@ -89,6 +92,65 @@ func TestRunTraceFile(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "accesses") || !strings.Contains(out.String(), "500") {
 		t.Fatalf("trace replay output wrong:\n%s", out.String())
+	}
+}
+
+// TestRunBadTraceFails: a trace the reader cannot decode fails the
+// replay with the path in the error and prints no report. The two
+// cases are a binary trace cut mid-record and a text-format trace
+// (mctrace gen -text), which has no binary header.
+func TestRunBadTraceFails(t *testing.T) {
+	prof, err := workload.ProfileByName("browser")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := workload.Generate(prof, 1, 20_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+
+	// The first 60 000 bytes of a 20 000-record trace: the header,
+	// 2 726 whole records and a torn one.
+	var bin bytes.Buffer
+	w := trace.NewWriter(&bin)
+	for _, a := range recs {
+		if err := w.Write(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	truncated := filepath.Join(dir, "truncated.mctr")
+	if err := os.WriteFile(truncated, bin.Bytes()[:60_000], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var txt bytes.Buffer
+	if _, err := trace.WriteText(&txt, trace.NewSliceSource(recs)); err != nil {
+		t.Fatal(err)
+	}
+	text := filepath.Join(dir, "text.mctr")
+	if err := os.WriteFile(text, txt.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		path string
+		want error
+	}{
+		{truncated, io.ErrUnexpectedEOF},
+		{text, trace.ErrBadMagic},
+	} {
+		var out bytes.Buffer
+		err := run([]string{"-trace", tc.path}, &out)
+		if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), tc.path) {
+			t.Errorf("-trace %s: err = %v, want %v naming the path", tc.path, err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-trace %s printed a report:\n%s", tc.path, out.String())
+		}
 	}
 }
 

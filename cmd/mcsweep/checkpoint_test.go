@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"mobilecache/internal/faultfs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -54,7 +55,7 @@ func TestFlagValidationFailsFast(t *testing.T) {
 // journalReports decodes a checkpoint journal into key -> report.
 func journalReports(t *testing.T, path string) map[checkpoint.Key]sim.RunReport {
 	t.Helper()
-	entries, info, err := checkpoint.Read(path)
+	entries, info, err := checkpoint.ReadFS(faultfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}

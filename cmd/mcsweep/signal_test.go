@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"io"
+	"mobilecache/internal/faultfs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -41,7 +42,7 @@ func TestSigintFlushesJournalAndSuggestsResume(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("no cell was journaled before the deadline")
 		}
-		if entries, _, err := checkpoint.Read(ck); err == nil && len(entries) > 0 {
+		if entries, _, err := checkpoint.ReadFS(faultfs.OS, ck); err == nil && len(entries) > 0 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -68,7 +69,7 @@ func TestSigintFlushesJournalAndSuggestsResume(t *testing.T) {
 
 	// The journal survived the interrupt clean: a valid prefix with no
 	// corrupt tail, holding a strict subset of the grid.
-	entries, info, err := checkpoint.Read(ck)
+	entries, info, err := checkpoint.ReadFS(faultfs.OS, ck)
 	if err != nil {
 		t.Fatal(err)
 	}

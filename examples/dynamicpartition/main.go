@@ -30,7 +30,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		g, err := workload.NewGenerator(app, seed+uint64(i), uint64(perApp/app.Phases))
+		g, err := workload.NewGenerator(app, seed+uint64(i), workload.PhaseLen(app, perApp))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -46,7 +46,7 @@ func main() {
 	}
 	var l2stream []trace.Access
 	m.Hier.L2Tap = func(a trace.Access) { l2stream = append(l2stream, a) }
-	gen, err := workload.NewGenerator(app, seed, uint64(accesses/app.Phases))
+	gen, err := workload.NewGenerator(app, seed, workload.PhaseLen(app, accesses))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	gen2, err := workload.NewGenerator(app, seed, uint64(accesses/app.Phases))
+	gen2, err := workload.NewGenerator(app, seed, workload.PhaseLen(app, accesses))
 	if err != nil {
 		log.Fatal(err)
 	}

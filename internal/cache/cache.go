@@ -308,12 +308,6 @@ func allWays(n int) uint64 {
 	return (uint64(1) << uint(n)) - 1
 }
 
-// Config returns the construction config.
-func (c *Cache) Config() Config { return c.cfg }
-
-// Sets reports the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
 // Stats exposes the counters; callers must treat it as read-only.
 func (c *Cache) Stats() *Stats { return &c.stats }
 
@@ -352,9 +346,6 @@ func (c *Cache) SetEnabledMask(mask uint64) {
 // EnabledMask reports the powered ways.
 func (c *Cache) EnabledMask() uint64 { return c.enabledMask }
 
-// EnabledWays reports the number of powered ways.
-func (c *Cache) EnabledWays() int { return bits.OnesCount64(c.enabledMask) }
-
 // SetDomainMask restricts where domain d may allocate. The mask is
 // clipped to enabled ways; a zero (post-clip) mask panics because the
 // domain could never allocate.
@@ -365,9 +356,6 @@ func (c *Cache) SetDomainMask(d trace.Domain, mask uint64) {
 	}
 	c.domainMask[d] = mask
 }
-
-// DomainMask reports where domain d may allocate.
-func (c *Cache) DomainMask(d trace.Domain) uint64 { return c.domainMask[d] }
 
 // Probe looks up addr without side effects. Hits in disabled ways are
 // not reported (the data is gone once a way is gated).
@@ -461,6 +449,56 @@ func (c *Cache) Lookup(addr uint64, write bool, dom trace.Domain, now uint64) (s
 	}
 	c.stats.Misses[dom]++
 	return set, -1, false
+}
+
+// LookupAt is Lookup with the set/tag decomposition already done (by
+// the frame-precompute stage). It is otherwise identical: counts the
+// access, touches on hit, and leaves fills to the caller.
+func (c *Cache) LookupAt(set int, tag uint64, write bool, dom trace.Domain, now uint64) (way int, hit bool) {
+	base := set * c.ways
+	c.stats.Accesses[dom]++
+	if c.allOn {
+		tags := c.tags[base : base+c.ways]
+		for w := range tags {
+			if tags[w] == tag {
+				if ln := &c.lines[base+w]; ln.valid && ln.tag == tag {
+					c.stats.Hits[dom]++
+					if c.policy == LRU && !write {
+						c.seq++
+						ln.lruSeq = c.seq
+						c.seqs[base+w] = c.seq
+						ln.meta.LastTouch = now
+						ln.meta.RefreshCount = 0
+					} else {
+						c.touchLine(ln, set, w, write, dom, now)
+					}
+					return w, true
+				}
+			}
+		}
+		c.stats.Misses[dom]++
+		return -1, false
+	}
+	for m := c.enabledMask; m != 0; m &= m - 1 {
+		w := bits.TrailingZeros64(m)
+		if c.tags[base+w] == tag {
+			if ln := &c.lines[base+w]; ln.valid && ln.tag == tag {
+				c.stats.Hits[dom]++
+				if c.policy == LRU && !write {
+					c.seq++
+					ln.lruSeq = c.seq
+					c.seqs[base+w] = c.seq
+					ln.meta.LastTouch = now
+					ln.meta.RefreshCount = 0
+				} else {
+					c.touchLine(ln, set, w, write, dom, now)
+				}
+				return w, true
+			}
+		}
+	}
+	c.stats.Misses[dom]++
+	return -1, false
 }
 
 // Touch performs the hit-path bookkeeping for a line found by Probe:
@@ -764,19 +802,4 @@ func (c *Cache) FlushWays(mask uint64, now uint64, wb func(addr uint64)) int {
 		}
 	}
 	return flushed
-}
-
-// OccupancyByDomain counts valid lines per domain (enabled ways only).
-func (c *Cache) OccupancyByDomain() [trace.NumDomains]int {
-	var occ [trace.NumDomains]int
-	c.VisitValid(func(_, _ int, meta *BlockMeta) {
-		occ[meta.Domain]++
-	})
-	return occ
-}
-
-// ValidLines counts all valid lines in enabled ways.
-func (c *Cache) ValidLines() int {
-	occ := c.OccupancyByDomain()
-	return occ[trace.User] + occ[trace.Kernel]
 }

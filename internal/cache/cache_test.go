@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -14,6 +15,21 @@ func mustNew(t *testing.T, cfg Config) *Cache {
 		t.Fatalf("New(%+v): %v", cfg, err)
 	}
 	return c
+}
+
+// occupancyByDomain counts valid lines per domain (enabled ways only).
+func occupancyByDomain(c *Cache) [trace.NumDomains]int {
+	var occ [trace.NumDomains]int
+	c.VisitValid(func(_, _ int, meta *BlockMeta) {
+		occ[meta.Domain]++
+	})
+	return occ
+}
+
+// validLines counts all valid lines in enabled ways.
+func validLines(c *Cache) int {
+	occ := occupancyByDomain(c)
+	return occ[trace.User] + occ[trace.Kernel]
 }
 
 func smallCfg() Config {
@@ -181,8 +197,8 @@ func TestSetEnabledMaskGatesWays(t *testing.T) {
 	// Probe must not hit in gated ways regardless.
 	c.FlushWays(0b1100, 10, nil)
 	c.SetEnabledMask(0b0011)
-	if c.EnabledWays() != 2 {
-		t.Fatalf("enabled ways = %d, want 2", c.EnabledWays())
+	if bits.OnesCount64(c.enabledMask) != 2 {
+		t.Fatalf("enabled ways = %d, want 2", bits.OnesCount64(c.enabledMask))
 	}
 	hits := 0
 	for i := uint64(0); i < 4; i++ {
@@ -194,7 +210,7 @@ func TestSetEnabledMaskGatesWays(t *testing.T) {
 		t.Fatalf("probes hit %d blocks after gating, want 2", hits)
 	}
 	// Domain masks clipped to enabled ways.
-	if c.DomainMask(trace.User)&^c.EnabledMask() != 0 {
+	if c.domainMask[trace.User]&^c.EnabledMask() != 0 {
 		t.Fatal("domain mask extends into gated ways")
 	}
 }
@@ -235,7 +251,7 @@ func TestFlushWaysWritesBackDirty(t *testing.T) {
 	if len(wb) != 1 || wb[0] != 0x40 {
 		t.Fatalf("writebacks = %#v, want [0x40]", wb)
 	}
-	if c.ValidLines() != 0 {
+	if validLines(c) != 0 {
 		t.Fatal("lines remain after flush")
 	}
 }
@@ -334,12 +350,12 @@ func TestOccupancyByDomain(t *testing.T) {
 	c.Access(0x40, false, trace.User, 1)
 	c.Access(0x80, false, trace.User, 2)
 	c.Access(0xffff0000, false, trace.Kernel, 3)
-	occ := c.OccupancyByDomain()
+	occ := occupancyByDomain(c)
 	if occ[trace.User] != 2 || occ[trace.Kernel] != 1 {
 		t.Fatalf("occupancy = %v", occ)
 	}
-	if c.ValidLines() != 3 {
-		t.Fatalf("valid lines = %d, want 3", c.ValidLines())
+	if validLines(c) != 3 {
+		t.Fatalf("valid lines = %d, want 3", validLines(c))
 	}
 }
 
@@ -396,12 +412,12 @@ func TestCapacityAndMaskInvariant(t *testing.T) {
 			}
 			c.Access(uint64(a), false, d, uint64(i))
 		}
-		if c.ValidLines() > c.Sets()*c.EnabledWays() {
+		if validLines(c) > c.sets*bits.OnesCount64(c.enabledMask) {
 			return false
 		}
 		ok := true
 		c.VisitValid(func(_, way int, meta *BlockMeta) {
-			if c.DomainMask(meta.Domain)&(1<<uint(way)) == 0 {
+			if c.domainMask[meta.Domain]&(1<<uint(way)) == 0 {
 				ok = false
 			}
 		})
@@ -458,7 +474,7 @@ func TestAllPoliciesRunAndStayConsistent(t *testing.T) {
 		if st.Hits[trace.User]+st.Misses[trace.User] != st.Accesses[trace.User] {
 			t.Fatalf("%v: inconsistent user accounting", pol)
 		}
-		if c.ValidLines() > c.Sets()*c.Config().Ways {
+		if validLines(c) > c.sets*c.cfg.Ways {
 			t.Fatalf("%v: overfull cache", pol)
 		}
 	}

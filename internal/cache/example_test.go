@@ -37,7 +37,7 @@ func Example() {
 // ExampleShadowTags shows the utility monitor behind the dynamic
 // partition controller.
 func ExampleShadowTags() {
-	st := cache.NewShadowTags(64, 8, 64, 0)
+	st := cache.NewShadowTagsSampled(64, 8, 64, 0, nil)
 	// Touch two same-set blocks, then re-touch the first: it hits at
 	// stack position 1 (one distinct block accessed in between).
 	st.Access(0x0000)

@@ -41,18 +41,13 @@ type ShadowTags struct {
 	accesses  uint64
 }
 
-// NewShadowTags mirrors a cache of the given geometry. sampleShift
-// selects 1-in-2^shift set sampling (0 = every set). The mirrored
-// associativity may exceed the real cache's so the controller can see
-// the utility of growing beyond the current allocation.
-func NewShadowTags(sets, ways, blockBytes int, sampleShift uint) *ShadowTags {
-	return NewShadowTagsSampled(sets, ways, blockBytes, sampleShift, nil)
-}
-
-// NewShadowTagsSampled mirrors a set-sampled cache: sel names the live
-// sets (nil = all), and the monitor's 1-in-2^sampleShift subsampling
-// is applied to the live sets in their dense rank order. With a
-// factor-1 selector (or nil) this reduces exactly to NewShadowTags.
+// NewShadowTagsSampled mirrors a cache of the given geometry.
+// sampleShift selects 1-in-2^shift set sampling (0 = every set). The
+// mirrored associativity may exceed the real cache's so the controller
+// can see the utility of growing beyond the current allocation. sel
+// names the live sets of a set-sampled cache (nil = all), and the
+// 1-in-2^sampleShift subsampling is applied to the live sets in their
+// dense rank order; a factor-1 selector behaves exactly like nil.
 func NewShadowTagsSampled(sets, ways, blockBytes int, sampleShift uint, sel *sample.Selector) *ShadowTags {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic("cache: shadow tags need a power-of-two set count")
@@ -110,13 +105,6 @@ func (st *ShadowTags) liveIndex(set uint64) int64 {
 	return int64(set>>sample.GroupBits)*int64(st.nsel) + int64(r)
 }
 
-// Sampled reports whether addr maps to a sampled set.
-func (st *ShadowTags) Sampled(addr uint64) bool {
-	set := (addr >> st.blockShift) & st.indexMask
-	live := st.liveIndex(set)
-	return live >= 0 && uint64(live)&((1<<st.sampleShift)-1) == 0
-}
-
 // Access records one access. Non-sampled sets are ignored.
 func (st *ShadowTags) Access(addr uint64) {
 	b := addr >> st.blockShift
@@ -148,7 +136,7 @@ func (st *ShadowTags) Access(addr uint64) {
 	st.entries[idx] = tags
 }
 
-// Accesses reports sampled accesses since the last Reset.
+// Accesses reports sampled accesses, halved at each Halve.
 func (st *ShadowTags) Accesses() uint64 { return st.accesses }
 
 // HitsAtOrBefore returns the sampled hits that a cache with the given
@@ -171,15 +159,6 @@ func (st *ShadowTags) MissesWith(ways int) uint64 {
 	return st.accesses - st.HitsAtOrBefore(ways)
 }
 
-// MissCurve returns MissesWith(w) for w = 0..ways.
-func (st *ShadowTags) MissCurve() []uint64 {
-	curve := make([]uint64, st.ways+1)
-	for w := 0; w <= st.ways; w++ {
-		curve[w] = st.MissesWith(w)
-	}
-	return curve
-}
-
 // Halve decays all counters by half, keeping history while letting the
 // controller track phase changes. Tag contents are preserved.
 func (st *ShadowTags) Halve() {
@@ -190,32 +169,15 @@ func (st *ShadowTags) Halve() {
 	}
 }
 
-// Reset clears counters and tag contents.
-func (st *ShadowTags) Reset() {
-	st.accesses = 0
-	st.misses = 0
-	for i := range st.hitsAtPos {
-		st.hitsAtPos[i] = 0
-	}
-	for i := range st.entries {
-		st.entries[i] = st.entries[i][:0]
-	}
-}
-
 // DomainMonitors pairs one shadow directory per domain, the unit the
 // dynamic controller consumes.
 type DomainMonitors struct {
 	Mon [trace.NumDomains]*ShadowTags
 }
 
-// NewDomainMonitors builds per-domain shadow directories with identical
-// geometry.
-func NewDomainMonitors(sets, ways, blockBytes int, sampleShift uint) *DomainMonitors {
-	return NewDomainMonitorsSampled(sets, ways, blockBytes, sampleShift, nil)
-}
-
-// NewDomainMonitorsSampled builds per-domain shadow directories that
-// follow a set-sampled cache's live sets (nil sel = all sets).
+// NewDomainMonitorsSampled builds per-domain shadow directories with
+// identical geometry that follow a set-sampled cache's live sets (nil
+// sel = all sets).
 func NewDomainMonitorsSampled(sets, ways, blockBytes int, sampleShift uint, sel *sample.Selector) *DomainMonitors {
 	return &DomainMonitors{
 		Mon: [trace.NumDomains]*ShadowTags{

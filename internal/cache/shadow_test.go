@@ -8,8 +8,17 @@ import (
 	"mobilecache/internal/trace"
 )
 
+// missCurve returns MissesWith(w) for w = 0..ways.
+func missCurve(st *ShadowTags) []uint64 {
+	curve := make([]uint64, st.ways+1)
+	for w := 0; w <= st.ways; w++ {
+		curve[w] = st.MissesWith(w)
+	}
+	return curve
+}
+
 func TestShadowTagsBasics(t *testing.T) {
-	st := NewShadowTags(16, 4, 64, 0)
+	st := NewShadowTagsSampled(16, 4, 64, 0, nil)
 	// Two accesses to the same block in the same set: first misses,
 	// second hits at stack position 0.
 	st.Access(0x0)
@@ -26,7 +35,7 @@ func TestShadowTagsBasics(t *testing.T) {
 }
 
 func TestShadowTagsStackPositions(t *testing.T) {
-	st := NewShadowTags(16, 4, 64, 0)
+	st := NewShadowTagsSampled(16, 4, 64, 0, nil)
 	stride := uint64(16 * 64) // same set
 	// Access A, B, C then A again: A hits at stack position 2.
 	st.Access(0 * stride)
@@ -40,7 +49,7 @@ func TestShadowTagsStackPositions(t *testing.T) {
 		t.Fatalf("hits with 3 ways = %d, want 1", st.HitsAtOrBefore(3))
 	}
 	// Miss curve must be monotone non-increasing.
-	curve := st.MissCurve()
+	curve := missCurve(st)
 	for i := 1; i < len(curve); i++ {
 		if curve[i] > curve[i-1] {
 			t.Fatalf("miss curve not monotone: %v", curve)
@@ -52,7 +61,7 @@ func TestShadowTagsStackPositions(t *testing.T) {
 }
 
 func TestShadowTagsEvictBeyondWays(t *testing.T) {
-	st := NewShadowTags(16, 2, 64, 0)
+	st := NewShadowTagsSampled(16, 2, 64, 0, nil)
 	stride := uint64(16 * 64)
 	st.Access(0 * stride)
 	st.Access(1 * stride)
@@ -64,23 +73,25 @@ func TestShadowTagsEvictBeyondWays(t *testing.T) {
 }
 
 func TestShadowTagsSampling(t *testing.T) {
-	st := NewShadowTags(16, 4, 64, 2) // sample 1 in 4 sets
+	st := NewShadowTagsSampled(16, 4, 64, 2, nil) // sample 1 in 4 sets
 	for set := uint64(0); set < 16; set++ {
 		st.Access(set * 64)
 	}
 	if st.Accesses() != 4 {
 		t.Fatalf("sampled accesses = %d, want 4", st.Accesses())
 	}
-	if !st.Sampled(0) {
+	st.Access(0)
+	if st.Accesses() != 5 {
 		t.Fatal("set 0 must be sampled")
 	}
-	if st.Sampled(64) {
+	st.Access(64)
+	if st.Accesses() != 5 {
 		t.Fatal("set 1 must not be sampled at shift 2")
 	}
 }
 
 func TestShadowTagsHalveAndReset(t *testing.T) {
-	st := NewShadowTags(16, 4, 64, 0)
+	st := NewShadowTagsSampled(16, 4, 64, 0, nil)
 	for i := 0; i < 10; i++ {
 		st.Access(0)
 	}
@@ -88,14 +99,11 @@ func TestShadowTagsHalveAndReset(t *testing.T) {
 	if st.Accesses() != 5 {
 		t.Fatalf("halved accesses = %d, want 5", st.Accesses())
 	}
-	st.Reset()
-	if st.Accesses() != 0 || st.MissesWith(4) != 0 {
-		t.Fatal("reset did not clear counters")
-	}
-	// After reset the tags are gone: next access misses.
+	// Halving keeps the tags: the next access still hits.
+	misses := st.MissesWith(4)
 	st.Access(0)
-	if st.MissesWith(4) != 1 {
-		t.Fatal("reset did not clear tags")
+	if st.MissesWith(4) != misses {
+		t.Fatal("halve cleared the tags")
 	}
 }
 
@@ -107,10 +115,10 @@ func TestShadowTagsPanicsOnBadGeometry(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewShadowTags(%d,%d,%d) did not panic", tc.sets, tc.ways, tc.block)
+					t.Errorf("NewShadowTagsSampled(%d,%d,%d) did not panic", tc.sets, tc.ways, tc.block)
 				}
 			}()
-			NewShadowTags(tc.sets, tc.ways, tc.block, 0)
+			NewShadowTagsSampled(tc.sets, tc.ways, tc.block, 0, nil)
 		}()
 	}
 }
@@ -120,7 +128,7 @@ func TestShadowTagsPanicsOnBadGeometry(t *testing.T) {
 func TestShadowTagsMatchRealLRUCache(t *testing.T) {
 	f := func(addrs []uint16) bool {
 		const sets, ways, block = 8, 4, 64
-		st := NewShadowTags(sets, ways, block, 0)
+		st := NewShadowTagsSampled(sets, ways, block, 0, nil)
 		c, err := New(Config{Name: "ref", SizeBytes: sets * ways * block, Ways: ways, BlockBytes: block, Policy: LRU})
 		if err != nil {
 			return false
@@ -145,11 +153,11 @@ func TestShadowTagsMatchRealLRUCache(t *testing.T) {
 // access pattern (more capacity never hurts under LRU stack inclusion).
 func TestMissCurveMonotone(t *testing.T) {
 	f := func(addrs []uint32) bool {
-		st := NewShadowTags(16, 8, 64, 0)
+		st := NewShadowTagsSampled(16, 8, 64, 0, nil)
 		for _, a := range addrs {
 			st.Access(uint64(a))
 		}
-		curve := st.MissCurve()
+		curve := missCurve(st)
 		for i := 1; i < len(curve); i++ {
 			if curve[i] > curve[i-1] {
 				return false
@@ -163,7 +171,7 @@ func TestMissCurveMonotone(t *testing.T) {
 }
 
 func TestDomainMonitors(t *testing.T) {
-	dm := NewDomainMonitors(16, 4, 64, 0)
+	dm := NewDomainMonitorsSampled(16, 4, 64, 0, nil)
 	dm.Access(0x0, trace.User)
 	dm.Access(0x0, trace.User)
 	dm.Access(0x40, trace.Kernel)
@@ -222,7 +230,7 @@ func TestShadowTagsSampledFollowsLiveSets(t *testing.T) {
 		// monitored sets, and every monitored set sees its access (no
 		// silent monitors).
 		for set := uint64(0); set < sets; set++ {
-			if sel.SelectsGroup(int(set) & (sample.NumGroups - 1)) {
+			if sel.GroupRank(int(set)&(sample.NumGroups-1)) >= 0 {
 				st.Access(set * block)
 			}
 		}
@@ -237,7 +245,7 @@ func TestShadowTagsSampledFollowsLiveSets(t *testing.T) {
 		// Traffic to non-live sets is ignored even if it arrives.
 		before := st.Accesses()
 		for set := uint64(0); set < sets; set++ {
-			if !sel.SelectsGroup(int(set) & (sample.NumGroups - 1)) {
+			if sel.GroupRank(int(set)&(sample.NumGroups-1)) < 0 {
 				st.Access(set * block)
 			}
 		}
@@ -255,7 +263,7 @@ func TestShadowTagsSampledFactorOneEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := func(addrs []uint32) bool {
-		plain := NewShadowTags(128, 4, 64, 2)
+		plain := NewShadowTagsSampled(128, 4, 64, 2, nil)
 		sampled := NewShadowTagsSampled(128, 4, 64, 2, sel)
 		for _, a := range addrs {
 			plain.Access(uint64(a))
@@ -264,7 +272,7 @@ func TestShadowTagsSampledFactorOneEquivalence(t *testing.T) {
 		if plain.Accesses() != sampled.Accesses() {
 			return false
 		}
-		pc, sc := plain.MissCurve(), sampled.MissCurve()
+		pc, sc := missCurve(plain), missCurve(sampled)
 		for i := range pc {
 			if pc[i] != sc[i] {
 				return false

@@ -12,9 +12,9 @@ import (
 // reads seqs the same way. Redundant state invites divergence, so this
 // property test drives a cache through randomized mixes of every
 // mutation the sidecars must track — accesses (read and write, both
-// domains), way gating with flushes, targeted invalidations, expiry
-// marks and Snapshot/Restore round-trips — and re-checks the mirror
-// invariant throughout, on every replacement policy:
+// domains), way gating with flushes, targeted invalidations and expiry
+// marks — and re-checks the mirror invariant throughout, on every
+// replacement policy:
 //
 //	lines[i].valid  ⇒  tags[i] == lines[i].tag && seqs[i] == lines[i].lruSeq
 //	!lines[i].valid ⇒  tags[i] == invalidTag  && seqs[i] == 0
@@ -66,8 +66,6 @@ func TestSidecarsMirrorLines(t *testing.T) {
 				return state * 0x2545f4914f6cdd1d
 			}
 
-			var snap State
-			var haveSnap bool
 			now := uint64(0)
 			for step := 0; step < 30_000; step++ {
 				now++
@@ -90,22 +88,14 @@ func TestSidecarsMirrorLines(t *testing.T) {
 					c.SetDomainMask(0, ways)
 					c.SetDomainMask(1, ways)
 				case 5, 6: // targeted invalidation
-					set := int(r>>8) % c.Sets()
+					set := int(r>>8) % c.sets
 					way := int(r>>32) % cfg.Ways
 					c.Invalidate(set, way, now, true)
 					checkSidecars(t, c, "after invalidate")
 				case 7: // retention expiry
-					set := int(r>>8) % c.Sets()
+					set := int(r>>8) % c.sets
 					way := int(r>>32) % cfg.Ways
 					c.MarkExpired(set, way, now)
-				case 8: // snapshot
-					snap = c.Snapshot()
-					haveSnap = true
-				case 9: // rewind
-					if haveSnap {
-						c.Restore(snap)
-						checkSidecars(t, c, "after restore")
-					}
 				default: // access: bounded tag space so hits, misses and evictions all occur
 					addr := (r >> 8) % (1 << 16) * 64
 					dom := trace.Domain(r >> 40 & 1)
@@ -116,7 +106,7 @@ func TestSidecarsMirrorLines(t *testing.T) {
 				}
 			}
 			checkSidecars(t, c, "final")
-			if c.ValidLines() == 0 {
+			if validLines(c) == 0 {
 				t.Fatal("walk never populated the cache")
 			}
 		})

@@ -32,13 +32,9 @@ type AppendFile struct {
 // DefaultSyncEvery is the default fsync cadence in appends.
 const DefaultSyncEvery = 16
 
-// NewAppendFile opens (creating if needed) path for appending.
-// syncEvery <= 0 selects DefaultSyncEvery; 1 fsyncs every append.
-func NewAppendFile(path string, syncEvery int) (*AppendFile, error) {
-	return NewAppendFileFS(faultfs.OS, path, syncEvery)
-}
-
-// NewAppendFileFS is NewAppendFile over an injectable filesystem.
+// NewAppendFileFS opens (creating if needed) path on fsys for
+// appending. syncEvery <= 0 selects DefaultSyncEvery; 1 fsyncs every
+// append.
 func NewAppendFileFS(fsys faultfs.FS, path string, syncEvery int) (*AppendFile, error) {
 	if syncEvery <= 0 {
 		syncEvery = DefaultSyncEvery

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"fmt"
+	"mobilecache/internal/faultfs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -42,7 +43,7 @@ func writeJournal(t *testing.T, path string, n int) [][]byte {
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.journal")
 	payloads := writeJournal(t, path, 3)
-	entries, info, err := Read(path)
+	entries, info, err := ReadFS(faultfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestRecoverTruncatedAtEveryTailOffset(t *testing.T) {
 		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		entries, info, err := Read(path)
+		entries, info, err := ReadFS(faultfs.OS, path)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -148,7 +149,7 @@ func TestRecoverCorruptAtEveryTailByte(t *testing.T) {
 		if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		entries, info, err := Read(path)
+		entries, info, err := ReadFS(faultfs.OS, path)
 		if err != nil {
 			t.Fatalf("flip %d: %v", off, err)
 		}
@@ -176,7 +177,7 @@ func TestResumeTruncatesCorruptTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j, entries, info, err := Resume(path, 1)
+	j, entries, info, err := ResumeFS(faultfs.OS, path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestResumeTruncatesCorruptTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	after, info2, err := Read(path)
+	after, info2, err := ReadFS(faultfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestResumeTruncatesCorruptTail(t *testing.T) {
 
 func TestResumeMissingFileStartsFresh(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "new.journal")
-	j, entries, info, err := Resume(path, 0)
+	j, entries, info, err := ResumeFS(faultfs.OS, path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestResumeMissingFileStartsFresh(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	after, _, err := Read(path)
+	after, _, err := ReadFS(faultfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestResumePartialHeaderStartsFresh(t *testing.T) {
 	if err := os.WriteFile(path, []byte(magic[:3]), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j, entries, _, err := Resume(path, 0)
+	j, entries, _, err := ResumeFS(faultfs.OS, path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestResumePartialHeaderStartsFresh(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	after, _, err := Read(path)
+	after, _, err := ReadFS(faultfs.OS, path)
 	if err != nil || len(after) != 1 {
 		t.Fatalf("after = %v, err = %v", after, err)
 	}
@@ -260,17 +261,17 @@ func TestReadRejectsNonJournal(t *testing.T) {
 	if err := os.WriteFile(path, []byte("these are not the records you are looking for"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Read(path); err == nil {
+	if _, _, err := ReadFS(faultfs.OS, path); err == nil {
 		t.Fatal("Read accepted a non-journal file")
 	}
-	if _, _, _, err := Resume(path, 0); err == nil {
+	if _, _, _, err := ResumeFS(faultfs.OS, path, 0); err == nil {
 		t.Fatal("Resume accepted a non-journal file")
 	}
 }
 
 func TestAppendFileSharedHelper(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "lines.jsonl")
-	af, err := NewAppendFile(path, 1)
+	af, err := NewAppendFileFS(faultfs.OS, path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

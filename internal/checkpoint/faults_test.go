@@ -95,7 +95,7 @@ func TestJournalShortWriteAtEveryOffset(t *testing.T) {
 			}
 			j.Close()
 
-			entries, info, err := Read(path)
+			entries, info, err := ReadFS(faultfs.OS, path)
 			if err != nil {
 				t.Fatalf("rec %d keep %d: read: %v", rec, keep, err)
 			}
@@ -110,7 +110,7 @@ func TestJournalShortWriteAtEveryOffset(t *testing.T) {
 
 			// Resume over the torn tail with healthy storage: the
 			// journal must end up identical to an unfaulted run.
-			j2, resumed, _, err := Resume(path, 1)
+			j2, resumed, _, err := ResumeFS(faultfs.OS, path, 1)
 			if err != nil {
 				t.Fatalf("rec %d keep %d: resume: %v", rec, keep, err)
 			}
@@ -125,7 +125,7 @@ func TestJournalShortWriteAtEveryOffset(t *testing.T) {
 			if err := j2.Close(); err != nil {
 				t.Fatal(err)
 			}
-			final, info2, err := Read(path)
+			final, info2, err := ReadFS(faultfs.OS, path)
 			if err != nil || len(final) != records || info2.DiscardedBytes != 0 {
 				t.Fatalf("rec %d keep %d: final journal %d entries, %d discarded, err %v",
 					rec, keep, len(final), info2.DiscardedBytes, err)
@@ -197,7 +197,7 @@ func TestJournalENOSPCStreakThenResume(t *testing.T) {
 		}
 		j.Close()
 
-		entries, _, err := Read(path)
+		entries, _, err := ReadFS(faultfs.OS, path)
 		if err != nil {
 			t.Fatalf("start %d: read: %v", start, err)
 		}
@@ -216,7 +216,7 @@ func TestJournalENOSPCStreakThenResume(t *testing.T) {
 		}
 
 		// Disk recovered: resume and finish.
-		j2, resumed, _, err := Resume(path, 1)
+		j2, resumed, _, err := ResumeFS(faultfs.OS, path, 1)
 		if err != nil {
 			t.Fatalf("start %d: resume: %v", start, err)
 		}
@@ -228,7 +228,7 @@ func TestJournalENOSPCStreakThenResume(t *testing.T) {
 		if err := j2.Close(); err != nil {
 			t.Fatal(err)
 		}
-		final, info, err := Read(path)
+		final, info, err := ReadFS(faultfs.OS, path)
 		if err != nil || len(final) != records || info.DiscardedBytes != 0 {
 			t.Fatalf("start %d: final journal %d entries, %d discarded, err %v",
 				start, len(final), info.DiscardedBytes, err)
@@ -322,7 +322,7 @@ func TestResumeAfterCrashAtEveryOp(t *testing.T) {
 		if err := j2.Close(); err != nil {
 			t.Fatal(err)
 		}
-		final, info, err := Read(path)
+		final, info, err := ReadFS(faultfs.OS, path)
 		if err != nil || info.DiscardedBytes != 0 {
 			t.Fatalf("crash %d: final read: %d discarded, err %v", crash, info.DiscardedBytes, err)
 		}

@@ -164,13 +164,8 @@ func CreateFS(fsys faultfs.FS, path string, syncEvery int) (*Journal, error) {
 	return &Journal{af: newAppendFileFrom(f, syncEvery)}, nil
 }
 
-// Read recovers the entries of the journal at path without opening it
-// for writing. A missing file is zero entries, not an error.
-func Read(path string) ([]Entry, RecoverInfo, error) {
-	return ReadFS(faultfs.OS, path)
-}
-
-// ReadFS is Read over an injectable filesystem.
+// ReadFS recovers the entries of the journal at path on fsys without
+// opening it for writing. A missing file is zero entries, not an error.
 func ReadFS(fsys faultfs.FS, path string) ([]Entry, RecoverInfo, error) {
 	data, err := fsys.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -196,17 +191,13 @@ func ReadFS(fsys faultfs.FS, path string) ([]Entry, RecoverInfo, error) {
 	return entries, info, nil
 }
 
-// Resume reopens the journal at path for appending, first recovering
-// its valid prefix and truncating away any corrupt tail so that new
-// appends land on trusted ground (appending after garbage would leave
-// them unreachable to every future recovery). A missing file becomes a
-// fresh journal. The recovered entries and scan summary are returned so
-// the caller can skip finished work and report what a crash lost.
-func Resume(path string, syncEvery int) (*Journal, []Entry, RecoverInfo, error) {
-	return ResumeFS(faultfs.OS, path, syncEvery)
-}
-
-// ResumeFS is Resume over an injectable filesystem.
+// ResumeFS reopens the journal at path on fsys for appending, first
+// recovering its valid prefix and truncating away any corrupt tail so
+// that new appends land on trusted ground (appending after garbage
+// would leave them unreachable to every future recovery). A missing
+// file becomes a fresh journal. The recovered entries and scan summary
+// are returned so the caller can skip finished work and report what a
+// crash lost.
 func ResumeFS(fsys faultfs.FS, path string, syncEvery int) (*Journal, []Entry, RecoverInfo, error) {
 	entries, info, err := ReadFS(fsys, path)
 	if err != nil {

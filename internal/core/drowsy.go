@@ -86,9 +86,6 @@ func NewDrowsyUnified(cfg DrowsyConfig, wb func(addr uint64)) (*DrowsyUnified, e
 	return &DrowsyUnified{cfg: cfg, seg: seg}, nil
 }
 
-// Name implements L2.
-func (d *DrowsyUnified) Name() string { return d.cfg.Segment.Name }
-
 // Access implements L2, adding the wake-up penalty for drowsy hits.
 func (d *DrowsyUnified) Access(blockAddr uint64, write bool, dom trace.Domain, now uint64) (bool, uint64) {
 	// Peek at the line's age before the segment updates LastTouch.

@@ -92,9 +92,6 @@ func TestDrowsyKeepsCapacityPowered(t *testing.T) {
 	if dw.PoweredBytes() != dw.SizeBytes() {
 		t.Fatal("drowsy mode must retain all lines (state-preserving)")
 	}
-	if dw.Name() != "L2-drowsy" {
-		t.Fatalf("name = %q", dw.Name())
-	}
 }
 
 func TestDrowsyNoExtraMisses(t *testing.T) {

@@ -102,10 +102,9 @@ type PartitionDecision struct {
 // Combined with a short-retention STT-RAM segment configuration this is
 // the paper's maximal-savings design (DP-SR).
 type DynamicPartition struct {
-	cfg  DynamicConfig
-	seg  *segment
-	mon  *cache.DomainMonitors
-	name string
+	cfg DynamicConfig
+	seg *segment
+	mon *cache.DomainMonitors
 
 	epochAccesses uint64
 	epochLen      uint64 // current epoch length; ramps up to cfg.EpochAccesses
@@ -128,10 +127,9 @@ func NewDynamicPartition(cfg DynamicConfig, wb func(addr uint64)) (*DynamicParti
 		return nil, err
 	}
 	dp := &DynamicPartition{
-		cfg:  cfg,
-		seg:  seg,
-		name: cfg.Segment.Name,
-		mon:  cache.NewDomainMonitorsSampled(cfg.Segment.Sets(), cfg.Segment.Ways, cfg.Segment.BlockBytes, cfg.SampleShift, cfg.Sample),
+		cfg: cfg,
+		seg: seg,
+		mon: cache.NewDomainMonitorsSampled(cfg.Segment.Sets(), cfg.Segment.Ways, cfg.Segment.BlockBytes, cfg.SampleShift, cfg.Sample),
 	}
 	// Initial allocation: start small and grow on demand — a cold
 	// cache cannot exploit full capacity anyway, and powering it up
@@ -158,9 +156,6 @@ func NewDynamicPartition(cfg DynamicConfig, wb func(addr uint64)) (*DynamicParti
 func (sc SegmentConfig) Sets() int {
 	return int(sc.SizeBytes / (uint64(sc.Ways) * uint64(sc.BlockBytes)))
 }
-
-// Name implements L2.
-func (dp *DynamicPartition) Name() string { return dp.name }
 
 // Access implements L2.
 func (dp *DynamicPartition) Access(blockAddr uint64, write bool, dom trace.Domain, now uint64) (bool, uint64) {
@@ -198,9 +193,6 @@ func (dp *DynamicPartition) PoweredBytes() uint64 {
 	return dp.cfg.Segment.SizeBytes * uint64(dp.userWays+dp.kernelWays) / uint64(dp.cfg.Segment.Ways)
 }
 
-// Allocation reports the current (userWays, kernelWays).
-func (dp *DynamicPartition) Allocation() (int, int) { return dp.userWays, dp.kernelWays }
-
 // ForceAllocation installs a fixed (userWays, kernelWays) split
 // immediately — used to study static way partitioning with the same
 // machinery (the controller will still repartition at its next epoch
@@ -222,9 +214,6 @@ func (dp *DynamicPartition) History() []PartitionDecision { return dp.history }
 // FlushWritebacks reports dirty lines written back due to repartition
 // flushes (an overhead unique to the dynamic design).
 func (dp *DynamicPartition) FlushWritebacks() uint64 { return dp.flushWritebacks }
-
-// Cache exposes the underlying array for instrumentation.
-func (dp *DynamicPartition) Cache() *cache.Cache { return dp.seg.c }
 
 // repartition recomputes the allocation from the monitors' miss curves.
 func (dp *DynamicPartition) repartition(now uint64) {

@@ -48,7 +48,7 @@ func TestDynamicInitialAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, k := dp.Allocation()
+	u, k := dp.userWays, dp.kernelWays
 	if u < 1 || k < 1 || u+k > 16 {
 		t.Fatalf("initial allocation %d+%d infeasible", u, k)
 	}
@@ -76,7 +76,7 @@ func TestDynamicPartitionIsolatesDomains(t *testing.T) {
 	// cross-domain evictions occur right after a repartition — but in
 	// steady state the masks isolate the domains, so interference must
 	// stay a tiny fraction of all evictions.
-	cs := dp.Cache().Stats()
+	cs := dp.seg.c.Stats()
 	if cs.Evictions > 0 {
 		frac := float64(cs.InterferenceEvictions) / float64(cs.Evictions)
 		if frac > 0.05 {
@@ -85,10 +85,14 @@ func TestDynamicPartitionIsolatesDomains(t *testing.T) {
 	}
 	// New allocations always respect the masks: every block filled
 	// after the last repartition sits in its domain's ways.
-	c := dp.Cache()
+	c := dp.seg.c
 	lastRepartition := dp.History()[len(dp.History())-1].AtCycle
+	masks := [trace.NumDomains]uint64{
+		trace.User:   maskRange(0, dp.userWays),
+		trace.Kernel: maskRange(dp.userWays, dp.userWays+dp.kernelWays),
+	}
 	c.VisitValid(func(_, way int, meta *cache.BlockMeta) {
-		if meta.FilledAt > lastRepartition && c.DomainMask(meta.Domain)&(1<<uint(way)) == 0 {
+		if meta.FilledAt > lastRepartition && masks[meta.Domain]&(1<<uint(way)) == 0 {
 			t.Fatalf("block of %v filled at %d in way %d outside its mask", meta.Domain, meta.FilledAt, way)
 		}
 	})
@@ -109,7 +113,7 @@ func TestDynamicShrinksSmallFootprint(t *testing.T) {
 		now += 20
 		dp.Access(0xffff000000000000+(i%8)*64, false, trace.Kernel, now)
 	}
-	u, k := dp.Allocation()
+	u, k := dp.userWays, dp.kernelWays
 	if u+k > 8 {
 		t.Fatalf("tiny footprints kept %d+%d ways powered", u, k)
 	}
@@ -141,7 +145,7 @@ func TestDynamicGrowsForLargeFootprint(t *testing.T) {
 			dp.Access(0xffff000000000000+(i%4)*64, false, trace.Kernel, now)
 		}
 	}
-	u, k := dp.Allocation()
+	u, k := dp.userWays, dp.kernelWays
 	if u <= k {
 		t.Fatalf("user ways %d not above kernel ways %d for user-heavy load", u, k)
 	}
@@ -166,7 +170,7 @@ func TestDynamicAdaptsAcrossPhases(t *testing.T) {
 			dp.Access(0xffff000000000000+(i%4)*64, false, trace.Kernel, now)
 		}
 	}
-	u1, k1 := dp.Allocation()
+	u1, k1 := dp.userWays, dp.kernelWays
 	for i := uint64(0); i < 60000; i++ {
 		now += 20
 		dp.Access(0xffff000000000000+(i%640)*64, false, trace.Kernel, now)
@@ -175,7 +179,7 @@ func TestDynamicAdaptsAcrossPhases(t *testing.T) {
 			dp.Access((i%4)*64, false, trace.User, now)
 		}
 	}
-	u2, k2 := dp.Allocation()
+	u2, k2 := dp.userWays, dp.kernelWays
 	if u1 <= k1 {
 		t.Fatalf("phase 1 allocation user=%d kernel=%d, want user-heavy", u1, k1)
 	}
@@ -200,7 +204,7 @@ func TestDynamicFlushWritesBackDirtyOnRepartition(t *testing.T) {
 		now += 20
 		dp.Access(0xffff000000000000+(i%512)*64, true, trace.Kernel, now)
 	}
-	u1, k1 := dp.Allocation()
+	u1, k1 := dp.userWays, dp.kernelWays
 	if u1+k1 < 8 {
 		t.Fatalf("precondition: controller did not grow (u=%d k=%d)", u1, k1)
 	}
@@ -212,7 +216,7 @@ func TestDynamicFlushWritesBackDirtyOnRepartition(t *testing.T) {
 		now += 20
 		dp.Access(0xffff000000000000+(i%4)*64, false, trace.Kernel, now)
 	}
-	u2, k2 := dp.Allocation()
+	u2, k2 := dp.userWays, dp.kernelWays
 	if u2+k2 >= u1+k1 {
 		t.Fatalf("controller did not shrink (%d+%d -> %d+%d)", u1, k1, u2, k2)
 	}
@@ -274,7 +278,7 @@ func TestDynamicHistoryConsistent(t *testing.T) {
 	if len(hist) < 2 {
 		t.Fatalf("history has %d entries, want several", len(hist))
 	}
-	ways := dp.Cache().Config().Ways
+	ways := dp.cfg.Segment.Ways
 	for i, d := range hist {
 		if d.UserWays+d.KernelWays+d.GatedWays != ways {
 			t.Fatalf("decision %d does not partition the array: %+v", i, d)
@@ -313,8 +317,8 @@ func TestDynamicInvariantsUnderRandomTraffic(t *testing.T) {
 			}
 			dp.Access(addr, s%5 == 0, dom, now)
 		}
-		u, k := dp.Allocation()
-		ways := dp.Cache().Config().Ways
+		u, k := dp.userWays, dp.kernelWays
+		ways := dp.cfg.Segment.Ways
 		if u < 1 || k < 1 || u+k > ways {
 			return false
 		}

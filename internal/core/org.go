@@ -101,8 +101,6 @@ func (s *L2Stats) add(o L2Stats) {
 // L2 is the contract every organization satisfies. The hierarchy in
 // internal/mem drives it; the experiment harness reads its stats.
 type L2 interface {
-	// Name labels the organization for reports.
-	Name() string
 	// Access performs one block access at time now and returns whether
 	// it hit and the cycles the L2 itself contributed (bank wait +
 	// array latency). DRAM time on a miss is the caller's to add.
@@ -117,11 +115,6 @@ type L2 interface {
 	SizeBytes() uint64
 	// PoweredBytes is the currently powered capacity (gating-aware).
 	PoweredBytes() uint64
-	// Snapshot captures the organization's complete mutable state as an
-	// opaque value; Restore rewinds to it. A state only restores into an
-	// L2 of the identical construction (see state.go).
-	Snapshot() L2State
-	Restore(L2State)
 }
 
 // SegmentConfig describes one physical array (a whole unified L2, or
@@ -359,8 +352,7 @@ func (s *segment) stats() L2Stats {
 
 // Unified is the conventional shared L2: one array, both domains.
 type Unified struct {
-	name string
-	seg  *segment
+	seg *segment
 }
 
 // NewUnified builds a unified L2 from cfg. wb receives dirty victim
@@ -370,11 +362,8 @@ func NewUnified(cfg SegmentConfig, wb func(addr uint64)) (*Unified, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Unified{name: cfg.Name, seg: seg}, nil
+	return &Unified{seg: seg}, nil
 }
-
-// Name implements L2.
-func (u *Unified) Name() string { return u.name }
 
 // Access implements L2.
 func (u *Unified) Access(blockAddr uint64, write bool, dom trace.Domain, now uint64) (bool, uint64) {
@@ -395,10 +384,6 @@ func (u *Unified) SizeBytes() uint64 { return u.seg.cfg.SizeBytes }
 
 // PoweredBytes implements L2; a unified array is always fully powered.
 func (u *Unified) PoweredBytes() uint64 { return u.seg.cfg.SizeBytes }
-
-// Cache exposes the underlying array for experiment instrumentation
-// (lifetime histograms, occupancy).
-func (u *Unified) Cache() *cache.Cache { return u.seg.c }
 
 // interface conformance checks
 var (

@@ -44,8 +44,8 @@ func TestUnifiedBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u.Name() != "L2" || u.SizeBytes() != 64*1024 || u.PoweredBytes() != 64*1024 {
-		t.Fatalf("identity accessors wrong: %s %d %d", u.Name(), u.SizeBytes(), u.PoweredBytes())
+	if u.SizeBytes() != 64*1024 || u.PoweredBytes() != 64*1024 {
+		t.Fatalf("capacity accessors wrong: %d %d", u.SizeBytes(), u.PoweredBytes())
 	}
 	hit, lat := u.Access(0x1000, false, trace.User, 100)
 	if hit {

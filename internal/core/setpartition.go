@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"mobilecache/internal/cache"
 	"mobilecache/internal/energy"
 	"mobilecache/internal/trace"
 )
@@ -18,8 +17,7 @@ import (
 // way partitioning is index-bit granularity instead of way
 // granularity, and against separate segments a shared bank.
 type SetPartition struct {
-	name string
-	seg  *segment
+	seg *segment
 	// userSets is the number of sets assigned to the user domain; the
 	// remaining sets belong to the kernel. Both are powers of two.
 	userSets   int
@@ -43,7 +41,7 @@ func NewSetPartition(cfg SegmentConfig, userSetsWanted int, wb func(addr uint64)
 	if err != nil {
 		return nil, err
 	}
-	return &SetPartition{name: cfg.Name, seg: seg, userSets: userSetsWanted, kernelSets: total - userSetsWanted}, nil
+	return &SetPartition{seg: seg, userSets: userSetsWanted, kernelSets: total - userSetsWanted}, nil
 }
 
 // remap folds a block address into the domain's set region while
@@ -68,9 +66,6 @@ func (sp *SetPartition) remap(blockAddr uint64, dom trace.Domain) uint64 {
 	return newBlock * uint64(sp.seg.cfg.BlockBytes)
 }
 
-// Name implements L2.
-func (sp *SetPartition) Name() string { return sp.name }
-
 // Access implements L2, remapping the index into the caller's region.
 func (sp *SetPartition) Access(blockAddr uint64, write bool, dom trace.Domain, now uint64) (bool, uint64) {
 	return sp.seg.access(sp.remap(blockAddr, dom), write, dom, now)
@@ -90,11 +85,5 @@ func (sp *SetPartition) SizeBytes() uint64 { return sp.seg.cfg.SizeBytes }
 
 // PoweredBytes implements L2.
 func (sp *SetPartition) PoweredBytes() uint64 { return sp.seg.cfg.SizeBytes }
-
-// Split reports the (userSets, kernelSets) division.
-func (sp *SetPartition) Split() (int, int) { return sp.userSets, sp.kernelSets }
-
-// Cache exposes the array for instrumentation.
-func (sp *SetPartition) Cache() *cache.Cache { return sp.seg.c }
 
 var _ L2 = (*SetPartition)(nil)

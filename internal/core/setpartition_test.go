@@ -20,7 +20,7 @@ func TestSetPartitionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, k := sp.Split()
+	u, k := sp.userSets, sp.kernelSets
 	if u != 96 || k != 32 {
 		t.Fatalf("split = %d/%d", u, k)
 	}
@@ -47,8 +47,8 @@ func TestSetPartitionIsolation(t *testing.T) {
 		t.Fatalf("set partition interfered: %d", st.InterferenceEvictions)
 	}
 	// Blocks live only in their region's sets.
-	userSets, _ := sp.Split()
-	c := sp.Cache()
+	userSets, _ := sp.userSets, sp.kernelSets
+	c := sp.seg.c
 	c.VisitValid(func(set, _ int, meta *cache.BlockMeta) {
 		inUserRegion := set < userSets
 		if (meta.Domain == trace.User) != inUserRegion {
@@ -94,8 +94,8 @@ func TestSetPartitionRemapInjective(t *testing.T) {
 	a2 := base + uint64(64*64) // same idx (64 sets), next tag
 	sp.Access(a1, true, trace.User, now+1)
 	sp.Access(a2, false, trace.User, now+2)
-	set1, _, ok1 := sp.Cache().Probe(sp.remap(a1, trace.User))
-	set2, _, ok2 := sp.Cache().Probe(sp.remap(a2, trace.User))
+	set1, _, ok1 := sp.seg.c.Probe(sp.remap(a1, trace.User))
+	set2, _, ok2 := sp.seg.c.Probe(sp.remap(a2, trace.User))
 	if !ok1 || !ok2 {
 		t.Fatal("aliasing: one of two distinct blocks displaced the other")
 	}

@@ -17,7 +17,6 @@ import (
 // design (user segment in a long-retention STT-RAM, kernel segment in a
 // short-retention one) is just a configuration of this type.
 type StaticPartition struct {
-	name string
 	segs [trace.NumDomains]*segment
 }
 
@@ -36,14 +35,11 @@ func NewStaticPartition(name string, user, kernel SegmentConfig, wb func(addr ui
 	if err != nil {
 		return nil, fmt.Errorf("core: %s kernel segment: %w", name, err)
 	}
-	sp := &StaticPartition{name: name}
+	sp := &StaticPartition{}
 	sp.segs[trace.User] = us
 	sp.segs[trace.Kernel] = ks
 	return sp, nil
 }
-
-// Name implements L2.
-func (sp *StaticPartition) Name() string { return sp.name }
 
 // Access implements L2, routing by domain; the two banks are
 // independent, so user and kernel accesses never contend.
@@ -85,11 +81,6 @@ func (sp *StaticPartition) SegmentStats(d trace.Domain) L2Stats {
 // SegmentCache exposes a segment's array for instrumentation.
 func (sp *StaticPartition) SegmentCache(d trace.Domain) *cache.Cache {
 	return sp.segs[d].c
-}
-
-// SegmentConfigOf reports a segment's configuration.
-func (sp *StaticPartition) SegmentConfigOf(d trace.Domain) SegmentConfig {
-	return sp.segs[d].cfg
 }
 
 // SizeBytes implements L2.

@@ -132,19 +132,6 @@ func New(cfg Config, hier *mem.Hierarchy) (*CPU, error) {
 // Now reports the current simulated cycle.
 func (c *CPU) Now() uint64 { return c.now }
 
-// State is a copyable snapshot of the CPU's own mutable state — the
-// simulated clock. Replay-loop state lives in RunState; the staging
-// buffers are scratch.
-type State struct {
-	Now uint64
-}
-
-// Snapshot captures the CPU state.
-func (c *CPU) Snapshot() State { return State{Now: c.now} }
-
-// Restore rewinds the CPU to a snapshot.
-func (c *CPU) Restore(s State) { c.now = s.Now }
-
 // RunState is the resumable replay state a sequence of RunFrom calls
 // threads: the accumulated result plus the idle/advance countdowns that
 // must survive a segment boundary for the serial composition to be

@@ -197,9 +197,6 @@ func NewMeter(params Params, sizeBytes uint64) *Meter {
 // Params returns the technology parameters.
 func (m *Meter) Params() Params { return m.params }
 
-// SizeBytes returns the array capacity.
-func (m *Meter) SizeBytes() uint64 { return m.sizeBytes }
-
 const pj = 1e-12
 
 // Read charges n block reads.
@@ -236,9 +233,6 @@ func (m *Meter) SetPoweredFraction(f float64) {
 	}
 	m.powered = f
 }
-
-// PoweredFraction reports the current powered share.
-func (m *Meter) PoweredFraction() float64 { return m.powered }
 
 // Breakdown returns the energy account so far (leakage up to the last
 // Advance).

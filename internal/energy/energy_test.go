@@ -164,19 +164,19 @@ func TestMeterPoweredFraction(t *testing.T) {
 	if math.Abs(bd.LeakageJ-want)/want > 1e-6 {
 		t.Fatalf("gated leakage = %g, want %g", bd.LeakageJ, want)
 	}
-	if m.PoweredFraction() != 0.25 {
-		t.Fatalf("powered fraction = %g", m.PoweredFraction())
+	if m.powered != 0.25 {
+		t.Fatalf("powered fraction = %g", m.powered)
 	}
 }
 
 func TestMeterPoweredFractionClamped(t *testing.T) {
 	m := NewMeter(DefaultParams(SRAM), 1024)
 	m.SetPoweredFraction(-1)
-	if m.PoweredFraction() != 0 {
+	if m.powered != 0 {
 		t.Fatal("negative fraction not clamped")
 	}
 	m.SetPoweredFraction(2)
-	if m.PoweredFraction() != 1 {
+	if m.powered != 1 {
 		t.Fatal("fraction above 1 not clamped")
 	}
 }

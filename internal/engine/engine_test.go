@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"mobilecache/internal/faultfs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -257,7 +258,7 @@ func TestExecuteCheckpointResume(t *testing.T) {
 // journalReports decodes a checkpoint journal into key -> report.
 func journalReports(t *testing.T, path string) map[checkpoint.Key]sim.RunReport {
 	t.Helper()
-	entries, _, err := checkpoint.Read(path)
+	entries, _, err := checkpoint.ReadFS(faultfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"mobilecache/internal/checkpoint"
 	"mobilecache/internal/faultfs"
-	"mobilecache/internal/report"
 	"mobilecache/internal/sim"
 )
 
@@ -176,34 +175,3 @@ func (c *CSVFile) Flush() error {
 		return err
 	})
 }
-
-// Table renders an execution into a report.Table — the quick-look sink
-// for interactive front ends: one row per successful cell with the
-// headline metrics.
-type Table struct {
-	tb *report.Table
-}
-
-// NewTable builds a table sink with the given title.
-func NewTable(title string) *Table {
-	return &Table{tb: report.NewTable(title,
-		"machine", "app", "seed", "IPC", "L2 miss rate", "L2 energy (J)", "total energy (J)")}
-}
-
-// Emit implements Sink.
-func (t *Table) Emit(r Result) error {
-	t.tb.AddRow(
-		r.Cell.Config.Name, r.Cell.App, strconv.FormatUint(r.Cell.Seed, 10),
-		fmt.Sprintf("%.4f", r.Report.IPC()),
-		report.Pct(r.Report.L2.MissRate()),
-		report.Joules(r.Report.Energy.L2.Total()),
-		report.Joules(r.Report.Energy.TotalJ()),
-	)
-	return nil
-}
-
-// Flush implements Sink.
-func (t *Table) Flush() error { return nil }
-
-// Table returns the rendered table.
-func (t *Table) Table() *report.Table { return t.tb }

@@ -88,32 +88,6 @@ func TestCollector(t *testing.T) {
 	}
 }
 
-// TestTableSink: the table renders one data row per cell under the
-// given title.
-func TestTableSink(t *testing.T) {
-	p := testPlan(t, []string{"baseline-sram"}, 2, []uint64{1}, 2000)
-	tb := NewTable("sweep results")
-	if _, err := New(Config{}).Execute(context.Background(), p, ExecOptions{}, tb); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tb.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.Table().Fprint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "sweep results") {
-		t.Fatal("table output missing the title")
-	}
-	for _, c := range p.Cells {
-		if !strings.Contains(out, c.App) {
-			t.Fatalf("table output missing app %s:\n%s", c.App, out)
-		}
-	}
-}
-
 // TestMultipleSinks: one execute can feed several sinks; they see the
 // same results.
 func TestMultipleSinks(t *testing.T) {

@@ -15,7 +15,7 @@ func TestGoldenAuditQuickMatrix(t *testing.T) {
 	restore := sim.SetAuditMode(invariant.ModeStrict)
 	t.Cleanup(restore)
 
-	opts := QuickOptions()
+	opts := quickOptions()
 	reports, err := matrix(opts, sim.StandardMachineNames())
 	if err != nil {
 		t.Fatalf("quick matrix failed under strict audit: %v", err)

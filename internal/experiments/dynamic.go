@@ -40,7 +40,7 @@ func runE9(opts Options) (Result, error) {
 	var gens []trace.Source
 	names := ""
 	for i, app := range apps {
-		g, err := workload.NewGenerator(app, appSeed(opts.Seed, i), uint64(opts.Accesses/maxInt(app.Phases, 1)))
+		g, err := workload.NewGenerator(app, appSeed(opts.Seed, i), workload.PhaseLen(app, opts.Accesses))
 		if err != nil {
 			return res, err
 		}

@@ -21,7 +21,7 @@ import (
 // returns, for every (machine, app), a report deeply equal to a direct
 // arena-free sim.Run with the same derived seed.
 func TestMatrixMatchesDirectRuns(t *testing.T) {
-	opts := QuickOptions()
+	opts := quickOptions()
 	opts.Engine = engine.New(engine.Config{}) // isolate from the shared default engine
 	got, err := matrix(opts, allSchemes)
 	if err != nil {
@@ -48,7 +48,7 @@ func TestMatrixMatchesDirectRuns(t *testing.T) {
 // the same report as a cold direct run, on the first call and on the
 // memo-served repeat.
 func TestCachedRunMatchesDirect(t *testing.T) {
-	opts := QuickOptions()
+	opts := quickOptions()
 	opts.Engine = engine.New(engine.Config{})
 	app := opts.Apps[1]
 	cfg, err := sim.MachineByName("dp-sr")
@@ -77,7 +77,7 @@ func TestCachedRunMatchesDirect(t *testing.T) {
 // on a content hash, so the perturbed profile must get a fresh,
 // correct run.
 func TestRunWorkloadNoStaleCache(t *testing.T) {
-	opts := QuickOptions()
+	opts := quickOptions()
 	opts.Engine = engine.New(engine.Config{})
 	cfg, err := sim.MachineByName("baseline-sram")
 	if err != nil {
@@ -111,7 +111,7 @@ func TestRunWorkloadNoStaleCache(t *testing.T) {
 // cold arena) and the shared default produce identical matrices — the
 // engine is an optimization, never an input.
 func TestMatrixDeterministicAcrossEngines(t *testing.T) {
-	opts := QuickOptions()
+	opts := quickOptions()
 	runs := make([]map[string]map[string]sim.RunReport, 3)
 	for i := range runs {
 		o := opts
@@ -134,7 +134,7 @@ func TestMatrixDeterministicAcrossEngines(t *testing.T) {
 // the shared default — the guarantee mcbench relies on when wiring one
 // engine across every experiment of a process.
 func TestExperimentValuesEngineIndependent(t *testing.T) {
-	opts := QuickOptions()
+	opts := quickOptions()
 	dedicated := opts
 	dedicated.Engine = engine.New(engine.Config{})
 	a, err := Run("E7", dedicated)

@@ -22,6 +22,7 @@ import (
 	"mobilecache/internal/runner"
 	"mobilecache/internal/sample"
 	"mobilecache/internal/sim"
+	"mobilecache/internal/trace"
 	"mobilecache/internal/workload"
 )
 
@@ -74,14 +75,22 @@ func runWorkload(opts Options, cfg config.Machine, app workload.Profile, seed ui
 	}, opts.Accesses, 0, opts.Sample)
 }
 
+// runOnMachine replays opts.Accesses of app, generated from seed,
+// through a machine the experiment built itself, outside the engine:
+// the path of the experiments that wire a machine by hand or inspect
+// it after the run. The phase length is workload.PhaseLen's, the rule
+// sim.Run and the trace store use.
+func runOnMachine(opts Options, m *sim.Machine, app workload.Profile, seed uint64) (sim.RunReport, error) {
+	gen, err := workload.NewGenerator(app, seed, workload.PhaseLen(app, opts.Accesses))
+	if err != nil {
+		return sim.RunReport{}, err
+	}
+	return sim.RunTrace(m, app.Name, trace.NewLimitSource(gen, opts.Accesses), 0), nil
+}
+
 // DefaultOptions is the full-size configuration cmd/mcbench uses.
 func DefaultOptions() Options {
 	return Options{Accesses: 400_000, Seed: 1, Apps: workload.Profiles()}
-}
-
-// QuickOptions is a reduced configuration for tests and benchmarks.
-func QuickOptions() Options {
-	return Options{Accesses: 80_000, Seed: 1, Apps: workload.Profiles()[:3]}
 }
 
 // Validate reports option errors.

@@ -12,6 +12,12 @@ func quick() Options {
 	return Options{Accesses: 60_000, Seed: 1, Apps: workload.Profiles()[:3]}
 }
 
+// quickOptions is the reduced configuration of the CI gates: golden
+// audit, sampling validation and equivalence.
+func quickOptions() Options {
+	return Options{Accesses: 80_000, Seed: 1, Apps: workload.Profiles()[:3]}
+}
+
 func runOne(t *testing.T, id string, opts Options) Result {
 	t.Helper()
 	res, err := Run(id, opts)
@@ -25,7 +31,8 @@ func runOne(t *testing.T, id string, opts Options) Result {
 		t.Fatalf("%s: no tables", id)
 	}
 	for _, tb := range res.Tables {
-		if tb.NumRows() == 0 {
+		var csv strings.Builder
+		if err := tb.WriteCSV(&csv); err != nil || strings.Count(csv.String(), "\n") < 2 {
 			t.Fatalf("%s: empty table %q", id, tb.Title)
 		}
 		if !strings.Contains(tb.String(), tb.Columns[0]) {

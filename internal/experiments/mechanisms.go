@@ -8,8 +8,6 @@ import (
 	"mobilecache/internal/mem"
 	"mobilecache/internal/report"
 	"mobilecache/internal/sim"
-	"mobilecache/internal/trace"
-	"mobilecache/internal/workload"
 )
 
 func init() {
@@ -74,14 +72,6 @@ func runE20(opts Options) (Result, error) {
 	var res Result
 	app := opts.Apps[0]
 
-	runOn := func(m *sim.Machine) (sim.RunReport, error) {
-		gen, err := workload.NewGenerator(app, appSeed(opts.Seed, 0), uint64(opts.Accesses/maxInt(app.Phases, 1)))
-		if err != nil {
-			return sim.RunReport{}, err
-		}
-		return sim.RunTrace(m, app.Name, trace.NewLimitSource(gen, opts.Accesses), 0), nil
-	}
-
 	type row struct {
 		name     string
 		capacity string
@@ -113,7 +103,7 @@ func runE20(opts Options) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	setRep, err := runOn(setM)
+	setRep, err := runOnMachine(opts, setM, app, appSeed(opts.Seed, 0))
 	if err != nil {
 		return res, err
 	}
@@ -123,7 +113,7 @@ func runE20(opts Options) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	wayRep, err := runOn(wayM)
+	wayRep, err := runOnMachine(opts, wayM, app, appSeed(opts.Seed, 0))
 	if err != nil {
 		return res, err
 	}

@@ -115,11 +115,9 @@ func runE3(opts Options) (Result, error) {
 	}
 	var l2stream []trace.Access
 	m.Hier.L2Tap = func(a trace.Access) { l2stream = append(l2stream, a) }
-	gen, err := workload.NewGenerator(app, appSeed(opts.Seed, 0), uint64(opts.Accesses/maxInt(app.Phases, 1)))
-	if err != nil {
+	if _, err := runOnMachine(opts, m, app, appSeed(opts.Seed, 0)); err != nil {
 		return res, err
 	}
-	sim.RunTrace(m, app.Name, trace.NewLimitSource(gen, opts.Accesses), 0)
 
 	baseline := core.SegmentConfig{Name: "base", SizeBytes: 1024 * 1024, Ways: 16, BlockBytes: 64, Policy: cache.LRU}
 	candidates := []uint64{64 * 1024, 128 * 1024, 256 * 1024, 512 * 1024, 1024 * 1024}
@@ -183,11 +181,9 @@ func runE4(opts Options) (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		gen, err := workload.NewGenerator(app, appSeed(opts.Seed, i), uint64(opts.Accesses/maxInt(app.Phases, 1)))
-		if err != nil {
+		if _, err := runOnMachine(opts, m, app, appSeed(opts.Seed, i)); err != nil {
 			return res, err
 		}
-		sim.RunTrace(m, app.Name, trace.NewLimitSource(gen, opts.Accesses), 0)
 		runCycles := float64(m.CPU.Now())
 		for _, d := range []trace.Domain{trace.User, trace.Kernel} {
 			cs := m.Static.SegmentCache(d).Stats()

@@ -12,7 +12,6 @@ import (
 	"mobilecache/internal/sim"
 	"mobilecache/internal/sttram"
 	"mobilecache/internal/trace"
-	"mobilecache/internal/workload"
 )
 
 func init() {
@@ -69,11 +68,10 @@ func runE10(opts Options) (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		gen, err := workload.NewGenerator(app, appSeed(opts.Seed, 0), uint64(opts.Accesses/maxInt(app.Phases, 1)))
+		rep, err := runOnMachine(opts, m, app, appSeed(opts.Seed, 0))
 		if err != nil {
 			return res, err
 		}
-		rep := sim.RunTrace(m, app.Name, trace.NewLimitSource(gen, opts.Accesses), 0)
 		kb := m.Static.SegmentEnergy(trace.Kernel)
 		ks := m.Static.SegmentStats(trace.Kernel)
 		tb.AddRow(fmt.Sprintf("%.3gs", ret),
@@ -104,11 +102,9 @@ func runE11(opts Options) (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		gen, err := workload.NewGenerator(app, appSeed(opts.Seed, 0), uint64(opts.Accesses/maxInt(app.Phases, 1)))
-		if err != nil {
+		if _, err := runOnMachine(opts, m, app, appSeed(opts.Seed, 0)); err != nil {
 			return res, err
 		}
-		sim.RunTrace(m, app.Name, trace.NewLimitSource(gen, opts.Accesses), 0)
 		kb := m.Static.SegmentEnergy(trace.Kernel)
 		ks := m.Static.SegmentStats(trace.Kernel)
 		tb.AddRow(pol.String(),

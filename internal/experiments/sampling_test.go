@@ -18,7 +18,7 @@ func TestSampleValidationQuickMatrix(t *testing.T) {
 		t.Skip("full validation grid is slow; run without -short")
 	}
 	t.Cleanup(sim.SetAuditMode(invariant.ModeStrict))
-	v, err := ValidateSample(QuickOptions(), sample.Spec{Factor: 8}, 0.02)
+	v, err := ValidateSample(quickOptions(), sample.Spec{Factor: 8}, 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestSampleValidationQuickMatrix(t *testing.T) {
 // Options.Validate rejects malformed sampling specs before any cell
 // runs, and ValidateSample propagates that rejection.
 func TestSampleOptionsValidation(t *testing.T) {
-	opts := QuickOptions()
+	opts := quickOptions()
 	opts.Sample = sample.Spec{Factor: 3}
 	if err := opts.Validate(); err == nil || !strings.Contains(err.Error(), "power of two") {
 		t.Errorf("factor 3 accepted or wrong error: %v", err)
@@ -52,7 +52,7 @@ func TestSampleOptionsValidation(t *testing.T) {
 // a representative experiment runs end to end with sampling enabled
 // and produces the same table shape as the exact run.
 func TestExperimentRunsSampled(t *testing.T) {
-	opts := QuickOptions()
+	opts := quickOptions()
 	opts.Accesses = 20_000
 	full, err := Run("E1", opts)
 	if err != nil {

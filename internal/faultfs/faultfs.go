@@ -46,8 +46,6 @@ type FS interface {
 	OpenFile(path string, flag int, perm fs.FileMode) (File, error)
 	// Create truncates-or-creates path for writing (os.Create).
 	Create(path string) (File, error)
-	// Open opens path read-only (os.Open).
-	Open(path string) (File, error)
 	// ReadFile returns the whole content of path (os.ReadFile).
 	ReadFile(path string) ([]byte, error)
 	// ReadDir lists path's entries sorted by name (os.ReadDir).
@@ -75,8 +73,6 @@ func (osFS) OpenFile(path string, flag int, perm fs.FileMode) (File, error) {
 }
 
 func (osFS) Create(path string) (File, error) { return os.Create(path) }
-
-func (osFS) Open(path string) (File, error) { return os.Open(path) }
 
 func (osFS) ReadFile(path string) ([]byte, error) { return os.ReadFile(path) }
 

@@ -13,8 +13,7 @@ import (
 type OpKind int
 
 const (
-	OpOpen OpKind = iota
-	OpCreate
+	OpCreate OpKind = iota
 	OpOpenFile
 	OpWrite
 	OpSync
@@ -31,8 +30,6 @@ const (
 // String renders the kind for error messages and op traces.
 func (k OpKind) String() string {
 	switch k {
-	case OpOpen:
-		return "open"
 	case OpCreate:
 		return "create"
 	case OpOpenFile:
@@ -115,7 +112,6 @@ type FaultFS struct {
 
 	mu      sync.Mutex
 	n       int
-	faults  int
 	crashed bool
 	// synced/size track each written path's durable and current byte
 	// length so a simulated crash can drop unsynced data exactly the
@@ -137,20 +133,6 @@ func (f *FaultFS) Ops() int {
 	return f.n
 }
 
-// Faults reports how many operations the injector failed.
-func (f *FaultFS) Faults() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.faults
-}
-
-// Crashed reports whether a crash fault has fired.
-func (f *FaultFS) Crashed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.crashed
-}
-
 // check numbers the op, consults the injector, and applies crash
 // semantics. It returns the fault to apply (nil for a clean op).
 func (f *FaultFS) check(kind OpKind, path, path2 string) *Fault {
@@ -168,7 +150,6 @@ func (f *FaultFS) check(kind OpKind, path, path2 string) *Fault {
 	if ft == nil {
 		return nil
 	}
-	f.faults++
 	if ft.Crash {
 		f.crashed = true
 		f.dropUnsyncedLocked()
@@ -221,13 +202,6 @@ func (f *FaultFS) Create(path string) (File, error) {
 		return nil, err
 	}
 	return f.track(file, true), nil
-}
-
-func (f *FaultFS) Open(path string) (File, error) {
-	if ft := f.check(OpOpen, path, ""); ft != nil {
-		return nil, opErr(OpOpen, path, ft.Err)
-	}
-	return os.Open(path)
 }
 
 func (f *FaultFS) ReadFile(path string) ([]byte, error) {

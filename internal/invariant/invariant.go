@@ -312,28 +312,6 @@ func (a Auditor) checkBreakdown(vs *[]Violation, check string, b energy.Breakdow
 	}
 }
 
-// Err wraps a non-empty violation list into the structured error
-// (nil for a clean report).
-func (a Auditor) Err(r Report) error {
-	vs := a.Check(r)
-	if len(vs) == 0 {
-		return nil
-	}
-	return &Error{Machine: r.Machine, Workload: r.Workload, Violation: vs}
-}
-
-// CheckAll walks a batch of reports and returns one *Error per
-// violating report, in input order.
-func (a Auditor) CheckAll(rs []Report) []*Error {
-	var errs []*Error
-	for _, r := range rs {
-		if vs := a.Check(r); len(vs) != 0 {
-			errs = append(errs, &Error{Machine: r.Machine, Workload: r.Workload, Violation: vs})
-		}
-	}
-	return errs
-}
-
 func finiteNonNeg(x float64) bool {
 	return !math.IsNaN(x) && !math.IsInf(x, 0) && x >= 0
 }

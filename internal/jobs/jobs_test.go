@@ -214,7 +214,7 @@ func TestCancel(t *testing.T) {
 	if _, err := m.ResultCSV(j.ID()); !errors.Is(err, ErrNotFinished) {
 		t.Fatalf("ResultCSV of a cancelled job: err = %v, want ErrNotFinished", err)
 	}
-	entries, info, err := checkpoint.Read(filepath.Join(m.opts.Root, j.ID(), journalFile))
+	entries, info, err := checkpoint.ReadFS(faultfs.OS, filepath.Join(m.opts.Root, j.ID(), journalFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 	// The journal must pass recovery with zero discarded bytes: a
 	// graceful drain never tears the tail.
-	entries, info, err := checkpoint.Read(filepath.Join(root, j.ID(), journalFile))
+	entries, info, err := checkpoint.ReadFS(faultfs.OS, filepath.Join(root, j.ID(), journalFile))
 	if err != nil {
 		t.Fatal(err)
 	}

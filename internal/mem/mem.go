@@ -147,18 +147,6 @@ func (d *DRAM) Reads() uint64 { return d.reads }
 // Writes reports writebacks absorbed.
 func (d *DRAM) Writes() uint64 { return d.writes }
 
-// RowHits reports open-page row-buffer hits (zero under RowFlat).
-func (d *DRAM) RowHits() uint64 { return d.rowHitReads + d.rowHitWrites }
-
-// RowMisses reports row-buffer conflicts (zero under RowFlat: no
-// access classifies, so the difference below is zero by construction).
-func (d *DRAM) RowMisses() uint64 {
-	if d.cfg.Policy != RowOpenPage {
-		return 0
-	}
-	return d.reads + d.writes - d.rowHitReads - d.rowHitWrites
-}
-
 // EnergyJ computes total DRAM access energy from the event counts.
 // Deferring the float math here (rather than accumulating joules per
 // access) mirrors energy.Meter.Breakdown: the hot path stays integer,
@@ -222,9 +210,6 @@ func (l *L1) Stats() *cache.Stats { return l.c.Stats() }
 
 // Energy reports the L1's energy breakdown.
 func (l *L1) Energy() energy.Breakdown { return l.meter.Breakdown() }
-
-// MissRate is the L1's overall miss rate.
-func (l *L1) MissRate() float64 { return l.c.Stats().MissRate() }
 
 // Hierarchy wires CPU-visible accesses through L1s, the L2, and DRAM.
 type Hierarchy struct {

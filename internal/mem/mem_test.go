@@ -56,7 +56,7 @@ func TestDRAMAccounting(t *testing.T) {
 	if got := d.EnergyJ(); got != want {
 		t.Fatalf("energy = %g, want %g", got, want)
 	}
-	if d.RowHits() != 0 || d.RowMisses() != 0 {
+	if d.rowHitReads+d.rowHitWrites != 0 {
 		t.Fatal("flat DRAM tracked row state")
 	}
 }
@@ -73,8 +73,8 @@ func TestDRAMOpenPageRowBehaviour(t *testing.T) {
 	if lat2 != cfg.RowHitCycles {
 		t.Fatalf("same-row access latency = %d, want row-hit %d", lat2, cfg.RowHitCycles)
 	}
-	if d.RowHits() != 1 || d.RowMisses() != 1 {
-		t.Fatalf("row stats = %d hits / %d misses", d.RowHits(), d.RowMisses())
+	if hits := d.rowHitReads + d.rowHitWrites; hits != 1 || d.Reads()-hits != 1 {
+		t.Fatalf("row stats = %d hits / %d misses", hits, d.Reads()-hits)
 	}
 	// A different row in the same bank evicts the open row.
 	rowStride := cfg.RowBytes * uint64(cfg.Banks)
@@ -86,8 +86,8 @@ func TestDRAMOpenPageRowBehaviour(t *testing.T) {
 	}
 	// Writes participate in the same row state.
 	d.Write(0x1000)
-	if d.RowHits() != 2 {
-		t.Fatalf("write to open row not a hit: %d hits", d.RowHits())
+	if hits := d.rowHitReads + d.rowHitWrites; hits != 2 {
+		t.Fatalf("write to open row not a hit: %d hits", hits)
 	}
 }
 

@@ -1,5 +1,5 @@
-// Package report renders experiment results as aligned ASCII tables,
-// CSV, and horizontal bar charts — the textual equivalents of the
+// Package report renders experiment results as aligned ASCII,
+// Markdown and CSV tables and as SVG charts — the equivalents of the
 // paper's tables and figures that cmd/mcbench prints.
 package report
 
@@ -32,14 +32,6 @@ func (t *Table) AddRow(cells ...string) {
 		}
 	}
 	t.rows = append(t.rows, row)
-}
-
-// NumRows reports the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
-// Row returns a copy of row i.
-func (t *Table) Row(i int) []string {
-	return append([]string(nil), t.rows[i]...)
 }
 
 // Fprint writes the table as aligned ASCII.
@@ -149,9 +141,9 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// Bars renders a horizontal bar chart: one labeled row per value,
+// bars renders a horizontal bar chart: one labeled row per value,
 // scaled so the largest value spans width characters.
-func Bars(w io.Writer, title string, labels []string, values []float64, width int) error {
+func bars(w io.Writer, title string, labels []string, values []float64, width int) error {
 	if len(labels) != len(values) {
 		return fmt.Errorf("report: %d labels for %d values", len(labels), len(values))
 	}
@@ -218,8 +210,8 @@ func Bytes(b uint64) string {
 	}
 }
 
-// Normalize divides each value by base, guarding zero.
-func Normalize(values []float64, base float64) []float64 {
+// normalize divides each value by base, guarding zero.
+func normalize(values []float64, base float64) []float64 {
 	out := make([]float64, len(values))
 	for i, v := range values {
 		if base != 0 {

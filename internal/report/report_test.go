@@ -10,8 +10,8 @@ func TestTableRendering(t *testing.T) {
 	tb := NewTable("Demo", "app", "miss", "energy")
 	tb.AddRow("browser", "0.12", "1.2 mJ")
 	tb.AddRow("email", "0.08")
-	if tb.NumRows() != 2 {
-		t.Fatalf("rows = %d", tb.NumRows())
+	if len(tb.rows) != 2 {
+		t.Fatalf("rows = %d", len(tb.rows))
 	}
 	out := tb.String()
 	if !strings.Contains(out, "Demo") || !strings.Contains(out, "browser") {
@@ -37,18 +37,18 @@ func TestTableRendering(t *testing.T) {
 
 func TestTableRowCopy(t *testing.T) {
 	tb := NewTable("t", "a")
-	tb.AddRow("x")
-	row := tb.Row(0)
-	row[0] = "mutated"
-	if tb.Row(0)[0] != "x" {
-		t.Fatal("Row returned a live reference")
+	cells := []string{"x"}
+	tb.AddRow(cells...)
+	cells[0] = "mutated"
+	if out := tb.String(); !strings.Contains(out, "x") || strings.Contains(out, "mutated") {
+		t.Fatalf("AddRow kept a live reference to the caller's cells:\n%s", out)
 	}
 }
 
 func TestTableLongRowTruncated(t *testing.T) {
 	tb := NewTable("t", "a", "b")
 	tb.AddRow("1", "2", "3", "4")
-	if got := tb.Row(0); len(got) != 2 {
+	if got := tb.rows[0]; len(got) != 2 {
 		t.Fatalf("row has %d cells, want 2", len(got))
 	}
 }
@@ -87,7 +87,7 @@ func TestWriteMarkdown(t *testing.T) {
 
 func TestBars(t *testing.T) {
 	var buf bytes.Buffer
-	err := Bars(&buf, "Energy", []string{"base", "sp"}, []float64{1.0, 0.25}, 20)
+	err := bars(&buf, "Energy", []string{"base", "sp"}, []float64{1.0, 0.25}, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestBars(t *testing.T) {
 
 func TestBarsTinyValueVisible(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Bars(&buf, "", []string{"a", "b"}, []float64{1000, 0.001}, 10); err != nil {
+	if err := bars(&buf, "", []string{"a", "b"}, []float64{1000, 0.001}, 10); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
@@ -117,7 +117,7 @@ func TestBarsTinyValueVisible(t *testing.T) {
 }
 
 func TestBarsMismatch(t *testing.T) {
-	if err := Bars(&bytes.Buffer{}, "", []string{"a"}, []float64{1, 2}, 10); err == nil {
+	if err := bars(&bytes.Buffer{}, "", []string{"a"}, []float64{1, 2}, 10); err == nil {
 		t.Fatal("mismatched inputs accepted")
 	}
 }
@@ -150,8 +150,8 @@ func TestWritersPropagateErrors(t *testing.T) {
 	if err := tb.WriteCSV(&failWriter{}); err == nil {
 		t.Error("WriteCSV swallowed a write error")
 	}
-	if err := Bars(&failWriter{}, "title", []string{"a"}, []float64{1}, 10); err == nil {
-		t.Error("Bars swallowed a write error")
+	if err := bars(&failWriter{}, "title", []string{"a"}, []float64{1}, 10); err == nil {
+		t.Error("bars swallowed a write error")
 	}
 }
 
@@ -197,11 +197,11 @@ func TestBytes(t *testing.T) {
 }
 
 func TestNormalize(t *testing.T) {
-	got := Normalize([]float64{2, 4, 8}, 4)
+	got := normalize([]float64{2, 4, 8}, 4)
 	if got[0] != 0.5 || got[1] != 1 || got[2] != 2 {
 		t.Fatalf("normalize = %v", got)
 	}
-	if z := Normalize([]float64{1}, 0); z[0] != 0 {
+	if z := normalize([]float64{1}, 0); z[0] != 0 {
 		t.Fatal("zero base should produce zeros")
 	}
 }

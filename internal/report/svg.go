@@ -206,9 +206,9 @@ func SVGStepLines(title, yLabel string, xs []float64, series map[string][]float6
 	return b.String(), nil
 }
 
-// SortedSeriesNames returns map keys in deterministic order, for
+// sortedSeriesNames returns map keys in deterministic order, for
 // callers that have no natural ordering.
-func SortedSeriesNames(series map[string][]float64) []string {
+func sortedSeriesNames(series map[string][]float64) []string {
 	names := make([]string, 0, len(series))
 	for n := range series {
 		names = append(names, n)

@@ -99,7 +99,7 @@ func TestSVGEscaping(t *testing.T) {
 }
 
 func TestSortedSeriesNames(t *testing.T) {
-	names := SortedSeriesNames(map[string][]float64{"b": nil, "a": nil, "c": nil})
+	names := sortedSeriesNames(map[string][]float64{"b": nil, "a": nil, "c": nil})
 	if len(names) != 3 || names[0] != "a" || names[2] != "c" {
 		t.Fatalf("names = %v", names)
 	}

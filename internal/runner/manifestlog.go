@@ -21,15 +21,10 @@ type ManifestLogger struct {
 	af   *checkpoint.AppendFile
 }
 
-// NewManifestLogger truncates path and opens it for incremental
-// failure lines. Every Record is fsynced (failures are rare and each
-// one must survive the very crash it may be the first symptom of).
-func NewManifestLogger(path string) (*ManifestLogger, error) {
-	return NewManifestLoggerFS(faultfs.OS, path)
-}
-
-// NewManifestLoggerFS is NewManifestLogger over an injectable
-// filesystem.
+// NewManifestLoggerFS truncates path on fsys and opens it for
+// incremental failure lines. Every Record is fsynced (failures are rare
+// and each one must survive the very crash it may be the first symptom
+// of).
 func NewManifestLoggerFS(fsys faultfs.FS, path string) (*ManifestLogger, error) {
 	if err := fsys.Remove(path); err != nil && !os.IsNotExist(err) {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"mobilecache/internal/faultfs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -52,7 +53,7 @@ func TestOnFailureFiresIncrementally(t *testing.T) {
 
 func TestManifestLoggerIncrementalThenFinal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "failures.json")
-	lg, err := NewManifestLogger(path)
+	lg, err := NewManifestLoggerFS(faultfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}

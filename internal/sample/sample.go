@@ -223,11 +223,6 @@ func (sel *Selector) SelectsAddr(addr uint64) bool {
 	return sel.mask[g>>6]>>(g&63)&1 != 0
 }
 
-// SelectsGroup reports whether group g is selected.
-func (sel *Selector) SelectsGroup(g int) bool {
-	return sel.rank[g&(NumGroups-1)] >= 0
-}
-
 // GroupRank returns g's dense index among the selected groups (in
 // ascending group order), or -1 when g is not selected.
 func (sel *Selector) GroupRank(g int) int {
@@ -236,18 +231,7 @@ func (sel *Selector) GroupRank(g int) int {
 
 // LiveSets returns how many of a cache's sets receive traffic under
 // this selector. sets must be a power-of-two multiple of NumGroups —
-// the geometry CheckSets validates.
+// the geometry sim.BuildSampled validates.
 func (sel *Selector) LiveSets(sets int) int {
 	return (sets >> GroupBits) * sel.nsel
-}
-
-// CheckSets validates that a cache geometry is compatible with group
-// selection: at least NumGroups sets, so the group bits are a prefix
-// of every level's set index.
-func (sel *Selector) CheckSets(name string, sets int) error {
-	if sets < NumGroups {
-		return fmt.Errorf("sample: %s has %d sets, fewer than the %d selection groups; set sampling needs >= %d sets per cache",
-			name, sets, NumGroups, NumGroups)
-	}
-	return nil
 }

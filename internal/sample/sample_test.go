@@ -116,7 +116,7 @@ func TestSelectionCountExact(t *testing.T) {
 			}
 			n := 0
 			for g := 0; g < NumGroups; g++ {
-				if sel.SelectsGroup(g) {
+				if sel.GroupRank(g) >= 0 {
 					n++
 				}
 			}
@@ -141,7 +141,7 @@ func TestHashSelectionDiffers(t *testing.T) {
 		}
 		same := true
 		for g := 0; g < NumGroups; g++ {
-			if low.SelectsGroup(g) != hash.SelectsGroup(g) {
+			if (low.GroupRank(g) >= 0) != (hash.GroupRank(g) >= 0) {
 				same = false
 				break
 			}
@@ -158,7 +158,7 @@ func TestHashSelectionDeterministic(t *testing.T) {
 	a, _ := NewSelector(Spec{Factor: 8, Hash: true}, 64)
 	b, _ := NewSelector(Spec{Factor: 8, Hash: true}, 64)
 	for g := 0; g < NumGroups; g++ {
-		if a.SelectsGroup(g) != b.SelectsGroup(g) {
+		if (a.GroupRank(g) >= 0) != (b.GroupRank(g) >= 0) {
 			t.Fatalf("group %d: selection not deterministic", g)
 		}
 	}
@@ -174,9 +174,6 @@ func TestRankBijection(t *testing.T) {
 			seen := make(map[int]int)
 			for g := 0; g < NumGroups; g++ {
 				r := sel.GroupRank(g)
-				if sel.SelectsGroup(g) != (r >= 0) {
-					t.Fatalf("factor %d hash %v group %d: rank %d disagrees with selection", f, hash, g, r)
-				}
 				if r >= 0 {
 					if prev, dup := seen[r]; dup {
 						t.Fatalf("factor %d hash %v: rank %d assigned to groups %d and %d", f, hash, r, prev, g)
@@ -237,8 +234,8 @@ func TestSelectsAddrMatchesGroup(t *testing.T) {
 		// Several addresses landing in group g: vary tag and offset.
 		for _, base := range []uint64{0, 1 << 20, 0xabc00000} {
 			addr := base + uint64(g)*64 + 17
-			if sel.SelectsAddr(addr) != sel.SelectsGroup(g) {
-				t.Fatalf("addr %#x in group %d: SelectsAddr disagrees with SelectsGroup", addr, g)
+			if sel.SelectsAddr(addr) != (sel.GroupRank(g) >= 0) {
+				t.Fatalf("addr %#x in group %d: SelectsAddr disagrees with GroupRank", addr, g)
 			}
 		}
 	}
@@ -267,12 +264,6 @@ func TestLiveSets(t *testing.T) {
 	full, _ := NewSelector(Spec{Factor: 1}, 64)
 	if got := full.LiveSets(1024); got != 1024 {
 		t.Errorf("LiveSets(1024) at 1/1 = %d, want 1024", got)
-	}
-	if err := sel.CheckSets("l1d", 64); err == nil {
-		t.Error("CheckSets(64): expected error for sub-group geometry")
-	}
-	if err := sel.CheckSets("l2", 1024); err != nil {
-		t.Errorf("CheckSets(1024): %v", err)
 	}
 }
 

@@ -171,9 +171,6 @@ func New[K comparable, V any](cfg Config[K, V]) *Cache[K, V] {
 	return c
 }
 
-// Shards reports the stripe count.
-func (c *Cache[K, V]) Shards() int { return len(c.shards) }
-
 func (c *Cache[K, V]) shardFor(key K) *shard[K, V] {
 	return &c.shards[c.hash(key)&c.mask]
 }

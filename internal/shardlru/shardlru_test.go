@@ -65,7 +65,7 @@ func TestSingleShardExactLRU(t *testing.T) {
 func TestShardedBudgetSplit(t *testing.T) {
 	const budget = 10
 	c := newTest(4, budget)
-	if got := c.Shards(); got != 4 {
+	if got := len(c.shards); got != 4 {
 		t.Fatalf("Shards = %d, want 4", got)
 	}
 	var sum int64
@@ -109,7 +109,7 @@ func TestShardClamping(t *testing.T) {
 		{8, 1, 1},            // one-unit budget degenerates to one stripe
 	} {
 		c := newTest(tc.shards, tc.budget)
-		if got := c.Shards(); got != tc.want {
+		if got := len(c.shards); got != tc.want {
 			t.Errorf("Shards(%d, budget %d) = %d, want %d", tc.shards, tc.budget, got, tc.want)
 		}
 	}

@@ -183,85 +183,3 @@ func TestRunSegmentedExactPackedTier(t *testing.T) {
 		}
 	}
 }
-
-// snapRun captures the comparable outcome of a finished replay.
-type snapRun struct {
-	cpu     interface{}
-	l2      interface{}
-	energy  interface{}
-	reads   uint64
-	writes  uint64
-	powered uint64
-}
-
-func snapOf(m *Machine, cpuRes interface{}) snapRun {
-	return snapRun{
-		cpu: cpuRes, l2: m.L2.Stats(), energy: m.Hier.Energy(),
-		reads: m.DRAM.Reads(), writes: m.DRAM.Writes(), powered: m.L2.PoweredBytes(),
-	}
-}
-
-// TestSnapshotRestoreContinue pins the snapshot contract: interrupting
-// a replay with Snapshot, continuing to the end, then rewinding with
-// Restore and replaying the identical tail again reproduces the same
-// outcome bit-for-bit — and both match the uninterrupted run.
-func TestSnapshotRestoreContinue(t *testing.T) {
-	store := tracestore.New(0)
-	prof := smallProfile()
-	const total = 40_000
-	const cut = 17_500
-	tr, err := store.GetTrace(prof, 23, total)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range StandardMachineNames() {
-		cfg, err := MachineByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m1, err := Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c1 := tr.Packed.Cursor()
-		rep := RunTrace(m1, prof.Name, &c1, 0)
-
-		m2, err := Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cur := tr.Packed.Cursor()
-		rs := m2.CPU.NewRunState()
-		m2.CPU.RunFrom(rs, &cur, cut)
-
-		snap := m2.Snapshot()
-		rsSnap := *rs // RunState is a plain value: copy = snapshot
-
-		// First continuation, through to the end.
-		m2.CPU.RunFrom(rs, &cur, 0)
-		m2.CPU.Finish()
-		first := snapOf(m2, rs.Result())
-
-		if !reflect.DeepEqual(rep.CPU, rs.Result()) {
-			t.Fatalf("%s: interrupted replay CPU diverges from uninterrupted:\n uninterrupted %+v\n interrupted   %+v", name, rep.CPU, rs.Result())
-		}
-		if !reflect.DeepEqual(rep.Energy, first.energy) {
-			t.Fatalf("%s: interrupted replay energy diverges from uninterrupted", name)
-		}
-
-		// Rewind and replay the identical tail from a fresh cursor.
-		m2.Restore(snap)
-		rs2 := rsSnap
-		tail := tr.Packed.Cursor()
-		if n := tail.Decode(make([]trace.Access, cut)); n != cut {
-			t.Fatalf("tail cursor skipped %d records, want %d", n, cut)
-		}
-		m2.CPU.RunFrom(&rs2, &tail, 0)
-		m2.CPU.Finish()
-		second := snapOf(m2, rs2.Result())
-
-		if !reflect.DeepEqual(first, second) {
-			t.Fatalf("%s: restored tail replay diverges from first continuation:\n first  %+v\n second %+v", name, first, second)
-		}
-	}
-}

@@ -12,30 +12,15 @@ type Mean struct {
 	n    uint64
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Observe incorporates one sample.
 func (m *Mean) Observe(x float64) {
-	if m.n == 0 {
-		m.min, m.max = x, x
-	} else {
-		if x < m.min {
-			m.min = x
-		}
-		if x > m.max {
-			m.max = x
-		}
-	}
 	m.n++
 	d := x - m.mean
 	m.mean += d / float64(m.n)
 	m.m2 += d * (x - m.mean)
 }
-
-// Count reports the number of samples observed.
-func (m *Mean) Count() uint64 { return m.n }
 
 // Value reports the running mean, or 0 with no samples.
 func (m *Mean) Value() float64 { return m.mean }
@@ -50,15 +35,6 @@ func (m *Mean) Variance() float64 {
 
 // StdDev reports the population standard deviation.
 func (m *Mean) StdDev() float64 { return math.Sqrt(m.Variance()) }
-
-// Min reports the smallest observed sample, or 0 with no samples.
-func (m *Mean) Min() float64 { return m.min }
-
-// Max reports the largest observed sample, or 0 with no samples.
-func (m *Mean) Max() float64 { return m.max }
-
-// Reset discards all samples.
-func (m *Mean) Reset() { *m = Mean{} }
 
 // GeoMean computes the geometric mean of positive values; zero or
 // negative entries are skipped (returning 0 if none remain). Geometric

@@ -12,17 +12,14 @@ func TestMeanKnownValues(t *testing.T) {
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		m.Observe(x)
 	}
-	if m.Count() != 8 {
-		t.Fatalf("count = %d, want 8", m.Count())
+	if m.n != 8 {
+		t.Fatalf("count = %d, want 8", m.n)
 	}
 	if m.Value() != 5 {
 		t.Fatalf("mean = %g, want 5", m.Value())
 	}
 	if m.StdDev() != 2 {
 		t.Fatalf("stddev = %g, want 2", m.StdDev())
-	}
-	if m.Min() != 2 || m.Max() != 9 {
-		t.Fatalf("min/max = %g/%g, want 2/9", m.Min(), m.Max())
 	}
 }
 
@@ -32,8 +29,11 @@ func TestMeanEmptyAndReset(t *testing.T) {
 		t.Fatal("empty mean should be zero")
 	}
 	m.Observe(10)
-	m.Reset()
-	if m.Count() != 0 || m.Value() != 0 {
+	if m.Value() != 10 || m.Variance() != 0 {
+		t.Fatalf("one sample: mean %g variance %g, want 10 and 0", m.Value(), m.Variance())
+	}
+	m = Mean{}
+	if m.n != 0 || m.Value() != 0 {
 		t.Fatal("reset mean should be zero")
 	}
 }
@@ -53,7 +53,7 @@ func TestMeanMatchesNaive(t *testing.T) {
 			n++
 		}
 		if n == 0 {
-			return m.Count() == 0
+			return m.n == 0
 		}
 		naive := sum / float64(n)
 		return math.Abs(m.Value()-naive) <= 1e-6*(1+math.Abs(naive))

@@ -41,13 +41,11 @@ func Example() {
 func ExampleRetentionFromStability() {
 	for _, delta := range []float64{30, 40} {
 		sec := sttram.RetentionFromStability(delta)
-		back := sttram.StabilityForRetention(sec)
-		fmt.Printf("delta=%.0f retention~1e%d s roundtrip=%.0f\n",
-			delta, int(log10(sec)), back)
+		fmt.Printf("delta=%.0f retention~1e%d s\n", delta, int(log10(sec)))
 	}
 	// Output:
-	// delta=30 retention~1e4 s roundtrip=30
-	// delta=40 retention~1e8 s roundtrip=40
+	// delta=30 retention~1e4 s
+	// delta=40 retention~1e8 s
 }
 
 func log10(x float64) float64 {

@@ -119,11 +119,11 @@ func TestSetRetentionFaultsClamps(t *testing.T) {
 	c, _ := cache.New(cache.Config{Name: "c", SizeBytes: 2048, Ways: 2, BlockBytes: 64, Policy: cache.LRU})
 	ct, _ := NewController(c, nil, 1000, DirtyOnly, nil)
 	ct.SetRetentionFaults(-0.5, 1)
-	if ct.FaultBER() != 0 {
-		t.Fatalf("negative BER not clamped: %g", ct.FaultBER())
+	if ct.faultBER != 0 {
+		t.Fatalf("negative BER not clamped: %g", ct.faultBER)
 	}
 	ct.SetRetentionFaults(7, 1)
-	if ct.FaultBER() != 1 {
-		t.Fatalf("BER > 1 not clamped: %g", ct.FaultBER())
+	if ct.faultBER != 1 {
+		t.Fatalf("BER > 1 not clamped: %g", ct.faultBER)
 	}
 }

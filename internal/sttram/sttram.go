@@ -36,7 +36,6 @@ import (
 
 	"mobilecache/internal/cache"
 	"mobilecache/internal/energy"
-	"mobilecache/internal/trace"
 )
 
 // RefreshPolicy selects how a short-retention array stays correct.
@@ -86,14 +85,6 @@ func ParseRefreshPolicy(name string) (RefreshPolicy, error) {
 // retention/write-energy trade-off.
 func RetentionFromStability(delta float64) float64 {
 	return 1e-9 * math.Exp(delta)
-}
-
-// StabilityForRetention inverts RetentionFromStability.
-func StabilityForRetention(seconds float64) float64 {
-	if seconds <= 0 {
-		return 0
-	}
-	return math.Log(seconds / 1e-9)
 }
 
 // Stats counts controller activity.
@@ -246,9 +237,6 @@ func (ct *Controller) SetRetentionFaults(ber float64, seed uint64) {
 	ct.faultSeed = seed
 }
 
-// FaultBER reports the injected per-fill fault probability.
-func (ct *Controller) FaultBER() float64 { return ct.faultBER }
-
 // mix64 is a splitmix64 finalizer — the diffuser behind fault draws.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
@@ -287,30 +275,17 @@ func (ct *Controller) effectiveRetention(set, way int, writtenAt uint64) uint64 
 	return fr
 }
 
-// RefreshLimit reports the idle-refresh cap.
-func (ct *Controller) RefreshLimit() uint32 { return ct.refreshLimit }
-
-// Retention reports the configured retention in cycles (0 = unbounded).
-func (ct *Controller) Retention() uint64 { return ct.retention }
-
-// Policy reports the configured refresh policy.
-func (ct *Controller) Policy() RefreshPolicy { return ct.policy }
-
 // Stats exposes the counters; treat as read-only.
 func (ct *Controller) Stats() *Stats { return &ct.stats }
 
-// Active reports whether the controller does anything (bounded
-// retention).
-func (ct *Controller) Active() bool { return ct.retention > 0 }
-
-// Expired reports whether the line at (set, way) has outlived its
-// retention at time now. Inert controllers never report expiry.
 // CanExpire reports whether lines in this array can ever lose data —
 // false for unbounded-retention technologies (SRAM), where Tick and
 // Expired are no-ops. The access hot path uses this to skip the
 // per-access expiry bookkeeping entirely.
 func (ct *Controller) CanExpire() bool { return ct.retention != 0 }
 
+// Expired reports whether the line at (set, way) has outlived its
+// retention at time now. Inert controllers never report expiry.
 func (ct *Controller) Expired(set, way int, now uint64) bool {
 	if ct.retention == 0 {
 		return false
@@ -444,11 +419,10 @@ func (ct *Controller) scan(t uint64) {
 	}
 }
 
-// RefreshPowerEstimate returns the steady-state refresh power (watts)
+// refreshPowerEstimate returns the steady-state refresh power (watts)
 // of an array with the given valid-line count under PeriodicAll: each
-// line costs one read+write per scan period. Used by sizing heuristics
-// and the retention-sweep experiment for context.
-func RefreshPowerEstimate(p energy.Params, validLines int) float64 {
+// line costs one read+write per scan period.
+func refreshPowerEstimate(p energy.Params, validLines int) float64 {
 	if p.RetentionCycles == 0 || validLines == 0 {
 		return 0
 	}
@@ -488,6 +462,3 @@ func bitsLenU64(x uint64) int {
 	}
 	return n
 }
-
-// Domain is re-exported for callers configuring per-domain segments.
-type Domain = trace.Domain

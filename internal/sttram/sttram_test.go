@@ -38,14 +38,11 @@ func TestRetentionStabilityRoundTrip(t *testing.T) {
 	f := func(raw uint8) bool {
 		delta := 20 + float64(raw%40) // 20..59, physical range
 		sec := RetentionFromStability(delta)
-		back := StabilityForRetention(sec)
+		back := math.Log(sec / 1e-9) // t = t0 * exp(delta), t0 = 1ns
 		return math.Abs(back-delta) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-	if StabilityForRetention(0) != 0 || StabilityForRetention(-1) != 0 {
-		t.Fatal("non-positive retention should map to stability 0")
 	}
 }
 
@@ -66,8 +63,8 @@ func TestInertController(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ct.Active() {
-		t.Fatal("zero-retention controller claims active")
+	if ct.CanExpire() {
+		t.Fatal("zero-retention controller can expire lines")
 	}
 	c.Access(0x40, true, trace.User, 1)
 	ct.Tick(1 << 40)
@@ -260,23 +257,23 @@ func TestHandleExpiredAccounting(t *testing.T) {
 
 func TestRefreshPowerEstimate(t *testing.T) {
 	p := energy.DefaultParams(energy.STTShort)
-	if RefreshPowerEstimate(p, 0) != 0 {
+	if refreshPowerEstimate(p, 0) != 0 {
 		t.Fatal("empty array should need no refresh power")
 	}
-	w := RefreshPowerEstimate(p, 1000)
+	w := refreshPowerEstimate(p, 1000)
 	if w <= 0 {
 		t.Fatal("refresh power should be positive")
 	}
 	// Twice the lines, twice the power.
-	if math.Abs(RefreshPowerEstimate(p, 2000)-2*w) > 1e-12 {
+	if math.Abs(refreshPowerEstimate(p, 2000)-2*w) > 1e-12 {
 		t.Fatal("refresh power not linear in lines")
 	}
 	// Unbounded retention needs none.
-	if RefreshPowerEstimate(energy.DefaultParams(energy.STTLong), 1000) != 0 {
+	if refreshPowerEstimate(energy.DefaultParams(energy.STTLong), 1000) != 0 {
 		t.Fatal("long retention should need no refresh")
 	}
 	// Longer retention -> less refresh power.
-	med := RefreshPowerEstimate(energy.DefaultParams(energy.STTMedium), 1000)
+	med := refreshPowerEstimate(energy.DefaultParams(energy.STTMedium), 1000)
 	if med >= w {
 		t.Fatalf("medium retention refresh power %g not below short %g", med, w)
 	}

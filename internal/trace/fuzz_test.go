@@ -18,7 +18,7 @@ func FuzzParseTextLine(f *testing.F) {
 	f.Add("user load 0x10")
 	f.Add("daemon jump zz zz -1")
 	f.Fuzz(func(t *testing.T, line string) {
-		a, err := ParseTextLine(line)
+		a, err := parseTextLine(line)
 		if err != nil {
 			return
 		}
@@ -30,7 +30,7 @@ func FuzzParseTextLine(f *testing.F) {
 		if _, werr := WriteText(&buf, NewSliceSource([]Access{a})); werr != nil {
 			t.Fatalf("re-serialize failed: %v", werr)
 		}
-		b, err2 := ParseTextLine(strings.TrimSpace(buf.String()))
+		b, err2 := parseTextLine(strings.TrimSpace(buf.String()))
 		if err2 != nil {
 			t.Fatalf("round trip failed for %q: %v", line, err2)
 		}

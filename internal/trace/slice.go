@@ -17,15 +17,6 @@ type SliceCursor struct {
 // NewSliceCursor returns a cursor positioned at the first record.
 func NewSliceCursor(recs []Access) SliceCursor { return SliceCursor{recs: recs} }
 
-// Len reports the total number of records in the underlying trace.
-func (c *SliceCursor) Len() int { return len(c.recs) }
-
-// Remaining reports how many records are left to replay.
-func (c *SliceCursor) Remaining() int { return len(c.recs) - c.i }
-
-// Reset rewinds the cursor to the beginning of the trace.
-func (c *SliceCursor) Reset() { c.i = 0 }
-
 // Batch returns up to max records as a sub-slice of the underlying
 // trace, advancing the cursor past them; nil at end of trace. Callers
 // must not modify the returned records.

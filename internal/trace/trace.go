@@ -38,8 +38,8 @@ func (d Domain) String() string {
 	}
 }
 
-// Other returns the opposite domain.
-func (d Domain) Other() Domain {
+// other returns the opposite domain.
+func (d Domain) other() Domain {
 	if d == User {
 		return Kernel
 	}
@@ -142,12 +142,6 @@ func (s *SliceSource) Next() (Access, bool) {
 	s.pos++
 	return a, true
 }
-
-// Reset rewinds the source to the beginning.
-func (s *SliceSource) Reset() { s.pos = 0 }
-
-// Len reports the total number of records.
-func (s *SliceSource) Len() int { return len(s.recs) }
 
 // Collect drains a source into a slice, stopping after max records
 // (max <= 0 means no limit).

@@ -23,14 +23,6 @@ const (
 	BlockBytes = 64
 )
 
-// DomainOf classifies a generated address back into its domain.
-func DomainOf(addr uint64) trace.Domain {
-	if addr >= 0xffff_0000_0000_0000 {
-		return trace.Kernel
-	}
-	return trace.User
-}
-
 // Profile parameterizes one synthetic application. The fields fix
 // exactly the stream statistics the paper's cache designs are
 // sensitive to.
@@ -244,9 +236,6 @@ func (g *Generator) nextPhase() {
 	}
 	g.user.zipf = NewZipf(blocks, g.prof.UserZipf)
 }
-
-// Profile returns the profile this generator was built from.
-func (g *Generator) Profile() Profile { return g.prof }
 
 // Next produces the next access. The stream is infinite; ok is always
 // true.

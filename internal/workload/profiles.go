@@ -2,11 +2,8 @@ package workload
 
 import "fmt"
 
-// KB and MB are byte-size helpers for profile literals.
-const (
-	KB uint64 = 1024
-	MB uint64 = 1024 * KB
-)
+// KB is the byte-size helper for profile literals.
+const KB uint64 = 1024
 
 // Profiles returns the ten interactive-app profiles used throughout the
 // experiments. They stand in for the Android applications the paper

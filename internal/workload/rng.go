@@ -88,9 +88,9 @@ func (g geometric) Sample(r *RNG) int {
 	return k
 }
 
-// Fork derives an independent generator whose stream does not overlap
+// fork derives an independent generator whose stream does not overlap
 // with the parent's in practice (distinct multiplier-mixed state).
-func (r *RNG) Fork() *RNG {
+func (r *RNG) fork() *RNG {
 	return NewRNG(r.Uint64() ^ 0xd1342543de82ef95)
 }
 
@@ -136,9 +136,6 @@ func harmonic(n int, s float64) float64 {
 	}
 	return (math.Pow(float64(n), 1-s) - 1) / (1 - s) * 1.0
 }
-
-// N reports the population size.
-func (z *Zipf) N() int { return z.n }
 
 // Sample draws a rank in [0, n); rank 0 is the most popular.
 func (z *Zipf) Sample(r *RNG) int {

@@ -151,7 +151,7 @@ func TestGeometricMatchesReference(t *testing.T) {
 
 func TestRNGFork(t *testing.T) {
 	parent := NewRNG(23)
-	child := parent.Fork()
+	child := parent.fork()
 	same := 0
 	for i := 0; i < 1000; i++ {
 		if parent.Uint64() == child.Uint64() {
