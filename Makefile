@@ -73,7 +73,8 @@ torture:
 
 # serve-smoke boots cmd/mcserved against a scratch store, submits a
 # tiny sweep over HTTP, streams the results, downloads the CSV, checks
-# /healthz, /readyz and /metrics, and requires a clean SIGTERM drain.
+# /healthz, /readyz and /metrics, and requires a clean SIGTERM drain;
+# then it drives a full-disk episode and a per-cell deadline episode.
 serve-smoke:
 	sh scripts/serve_smoke.sh
 

@@ -49,7 +49,6 @@ type options struct {
 	maxClientJobs int
 	maxCells      int
 	timeout       time.Duration
-	retries       int
 	keepGoing     bool
 	audit         string
 	traceCacheMB  int
@@ -64,11 +63,10 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.IntVar(&o.maxJobs, "max-jobs", jobs.DefaultMaxJobs, "admission bound: concurrent non-terminal jobs")
 	fs.IntVar(&o.maxClientJobs, "max-client-jobs", jobs.DefaultMaxClientJobs, "per-client concurrent job bound")
 	fs.IntVar(&o.maxCells, "max-cells", jobs.DefaultMaxCellsPerJob, "per-job cell budget")
-	fs.DurationVar(&o.timeout, "timeout", 0, "per-cell timeout (0 = none)")
-	fs.IntVar(&o.retries, "retries", 0, "per-cell retries after the first attempt")
-	fs.BoolVar(&o.keepGoing, "keep-going", true, "let sibling cells finish when a cell exhausts its attempts")
-	fs.StringVar(&o.audit, "audit", "", "invariant audit mode for all simulations (off, sampled, full)")
-	fs.IntVar(&o.traceCacheMB, "trace-cache-mb", 0, "trace arena budget in MiB (0 = engine default)")
+	fs.DurationVar(&o.timeout, "timeout", 0, "per-cell deadline; a cell that reaches it stops and fails (0 = none)")
+	fs.BoolVar(&o.keepGoing, "keep-going", true, "let sibling cells finish when a cell fails")
+	fs.StringVar(&o.audit, "audit", "", "invariant audit mode for all simulations: off, warn or strict")
+	fs.IntVar(&o.traceCacheMB, "trace-cache-mb", 256, "trace arena LRU budget in MB (0 = unlimited)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "graceful-shutdown drain deadline")
 	fs.DurationVar(&o.probeInterval, "probe-interval", jobs.DefaultProbeInterval,
 		"how often a degraded store is probed before reopening admission")
@@ -96,9 +94,6 @@ func (o *options) validate() error {
 	if o.timeout < 0 {
 		return fmt.Errorf("-timeout must be >= 0 (got %v)", o.timeout)
 	}
-	if o.retries < 0 {
-		return fmt.Errorf("-retries must be >= 0 (got %d)", o.retries)
-	}
 	if o.traceCacheMB < 0 {
 		return fmt.Errorf("-trace-cache-mb must be >= 0 (got %d)", o.traceCacheMB)
 	}
@@ -114,6 +109,25 @@ func (o *options) validate() error {
 		}
 	}
 	return nil
+}
+
+// jobsOptions maps the flags onto the job manager's options.
+// -trace-cache-mb goes through engine.TraceBudgetMB, so 0 means an
+// unlimited arena here exactly as on mcsweep and mcbench.
+func (o *options) jobsOptions(log io.Writer, fsys faultfs.FS) jobs.Options {
+	return jobs.Options{
+		Root:             o.data,
+		Workers:          o.workers,
+		MaxJobs:          o.maxJobs,
+		MaxClientJobs:    o.maxClientJobs,
+		MaxCellsPerJob:   o.maxCells,
+		Timeout:          o.timeout,
+		KeepGoing:        o.keepGoing,
+		TraceBudgetBytes: engine.TraceBudgetMB(o.traceCacheMB),
+		Log:              log,
+		FS:               fsys,
+		ProbeInterval:    o.probeInterval,
+	}
 }
 
 func main() {
@@ -156,20 +170,7 @@ func run(args []string, out, errOut io.Writer) int {
 		storeFS = faultfs.New(plan)
 	}
 
-	mgr, err := jobs.New(jobs.Options{
-		Root:             opt.data,
-		Workers:          opt.workers,
-		MaxJobs:          opt.maxJobs,
-		MaxClientJobs:    opt.maxClientJobs,
-		MaxCellsPerJob:   opt.maxCells,
-		Timeout:          opt.timeout,
-		Retries:          opt.retries,
-		KeepGoing:        opt.keepGoing,
-		TraceBudgetBytes: int64(opt.traceCacheMB) << 20,
-		Log:              errOut,
-		FS:               storeFS,
-		ProbeInterval:    opt.probeInterval,
-	})
+	mgr, err := jobs.New(opt.jobsOptions(errOut, storeFS))
 	if err != nil {
 		fmt.Fprintf(errOut, "mcserved: %v\n", err)
 		return 1

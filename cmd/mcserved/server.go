@@ -228,7 +228,7 @@ func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 
 	gauge("mcserved_uptime_seconds", "Seconds since the daemon started.", st.Uptime.Seconds())
 	counter("mcserved_cells_done_total", "Cells completed successfully (resumed replays included).", st.CellsDone)
-	counter("mcserved_cells_failed_total", "Cells that exhausted their attempts.", st.CellsFailed)
+	counter("mcserved_cells_failed_total", "Cells that failed.", st.CellsFailed)
 	counter("mcserved_cells_resumed_total", "Cells replayed from checkpoint journals instead of re-simulated.", st.CellsResumed)
 	counter("mcserved_jobs_recovered_total", "Interrupted jobs resumed at startup.", st.JobsRecovered)
 	counter("mcserved_io_errors_total", "Persistence-path I/O faults absorbed (ENOSPC, EIO, crash).", st.IOErrors)

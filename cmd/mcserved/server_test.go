@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -373,6 +374,40 @@ func TestRunFlagValidation(t *testing.T) {
 		}
 		if errOut.Len() == 0 {
 			t.Fatalf("run(%v) produced no diagnostic", bad)
+		}
+	}
+}
+
+// Cells run once, so the retired retry knob is an undefined flag.
+func TestRunRejectsRetiredRetriesFlag(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-retries", "1"}, &out, &errOut); code != 2 {
+		t.Fatalf("run(-retries 1) = %d, want 2", code)
+	}
+	if !strings.Contains(errOut.String(), "not defined: -retries") {
+		t.Fatalf("stderr %q, want an undefined-flag error", errOut.String())
+	}
+}
+
+// -trace-cache-mb means what it means on mcsweep and mcbench: 256 MB by
+// default, and 0 is an unlimited arena, not the engine default.
+func TestTraceCacheFlagMapping(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want int64
+	}{
+		{nil, 256 << 20},
+		{[]string{"-trace-cache-mb", "64"}, 64 << 20},
+		{[]string{"-trace-cache-mb", "0"}, -1},
+	} {
+		fs := flag.NewFlagSet("mcserved", flag.ContinueOnError)
+		var opt options
+		opt.register(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		if got := opt.jobsOptions(nil, nil).TraceBudgetBytes; got != tc.want {
+			t.Errorf("%v: TraceBudgetBytes = %d, want %d", tc.args, got, tc.want)
 		}
 	}
 }

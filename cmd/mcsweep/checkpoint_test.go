@@ -33,7 +33,8 @@ func TestFlagValidationFailsFast(t *testing.T) {
 		{"zero-jobs", []string{"-jobs", "0"}, "-jobs"},
 		{"negative-jobs", []string{"-jobs", "-4"}, "-jobs"},
 		{"negative-timeout", []string{"-timeout", "-1s"}, "-timeout"},
-		{"negative-retries", []string{"-retries", "-1"}, "-retries"},
+		// Cells run once; the retired retry knob is an undefined flag.
+		{"retired-retries", []string{"-retries", "1"}, "not defined: -retries"},
 		{"negative-trace-cache", []string{"-trace-cache-mb", "-1"}, "-trace-cache-mb"},
 		{"resume-without-checkpoint", []string{"-resume"}, "-resume"},
 		{"bad-audit-mode", []string{"-audit", "loud"}, "-audit"},

@@ -91,7 +91,7 @@ func referenceSweepCSV(t *testing.T, spec Spec, rcfg runner.Config) []byte {
 			if err != nil {
 				return sim.RunReport{}, err
 			}
-			return sim.Run(store, cfg, c.app, c.seed, spec.Warmup, spec.Accesses, sample.Spec{})
+			return sim.Run(context.Background(), store, cfg, c.app, c.seed, spec.Warmup, spec.Accesses, sample.Spec{})
 		})
 	if err != nil && !rcfg.KeepGoing {
 		t.Fatal(err)

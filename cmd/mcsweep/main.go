@@ -9,7 +9,7 @@
 // Usage:
 //
 //	mcsweep -spec sweep.json [-o results.csv]
-//	mcsweep -spec sweep.json -jobs 8 -timeout 5m -retries 2 \
+//	mcsweep -spec sweep.json -jobs 8 -timeout 5m \
 //	        -keep-going -failures-out failed.json
 //	mcsweep -spec sweep.json -checkpoint sweep.ckpt           # journal cells
 //	mcsweep -spec sweep.json -checkpoint sweep.ckpt -resume   # skip done cells
@@ -129,7 +129,6 @@ func defaultSpec() Spec {
 type options struct {
 	jobs           int
 	timeout        time.Duration
-	retries        int
 	keepGoing      bool
 	failuresOut    string
 	traceCacheMB   int
@@ -155,9 +154,6 @@ func (o *options) validate() error {
 	}
 	if o.timeout < 0 {
 		return fmt.Errorf("-timeout %v is negative; use 0 to disable the per-cell deadline", o.timeout)
-	}
-	if o.retries < 0 {
-		return fmt.Errorf("-retries %d is negative; use 0 to disable retries", o.retries)
 	}
 	if o.traceCacheMB < 0 {
 		return fmt.Errorf("-trace-cache-mb %d is negative; use 0 for an unlimited arena", o.traceCacheMB)
@@ -203,8 +199,7 @@ func run(args []string, out, errOut io.Writer) error {
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile here")
 	var opt options
 	fs.IntVar(&opt.jobs, "jobs", runtime.GOMAXPROCS(0), "parallel cells")
-	fs.DurationVar(&opt.timeout, "timeout", 0, "per-cell deadline (0 = none)")
-	fs.IntVar(&opt.retries, "retries", 0, "retries per cell for transient failures")
+	fs.DurationVar(&opt.timeout, "timeout", 0, "per-cell deadline; a cell that reaches it stops and fails (0 = none)")
 	fs.BoolVar(&opt.keepGoing, "keep-going", false, "record failed cells and finish the sweep (still exits non-zero)")
 	fs.StringVar(&opt.failuresOut, "failures-out", "", "write the failure manifest JSON here (incrementally, then finalized)")
 	fs.IntVar(&opt.traceCacheMB, "trace-cache-mb", 256, "trace arena LRU budget in MB (0 = unlimited)")
@@ -328,7 +323,6 @@ func sweep(ctx context.Context, spec Spec, opt options, sink engine.Sink, errOut
 	eng := engine.New(engine.Config{
 		Workers:          opt.jobs,
 		Timeout:          opt.timeout,
-		Retries:          opt.retries,
 		KeepGoing:        opt.keepGoing,
 		TraceBudgetBytes: engine.TraceBudgetMB(opt.traceCacheMB),
 	})

@@ -346,25 +346,6 @@ func TestChaosWithoutKeepGoingAborts(t *testing.T) {
 	}
 }
 
-func TestRetriesRecoverFlakyCells(t *testing.T) {
-	restore := sim.InstallChaos(&sim.Chaos{FlakyRate: 1, Seed: 11})
-	defer restore()
-	var out bytes.Buffer
-	spec := writeSpec(t, `{"machines":["baseline-sram"],"apps":["music"],"seeds":[1,2],"accesses":2000}`)
-	// Without retries every cell fails on its first (flaky) attempt.
-	if err := run([]string{"-spec", spec, "-keep-going"}, &out, io.Discard); err == nil {
-		t.Fatal("flaky cells succeeded without retries")
-	}
-	out.Reset()
-	if err := run([]string{"-spec", spec, "-retries", "1"}, &out, io.Discard); err != nil {
-		t.Fatalf("retried sweep failed: %v", err)
-	}
-	rows, err := csv.NewReader(strings.NewReader(out.String())).ReadAll()
-	if err != nil || len(rows) != 3 {
-		t.Fatalf("retried sweep rows = %d, err %v; want 3", len(rows), err)
-	}
-}
-
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	spec := writeSpec(t, `{
 		"machines": ["baseline-sram", "sp-mr"],

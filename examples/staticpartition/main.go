@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -95,7 +96,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := sim.Run(nil, spmr, app, seed, 0, accesses, sample.Spec{})
+	rep, err := sim.Run(context.Background(), nil, spmr, app, seed, 0, accesses, sample.Spec{})
 	if err != nil {
 		log.Fatal(err)
 	}

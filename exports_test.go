@@ -28,7 +28,7 @@ var exportAllowlist = map[string]string{
 	"faultfs.(*Plan).CrashBeforeRename": "fault-injection seam: power loss inside the atomic-replace window WriteFileAtomic must survive",
 	"faultfs.(*Plan).FailKind":          "fault-injection seam: fails every op of one kind, such as checkpoint fsyncs, for the crash-consistency tests",
 	"faultfs.(*Plan).ShortWriteNth":     "fault-injection seam: the torn-record schedule that make torture and journal recovery inject",
-	"sim.InstallChaos":                  "fault-injection seam: fails cells mid-sweep to exercise the runner's retry, -keep-going and manifest paths",
+	"sim.InstallChaos":                  "fault-injection seam: fails cells mid-sweep to exercise the runner's panic containment, -keep-going and manifest paths",
 	"sim.SetAuditTamper":                "fault-injection seam: miscounts a report to show the strict audit catches it end to end",
 }
 

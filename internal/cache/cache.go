@@ -396,11 +396,18 @@ func (c *Cache) Meta(set, way int) *BlockMeta {
 // Lookup is the fused hot-path entry point: Probe + CountAccess +
 // Touch in one pass over the set, with a single index computation and
 // line dereference. It allocates nothing (the cache benchmarks assert
-// 0 allocs/op) — this is the call the hierarchy makes for every L1
-// access. On a miss only the access/miss counters are updated; the
-// caller decides whether to Fill.
+// 0 allocs/op). On a miss only the access/miss counters are updated;
+// the caller decides whether to Fill.
 func (c *Cache) Lookup(addr uint64, write bool, dom trace.Domain, now uint64) (set, way int, hit bool) {
 	set, tag := c.index(addr)
+	way, hit = c.LookupAt(set, tag, write, dom, now)
+	return set, way, hit
+}
+
+// LookupAt is Lookup with the set/tag decomposition already done (by
+// the frame-precompute stage, or by Lookup): counts the access, touches
+// on hit, and leaves fills to the caller.
+func (c *Cache) LookupAt(set int, tag uint64, write bool, dom trace.Domain, now uint64) (way int, hit bool) {
 	base := set * c.ways
 	c.stats.Accesses[dom]++
 	if c.allOn {
@@ -411,58 +418,7 @@ func (c *Cache) Lookup(addr uint64, write bool, dom trace.Domain, now uint64) (s
 					c.stats.Hits[dom]++
 					// The dominant case — a read hit under LRU — is
 					// touchLine's fast path written out by hand; the
-					// combined function is over the inlining budget and
-					// this is the call made for every L1 hit.
-					if c.policy == LRU && !write {
-						c.seq++
-						ln.lruSeq = c.seq
-						c.seqs[base+w] = c.seq
-						ln.meta.LastTouch = now
-						ln.meta.RefreshCount = 0
-					} else {
-						c.touchLine(ln, set, w, write, dom, now)
-					}
-					return set, w, true
-				}
-			}
-		}
-		c.stats.Misses[dom]++
-		return set, -1, false
-	}
-	for m := c.enabledMask; m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
-		if c.tags[base+w] == tag {
-			if ln := &c.lines[base+w]; ln.valid && ln.tag == tag {
-				c.stats.Hits[dom]++
-				if c.policy == LRU && !write {
-					c.seq++
-					ln.lruSeq = c.seq
-					c.seqs[base+w] = c.seq
-					ln.meta.LastTouch = now
-					ln.meta.RefreshCount = 0
-				} else {
-					c.touchLine(ln, set, w, write, dom, now)
-				}
-				return set, w, true
-			}
-		}
-	}
-	c.stats.Misses[dom]++
-	return set, -1, false
-}
-
-// LookupAt is Lookup with the set/tag decomposition already done (by
-// the frame-precompute stage). It is otherwise identical: counts the
-// access, touches on hit, and leaves fills to the caller.
-func (c *Cache) LookupAt(set int, tag uint64, write bool, dom trace.Domain, now uint64) (way int, hit bool) {
-	base := set * c.ways
-	c.stats.Accesses[dom]++
-	if c.allOn {
-		tags := c.tags[base : base+c.ways]
-		for w := range tags {
-			if tags[w] == tag {
-				if ln := &c.lines[base+w]; ln.valid && ln.tag == tag {
-					c.stats.Hits[dom]++
+					// combined function is over the inlining budget.
 					if c.policy == LRU && !write {
 						c.seq++
 						ln.lruSeq = c.seq

@@ -6,6 +6,7 @@
 package cpu
 
 import (
+	"context"
 	"fmt"
 
 	"mobilecache/internal/mem"
@@ -17,10 +18,6 @@ type Config struct {
 	// BaseCPI is the cycles charged per instruction absent memory
 	// stalls. Mobile in-order cores run near 1.
 	BaseCPI float64
-	// AdvanceEvery sets how often (in accesses) the hierarchy's
-	// leakage clocks are synchronized; smaller is more precise but
-	// slower. Zero selects the default.
-	AdvanceEvery uint64
 	// IdleEvery and IdleCycles model the idle stretches of interactive
 	// mobile use (waiting for input, screen dimmed): every IdleEvery
 	// accesses the core idles for IdleCycles cycles — no instructions
@@ -33,7 +30,7 @@ type Config struct {
 
 // DefaultConfig returns the settings used by all experiments.
 func DefaultConfig() Config {
-	return Config{BaseCPI: 1.0, AdvanceEvery: 4096}
+	return Config{BaseCPI: 1.0}
 }
 
 // Validate reports configuration errors.
@@ -101,6 +98,10 @@ func (r Result) StallFraction() float64 {
 // buffer stays L1-resident on the host.
 const stepBatchLen = 256
 
+// advanceEvery is how often, in accesses, the hierarchy's leakage
+// clocks are synchronized with the CPU clock.
+const advanceEvery = 4096
+
 // CPU binds a config to a hierarchy.
 type CPU struct {
 	cfg  Config
@@ -118,9 +119,6 @@ func New(cfg Config, hier *mem.Hierarchy) (*CPU, error) {
 	}
 	if hier == nil {
 		return nil, fmt.Errorf("cpu: nil hierarchy")
-	}
-	if cfg.AdvanceEvery == 0 {
-		cfg.AdvanceEvery = DefaultConfig().AdvanceEvery
 	}
 	return &CPU{
 		cfg: cfg, hier: hier,
@@ -149,11 +147,10 @@ func (rs *RunState) Result() Result { return rs.res }
 func (c *CPU) NewRunState() *RunState {
 	return &RunState{st: stepState{
 		// Countdown counters replace per-access modulo checks against
-		// IdleEvery/AdvanceEvery; a zero idleLeft start disables idling
-		// (the counter never moves). AdvanceEvery is always positive
-		// after New.
+		// IdleEvery/advanceEvery; a zero idleLeft start disables idling
+		// (the counter never moves).
 		idleLeft: c.cfg.IdleEvery,
-		advLeft:  c.cfg.AdvanceEvery,
+		advLeft:  advanceEvery,
 		// uint64(float64(instr) * 1.0) is exact for any Gap-sized count,
 		// so a unit CPI — every standard config — can skip the float
 		// round-trip without changing a single cycle.
@@ -163,17 +160,22 @@ func (c *CPU) NewRunState() *RunState {
 
 // Run replays up to maxAccesses records from src (0 = until the source
 // ends) and returns the timing result. Run may be called repeatedly;
-// time continues from where the previous call stopped.
+// time continues from where the previous call stopped. When ctx ends
+// first, Run stops at the next frame boundary and returns ctx's error
+// with the result so far; the machine is then mid-replay and its
+// counters describe no complete run.
 //
 // Run is exactly NewRunState + RunFrom + Finish, so a replay split into
 // segments — consecutive RunFrom calls on one RunState, one Finish at
 // the end — is bit-identical to a single Run by construction (and
 // pinned by the sim-level golden equivalence tests).
-func (c *CPU) Run(src trace.Source, maxAccesses uint64) Result {
+func (c *CPU) Run(ctx context.Context, src trace.Source, maxAccesses uint64) (Result, error) {
 	rs := c.NewRunState()
-	c.RunFrom(rs, src, maxAccesses)
+	if _, err := c.RunFrom(ctx, rs, src, maxAccesses); err != nil {
+		return rs.res, err
+	}
 	c.Finish()
-	return rs.res
+	return rs.res, nil
 }
 
 // RunFrom replays up to maxAccesses records from src (0 = until the
@@ -181,6 +183,8 @@ func (c *CPU) Run(src trace.Source, maxAccesses uint64) Result {
 // call's contribution (also accumulated into rs). Unlike Run it does
 // not synchronize the hierarchy's leakage clocks at the end — call
 // Finish after the last segment. maxAccesses bounds this call alone.
+// ctx is polled once per frame, never per access: when it ends, RunFrom
+// returns ctx's error before starting the next frame.
 //
 // Replay runs in frames: each iteration asks the source for up to one
 // frame of precomputed records (stepBatchLen, clipped so no frame spans
@@ -193,7 +197,7 @@ func (c *CPU) Run(src trace.Source, maxAccesses uint64) Result {
 // it keeps, and a plain Source is staged through the CPU's own
 // adapter. There is one loop, so results never depend on the source's
 // type.
-func (c *CPU) RunFrom(rs *RunState, src trace.Source, maxAccesses uint64) Result {
+func (c *CPU) RunFrom(ctx context.Context, rs *RunState, src trace.Source, maxAccesses uint64) (Result, error) {
 	var res Result
 	st := &rs.st
 	fsrc, ok := src.(trace.FrameSource)
@@ -201,7 +205,11 @@ func (c *CPU) RunFrom(rs *RunState, src trace.Source, maxAccesses uint64) Result
 		c.next.src = src
 		fsrc = &c.next
 	}
+	var err error
 	for {
+		if err = ctx.Err(); err != nil {
+			break
+		}
 		want := c.frameCap(st, &res, maxAccesses)
 		n := fsrc.DecodeFrame(c.pre[:want], &c.geom)
 		if n == 0 {
@@ -212,7 +220,7 @@ func (c *CPU) RunFrom(rs *RunState, src trace.Source, maxAccesses uint64) Result
 	}
 	c.next.src = nil
 	rs.res.Add(res)
-	return res
+	return res, err
 }
 
 // Finish synchronizes the hierarchy's leakage clocks with the CPU
@@ -327,7 +335,7 @@ func (c *CPU) frameEnd(n int, res *Result, st *stepState) {
 		}
 	}
 	if st.advLeft == 0 {
-		st.advLeft = c.cfg.AdvanceEvery
+		st.advLeft = advanceEvery
 		c.hier.Advance(c.now)
 	}
 }

@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"mobilecache/internal/cache"
@@ -29,6 +31,57 @@ func testHier(t *testing.T) *mem.Hierarchy {
 	return h
 }
 
+// replay runs src on c under a context that never ends.
+func replay(t *testing.T, c *CPU, src trace.Source, maxAccesses uint64) Result {
+	t.Helper()
+	res, err := c.Run(context.Background(), src, maxAccesses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// cancelAfter is a plain Source that cancels its context once it has
+// handed out n records.
+type cancelAfter struct {
+	trace.Source
+	n      int
+	cancel context.CancelFunc
+}
+
+func (s *cancelAfter) Next() (trace.Access, bool) {
+	if s.n--; s.n == 0 {
+		s.cancel()
+	}
+	return s.Source.Next()
+}
+
+// Cancellation is polled at frame boundaries only: the frame during
+// which the context ends is replayed whole, and the next never starts.
+func TestRunStopsAtFrameBoundaryWhenCancelled(t *testing.T) {
+	c, err := New(DefaultConfig(), testHier(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]trace.Access, 10*stepBatchLen)
+	for i := range recs {
+		recs[i] = trace.Access{Addr: uint64(i) * 64, Op: trace.Load, Domain: trace.User}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := &cancelAfter{Source: trace.NewSliceSource(recs), n: stepBatchLen + 10, cancel: cancel}
+	res, err := c.Run(ctx, src, 0)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res.Accesses != 2*stepBatchLen {
+		t.Fatalf("replayed %d accesses, want the 2 frames up to the cancel (%d)", res.Accesses, 2*stepBatchLen)
+	}
+	if res, err := c.Run(ctx, trace.NewSliceSource(recs), 0); !errors.Is(err, context.Canceled) || res.Accesses != 0 {
+		t.Fatalf("already-cancelled run = %d accesses, err %v; want 0 and context.Canceled", res.Accesses, err)
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
@@ -54,7 +107,7 @@ func TestRunCountsInstructionsAndCycles(t *testing.T) {
 		{Addr: 0x1000, Gap: 0, Op: trace.Load, Domain: trace.User},    // 1 instruction, L1 hit
 		{Addr: 0x2000, Gap: 9, Op: trace.Store, Domain: trace.Kernel}, // 10 instructions
 	}
-	res := c.Run(trace.NewSliceSource(recs), 0)
+	res := replay(t, c, trace.NewSliceSource(recs), 0)
 	if res.Accesses != 3 {
 		t.Fatalf("accesses = %d, want 3", res.Accesses)
 	}
@@ -84,7 +137,7 @@ func TestRunLimit(t *testing.T) {
 	for i := range recs {
 		recs[i] = trace.Access{Addr: uint64(i) * 64, Op: trace.Load, Domain: trace.User}
 	}
-	res := c.Run(trace.NewSliceSource(recs), 10)
+	res := replay(t, c, trace.NewSliceSource(recs), 10)
 	if res.Accesses != 10 {
 		t.Fatalf("limited run replayed %d, want 10", res.Accesses)
 	}
@@ -105,7 +158,7 @@ func TestIPCBoundedByBaseCPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := c.Run(trace.NewSliceSource(recs), 0)
+	res := replay(t, c, trace.NewSliceSource(recs), 0)
 	ipc := res.IPC()
 	if ipc <= 0 || ipc > 1.0 {
 		t.Fatalf("IPC = %g, want in (0,1] at base CPI 1", ipc)
@@ -121,9 +174,9 @@ func TestTimeAdvancesMonotonically(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := []trace.Access{{Addr: 0x40, Op: trace.Load, Domain: trace.User}}
-	c.Run(trace.NewSliceSource(recs), 0)
+	replay(t, c, trace.NewSliceSource(recs), 0)
 	t1 := c.Now()
-	c.Run(trace.NewSliceSource(recs), 0)
+	replay(t, c, trace.NewSliceSource(recs), 0)
 	if c.Now() <= t1 {
 		t.Fatal("time did not advance across runs")
 	}
@@ -141,7 +194,7 @@ func TestIdleStretches(t *testing.T) {
 	for i := range recs {
 		recs[i] = trace.Access{Addr: uint64(i%4) * 64, Op: trace.Load, Domain: trace.User}
 	}
-	res := c.Run(trace.NewSliceSource(recs), 0)
+	res := replay(t, c, trace.NewSliceSource(recs), 0)
 	// 100 accesses / idle every 10 => 10 idle stretches.
 	if res.IdleCycles != 10*5000 {
 		t.Fatalf("idle cycles = %d, want 50000", res.IdleCycles)
@@ -173,7 +226,7 @@ func TestIdleAccumulatesLeakage(t *testing.T) {
 		for i := range recs {
 			recs[i] = trace.Access{Addr: uint64(i%16) * 64, Op: trace.Load, Domain: trace.User}
 		}
-		c.Run(trace.NewSliceSource(recs), 0)
+		replay(t, c, trace.NewSliceSource(recs), 0)
 		return h.Energy().L2.LeakageJ
 	}
 	if run(100_000) <= run(0)*2 {
@@ -218,7 +271,7 @@ func TestBiggerCacheNoWorseIPC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c.Run(trace.NewSliceSource(recs), 0).IPC()
+		return replay(t, c, trace.NewSliceSource(recs), 0).IPC()
 	}
 	small, big := run(64*1024), run(1024*1024)
 	if big+1e-9 < small {

@@ -9,7 +9,10 @@
 //     that repeat an (app, seed, accesses) triple replay the cached
 //     packed trace instead of regenerating it;
 //   - internal/runner: bounded workers, per-cell deadlines, panic
-//     isolation, transient-error retries and keep-going degradation;
+//     isolation and keep-going degradation; each cell runs once, and
+//     one whose deadline passes or whose execution is cancelled stops
+//     at its next replay frame with no report, memo entry, journal
+//     entry or OnResult call;
 //   - internal/checkpoint: an optional crash-safe journal of completed
 //     cells keyed by a content hash of each cell's full inputs, with
 //     resume-by-key so a killed sweep continues where it stopped;
@@ -132,31 +135,21 @@ func Grid(machines []MachineSpec, apps []workload.Profile, seeds []uint64, acces
 }
 
 // Config shapes an Engine. The zero value is usable: GOMAXPROCS
-// workers, no deadlines or retries, a default-budget trace arena and a
-// default-capacity memo.
+// workers, no deadline and a default-budget trace arena. The run memo
+// always holds DefaultMemoCapacity entries.
 type Config struct {
 	// Workers bounds the parallel cells; <= 0 uses GOMAXPROCS.
 	Workers int
-	// Timeout is the per-cell (per-attempt) deadline; 0 disables it.
+	// Timeout is the per-cell deadline; 0 disables it. A cell that
+	// reaches it stops at its next replay frame and fails.
 	Timeout time.Duration
-	// Retries is how many extra attempts a transient failure gets.
-	Retries int
-	// Backoff is the sleep before the first retry; <= 0 uses the
-	// runner default.
-	Backoff time.Duration
 	// KeepGoing records failures and lets sibling cells complete;
 	// otherwise the first failure cancels the rest of the plan.
 	KeepGoing bool
-	// Store is the trace arena shared by every cell this engine runs;
-	// nil builds one from TraceBudgetBytes.
-	Store *tracestore.Store
-	// TraceBudgetBytes bounds the engine-built arena when Store is nil:
-	// > 0 is a byte budget, 0 selects tracestore.DefaultBudgetBytes,
-	// < 0 is unlimited.
+	// TraceBudgetBytes bounds the engine's trace arena: > 0 is a byte
+	// budget, 0 selects tracestore.DefaultBudgetBytes, < 0 is
+	// unlimited.
 	TraceBudgetBytes int64
-	// MemoCapacity bounds the run memo in entries: > 0 is a capacity,
-	// 0 selects DefaultMemoCapacity, < 0 disables memoization.
-	MemoCapacity int
 }
 
 // TraceBudgetMB converts a front end's -trace-cache-mb flag value to a
@@ -180,18 +173,14 @@ type Engine struct {
 
 // New builds an engine from cfg.
 func New(cfg Config) *Engine {
-	store := cfg.Store
-	if store == nil {
-		budget := cfg.TraceBudgetBytes
-		switch {
-		case budget == 0:
-			budget = tracestore.DefaultBudgetBytes
-		case budget < 0:
-			budget = 0 // tracestore treats 0 as unlimited
-		}
-		store = tracestore.New(budget)
+	budget := cfg.TraceBudgetBytes
+	switch {
+	case budget == 0:
+		budget = tracestore.DefaultBudgetBytes
+	case budget < 0:
+		budget = 0 // tracestore treats 0 as unlimited
 	}
-	return &Engine{cfg: cfg, store: store, memo: newMemo(cfg.MemoCapacity)}
+	return &Engine{cfg: cfg, store: tracestore.New(budget), memo: newMemo()}
 }
 
 // Store exposes the engine's trace arena (for stats reporting and for
@@ -232,7 +221,7 @@ func (e *Engine) RunOneSampled(ctx context.Context, c Cell, accesses, warmup int
 	if err != nil {
 		return sim.RunReport{}, err
 	}
-	rep, _, err := e.runKeyed(c, key, accesses, warmup, spec)
+	rep, _, err := e.runKeyed(ctx, c, key, accesses, warmup, spec)
 	return rep, err
 }
 
@@ -255,12 +244,14 @@ type ExecOptions struct {
 	// the moment a cell completes successfully — from the worker
 	// goroutine, in completion order, not plan order — so a long
 	// execution can stream results and progress while the ordered Sinks
-	// still see everything in plan order at the end. It may be called
-	// concurrently and must be safe for that.
+	// still see everything in plan order at the end. It fires exactly
+	// for the cells the manifest counts as succeeded, and never after
+	// Execute returns. It may be called concurrently and must be safe
+	// for that.
 	OnResult func(Result)
-	// OnFailure, when non-nil, fires as cells exhaust their attempts
-	// (see runner.Config.OnFailure); it runs in addition to the
-	// FailuresPath manifest logger, not instead of it.
+	// OnFailure, when non-nil, fires as cells fail (see
+	// runner.Config.OnFailure); it runs in addition to the FailuresPath
+	// manifest logger, not instead of it.
 	OnFailure func(*runner.RunError)
 	// Gate, when non-nil, is acquired once per cell before it runs —
 	// the hook a multi-plan scheduler (the sweep daemon) uses to bound
@@ -353,8 +344,6 @@ func (e *Engine) Execute(ctx context.Context, plan Plan, opt ExecOptions, sinks 
 	rcfg := runner.Config{
 		Workers:   e.cfg.Workers,
 		Timeout:   e.cfg.Timeout,
-		Retries:   e.cfg.Retries,
-		Backoff:   e.cfg.Backoff,
 		KeepGoing: e.cfg.KeepGoing,
 		OnFailure: opt.OnFailure,
 		Gate:      opt.Gate,
@@ -378,7 +367,7 @@ func (e *Engine) Execute(ctx context.Context, plan Plan, opt ExecOptions, sinks 
 	fromResume := make([]bool, len(plan.Cells))
 	fromMemo := make([]bool, len(plan.Cells))
 	outcomes, runErr := runner.Run(ctx, rcfg, rcells,
-		func(_ context.Context, rc runner.Cell) (sim.RunReport, error) {
+		func(ctx context.Context, rc runner.Cell) (sim.RunReport, error) {
 			i := index[rc]
 			key := keys[i]
 			rep, ok := resumed[key]
@@ -390,7 +379,7 @@ func (e *Engine) Execute(ctx context.Context, plan Plan, opt ExecOptions, sinks 
 			} else {
 				var memoized bool
 				var err error
-				rep, memoized, err = e.runKeyed(plan.Cells[i], key, plan.Accesses, plan.Warmup, plan.Sample)
+				rep, memoized, err = e.runKeyed(ctx, plan.Cells[i], key, plan.Accesses, plan.Warmup, plan.Sample)
 				if err != nil {
 					return rep, err
 				}
@@ -469,12 +458,13 @@ func (e *Engine) Execute(ctx context.Context, plan Plan, opt ExecOptions, sinks 
 	return sum, runErr
 }
 
-// runKeyed satisfies one keyed cell from the memo or the simulator.
-func (e *Engine) runKeyed(c Cell, key checkpoint.Key, accesses, warmup int, spec sample.Spec) (rep sim.RunReport, memoized bool, err error) {
+// runKeyed satisfies one keyed cell from the memo or the simulator. A
+// simulation cut short by ctx returns ctx's error and memoizes nothing.
+func (e *Engine) runKeyed(ctx context.Context, c Cell, key checkpoint.Key, accesses, warmup int, spec sample.Spec) (rep sim.RunReport, memoized bool, err error) {
 	if rep, ok := e.memo.get(key); ok {
 		return rep, true, nil
 	}
-	rep, err = sim.Run(e.store, c.Config, c.Profile, c.Seed, warmup, accesses, spec)
+	rep, err = sim.Run(ctx, e.store, c.Config, c.Profile, c.Seed, warmup, accesses, spec)
 	if err != nil {
 		return rep, false, err
 	}

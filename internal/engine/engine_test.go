@@ -11,7 +11,9 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"mobilecache/internal/checkpoint"
 	"mobilecache/internal/runner"
@@ -99,7 +101,7 @@ func TestExecuteMatchesDirectSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range p.Cells {
-		want, err := sim.Run(nil, c.Config, c.Profile, c.Seed, 0, p.Accesses, sample.Spec{})
+		want, err := sim.Run(context.Background(), nil, c.Config, c.Profile, c.Seed, 0, p.Accesses, sample.Spec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +122,7 @@ func TestExecuteWarmupMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := p.Cells[0]
-	want, err := sim.Run(nil, c.Config, c.Profile, c.Seed, p.Warmup, p.Accesses, sample.Spec{})
+	want, err := sim.Run(context.Background(), nil, c.Config, c.Profile, c.Seed, p.Warmup, p.Accesses, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,5 +514,60 @@ func TestExecuteCancelledKeepsIncrementalManifest(t *testing.T) {
 	var m runner.Manifest
 	if json.Unmarshal(data, &m) == nil && m.TotalCells > 0 {
 		t.Fatalf("cancelled run finalized a manifest of %d cells: %s", m.TotalCells, data)
+	}
+}
+
+// TestTimedOutCellsLeaveNoTrace: a cell that reaches its deadline
+// stops at its next replay frame and leaves no report behind, so the
+// journal, the OnResult callback, the memo and the manifest agree —
+// right after Execute returns, and still a second later, long after
+// any simulation the execution started would have finished.
+func TestTimedOutCellsLeaveNoTrace(t *testing.T) {
+	p := testPlan(t, []string{"baseline-sram", "sp-mr"}, 2, []uint64{1}, 400_000)
+	ck := filepath.Join(t.TempDir(), "sweep.ckpt")
+	var calls atomic.Int64
+	eng := New(Config{Workers: 1, Timeout: time.Millisecond, KeepGoing: true})
+	sum, err := eng.Execute(context.Background(), p, ExecOptions{
+		CheckpointPath: ck,
+		OnResult:       func(Result) { calls.Add(1) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sum.Manifest.Failed) == 0 {
+		t.Fatal("a 1ms deadline cut no 400k-access cell")
+	}
+	if got := sum.Manifest.Succeeded + len(sum.Manifest.Failed); got != len(p.Cells) {
+		t.Fatalf("manifest accounts for %d cells, want %d", got, len(p.Cells))
+	}
+	check := func(when string) {
+		entries, _, err := checkpoint.ReadFS(faultfs.OS, ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok := sum.Manifest.Succeeded
+		if int(calls.Load()) != ok || len(entries) != ok || eng.MemoStats().Entries != ok {
+			t.Fatalf("%s: %d OnResult calls, %d journal entries, %d memo entries; want the %d succeeded cells",
+				when, calls.Load(), len(entries), eng.MemoStats().Entries, ok)
+		}
+	}
+	check("on return")
+	time.Sleep(time.Second)
+	check("1s later")
+}
+
+// TestCancelledCellLeavesNoMemoEntry: a cell cancelled mid-run
+// returns context.Canceled and memoizes nothing.
+func TestCancelledCellLeavesNoMemoEntry(t *testing.T) {
+	eng := New(Config{})
+	c := testPlan(t, []string{"baseline-sram"}, 1, []uint64{1}, 1).Cells[0]
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(10*time.Millisecond, cancel)
+	_, err := eng.RunOneSampled(ctx, c, 1_000_000, 0, sample.Spec{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if st := eng.MemoStats(); st.Entries != 0 {
+		t.Fatalf("cancelled cell left %d memo entries", st.Entries)
 	}
 }

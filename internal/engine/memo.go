@@ -8,10 +8,10 @@ import (
 	"mobilecache/internal/sim"
 )
 
-// DefaultMemoCapacity is the run-memo entry bound when Config leaves
-// MemoCapacity at zero. Reports are small (a few KB with dynamic
-// partition history), so a thousand entries comfortably covers a full
-// mcbench run's repeated (machine, app, seed) cells.
+// DefaultMemoCapacity is the run memo's entry bound. Reports are small
+// (a few KB with dynamic partition history), so a thousand entries
+// comfortably covers a full mcbench run's repeated (machine, app, seed)
+// cells.
 const DefaultMemoCapacity = 1024
 
 // memo is the bounded per-engine run memo. It replaces the old
@@ -30,7 +30,7 @@ const DefaultMemoCapacity = 1024
 // byte-identical either way.
 type memo struct {
 	cap   int
-	cache *shardlru.Cache[checkpoint.Key, sim.RunReport] // nil when disabled
+	cache *shardlru.Cache[checkpoint.Key, sim.RunReport]
 }
 
 // MemoStats counts how the run memo performed; reads are safe at any
@@ -59,23 +59,17 @@ func memoHash(k checkpoint.Key) uint64 {
 	return binary.LittleEndian.Uint64(k[:8])
 }
 
-// newMemo builds a memo with the Config.MemoCapacity semantics:
-// capacity > 0 as given, 0 the default, < 0 disabled. The stripe count
-// follows GOMAXPROCS (clamped by the capacity so no stripe's budget
-// slice is empty).
-func newMemo(capacity int) *memo {
-	return newMemoSharded(capacity, 0)
+// newMemo builds the engine's DefaultMemoCapacity memo. The stripe
+// count follows GOMAXPROCS (clamped by the capacity so no stripe's
+// budget slice is empty).
+func newMemo() *memo {
+	return newMemoSharded(DefaultMemoCapacity, 0)
 }
 
-// newMemoSharded is newMemo with an explicit stripe count (tests pin
-// exact single-stripe LRU order with shards = 1).
+// newMemoSharded builds a memo of capacity > 0 entries over the given
+// stripe count, 0 selecting the GOMAXPROCS default (tests size small
+// memos here and pin exact single-stripe LRU order with shards = 1).
 func newMemoSharded(capacity, shards int) *memo {
-	if capacity == 0 {
-		capacity = DefaultMemoCapacity
-	}
-	if capacity < 0 {
-		return &memo{} // disabled: get always misses, add is a no-op
-	}
 	return &memo{
 		cap: capacity,
 		cache: shardlru.New(shardlru.Config[checkpoint.Key, sim.RunReport]{
@@ -87,11 +81,7 @@ func newMemoSharded(capacity, shards int) *memo {
 }
 
 // get returns the memoized report for key, refreshing its recency.
-// A disabled memo counts nothing.
 func (m *memo) get(key checkpoint.Key) (sim.RunReport, bool) {
-	if m.cache == nil {
-		return sim.RunReport{}, false
-	}
 	return m.cache.Get(key)
 }
 
@@ -101,17 +91,11 @@ func (m *memo) get(key checkpoint.Key) (sim.RunReport, bool) {
 // the same cell — collapse to one entry and are counted; the reports
 // are identical because runs are deterministic.
 func (m *memo) add(key checkpoint.Key, rep sim.RunReport) {
-	if m.cache == nil {
-		return
-	}
 	m.cache.Add(key, rep, 1)
 }
 
 // stats snapshots the memo counters, aggregated across shards.
 func (m *memo) stats() MemoStats {
-	if m.cache == nil {
-		return MemoStats{}
-	}
 	st := m.cache.Stats()
 	return MemoStats{
 		Hits:            st.Hits,
@@ -126,9 +110,4 @@ func (m *memo) stats() MemoStats {
 }
 
 // len reports the live entry count (for tests).
-func (m *memo) len() int {
-	if m.cache == nil {
-		return 0
-	}
-	return m.cache.Len()
-}
+func (m *memo) len() int { return m.cache.Len() }

@@ -45,7 +45,7 @@ func TestMemoContentHashNoStaleness(t *testing.T) {
 	if reflect.DeepEqual(got, base) {
 		t.Fatal("modified config under the same name was served the stale cached report")
 	}
-	want, err := sim.Run(nil, smaller, prof, 1, 0, 5000, sample.Spec{})
+	want, err := sim.Run(context.Background(), nil, smaller, prof, 1, 0, 5000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,43 +122,11 @@ func TestMemoLRUTouchOnGet(t *testing.T) {
 	}
 }
 
-// TestMemoDisabled: negative capacity turns memoization off entirely.
-func TestMemoDisabled(t *testing.T) {
-	m := newMemo(-1)
-	var k [32]byte
-	m.add(k, sim.RunReport{Machine: "x"})
-	if _, ok := m.get(k); ok {
-		t.Fatal("disabled memo returned a hit")
-	}
-	if m.len() != 0 {
-		t.Fatalf("disabled memo holds %d entries", m.len())
-	}
-
-	eng := New(Config{MemoCapacity: -1})
-	cfg, err := sim.MachineByName("baseline-sram")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof := workload.Profiles()[0]
-	cell := Cell{Machine: cfg.Name, Config: cfg, App: prof.Name, Profile: prof, Seed: 1}
-	if _, err := eng.RunOneSampled(context.Background(), cell, 2000, 0, sample.Spec{}); err != nil {
-		t.Fatal(err)
-	}
-	sum, err := eng.Execute(context.Background(),
-		Plan{Cells: []Cell{cell}, Accesses: 2000}, ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Memoized != 0 {
-		t.Fatal("memo-disabled engine reported a memo hit")
-	}
-}
-
-// TestMemoDefaultCapacity: zero means the default, not unbounded and
-// not disabled.
+// TestMemoDefaultCapacity: every engine's memo holds
+// DefaultMemoCapacity entries.
 func TestMemoDefaultCapacity(t *testing.T) {
-	if m := newMemo(0); m.cap != DefaultMemoCapacity {
-		t.Fatalf("newMemo(0).cap = %d, want %d", m.cap, DefaultMemoCapacity)
+	if m := New(Config{}).memo; m.cap != DefaultMemoCapacity {
+		t.Fatalf("engine memo cap = %d, want %d", m.cap, DefaultMemoCapacity)
 	}
 }
 
@@ -166,7 +134,7 @@ func TestMemoDefaultCapacity(t *testing.T) {
 // both add; the second add must collapse onto the incumbent and be
 // counted, so lookup/entry arithmetic reconciles in /metrics.
 func TestMemoDuplicates(t *testing.T) {
-	m := newMemo(8)
+	m := newMemoSharded(8, 0)
 	var k [32]byte
 	k[0] = 1
 	m.add(k, sim.RunReport{Machine: "first"})
@@ -188,7 +156,7 @@ func TestMemoDuplicates(t *testing.T) {
 // stats aggregate stays coherent with the per-shard occupancy.
 func TestMemoShardedBound(t *testing.T) {
 	const capacity = 64
-	m := newMemo(capacity)
+	m := newMemoSharded(capacity, 0)
 	key := func(i int) [32]byte {
 		var k [32]byte
 		k[0], k[1], k[2] = byte(i), byte(i>>8), byte(i>>16)
@@ -220,7 +188,7 @@ func TestMemoStatsConcurrent(t *testing.T) {
 		distinct = 48
 		capacity = 32
 	)
-	m := newMemo(capacity)
+	m := newMemoSharded(capacity, 0)
 	key := func(i int) [32]byte {
 		var k [32]byte
 		k[0], k[1] = byte(i), byte(i>>8)

@@ -9,6 +9,7 @@ package experiments
 // name-keyed cache's staleness bug) is actually fixed.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestMatrixMatchesDirectRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, app := range opts.Apps {
-			want, err := sim.Run(nil, cfg, app, appSeed(opts.Seed, i), 0, opts.Accesses, sample.Spec{})
+			want, err := sim.Run(context.Background(), nil, cfg, app, appSeed(opts.Seed, i), 0, opts.Accesses, sample.Spec{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +56,7 @@ func TestCachedRunMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.Run(nil, cfg, app, 42, 0, opts.Accesses, sample.Spec{})
+	want, err := sim.Run(context.Background(), nil, cfg, app, 42, 0, opts.Accesses, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestRunWorkloadNoStaleCache(t *testing.T) {
 	if reflect.DeepEqual(got, base) {
 		t.Fatal("content-modified profile was served the stale report")
 	}
-	want, err := sim.Run(nil, cfg, perturbed, 1, 0, opts.Accesses, sample.Spec{})
+	want, err := sim.Run(context.Background(), nil, cfg, perturbed, 1, 0, opts.Accesses, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}

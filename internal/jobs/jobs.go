@@ -99,12 +99,11 @@ type Options struct {
 	MaxClientJobs int
 	// MaxCellsPerJob is the per-job cell budget; <= 0 selects 1<<20.
 	MaxCellsPerJob int
-	// Timeout/Retries are the per-cell runner knobs (see engine.Config).
+	// Timeout is the per-cell deadline (see engine.Config).
 	Timeout time.Duration
-	Retries int
 	// KeepGoing lets sibling cells of a failed cell complete (the
 	// service default; a daemon aborting a whole job on one bad cell
-	// would punish every multi-hour sweep for one flaky machine entry).
+	// would punish every multi-hour sweep for one bad machine entry).
 	KeepGoing bool
 	// TraceBudgetBytes bounds the shared trace arena (see engine.Config).
 	TraceBudgetBytes int64
@@ -131,8 +130,8 @@ const (
 // Event is one streamed job happening, rendered to clients as a JSONL
 // line or an SSE data record.
 type Event struct {
-	// Type is "cell" (a completed cell), "failure" (a cell that
-	// exhausted its attempts) or "done" (the terminal summary).
+	// Type is "cell" (a completed cell), "failure" (a failed cell) or
+	// "done" (the terminal summary).
 	Type string `json:"type"`
 	// Index is the cell's plan position (cell/failure events; -1 when
 	// unknown).
@@ -148,8 +147,7 @@ type Event struct {
 	L2EnergyJ    float64 `json:"l2_total_j,omitempty"`
 	TotalEnergyJ float64 `json:"total_j,omitempty"`
 	// Failure details.
-	Error    string `json:"error,omitempty"`
-	Attempts int    `json:"attempts,omitempty"`
+	Error string `json:"error,omitempty"`
 	// Terminal summary ("done" events).
 	State     State `json:"state,omitempty"`
 	Total     int   `json:"total,omitempty"`
@@ -220,6 +218,11 @@ func (j *Job) appendEvent(ev Event) {
 	close(j.notify)
 	j.notify = make(chan struct{})
 	j.mu.Unlock()
+	// Let the woken followers deliver the event now. Workers run cells
+	// back to back without blocking, so on a host where every core runs
+	// a cell a follower would otherwise wait for preemption, often until
+	// the job has finished.
+	runtime.Gosched()
 }
 
 // setState transitions the FSM, persists the new state durably, and
@@ -292,7 +295,7 @@ func (j *Job) onResult(r engine.Result) {
 	j.appendEvent(cellEvent(r))
 }
 
-// onFailure records exhausted cells. Cancellation casualties — cells
+// onFailure records failed cells. Cancellation casualties — cells
 // lost to a shutdown or a client cancel, not to their own behavior —
 // are not failures: the resumed run will complete them.
 func (j *Job) onFailure(e *runner.RunError) {
@@ -306,7 +309,7 @@ func (j *Job) onFailure(e *runner.RunError) {
 	j.appendEvent(Event{
 		Type: "failure", Index: -1,
 		Machine: e.Cell.Machine, App: e.Cell.App, Seed: e.Cell.Seed,
-		Error: e.Err.Error(), Attempts: e.Attempts,
+		Error: e.Err.Error(),
 	})
 }
 
@@ -429,7 +432,6 @@ func New(opts Options) (*Manager, error) {
 		eng: engine.New(engine.Config{
 			Workers:          opts.Workers,
 			Timeout:          opts.Timeout,
-			Retries:          opts.Retries,
 			KeepGoing:        opts.KeepGoing,
 			TraceBudgetBytes: opts.TraceBudgetBytes,
 		}),
@@ -744,8 +746,9 @@ func (m *Manager) List() []Status {
 	return out
 }
 
-// Cancel stops a job. In-flight cells are abandoned; completed cells
-// stay journaled. Cancelling a terminal job is a no-op.
+// Cancel stops a job. In-flight cells stop at their next replay frame
+// without a result; completed cells stay journaled. Cancelling a
+// terminal job is a no-op.
 func (m *Manager) Cancel(id string) error {
 	j, err := m.Get(id)
 	if err != nil {
@@ -782,11 +785,12 @@ func (m *Manager) Draining() bool {
 
 // Shutdown drains the daemon: admission closes immediately, no new
 // cells are dispatched, in-flight cells get until ctx's deadline to
-// finish, then every remaining execution is cancelled and awaited.
-// Journals and manifests are fsynced as the executions unwind, so
-// whatever the deadline cut off is resumable on restart. The returned
-// error is ctx's when the drain deadline expired (in-flight work was
-// abandoned), nil for a clean drain.
+// finish, then every remaining execution is cancelled — its running
+// cells stop at their next replay frame — and awaited. Journals and
+// manifests are fsynced as the executions unwind, so whatever the
+// deadline cut off is resumable on restart. The returned error is
+// ctx's when the drain deadline expired (in-flight cells were
+// cancelled), nil for a clean drain.
 func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
 	m.drained = true

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -385,5 +386,57 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	}
 	if len(entries) != 0 {
 		t.Fatalf("rejected submissions left %d entries in the store", len(entries))
+	}
+}
+
+// A per-cell deadline that cuts some of a job's cells still accounts
+// for every cell exactly once: Completed + Failed == Total, and the
+// stream holds one cell or failure event per cell, never both. Memo-
+// warm cells finish under any deadline; cold 400k-access cells run past
+// it and stop.
+func TestTimeoutAccountsForEveryCellOnce(t *testing.T) {
+	m := newTestManager(t, Options{Workers: 1, Timeout: 10 * time.Millisecond})
+	defer m.Shutdown(context.Background())
+	spec := Spec{
+		Machines: []string{"baseline-sram", "sp-mr"},
+		Apps:     []string{"browser", "email", "maps"},
+		Seeds:    []uint64{1, 2},
+		Accesses: 400_000,
+	}
+	p, err := spec.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := p.Cells[len(p.Cells)-2:]
+	for _, c := range warm {
+		if _, err := m.Engine().RunOneSampled(context.Background(), c, p.Accesses, p.Warmup, p.Sample); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j, err := m.Submit(spec, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitTerminal(t, j)
+	if st.State != StateDone {
+		t.Fatalf("state = %s (%s), want done", st.State, st.Error)
+	}
+	if st.Completed < len(warm) || st.Failed == 0 || st.Completed+st.Failed != st.Total {
+		t.Fatalf("completed=%d failed=%d total=%d; want the %d warm cells done, some cut, and every cell counted once",
+			st.Completed, st.Failed, st.Total, len(warm))
+	}
+	seen := map[string]int{}
+	if err := j.Stream(context.Background(), func(e Event) error {
+		if e.Type == "cell" || e.Type == "failure" {
+			seen[fmt.Sprintf("%s/%s/%d", e.Machine, e.App, e.Seed)]++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range p.Cells {
+		if k := fmt.Sprintf("%s/%s/%d", c.Machine, c.App, c.Seed); seen[k] != 1 {
+			t.Fatalf("cell %s has %d cell/failure events, want 1", k, seen[k])
+		}
 	}
 }

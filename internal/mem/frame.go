@@ -31,7 +31,7 @@ import (
 //
 // The kernel requires both L1s in their permanent configuration
 // (every way powered, LRU — cache.FrameKernelOK); otherwise the frame
-// degrades to the per-record AccessPre path with identical semantics.
+// degrades to the per-record accessPre path with identical semantics.
 // Deferring the tallies is safe because nothing observes L1 stats or
 // meter counts mid-frame: the CPU only calls Advance (leakage
 // integration, which reads time, not counts) at frame boundaries, and
@@ -97,7 +97,7 @@ func (s *frameL1) flush() {
 // time now, where pre[k].Busy is the busy cycles the CPU charges
 // before record k's access. It returns the frame's clock totals; the
 // caller's clock advances by Busy+Stall. Semantics are bit-identical
-// to calling AccessPre per record at the same times.
+// to calling accessPre per record at the same times.
 func (h *Hierarchy) AccessFrame(pre []FramePre, now uint64) FrameStats {
 	var fs FrameStats
 	if !h.L1D.c.FrameKernelOK() || !h.L1I.c.FrameKernelOK() {
@@ -179,7 +179,7 @@ func (h *Hierarchy) accessFrameSlow(pre []FramePre, now uint64) FrameStats {
 	for k := range pre {
 		p := &pre[k]
 		now += p.Busy
-		stall := h.AccessPre(p, now)
+		stall := h.accessPre(p, now)
 		now += stall
 		fs.Busy += p.Busy
 		fs.Stall += stall
@@ -188,7 +188,7 @@ func (h *Hierarchy) accessFrameSlow(pre []FramePre, now uint64) FrameStats {
 	return fs
 }
 
-// AccessPre performs one precomputed access at time now and returns
+// accessPre performs one precomputed access at time now and returns
 // the stall cycles the instruction suffers beyond its pipelined L1
 // hit. It is the general per-record path the frame kernel's fast loop
 // specializes.
@@ -198,7 +198,7 @@ func (h *Hierarchy) accessFrameSlow(pre []FramePre, now uint64) FrameStats {
 // victims are written back into the L2 (write-allocate, no fetch);
 // dirty L2 victims are written back to DRAM. Writebacks consume
 // bandwidth and energy but do not stall the CPU.
-func (h *Hierarchy) AccessPre(p *FramePre, now uint64) uint64 {
+func (h *Hierarchy) accessPre(p *FramePre, now uint64) uint64 {
 	l1 := h.L1D
 	if p.Kind == trace.KindIfetch {
 		l1 = h.L1I

@@ -265,7 +265,7 @@ func NewHierarchy(l1i, l1d L1Config, l2 core.L2, dram *DRAM) (*Hierarchy, error)
 }
 
 // missPath is the L1-miss continuation shared by the frame kernel's
-// fast loop and AccessPre:
+// fast loop and accessPre:
 // demand fill through the L2 (and DRAM on an L2 miss), victim
 // writeback, and the optional next-line prefetch.
 func (h *Hierarchy) missPath(l1 *L1, a trace.Access, write bool, now uint64) uint64 {

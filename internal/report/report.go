@@ -141,44 +141,6 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// bars renders a horizontal bar chart: one labeled row per value,
-// scaled so the largest value spans width characters.
-func bars(w io.Writer, title string, labels []string, values []float64, width int) error {
-	if len(labels) != len(values) {
-		return fmt.Errorf("report: %d labels for %d values", len(labels), len(values))
-	}
-	if width <= 0 {
-		width = 40
-	}
-	maxV, maxL := 0.0, 0
-	for i, v := range values {
-		if v > maxV {
-			maxV = v
-		}
-		if len(labels[i]) > maxL {
-			maxL = len(labels[i])
-		}
-	}
-	if title != "" {
-		if _, err := fmt.Fprintf(w, "%s\n", title); err != nil {
-			return err
-		}
-	}
-	for i, v := range values {
-		n := 0
-		if maxV > 0 {
-			n = int(v / maxV * float64(width))
-		}
-		if v > 0 && n == 0 {
-			n = 1
-		}
-		if _, err := fmt.Fprintf(w, "  %s  %s %.4g\n", pad(labels[i], maxL), strings.Repeat("#", n), v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Pct formats a fraction as a percentage.
 func Pct(frac float64) string { return fmt.Sprintf("%.1f%%", frac*100) }
 
@@ -208,15 +170,4 @@ func Bytes(b uint64) string {
 	default:
 		return fmt.Sprintf("%dB", b)
 	}
-}
-
-// normalize divides each value by base, guarding zero.
-func normalize(values []float64, base float64) []float64 {
-	out := make([]float64, len(values))
-	for i, v := range values {
-		if base != 0 {
-			out[i] = v / base
-		}
-	}
-	return out
 }

@@ -85,43 +85,6 @@ func TestWriteMarkdown(t *testing.T) {
 	}
 }
 
-func TestBars(t *testing.T) {
-	var buf bytes.Buffer
-	err := bars(&buf, "Energy", []string{"base", "sp"}, []float64{1.0, 0.25}, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "Energy") {
-		t.Fatal("title missing")
-	}
-	baseHashes := strings.Count(strings.Split(out, "\n")[1], "#")
-	spHashes := strings.Count(strings.Split(out, "\n")[2], "#")
-	if baseHashes != 20 {
-		t.Fatalf("max bar = %d chars, want 20", baseHashes)
-	}
-	if spHashes != 5 {
-		t.Fatalf("quarter bar = %d chars, want 5", spHashes)
-	}
-}
-
-func TestBarsTinyValueVisible(t *testing.T) {
-	var buf bytes.Buffer
-	if err := bars(&buf, "", []string{"a", "b"}, []float64{1000, 0.001}, 10); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if !strings.Contains(lines[1], "#") {
-		t.Fatal("nonzero value rendered without any bar")
-	}
-}
-
-func TestBarsMismatch(t *testing.T) {
-	if err := bars(&bytes.Buffer{}, "", []string{"a"}, []float64{1, 2}, 10); err == nil {
-		t.Fatal("mismatched inputs accepted")
-	}
-}
-
 type failWriter struct{ n int }
 
 func (f *failWriter) Write(p []byte) (int, error) {
@@ -149,9 +112,6 @@ func TestWritersPropagateErrors(t *testing.T) {
 	}
 	if err := tb.WriteCSV(&failWriter{}); err == nil {
 		t.Error("WriteCSV swallowed a write error")
-	}
-	if err := bars(&failWriter{}, "title", []string{"a"}, []float64{1}, 10); err == nil {
-		t.Error("bars swallowed a write error")
 	}
 }
 
@@ -193,15 +153,5 @@ func TestBytes(t *testing.T) {
 		if got := Bytes(tc.in); got != tc.want {
 			t.Errorf("Bytes(%d) = %q, want %q", tc.in, got, tc.want)
 		}
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	got := normalize([]float64{2, 4, 8}, 4)
-	if got[0] != 0.5 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("normalize = %v", got)
-	}
-	if z := normalize([]float64{1}, 0); z[0] != 0 {
-		t.Fatal("zero base should produce zeros")
 	}
 }

@@ -3,7 +3,6 @@ package report
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -204,15 +203,4 @@ func SVGStepLines(title, yLabel string, xs []float64, series map[string][]float6
 	b.legend(seriesOrder)
 	b.close()
 	return b.String(), nil
-}
-
-// sortedSeriesNames returns map keys in deterministic order, for
-// callers that have no natural ordering.
-func sortedSeriesNames(series map[string][]float64) []string {
-	names := make([]string, 0, len(series))
-	for n := range series {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -97,10 +97,3 @@ func TestSVGEscaping(t *testing.T) {
 		t.Fatal("escapes missing")
 	}
 }
-
-func TestSortedSeriesNames(t *testing.T) {
-	names := sortedSeriesNames(map[string][]float64{"b": nil, "a": nil, "c": nil})
-	if len(names) != 3 || names[0] != "a" || names[2] != "c" {
-		t.Fatalf("names = %v", names)
-	}
-}

@@ -11,7 +11,6 @@ type Failure struct {
 	Machine  string `json:"machine"`
 	App      string `json:"app"`
 	Seed     uint64 `json:"seed"`
-	Attempts int    `json:"attempts"`
 	Panicked bool   `json:"panicked,omitempty"`
 	Error    string `json:"error"`
 	// Violations carries the structured invariant-audit findings when
@@ -31,7 +30,6 @@ func failureOf(e *RunError) Failure {
 		Machine:  e.Cell.Machine,
 		App:      e.Cell.App,
 		Seed:     e.Cell.Seed,
-		Attempts: e.Attempts,
 		Panicked: e.Panicked,
 		Error:    e.Err.Error(),
 	}

@@ -121,9 +121,8 @@ func TestBuildManifestExtractsViolations(t *testing.T) {
 	out := []Outcome[int]{{
 		Cell: Cell{Machine: "m", App: "a", Seed: 5},
 		Err: &RunError{
-			Cell:     Cell{Machine: "m", App: "a", Seed: 5},
-			Attempts: 1,
-			Err:      &auditErr{vs: []string{"v1", "v2"}},
+			Cell: Cell{Machine: "m", App: "a", Seed: 5},
+			Err:  &auditErr{vs: []string{"v1", "v2"}},
 		},
 	}}
 	m := BuildManifest(out)

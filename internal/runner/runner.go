@@ -1,9 +1,15 @@
 // Package runner is the fault-containing parallel executor behind
 // bulk sweeps: it runs (machine, app, seed) cells on a bounded worker
-// pool with per-cell deadlines, panic isolation, bounded retry for
-// transient failures, and graceful degradation — a failed cell becomes
-// a structured RunError in a failure manifest while its siblings
-// complete, so a multi-hour sweep survives one bad cell.
+// pool with per-cell deadlines, panic isolation and graceful
+// degradation — a failed cell becomes a structured RunError in a
+// failure manifest while its siblings complete, so a multi-hour sweep
+// survives one bad cell.
+//
+// Each cell runs exactly once, directly in its worker goroutine. Cells
+// are deterministic, so a failed cell would fail the same way again:
+// nothing is retried. A deadline or cancellation reaches a cell only
+// through its context, and the pool always waits for the cell to
+// return, so no cell outlives Run or escapes the worker bound.
 //
 // Determinism: outcomes are collected into a slice indexed by the
 // input cell order, so a caller that emits results in that order
@@ -37,10 +43,8 @@ func (c Cell) String() string {
 // failure manifest can name exactly what was lost.
 type RunError struct {
 	Cell Cell
-	// Attempts is how many times the cell was tried before giving up.
-	Attempts int
-	// Panicked reports whether the final attempt ended in a panic;
-	// Stack then holds the recovered goroutine stack.
+	// Panicked reports whether the cell panicked; Stack then holds the
+	// recovered goroutine stack.
 	Panicked bool
 	Stack    string
 	// Err is the underlying failure (the recovered panic value wrapped
@@ -54,38 +58,17 @@ func (e *RunError) Error() string {
 	if e.Panicked {
 		kind = "panicked"
 	}
-	return fmt.Sprintf("cell %s %s after %d attempt(s): %v", e.Cell, kind, e.Attempts, e.Err)
+	return fmt.Sprintf("cell %s %s: %v", e.Cell, kind, e.Err)
 }
 
 // Unwrap exposes the underlying error to errors.Is/As.
 func (e *RunError) Unwrap() error { return e.Err }
 
-// transientError marks an error as retryable.
-type transientError struct{ err error }
-
-func (t *transientError) Error() string { return "transient: " + t.err.Error() }
-func (t *transientError) Unwrap() error { return t.err }
-
-// Transient wraps err so the pool retries it (up to Config.Retries).
-// Errors not wrapped this way are treated as permanent.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err is marked retryable.
-func IsTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
-}
-
 // Gate admits cells to execution slots shared beyond one pool. A pool
-// given a Gate acquires one slot per cell (not per attempt) before the
-// cell runs and releases it when the cell finishes, so several
-// concurrently running pools — the sweep daemon runs one per job over
-// one machine-wide slot set — are bounded and scheduled together.
+// given a Gate acquires one slot per cell before the cell runs and
+// releases it when the cell finishes, so several concurrently running
+// pools — the sweep daemon runs one per job over one machine-wide slot
+// set — are bounded and scheduled together.
 // Acquire must honor ctx: when the context is cancelled while waiting
 // for a slot, it returns the context's error and the cell is recorded
 // as a cancellation casualty, never silently skipped.
@@ -98,23 +81,16 @@ type Gate interface {
 type Config struct {
 	// Workers is the pool size; <= 0 uses GOMAXPROCS.
 	Workers int
-	// Timeout is the per-cell (per-attempt) deadline; 0 disables it. A
-	// cell function that ignores its context is abandoned when the
-	// deadline passes — the worker moves on and the attempt's result is
-	// discarded.
+	// Timeout is the per-cell deadline; 0 disables it. It is the
+	// deadline of the context the cell function receives.
 	Timeout time.Duration
-	// Retries is how many additional attempts a transient failure gets.
-	Retries int
-	// Backoff is the sleep before the first retry, doubling per
-	// subsequent retry; <= 0 uses 50ms.
-	Backoff time.Duration
 	// KeepGoing records failures and lets sibling cells complete;
 	// otherwise the first failure cancels the rest of the run.
 	KeepGoing bool
 	// OnFailure, when non-nil, is called from the worker goroutine the
-	// moment a cell's attempts are exhausted — before sibling cells
-	// finish — so failures can be persisted incrementally instead of
-	// only in the end-of-sweep manifest. It may be called concurrently
+	// moment a cell fails — before sibling cells finish — so failures
+	// can be persisted incrementally instead of only in the end-of-sweep
+	// manifest. It may be called concurrently
 	// from multiple workers and must be safe for that. Cells cancelled
 	// before dispatch do not fire it.
 	OnFailure func(*RunError)
@@ -125,8 +101,10 @@ type Config struct {
 	Gate Gate
 }
 
-// Func computes one cell. It must respect ctx for prompt cancellation;
-// panics are recovered and contained by the pool.
+// Func computes one cell. It must respect ctx: the pool waits for it
+// to return, so a cell that ignores its context runs past its deadline
+// and delays cancellation. Panics are recovered and contained by the
+// pool.
 type Func[T any] func(ctx context.Context, c Cell) (T, error)
 
 // Outcome is one cell's result: either Value, or a non-nil Err.
@@ -170,7 +148,7 @@ func Run[T any](ctx context.Context, cfg Config, cells []Cell, fn Func[T]) ([]Ou
 		go func() {
 			defer wg.Done()
 			for i := range idxCh {
-				outcomes[i] = runGated(runCtx, cfg, cells[i], fn)
+				outcomes[i] = runCell(runCtx, cfg, cells[i], fn)
 				if outcomes[i].Err != nil {
 					if cfg.OnFailure != nil {
 						cfg.OnFailure(outcomes[i].Err)
@@ -221,89 +199,40 @@ feed:
 	return outcomes, nil
 }
 
-// runGated wraps runCell in the (optional) shared admission gate: one
-// slot per cell, held across every attempt, released whatever the
-// outcome. A cancellation while waiting for a slot becomes an ordinary
+// runCell runs one cell exactly once: inside the (optional) shared
+// admission gate's slot, under the per-cell deadline, with a panic
+// recovered into a RunError that keeps its stack. A cancellation while
+// waiting for a slot, or before the cell starts, becomes an ordinary
 // cancellation outcome, so callers see the cell as lost to the
 // shutdown rather than mysteriously absent.
-func runGated[T any](ctx context.Context, cfg Config, c Cell, fn Func[T]) Outcome[T] {
+func runCell[T any](ctx context.Context, cfg Config, c Cell, fn Func[T]) (out Outcome[T]) {
+	out.Cell = c
 	if cfg.Gate != nil {
 		if err := cfg.Gate.Acquire(ctx); err != nil {
-			return Outcome[T]{Cell: c, Err: &RunError{Cell: c, Err: err}}
+			out.Err = &RunError{Cell: c, Err: err}
+			return out
 		}
 		defer cfg.Gate.Release()
 	}
-	return runCell(ctx, cfg, c, fn)
-}
-
-// runCell drives one cell through its attempts.
-func runCell[T any](ctx context.Context, cfg Config, c Cell, fn Func[T]) Outcome[T] {
-	out := Outcome[T]{Cell: c}
-	backoff := cfg.Backoff
-	if backoff <= 0 {
-		backoff = 50 * time.Millisecond
+	if err := ctx.Err(); err != nil {
+		out.Err = &RunError{Cell: c, Err: err}
+		return out
 	}
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			out.Err = &RunError{Cell: c, Attempts: attempt - 1, Err: err}
-			return out
-		}
-		v, err, panicked, stack := runAttempt(ctx, cfg.Timeout, c, fn)
-		if err == nil {
-			out.Value = v
-			return out
-		}
-		// Panics, deadline blows and permanent errors are final; only
-		// explicitly transient errors earn a retry.
-		if panicked || !IsTransient(err) || attempt > cfg.Retries || ctx.Err() != nil {
-			out.Err = &RunError{Cell: c, Attempts: attempt, Panicked: panicked, Stack: stack, Err: err}
-			return out
-		}
-		select {
-		case <-time.After(backoff << (attempt - 1)):
-		case <-ctx.Done():
-			out.Err = &RunError{Cell: c, Attempts: attempt, Err: ctx.Err()}
-			return out
-		}
-	}
-}
-
-// runAttempt executes fn once under the per-cell deadline, containing
-// panics. The attempt runs in its own goroutine so a deadline or
-// cancellation can abandon a function that ignores its context; the
-// abandoned goroutine finishes whenever fn returns and its result is
-// discarded (the result channel is buffered, so it never blocks).
-func runAttempt[T any](ctx context.Context, timeout time.Duration, c Cell, fn Func[T]) (v T, err error, panicked bool, stack string) {
-	actx := ctx
-	if timeout > 0 {
+	if cfg.Timeout > 0 {
 		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, timeout)
+		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
 		defer cancel()
 	}
-	type attemptResult struct {
-		v        T
-		err      error
-		panicked bool
-		stack    string
-	}
-	ch := make(chan attemptResult, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- attemptResult{
-					err:      fmt.Errorf("panic: %v", r),
-					panicked: true,
-					stack:    string(debug.Stack()),
-				}
-			}
-		}()
-		v, err := fn(actx, c)
-		ch <- attemptResult{v: v, err: err}
+	defer func() {
+		if r := recover(); r != nil {
+			out.Err = &RunError{Cell: c, Panicked: true, Stack: string(debug.Stack()), Err: fmt.Errorf("panic: %v", r)}
+		}
 	}()
-	select {
-	case r := <-ch:
-		return r.v, r.err, r.panicked, r.stack
-	case <-actx.Done():
-		return v, actx.Err(), false, ""
+	v, err := fn(ctx, c)
+	if err != nil {
+		out.Err = &RunError{Cell: c, Err: err}
+		return out
 	}
+	out.Value = v
+	return out
 }

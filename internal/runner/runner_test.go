@@ -161,7 +161,7 @@ func TestCancellationDrainsPool(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("pool did not stop after cancellation")
 	}
-	// The workers and attempt goroutines must all drain.
+	// The workers must all drain.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		runtime.Gosched()
@@ -196,49 +196,34 @@ func TestPerCellTimeout(t *testing.T) {
 	}
 }
 
-func TestTransientRetrySucceeds(t *testing.T) {
-	var calls atomic.Int64
-	outcomes, err := Run(context.Background(), Config{Workers: 1, Retries: 3, Backoff: time.Millisecond}, cellsN(1),
-		func(_ context.Context, c Cell) (string, error) {
-			if calls.Add(1) < 3 {
-				return "", Transient(errors.New("flaky"))
+// The pool never abandons a cell: a cell that ignores its context and
+// overruns the deadline is waited for, and its own return value is its
+// outcome. So every side effect a cell makes has happened by the time
+// Run returns, and matches the outcome it reports.
+func TestPoolWaitsForEveryCell(t *testing.T) {
+	var finished atomic.Int64
+	outcomes, err := Run(context.Background(), Config{Workers: 2, Timeout: time.Millisecond, KeepGoing: true}, cellsN(4),
+		func(ctx context.Context, c Cell) (int, error) {
+			time.Sleep(20 * time.Millisecond) // ignores ctx on purpose
+			finished.Add(1)
+			if c.Seed%2 == 1 {
+				return 0, ctx.Err()
 			}
-			return "ok", nil
+			return 1, nil
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if outcomes[0].Value != "ok" || calls.Load() != 3 {
-		t.Fatalf("value %q after %d calls, want ok after 3", outcomes[0].Value, calls.Load())
+	if got := finished.Load(); got != 4 {
+		t.Fatalf("Run returned with %d of 4 cells finished", got)
 	}
-}
-
-func TestRetryExhaustionAndPermanentErrors(t *testing.T) {
-	var transientCalls, permanentCalls atomic.Int64
-	cells := []Cell{{Machine: "transient"}, {Machine: "permanent"}}
-	outcomes, err := Run(context.Background(), Config{Workers: 2, Retries: 2, Backoff: time.Millisecond, KeepGoing: true}, cells,
-		func(_ context.Context, c Cell) (int, error) {
-			if c.Machine == "transient" {
-				transientCalls.Add(1)
-				return 0, Transient(errors.New("always flaky"))
-			}
-			permanentCalls.Add(1)
-			return 0, errors.New("hard")
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := transientCalls.Load(); got != 3 {
-		t.Fatalf("transient cell tried %d times, want 3 (1 + 2 retries)", got)
-	}
-	if got := permanentCalls.Load(); got != 1 {
-		t.Fatalf("permanent error retried: %d calls", got)
-	}
-	if outcomes[0].Err == nil || outcomes[0].Err.Attempts != 3 {
-		t.Fatalf("transient outcome = %+v, want 3 attempts recorded", outcomes[0].Err)
-	}
-	if !IsTransient(outcomes[0].Err.Err) || IsTransient(outcomes[1].Err.Err) {
-		t.Fatal("transient marking lost in outcomes")
+	for i, o := range outcomes {
+		if odd := i%2 == 1; odd != (o.Err != nil) {
+			t.Fatalf("cell %d outcome = %+v, want the error the cell returned", i, o)
+		}
+		if o.Err != nil && !errors.Is(o.Err, context.DeadlineExceeded) {
+			t.Fatalf("cell %d err = %v, want deadline exceeded", i, o.Err)
+		}
 	}
 }
 
@@ -287,14 +272,14 @@ func TestManifestContents(t *testing.T) {
 	outcomes := []Outcome[int]{
 		{Cell: Cell{Machine: "sp-mr", App: "browser", Seed: 1}, Value: 1},
 		{Cell: Cell{Machine: "dp-sr", App: "music", Seed: 2},
-			Err: &RunError{Cell: Cell{Machine: "dp-sr", App: "music", Seed: 2}, Attempts: 2, Panicked: true, Err: errors.New("panic: chaos")}},
+			Err: &RunError{Cell: Cell{Machine: "dp-sr", App: "music", Seed: 2}, Panicked: true, Err: errors.New("panic: chaos")}},
 	}
 	m := BuildManifest(outcomes)
 	if m.TotalCells != 2 || m.Succeeded != 1 || len(m.Failed) != 1 {
 		t.Fatalf("manifest = %+v", m)
 	}
 	f := m.Failed[0]
-	if f.Machine != "dp-sr" || f.App != "music" || f.Seed != 2 || !f.Panicked || f.Attempts != 2 {
+	if f.Machine != "dp-sr" || f.App != "music" || f.Seed != 2 || !f.Panicked {
 		t.Fatalf("failure entry = %+v", f)
 	}
 	var buf bytes.Buffer

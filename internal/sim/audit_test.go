@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -18,7 +19,7 @@ func TestStrictAuditCleanAcrossMachines(t *testing.T) {
 	apps := workload.Profiles()
 	for _, cfg := range StandardMachines() {
 		for _, prof := range apps[:2] {
-			rep, err := Run(nil, cfg, prof, 7, 0, 30_000, sample.Spec{})
+			rep, err := Run(context.Background(), nil, cfg, prof, 7, 0, 30_000, sample.Spec{})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", cfg.Name, prof.Name, err)
 			}
@@ -40,7 +41,7 @@ func TestStrictAuditCleanWarm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Run(nil, cfg, apps[0], 11, 10_000, 20_000, sample.Spec{}); err != nil {
+		if _, err := Run(context.Background(), nil, cfg, apps[0], 11, 10_000, 20_000, sample.Spec{}); err != nil {
 			t.Fatalf("%s warm: %v", name, err)
 		}
 	}
@@ -60,7 +61,7 @@ func TestStrictAuditCatchesTamperedReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(nil, cfg, workload.Profiles()[0], 1, 0, 5_000, sample.Spec{})
+	_, err = Run(context.Background(), nil, cfg, workload.Profiles()[0], 1, 0, 5_000, sample.Spec{})
 	if err == nil {
 		t.Fatal("tampered report passed strict audit")
 	}
@@ -88,7 +89,7 @@ func TestAuditOffSkipsTamper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(nil, cfg, workload.Profiles()[0], 1, 0, 5_000, sample.Spec{}); err != nil {
+	if _, err := Run(context.Background(), nil, cfg, workload.Profiles()[0], 1, 0, 5_000, sample.Spec{}); err != nil {
 		t.Fatalf("off mode failed a run: %v", err)
 	}
 }
@@ -105,7 +106,7 @@ func TestAuditWarnDoesNotFail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(nil, cfg, workload.Profiles()[0], 1, 0, 5_000, sample.Spec{}); err != nil {
+	if _, err := Run(context.Background(), nil, cfg, workload.Profiles()[0], 1, 0, 5_000, sample.Spec{}); err != nil {
 		t.Fatalf("warn mode failed a run: %v", err)
 	}
 	if warnLogged.Load() != before+1 {

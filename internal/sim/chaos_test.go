@@ -1,10 +1,9 @@
 package sim
 
 import (
-	"strings"
+	"context"
 	"testing"
 
-	"mobilecache/internal/runner"
 	"mobilecache/internal/sample"
 	"mobilecache/internal/workload"
 )
@@ -18,7 +17,7 @@ func TestChaosOffByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(nil, cfg, prof, 1, 0, 1000, sample.Spec{}); err != nil {
+	if _, err := Run(context.Background(), nil, cfg, prof, 1, 0, 1000, sample.Spec{}); err != nil {
 		t.Fatalf("clean run failed without chaos: %v", err)
 	}
 }
@@ -42,7 +41,7 @@ func TestChaosRatesAndDeterminism(t *testing.T) {
 					res = "panic"
 				}
 			}()
-			if _, err := Run(nil, cfg, prof, seed, 0, 500, sample.Spec{}); err != nil {
+			if _, err := Run(context.Background(), nil, cfg, prof, seed, 0, 500, sample.Spec{}); err != nil {
 				res = "error"
 				return
 			}
@@ -64,35 +63,12 @@ func TestChaosRatesAndDeterminism(t *testing.T) {
 	}
 }
 
-func TestChaosFlakyIsTransientOnce(t *testing.T) {
-	restore := InstallChaos(&Chaos{FlakyRate: 1, Seed: 7})
-	t.Cleanup(restore)
-	cfg, err := MachineByName("baseline-sram")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof, err := workload.ProfileByName("music")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Run(nil, cfg, prof, 9, 0, 500, sample.Spec{})
-	if err == nil || !runner.IsTransient(err) {
-		t.Fatalf("first attempt err = %v, want transient", err)
-	}
-	if !strings.Contains(err.Error(), "chaos") {
-		t.Fatalf("error does not identify chaos: %v", err)
-	}
-	if _, err := Run(nil, cfg, prof, 9, 0, 500, sample.Spec{}); err != nil {
-		t.Fatalf("second attempt should succeed, got %v", err)
-	}
-}
-
 func TestInstallChaosRestores(t *testing.T) {
 	restore := InstallChaos(&Chaos{ErrorRate: 1})
 	restore()
 	cfg, _ := MachineByName("baseline-sram")
 	prof, _ := workload.ProfileByName("music")
-	if _, err := Run(nil, cfg, prof, 1, 0, 500, sample.Spec{}); err != nil {
+	if _, err := Run(context.Background(), nil, cfg, prof, 1, 0, 500, sample.Spec{}); err != nil {
 		t.Fatalf("chaos still active after restore: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -55,7 +56,7 @@ func checkComposition(t *testing.T, label string, cfg config.Machine, name strin
 	cur := tr.Cursor()
 	rs := m2.CPU.NewRunState()
 	for _, c := range chunks {
-		m2.CPU.RunFrom(rs, cur, c)
+		m2.CPU.RunFrom(context.Background(), rs, cur, c)
 	}
 	m2.CPU.Finish()
 
@@ -88,9 +89,9 @@ func runSegments(m *Machine, name string, src trace.Source, total, k uint64) Run
 	rs := m.CPU.NewRunState()
 	per := total / k
 	for i := uint64(0); i < k-1; i++ {
-		m.CPU.RunFrom(rs, src, per)
+		m.CPU.RunFrom(context.Background(), rs, src, per)
 	}
-	m.CPU.RunFrom(rs, src, total-per*(k-1))
+	m.CPU.RunFrom(context.Background(), rs, src, total-per*(k-1))
 	m.CPU.Finish()
 	rep := RunReport{
 		Machine:          m.Config.Name,

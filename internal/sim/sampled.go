@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"mobilecache/internal/config"
@@ -170,5 +171,5 @@ func RunSampledTrace(m *Machine, name string, src trace.Source, maxAccesses uint
 // repository benchmark checks its cells against it as the arena-free
 // reference.
 func RunWorkloadSampled(cfg config.Machine, prof workload.Profile, seed uint64, accesses int, spec sample.Spec) (RunReport, error) {
-	return Run(nil, cfg, prof, seed, 0, accesses, spec)
+	return Run(context.TODO(), nil, cfg, prof, seed, 0, accesses, spec)
 }

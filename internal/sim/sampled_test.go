@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -20,12 +21,12 @@ func TestSampledFactorOneDeepEqual(t *testing.T) {
 	const seed, accesses = 1, 20_000
 	for _, cfg := range StandardMachines() {
 		store := tracestore.New(0)
-		want, err := Run(store, cfg, prof, seed, 0, accesses, sample.Spec{})
+		want, err := Run(context.Background(), store, cfg, prof, seed, 0, accesses, sample.Spec{})
 		if err != nil {
 			t.Fatalf("%s full: %v", cfg.Name, err)
 		}
 		for _, spec := range []sample.Spec{{}, {Factor: 1}, {Factor: 1, Hash: true}} {
-			got, err := Run(store, cfg, prof, seed, 0, accesses, spec)
+			got, err := Run(context.Background(), store, cfg, prof, seed, 0, accesses, spec)
 			if err != nil {
 				t.Fatalf("%s sampled %v: %v", cfg.Name, spec, err)
 			}
@@ -50,11 +51,11 @@ func TestSampledWarmFactorOneDeepEqual(t *testing.T) {
 	const seed, warmup, measure = 7, 5_000, 15_000
 	for _, cfg := range StandardMachines() {
 		store := tracestore.New(0)
-		want, err := Run(store, cfg, prof, seed, warmup, measure, sample.Spec{})
+		want, err := Run(context.Background(), store, cfg, prof, seed, warmup, measure, sample.Spec{})
 		if err != nil {
 			t.Fatalf("%s full warm: %v", cfg.Name, err)
 		}
-		got, err := Run(store, cfg, prof, seed, warmup, measure, sample.Spec{Factor: 1})
+		got, err := Run(context.Background(), store, cfg, prof, seed, warmup, measure, sample.Spec{Factor: 1})
 		if err != nil {
 			t.Fatalf("%s sampled warm: %v", cfg.Name, err)
 		}
@@ -74,7 +75,7 @@ func TestSampledStrictAuditCleanRawAndScaled(t *testing.T) {
 	for _, cfg := range StandardMachines() {
 		for _, spec := range []sample.Spec{{Factor: 8}, {Factor: 8, Hash: true}} {
 			store := tracestore.New(0)
-			rep, err := Run(store, cfg, prof, 3, 0, 40_000, spec)
+			rep, err := Run(context.Background(), store, cfg, prof, 3, 0, 40_000, spec)
 			if err != nil {
 				t.Fatalf("%s %s: %v", cfg.Name, spec, err)
 			}
@@ -107,13 +108,13 @@ func TestSampledScalingShape(t *testing.T) {
 	}
 	prof := workload.Profiles()[0]
 	store := tracestore.New(0)
-	full, err := Run(store, cfg, prof, 1, 0, 80_000, sample.Spec{})
+	full, err := Run(context.Background(), store, cfg, prof, 1, 0, 80_000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, hash := range []bool{false, true} {
 		for _, f := range []int{2, 4, 8} {
-			rep, err := Run(store, cfg, prof, 1, 0, 80_000, sample.Spec{Factor: f, Hash: hash})
+			rep, err := Run(context.Background(), store, cfg, prof, 1, 0, 80_000, sample.Spec{Factor: f, Hash: hash})
 			if err != nil {
 				t.Fatalf("factor %d: %v", f, err)
 			}
@@ -158,11 +159,11 @@ func TestSampledAccuracySmoke(t *testing.T) {
 	}
 	prof := workload.Profiles()[0]
 	store := tracestore.New(0)
-	full, err := Run(store, cfg, prof, 1, 0, 80_000, sample.Spec{})
+	full, err := Run(context.Background(), store, cfg, prof, 1, 0, 80_000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(store, cfg, prof, 1, 0, 80_000, sample.Spec{Factor: 8})
+	rep, err := Run(context.Background(), store, cfg, prof, 1, 0, 80_000, sample.Spec{Factor: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -276,7 +277,17 @@ func (r RunReport) IPC() float64 { return r.CPU.IPC() }
 
 // RunTrace replays a prepared source on the machine.
 func RunTrace(m *Machine, name string, src trace.Source, maxAccesses uint64) RunReport {
-	res := m.CPU.Run(src, maxAccesses)
+	rep, _ := runTrace(context.TODO(), m, name, src, maxAccesses) // cannot fail: the context never ends
+	return rep
+}
+
+// runTrace is RunTrace under ctx: a replay whose context ends stops at
+// its next frame and returns the context's error instead of a report.
+func runTrace(ctx context.Context, m *Machine, name string, src trace.Source, maxAccesses uint64) (RunReport, error) {
+	res, err := m.CPU.Run(ctx, src, maxAccesses)
+	if err != nil {
+		return RunReport{}, err
+	}
 	rep := RunReport{
 		Machine:          m.Config.Name,
 		Workload:         name,
@@ -292,7 +303,7 @@ func RunTrace(m *Machine, name string, src trace.Source, maxAccesses uint64) Run
 		rep.History = m.Dynamic.History()
 		rep.FlushWritebacks = m.Dynamic.FlushWritebacks()
 	}
-	return rep
+	return rep, nil
 }
 
 // Run is the one workload entry point. It builds the machine fresh —
@@ -314,7 +325,12 @@ func RunTrace(m *Machine, name string, src trace.Source, maxAccesses uint64) Run
 // sampled stream: warmup/Factor filtered records warm the machine, and
 // the measured remainder covers the same trace extent the full run
 // measures. Counters are two-snapshot diffs, so scaling composes.
-func Run(store *tracestore.Store, cfg config.Machine, prof workload.Profile, seed uint64, warmup, accesses int, spec sample.Spec) (RunReport, error) {
+//
+// The replay polls ctx once per frame: when ctx ends, Run returns its
+// error at the next frame boundary and no report. Trace generation and
+// derived-trace builds run to completion first; they are bounded by
+// the trace length.
+func Run(ctx context.Context, store *tracestore.Store, cfg config.Machine, prof workload.Profile, seed uint64, warmup, accesses int, spec sample.Spec) (RunReport, error) {
 	if err := chaosEnter(cfg.Name, prof.Name, seed); err != nil {
 		return RunReport{}, err
 	}
@@ -355,13 +371,16 @@ func Run(store *tracestore.Store, cfg config.Machine, prof workload.Profile, see
 		// Not runWarm with an empty prefix: that would trim the dynamic
 		// design's epoch-0 allocation from History, which a cold run
 		// reports.
-		rep = RunTrace(m, prof.Name, src, 0)
+		rep, err = runTrace(ctx, m, prof.Name, src, 0)
 	} else {
 		factor := 1
 		if m.Sample != nil {
 			factor = m.Sample.Factor()
 		}
-		rep = runWarm(m, prof.Name, src, uint64(warmup/factor))
+		rep, err = runWarm(ctx, m, prof.Name, src, uint64(warmup/factor))
+	}
+	if err != nil {
+		return RunReport{}, err
 	}
 	if live != nil {
 		st = live.Stats()

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"mobilecache/internal/config"
 	"mobilecache/internal/sample"
@@ -91,7 +94,7 @@ func smallProfile() workload.Profile {
 }
 
 func TestRunWorkloadProducesReport(t *testing.T) {
-	rep, err := Run(nil, config.Default(), smallProfile(), 3, 0, 60000, sample.Spec{})
+	rep, err := Run(context.Background(), nil, config.Default(), smallProfile(), 3, 0, 60000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +122,11 @@ func TestRunWorkloadProducesReport(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a, err := Run(nil, config.Default(), smallProfile(), 9, 0, 30000, sample.Spec{})
+	a, err := Run(context.Background(), nil, config.Default(), smallProfile(), 9, 0, 30000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(nil, config.Default(), smallProfile(), 9, 0, 30000, sample.Spec{})
+	b, err := Run(context.Background(), nil, config.Default(), smallProfile(), 9, 0, 30000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +140,7 @@ func TestDynamicRunRecordsHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(nil, cfg, smallProfile(), 5, 0, 120000, sample.Spec{})
+	rep, err := Run(context.Background(), nil, cfg, smallProfile(), 5, 0, 120000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +153,7 @@ func TestDynamicRunRecordsHistory(t *testing.T) {
 }
 
 func TestStaticPartitionEliminatesInterference(t *testing.T) {
-	base, err := Run(nil, config.Default(), smallProfile(), 7, 0, 80000, sample.Spec{})
+	base, err := Run(context.Background(), nil, config.Default(), smallProfile(), 7, 0, 80000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +161,7 @@ func TestStaticPartitionEliminatesInterference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := Run(nil, spCfg, smallProfile(), 7, 0, 80000, sample.Spec{})
+	sp, err := Run(context.Background(), nil, spCfg, smallProfile(), 7, 0, 80000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +183,7 @@ func TestSchemesEnergyOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := Run(nil, cfg, prof, 21, 0, 100000, sample.Spec{})
+		rep, err := Run(context.Background(), nil, cfg, prof, 21, 0, 100000, sample.Spec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,5 +213,30 @@ func TestRunTraceWithSlice(t *testing.T) {
 	rep := RunTrace(m, "slice", trace.NewSliceSource(recs), 0)
 	if rep.CPU.Accesses != 2 {
 		t.Fatalf("accesses = %d", rep.CPU.Accesses)
+	}
+}
+
+// TestRunStopsWhenContextEnds: cancelling a long arena-free run, whose
+// generator feeds the replay frame by frame, returns context.Canceled
+// at the next frame rather than at the end of the trace — in the
+// warmup prefix as in the measured replay.
+func TestRunStopsWhenContextEnds(t *testing.T) {
+	for _, warmup := range []int{0, 1 << 30} {
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(ctx, nil, config.Default(), smallProfile(), 1, warmup, 1<<30, sample.Spec{})
+			done <- err
+		}()
+		time.Sleep(20 * time.Millisecond)
+		cancel()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("warmup %d: err = %v, want context.Canceled", warmup, err)
+			}
+		case <-time.After(100 * time.Millisecond):
+			t.Fatalf("warmup %d: Run did not stop within 100ms of cancellation", warmup)
+		}
 	}
 }

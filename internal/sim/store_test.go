@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -29,11 +30,11 @@ func TestStoreReplayMatchesGenerator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Run(nil, cfg, prof, seed, 0, accesses, sample.Spec{})
+		want, err := Run(context.Background(), nil, cfg, prof, seed, 0, accesses, sample.Spec{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Run(store, cfg, prof, seed, 0, accesses, sample.Spec{})
+		got, err := Run(context.Background(), store, cfg, prof, seed, 0, accesses, sample.Spec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,11 +72,11 @@ func TestStoreDemotedReplayMatchesGenerator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Run(nil, cfg, prof, seed, 0, accesses, sample.Spec{})
+		want, err := Run(context.Background(), nil, cfg, prof, seed, 0, accesses, sample.Spec{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Run(store, cfg, prof, seed, 0, accesses, sample.Spec{})
+		got, err := Run(context.Background(), store, cfg, prof, seed, 0, accesses, sample.Spec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,11 +97,11 @@ func TestStoreWarmReplayMatchesGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(nil, cfg, prof, 5, 20_000, 30_000, sample.Spec{})
+	want, err := Run(context.Background(), nil, cfg, prof, 5, 20_000, 30_000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(store, cfg, prof, 5, 20_000, 30_000, sample.Spec{})
+	got, err := Run(context.Background(), store, cfg, prof, 5, 20_000, 30_000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestRunWorkloadFromNilStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(nil, cfg, smallProfile(), 3, 0, 10_000, sample.Spec{})
+	rep, err := Run(context.Background(), nil, cfg, smallProfile(), 3, 0, 10_000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +145,11 @@ func TestRunArenaMatchesGenerator(t *testing.T) {
 			for _, warmup := range []int{0, 20_000} {
 				for _, spec := range []sample.Spec{{}, {Factor: 8}} {
 					name := fmt.Sprintf("budget %d/%s/warmup %d/%s", budget, cfg.Name, warmup, spec)
-					want, err := Run(nil, cfg, prof, seed, warmup, accesses, spec)
+					want, err := Run(context.Background(), nil, cfg, prof, seed, warmup, accesses, spec)
 					if err != nil {
 						t.Fatalf("%s generator: %v", name, err)
 					}
-					got, err := Run(store, cfg, prof, seed, warmup, accesses, spec)
+					got, err := Run(context.Background(), store, cfg, prof, seed, warmup, accesses, spec)
 					if err != nil {
 						t.Fatalf("%s arena: %v", name, err)
 					}

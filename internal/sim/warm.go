@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+
 	"mobilecache/internal/core"
 	"mobilecache/internal/energy"
 	"mobilecache/internal/mem"
@@ -59,12 +61,15 @@ func subL2Stats(a, b core.L2Stats) core.L2Stats {
 // runWarm replays warmupAccesses records of src to warm the machine,
 // then measures the rest of the source. The returned report covers
 // only the measured portion; its History (for dynamic designs) is
-// trimmed to decisions taken during measurement.
-func runWarm(m *Machine, name string, src trace.Source, warmupAccesses uint64) RunReport {
+// trimmed to decisions taken during measurement. Like runTrace, it
+// stops at the next frame when ctx ends and returns ctx's error.
+func runWarm(ctx context.Context, m *Machine, name string, src trace.Source, warmupAccesses uint64) (RunReport, error) {
 	if warmupAccesses > 0 {
 		// Run bounds itself by the access count; skipping the LimitSource
 		// wrapper keeps packed-cursor sources on their fast path.
-		m.CPU.Run(src, warmupAccesses)
+		if _, err := m.CPU.Run(ctx, src, warmupAccesses); err != nil {
+			return RunReport{}, err
+		}
 	}
 	m.Hier.Advance(m.CPU.Now())
 
@@ -82,7 +87,10 @@ func runWarm(m *Machine, name string, src trace.Source, warmupAccesses uint64) R
 		beforeFlush = m.Dynamic.FlushWritebacks()
 	}
 
-	measured := m.CPU.Run(src, 0)
+	measured, err := m.CPU.Run(ctx, src, 0)
+	if err != nil {
+		return RunReport{}, err
+	}
 	m.Hier.Advance(m.CPU.Now())
 
 	rep := RunReport{
@@ -101,5 +109,5 @@ func runWarm(m *Machine, name string, src trace.Source, warmupAccesses uint64) R
 		rep.History = hist[beforeDecisions:]
 		rep.FlushWritebacks = m.Dynamic.FlushWritebacks() - beforeFlush
 	}
-	return rep
+	return rep, nil
 }

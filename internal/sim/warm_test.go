@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"mobilecache/internal/config"
@@ -9,11 +10,11 @@ import (
 
 func TestRunWarmExcludesWarmup(t *testing.T) {
 	prof := smallProfile()
-	cold, err := Run(nil, config.Default(), prof, 5, 0, 80_000, sample.Spec{})
+	cold, err := Run(context.Background(), nil, config.Default(), prof, 5, 0, 80_000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Run(nil, config.Default(), prof, 5, 40_000, 40_000, sample.Spec{})
+	warm, err := Run(context.Background(), nil, config.Default(), prof, 5, 40_000, 40_000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestRunWarmExcludesWarmup(t *testing.T) {
 }
 
 func TestRunWarmCountersNonNegative(t *testing.T) {
-	warm, err := Run(nil, config.Default(), smallProfile(), 9, 20_000, 20_000, sample.Spec{})
+	warm, err := Run(context.Background(), nil, config.Default(), smallProfile(), 9, 20_000, 20_000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestRunWarmDynamicHistoryTrimmed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Run(nil, cfg, smallProfile(), 3, 60_000, 60_000, sample.Spec{})
+	warm, err := Run(context.Background(), nil, cfg, smallProfile(), 3, 60_000, 60_000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +77,11 @@ func TestRunWarmDynamicHistoryTrimmed(t *testing.T) {
 }
 
 func TestRunWarmDeterministic(t *testing.T) {
-	a, err := Run(nil, config.Default(), smallProfile(), 2, 30_000, 30_000, sample.Spec{})
+	a, err := Run(context.Background(), nil, config.Default(), smallProfile(), 2, 30_000, 30_000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(nil, config.Default(), smallProfile(), 2, 30_000, 30_000, sample.Spec{})
+	b, err := Run(context.Background(), nil, config.Default(), smallProfile(), 2, 30_000, 30_000, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -419,21 +419,6 @@ func (ct *Controller) scan(t uint64) {
 	}
 }
 
-// refreshPowerEstimate returns the steady-state refresh power (watts)
-// of an array with the given valid-line count under PeriodicAll: each
-// line costs one read+write per scan period.
-func refreshPowerEstimate(p energy.Params, validLines int) float64 {
-	if p.RetentionCycles == 0 || validLines == 0 {
-		return 0
-	}
-	period := energy.Seconds(p.RetentionCycles / 2)
-	if period <= 0 {
-		return 0
-	}
-	perScan := float64(validLines) * (p.ReadPJ + p.WritePJ) * 1e-12
-	return perScan / period
-}
-
 // DomainFor suggests the retention class for a segment given its
 // measured write-interval behaviour: arrays whose lines are rewritten
 // (or die) well inside a candidate retention need no stronger class.

@@ -255,30 +255,6 @@ func TestHandleExpiredAccounting(t *testing.T) {
 	}
 }
 
-func TestRefreshPowerEstimate(t *testing.T) {
-	p := energy.DefaultParams(energy.STTShort)
-	if refreshPowerEstimate(p, 0) != 0 {
-		t.Fatal("empty array should need no refresh power")
-	}
-	w := refreshPowerEstimate(p, 1000)
-	if w <= 0 {
-		t.Fatal("refresh power should be positive")
-	}
-	// Twice the lines, twice the power.
-	if math.Abs(refreshPowerEstimate(p, 2000)-2*w) > 1e-12 {
-		t.Fatal("refresh power not linear in lines")
-	}
-	// Unbounded retention needs none.
-	if refreshPowerEstimate(energy.DefaultParams(energy.STTLong), 1000) != 0 {
-		t.Fatal("long retention should need no refresh")
-	}
-	// Longer retention -> less refresh power.
-	med := refreshPowerEstimate(energy.DefaultParams(energy.STTMedium), 1000)
-	if med >= w {
-		t.Fatalf("medium retention refresh power %g not below short %g", med, w)
-	}
-}
-
 func TestDomainForPicksShortForShortLived(t *testing.T) {
 	// Lifetimes clustered at ~1k cycles: far below short retention
 	// (26.5us = 53k cycles), so short class suffices.

@@ -38,14 +38,6 @@ func (d Domain) String() string {
 	}
 }
 
-// other returns the opposite domain.
-func (d Domain) other() Domain {
-	if d == User {
-		return Kernel
-	}
-	return User
-}
-
 // Valid reports whether d is one of the defined domains.
 func (d Domain) Valid() bool { return d == User || d == Kernel }
 

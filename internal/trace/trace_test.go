@@ -14,12 +14,6 @@ func TestDomainString(t *testing.T) {
 	}
 }
 
-func TestDomainOther(t *testing.T) {
-	if User.other() != Kernel || Kernel.other() != User {
-		t.Fatal("other() is not an involution on {User,Kernel}")
-	}
-}
-
 func TestDomainValid(t *testing.T) {
 	if !User.Valid() || !Kernel.Valid() {
 		t.Fatal("defined domains must be valid")

@@ -88,12 +88,6 @@ func (g geometric) Sample(r *RNG) int {
 	return k
 }
 
-// fork derives an independent generator whose stream does not overlap
-// with the parent's in practice (distinct multiplier-mixed state).
-func (r *RNG) fork() *RNG {
-	return NewRNG(r.Uint64() ^ 0xd1342543de82ef95)
-}
-
 // Zipf samples ranks in [0, n) following a zipfian distribution with
 // exponent s, using Chlebus's approximate inverse-CDF method. Zipfian
 // reuse is the standard model for cache-resident working sets.

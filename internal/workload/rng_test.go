@@ -149,20 +149,6 @@ func TestGeometricMatchesReference(t *testing.T) {
 	}
 }
 
-func TestRNGFork(t *testing.T) {
-	parent := NewRNG(23)
-	child := parent.fork()
-	same := 0
-	for i := 0; i < 1000; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("forked stream matched parent %d/1000 times", same)
-	}
-}
-
 func TestZipfRange(t *testing.T) {
 	f := func(seed uint64, nRaw uint16, sRaw uint8) bool {
 		n := int(nRaw%5000) + 1

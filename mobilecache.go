@@ -25,6 +25,8 @@
 package mobilecache
 
 import (
+	"context"
+
 	"mobilecache/internal/config"
 	"mobilecache/internal/experiments"
 	"mobilecache/internal/sample"
@@ -95,7 +97,7 @@ func DefaultMachine() Machine { return config.Default() }
 // Run simulates an app on a machine and reports timing, cache and
 // energy statistics. Machines are built fresh (cold caches) per run.
 func Run(m Machine, p Profile, seed uint64, accesses int) (RunReport, error) {
-	return sim.Run(nil, m, p, seed, 0, accesses, sample.Spec{})
+	return sim.Run(context.TODO(), nil, m, p, seed, 0, accesses, sample.Spec{})
 }
 
 // ExperimentIDs lists the reproducible paper experiments in order.

@@ -3,7 +3,10 @@
 # daemon against a scratch store, submit a tiny sweep over HTTP, stream
 # its results, download the CSV, check the health and metrics
 # endpoints, then shut down gracefully with SIGTERM and require a clean
-# exit. Needs only a shell and curl; run via `make serve-smoke`.
+# exit. Two more episodes boot fresh daemons: one with an injected full
+# disk (degraded mode and self-recovery), one with a per-cell deadline
+# every cell overruns. Needs only a shell and curl; run via
+# `make serve-smoke`.
 set -eu
 
 PORT="${MC_SMOKE_PORT:-18347}"
@@ -20,9 +23,44 @@ trap cleanup EXIT INT TERM
 
 fail() {
     echo "serve-smoke: FAIL: $*" >&2
-    [ -f "$WORK/served.log" ] && sed 's/^/serve-smoke: daemon: /' "$WORK/served.log" >&2
-    [ -f "$WORK/served2.log" ] && sed 's/^/serve-smoke: daemon2: /' "$WORK/served2.log" >&2
+    for log in "$WORK"/served*.log; do
+        [ -f "$log" ] && sed "s/^/serve-smoke: $(basename "$log" .log): /" "$log" >&2
+    done
     exit 1
+}
+
+# wait_up NAME: poll /healthz until the daemon in $SRV_PID answers.
+wait_up() {
+    i=0
+    until curl -sf "http://$ADDR/healthz" > /dev/null 2>&1; do
+        i=$((i + 1))
+        [ "$i" -gt 100 ] && fail "$1: /healthz never came up"
+        kill -0 "$SRV_PID" 2>/dev/null || fail "$1 exited during startup"
+        sleep 0.1
+    done
+}
+
+# submit SPEC: POST a sweep spec and print the accepted job's id.
+submit() {
+    SUBMIT="$(curl -sf -XPOST --data-binary @"$1" "http://$ADDR/jobs")" \
+        || fail "submit of $1 rejected"
+    ID="$(printf '%s' "$SUBMIT" | sed -n 's/.*"id": *"\([0-9a-f]*\)".*/\1/p' | head -n1)"
+    [ -n "$ID" ] || fail "no job id in submit response: $SUBMIT"
+    printf '%s' "$ID"
+}
+
+# stop NAME: SIGTERM the daemon in $SRV_PID and require a clean exit.
+stop() {
+    kill -TERM "$SRV_PID"
+    i=0
+    while kill -0 "$SRV_PID" 2>/dev/null; do
+        i=$((i + 1))
+        [ "$i" -gt 300 ] && fail "$1 did not exit after SIGTERM"
+        sleep 0.1
+    done
+    wait "$SRV_PID" 2>/dev/null && STATUS=0 || STATUS=$?
+    [ "$STATUS" -eq 0 ] || fail "$1 exited $STATUS after SIGTERM"
+    SRV_PID=""
 }
 
 echo "serve-smoke: building mcserved"
@@ -41,21 +79,10 @@ echo "serve-smoke: starting daemon on $ADDR"
 "$WORK/mcserved" -addr "$ADDR" -data "$WORK/store" -drain-timeout 20s \
     > "$WORK/served.log" 2>&1 &
 SRV_PID=$!
-
-# Wait for liveness.
-i=0
-until curl -sf "http://$ADDR/healthz" > /dev/null 2>&1; do
-    i=$((i + 1))
-    [ "$i" -gt 100 ] && fail "/healthz never came up"
-    kill -0 "$SRV_PID" 2>/dev/null || fail "daemon exited during startup"
-    sleep 0.1
-done
+wait_up daemon
 
 echo "serve-smoke: submitting sweep"
-SUBMIT="$(curl -sf -XPOST --data-binary @"$WORK/spec.json" "http://$ADDR/jobs")" \
-    || fail "submit rejected"
-ID="$(printf '%s' "$SUBMIT" | sed -n 's/.*"id": *"\([0-9a-f]*\)".*/\1/p' | head -n1)"
-[ -n "$ID" ] || fail "no job id in submit response: $SUBMIT"
+ID="$(submit "$WORK/spec.json")"
 echo "serve-smoke: job $ID accepted"
 
 echo "serve-smoke: streaming results"
@@ -83,17 +110,8 @@ printf '%s\n' "$METRICS" | grep -q '^mcserved_queue_depth ' \
     || fail "/metrics missing queue depth"
 
 echo "serve-smoke: graceful shutdown"
-kill -TERM "$SRV_PID"
-i=0
-while kill -0 "$SRV_PID" 2>/dev/null; do
-    i=$((i + 1))
-    [ "$i" -gt 300 ] && fail "daemon did not exit after SIGTERM"
-    sleep 0.1
-done
-wait "$SRV_PID" 2>/dev/null && STATUS=0 || STATUS=$?
-[ "$STATUS" -eq 0 ] || fail "daemon exited $STATUS after SIGTERM"
+stop daemon
 grep -q "drained cleanly" "$WORK/served.log" || fail "daemon log missing clean-drain line"
-SRV_PID=""
 
 # --- degraded mode: a full disk must shed admissions, not corrupt ---
 # Boot a second daemon with an injected ENOSPC streak (MCSERVED_FAULT
@@ -108,14 +126,7 @@ MCSERVED_FAULT="enospc:after=8:streak=800" \
     -drain-timeout 20s -probe-interval 25ms \
     > "$WORK/served2.log" 2>&1 &
 SRV_PID=$!
-
-i=0
-until curl -sf "http://$ADDR/healthz" > /dev/null 2>&1; do
-    i=$((i + 1))
-    [ "$i" -gt 100 ] && fail "degraded daemon: /healthz never came up"
-    kill -0 "$SRV_PID" 2>/dev/null || fail "degraded daemon exited during startup"
-    sleep 0.1
-done
+wait_up "degraded daemon"
 
 # The first submission trips the streak (either the admission writes or
 # the job's journal fail) and flips the daemon into degraded mode.
@@ -146,24 +157,52 @@ curl -s "http://$ADDR/metrics" | grep -q '^mcserved_degraded 0$' \
     || fail "degraded gauge did not clear after recovery"
 
 # Admission is open again: a fresh sweep must run to completion.
-SUBMIT="$(curl -sf -XPOST --data-binary @"$WORK/spec.json" "http://$ADDR/jobs")" \
-    || fail "post-recovery submit rejected"
-ID2="$(printf '%s' "$SUBMIT" | sed -n 's/.*"id": *"\([0-9a-f]*\)".*/\1/p' | head -n1)"
-[ -n "$ID2" ] || fail "no job id in post-recovery submit: $SUBMIT"
+ID2="$(submit "$WORK/spec.json")"
 curl -sfN "http://$ADDR/jobs/$ID2/results" > "$WORK/stream2.jsonl" \
     || fail "post-recovery stream failed"
 grep -q '"state":"done"' "$WORK/stream2.jsonl" \
     || fail "post-recovery job did not finish clean: $(tail -n1 "$WORK/stream2.jsonl")"
 
-kill -TERM "$SRV_PID"
-i=0
-while kill -0 "$SRV_PID" 2>/dev/null; do
-    i=$((i + 1))
-    [ "$i" -gt 300 ] && fail "degraded daemon did not exit after SIGTERM"
-    sleep 0.1
+stop "degraded daemon"
+
+# --- per-cell deadline: a cell that reaches -timeout stops and fails ---
+# Boot a third daemon with a 1ms per-cell deadline and submit the same
+# grid at 200 000 accesses, far more than any cell replays in 1ms.
+# Every cell must fail exactly once and leave nothing behind: 4 failure
+# events and no cell event, a header-only CSV, and counters that still
+# read 0 done and 4 failed a second later, by when a simulation left
+# running past its deadline would have finished and counted itself.
+echo "serve-smoke: per-cell deadline episode (-timeout 1ms)"
+sed 's/"accesses": 20000/"accesses": 200000/' "$WORK/spec.json" > "$WORK/spec3.json"
+"$WORK/mcserved" -addr "$ADDR" -data "$WORK/store3" -drain-timeout 20s \
+    -timeout 1ms > "$WORK/served3.log" 2>&1 &
+SRV_PID=$!
+wait_up "deadline daemon"
+
+ID3="$(submit "$WORK/spec3.json")"
+curl -sfN "http://$ADDR/jobs/$ID3/results" > "$WORK/stream3.jsonl" \
+    || fail "deadline stream failed"
+grep -q '"state":"done"' "$WORK/stream3.jsonl" \
+    || fail "deadline job did not end done: $(tail -n1 "$WORK/stream3.jsonl")"
+FAILURES="$(grep -c '"type":"failure"' "$WORK/stream3.jsonl" || true)"
+[ "$FAILURES" -eq 4 ] || fail "deadline job streamed $FAILURES failure events, want 4"
+! grep -q '"type":"cell"' "$WORK/stream3.jsonl" \
+    || fail "deadline job streamed a cell event for a timed-out cell"
+
+curl -sf "http://$ADDR/jobs/$ID3/csv" > "$WORK/result3.csv" || fail "deadline CSV download failed"
+LINES="$(wc -l < "$WORK/result3.csv")"
+[ "$LINES" -eq 1 ] || fail "deadline CSV has $LINES lines, want the header only"
+
+for when in "at the end" "1s later"; do
+    [ "$when" = "1s later" ] && sleep 1
+    METRICS="$(curl -sf "http://$ADDR/metrics")" || fail "/metrics failed"
+    printf '%s\n' "$METRICS" | grep -q '^mcserved_cells_done_total 0$' \
+        || fail "$when: /metrics counts done cells for a job whose every cell timed out"
+    printf '%s\n' "$METRICS" | grep -q '^mcserved_cells_failed_total 4$' \
+        || fail "$when: /metrics does not report 4 failed cells"
 done
-wait "$SRV_PID" 2>/dev/null && STATUS=0 || STATUS=$?
-[ "$STATUS" -eq 0 ] || fail "degraded daemon exited $STATUS after SIGTERM"
-SRV_PID=""
+
+stop "deadline daemon"
+grep -q "drained cleanly" "$WORK/served3.log" || fail "deadline daemon log missing clean-drain line"
 
 echo "serve-smoke: PASS"
