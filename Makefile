@@ -18,11 +18,13 @@ test:
 # trace format, the golden-audit gate (the quick experiment matrix must
 # be conservation-clean under strict audit), the sampling validation
 # gate (1/8 set sampling within 2% on every standard machine), the
-# uncached exact-replay gates (a replay split into RunFrom pieces must
-# be bit-identical to one uninterrupted run on every standard machine,
-# and every branch of sim.Run — arena or generator, hot or packed-only
-# tier, cold or warm, exact or 1/8-sampled — must match the arena-free
-# run, with a cold dynamic run keeping its epoch-0 allocation) and the
+# uncached exact-replay gates (the frame kernel's L1 counters must
+# equal a standalone LRU cache's at every L1 associativity from 1 to 32
+# ways, a replay split into RunFrom pieces must be bit-identical to one
+# uninterrupted run on every standard machine, and every branch of
+# sim.Run — arena or generator, hot or packed-only tier, cold or warm,
+# exact or 1/8-sampled — must match the arena-free run, with a cold
+# dynamic run keeping its epoch-0 allocation) and the
 # benchmark module's vet and tests (bench/ is its own Go module, so the
 # root ./... never compiles it).
 check:
@@ -37,6 +39,7 @@ check:
 	$(GO) test -run '^$$' -fuzz FuzzPackedRoundTrip -fuzztime 5s ./internal/trace/
 	$(GO) test -run TestGoldenAuditQuickMatrix -count=1 ./internal/experiments/
 	$(GO) test -run TestSampleValidationQuickMatrix -count=1 ./internal/experiments/
+	$(GO) test -run TestAccessFrameMatchesCacheModel -count=1 ./internal/mem/
 	$(GO) test -run 'TestRunFromSegmentComposition|TestRunSegmentedExact|TestRunArenaMatchesGenerator' -count=1 ./internal/sim/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 

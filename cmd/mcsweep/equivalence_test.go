@@ -19,6 +19,7 @@ import (
 	"strings"
 	"testing"
 
+	"mobilecache/internal/jobs"
 	"mobilecache/internal/runner"
 	"mobilecache/internal/sample"
 	"mobilecache/internal/sim"
@@ -28,14 +29,14 @@ import (
 
 // quickSpec is the equivalence matrix: every standard machine x the
 // first three app profiles x one seed.
-func quickSpec(t *testing.T) (Spec, string) {
+func quickSpec(t *testing.T) (jobs.Spec, string) {
 	t.Helper()
 	apps := workload.Profiles()[:3]
 	names := make([]string, len(apps))
 	for i, a := range apps {
 		names[i] = a.Name
 	}
-	spec := Spec{
+	spec := jobs.Spec{
 		Machines: sim.StandardMachineNames(),
 		Apps:     names,
 		Seeds:    []uint64{1},
@@ -57,7 +58,7 @@ func quickSpec(t *testing.T) (Spec, string) {
 // did before the engine refactor: a shared trace arena, the runner
 // worker pool over (machine, app, seed) cells in spec order, and the
 // CSV schema with identical formatting verbs.
-func referenceSweepCSV(t *testing.T, spec Spec, rcfg runner.Config) []byte {
+func referenceSweepCSV(t *testing.T, spec jobs.Spec, rcfg runner.Config) []byte {
 	t.Helper()
 	store := tracestore.New(0)
 

@@ -11,6 +11,7 @@ import (
 
 	"mobilecache/internal/engine"
 	"mobilecache/internal/faultfs"
+	"mobilecache/internal/jobs"
 )
 
 // TestStorageFaultNamesResume: an I/O fault during a checkpointed
@@ -25,7 +26,7 @@ func TestStorageFaultNamesResume(t *testing.T) {
 		// the disk "breaks".
 		fs: faultfs.New(faultfs.NewPlan().ENOSPCStreak(4, 0)),
 	}
-	spec := Spec{Machines: []string{"baseline-sram"}, Apps: []string{"browser"}, Seeds: []uint64{1, 2, 3}, Accesses: 2000}
+	spec := jobs.Spec{Machines: []string{"baseline-sram"}, Apps: []string{"browser"}, Seeds: []uint64{1, 2, 3}, Accesses: 2000}
 	err := sweep(context.Background(), spec, opt, engine.NewCSV(io.Discard), io.Discard)
 	if err == nil {
 		t.Fatal("sweep over a failing disk succeeded")

@@ -22,12 +22,15 @@
 //	  "apps": ["browser", "music"],
 //	  "seeds": [1, 2, 3],
 //	  "accesses": 400000,
-//	  "warmup": 0
+//	  "warmup": 0,
+//	  "sample": "1/8"
 //	}
 //
-// Machine entries name standard schemes, or point at config JSON files
-// when they are not a scheme name. A positive warmup measures only the
-// accesses after the warmup prefix.
+// This is the sweep daemon's job spec (internal/jobs), decoded by the
+// same strict decoder. Machine entries name standard schemes, or point
+// at config JSON files when they are not a scheme name. A positive
+// warmup measures only the accesses after the warmup prefix; warmup
+// and sample are optional.
 //
 // Rows appear in spec order (machines x apps x seeds) regardless of
 // -jobs, so identical specs produce byte-identical CSVs. With
@@ -52,10 +55,12 @@
 // -sample runs every cell set-sampled (internal/sample): "1/8"
 // simulates one in eight cache-set groups and scales the report back
 // to a full-cache estimate; "hash:1/8" picks the groups by address
-// hash instead of low set bits. The spec is part of each cell's
-// content key, so sampled and exact cells never alias in the run memo
-// or a checkpoint journal. Error bounds are documented in
-// EXPERIMENTS.md; validate a spec with mcbench -sample-validate.
+// hash instead of low set bits. The flag replaces the spec file's
+// "sample" field, which samples the same way when the flag is absent.
+// The sampling spec is part of each cell's content key, so sampled and
+// exact cells never alias in the run memo or a checkpoint journal.
+// Error bounds are documented in EXPERIMENTS.md; validate a spec with
+// mcbench -sample-validate.
 //
 // All cells of a sweep share one trace arena (internal/tracestore):
 // rows that repeat an (app, seed) pair across machines replay the
@@ -81,43 +86,14 @@ import (
 
 	"mobilecache/internal/engine"
 	"mobilecache/internal/faultfs"
+	"mobilecache/internal/jobs"
 	"mobilecache/internal/profiling"
 	"mobilecache/internal/runner"
 	"mobilecache/internal/sample"
-	"mobilecache/internal/workload"
 )
 
-// Spec describes one sweep.
-type Spec struct {
-	Machines []string `json:"machines"`
-	Apps     []string `json:"apps"`
-	Seeds    []uint64 `json:"seeds"`
-	Accesses int      `json:"accesses"`
-	Warmup   int      `json:"warmup"`
-}
-
-// Validate reports spec errors.
-func (s Spec) Validate() error {
-	if len(s.Machines) == 0 {
-		return fmt.Errorf("mcsweep: spec needs machines")
-	}
-	if len(s.Apps) == 0 {
-		return fmt.Errorf("mcsweep: spec needs apps")
-	}
-	if len(s.Seeds) == 0 {
-		return fmt.Errorf("mcsweep: spec needs seeds")
-	}
-	if s.Accesses <= 0 {
-		return fmt.Errorf("mcsweep: accesses must be positive")
-	}
-	if s.Warmup < 0 {
-		return fmt.Errorf("mcsweep: negative warmup")
-	}
-	return nil
-}
-
-func defaultSpec() Spec {
-	return Spec{
+func defaultSpec() jobs.Spec {
+	return jobs.Spec{
 		Machines: []string{"baseline-sram", "sp-mr", "dp-sr"},
 		Apps:     []string{"browser", "music"},
 		Seeds:    []uint64{1, 2},
@@ -136,7 +112,6 @@ type options struct {
 	resume         bool
 	audit          string
 	sampleArg      string
-	sample         sample.Spec
 	// fs, when non-nil, replaces the filesystem under the checkpoint
 	// journal and failure manifest (fault-injection tests only).
 	fs faultfs.FS
@@ -165,11 +140,9 @@ func (o *options) validate() error {
 		return fmt.Errorf("-audit: %w", err)
 	}
 	if o.sampleArg != "" {
-		spec, err := sample.Parse(o.sampleArg)
-		if err != nil {
+		if _, err := sample.Parse(o.sampleArg); err != nil {
 			return fmt.Errorf("-sample: %w", err)
 		}
-		o.sample = spec
 	}
 	return nil
 }
@@ -206,7 +179,7 @@ func run(args []string, out, errOut io.Writer) error {
 	fs.StringVar(&opt.checkpointPath, "checkpoint", "", "journal completed cells to this crash-safe file")
 	fs.BoolVar(&opt.resume, "resume", false, "skip cells already completed in the -checkpoint journal")
 	fs.StringVar(&opt.audit, "audit", "warn", "invariant audit mode: off, warn or strict")
-	fs.StringVar(&opt.sampleArg, "sample", "", `set-sampling spec, e.g. "1/8" or "hash:1/8" (default: exact simulation)`)
+	fs.StringVar(&opt.sampleArg, "sample", "", `set-sampling spec, e.g. "1/8" or "hash:1/8" (default: the spec's sample, else exact simulation)`)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -225,6 +198,9 @@ func run(args []string, out, errOut io.Writer) error {
 	spec, err := loadSpec(*specPath)
 	if err != nil {
 		return err
+	}
+	if opt.sampleArg != "" {
+		spec.Sample = opt.sampleArg
 	}
 
 	restoreAudit, err := engine.ApplyAudit(opt.audit)
@@ -262,63 +238,33 @@ func run(args []string, out, errOut io.Writer) error {
 	return sweepErr
 }
 
-// loadSpec reads, fully parses and validates the spec file. Trailing
-// data after the JSON object (a concatenated second spec, an editing
-// accident) is rejected: silently ignoring it would run a different
-// sweep than the file describes.
-func loadSpec(path string) (Spec, error) {
+// loadSpec reads and strictly decodes the spec file with the daemon's
+// decoder: unknown fields and trailing data after the JSON object (a
+// concatenated second spec, an editing accident) are rejected, since
+// silently ignoring them would run a different sweep than the file
+// describes.
+func loadSpec(path string) (jobs.Spec, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return Spec{}, err
+		return jobs.Spec{}, err
 	}
 	defer f.Close()
-	var spec Spec
-	dec := json.NewDecoder(f)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		return Spec{}, fmt.Errorf("decoding spec: %w", err)
-	}
-	if tok, err := dec.Token(); err != io.EOF {
-		return Spec{}, fmt.Errorf("spec %s: trailing data after the spec object (next token %v, err %v)", path, tok, err)
-	}
-	if err := spec.Validate(); err != nil {
-		return Spec{}, err
+	spec, err := jobs.DecodeSpec(f)
+	if err != nil {
+		return jobs.Spec{}, fmt.Errorf("spec %s: %w", path, err)
 	}
 	return spec, nil
 }
 
-// plan resolves the spec into an engine.Plan. Every machine and app is
-// resolved up front: a typo in the spec is a configuration error and
-// should fail the whole sweep immediately, not burn through N-1
-// healthy cells first.
-func plan(spec Spec) (engine.Plan, error) {
-	machines := make([]engine.MachineSpec, 0, len(spec.Machines))
-	for _, entry := range spec.Machines {
-		cfg, err := engine.ResolveMachine(entry)
-		if err != nil {
-			return engine.Plan{}, err
-		}
-		machines = append(machines, engine.MachineSpec{Label: entry, Config: cfg})
-	}
-	apps := make([]workload.Profile, 0, len(spec.Apps))
-	for _, appName := range spec.Apps {
-		prof, err := workload.ProfileByName(appName)
-		if err != nil {
-			return engine.Plan{}, err
-		}
-		apps = append(apps, prof)
-	}
-	return engine.Grid(machines, apps, spec.Seeds, spec.Accesses, spec.Warmup), nil
-}
-
 // sweep executes the spec's grid on the engine and renders the CSV,
-// the stderr summary and the exit status.
-func sweep(ctx context.Context, spec Spec, opt options, sink engine.Sink, errOut io.Writer) error {
-	p, err := plan(spec)
+// the stderr summary and the exit status. Every machine and app is
+// resolved up front: a typo in the spec is a configuration error and
+// fails the whole sweep before any cell runs.
+func sweep(ctx context.Context, spec jobs.Spec, opt options, sink engine.Sink, errOut io.Writer) error {
+	p, err := spec.Plan()
 	if err != nil {
 		return err
 	}
-	p.Sample = opt.sample
 
 	eng := engine.New(engine.Config{
 		Workers:          opt.jobs,

@@ -401,3 +401,28 @@ func TestSampleFlagValidation(t *testing.T) {
 		t.Error("sampled CSV is byte-identical to the exact CSV; -sample not applied")
 	}
 }
+
+// TestSpecSampleHonoured: a spec file's "sample" field samples the
+// sweep as the daemon's job spec does, and -sample replaces it.
+func TestSpecSampleHonoured(t *testing.T) {
+	const grid = `"machines": ["baseline-sram", "dp"], "apps": ["music"], "seeds": [1], "accesses": 4000`
+	exact := writeSpec(t, `{`+grid+`}`)
+	sampled := writeSpec(t, `{`+grid+`, "sample": "1/8"}`)
+	csvOf := func(args ...string) string {
+		t.Helper()
+		var out bytes.Buffer
+		if err := run(args, &out, io.Discard); err != nil {
+			t.Fatalf("run %v: %v", args, err)
+		}
+		return out.String()
+	}
+	if csvOf("-spec", sampled) != csvOf("-spec", exact, "-sample", "1/8") {
+		t.Error(`spec "sample": "1/8" differs from -sample 1/8`)
+	}
+	if csvOf("-spec", sampled, "-sample", "1/4") != csvOf("-spec", exact, "-sample", "1/4") {
+		t.Error(`-sample 1/4 did not replace the spec's "sample": "1/8"`)
+	}
+	if csvOf("-spec", sampled) == csvOf("-spec", exact) {
+		t.Error(`spec "sample" ignored: sampled CSV equals the exact one`)
+	}
+}

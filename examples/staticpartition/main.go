@@ -38,15 +38,15 @@ func main() {
 	}
 	const seed, accesses = 7, 400_000
 
-	// Step 1: run the baseline and capture the L2-level stream through
-	// the hierarchy tap (demand fills + writebacks, with domains).
+	// Step 1: run the baseline and capture the L2-level stream with a
+	// recording L2 (demand fills + writebacks, with domains).
 	baselineCfg := config.Default()
 	m, err := sim.Build(baselineCfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var l2stream []trace.Access
-	m.Hier.L2Tap = func(a trace.Access) { l2stream = append(l2stream, a) }
+	rec := &core.L2Recorder{L2: m.Hier.L2}
+	m.Hier.L2 = rec
 	gen, err := workload.NewGenerator(app, seed, workload.PhaseLen(app, accesses))
 	if err != nil {
 		log.Fatal(err)
@@ -58,7 +58,7 @@ func main() {
 	// Step 2: sizing search over power-of-two segment candidates.
 	baseSeg := core.SegmentConfig{Name: "base", SizeBytes: 1 << 20, Ways: 16, BlockBytes: 64, Policy: cache.LRU}
 	candidates := []uint64{64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20}
-	sizing, err := core.ChooseStaticSizes(l2stream, baseSeg, candidates, 0.02)
+	sizing, err := core.ChooseStaticSizes(rec.Stream, baseSeg, candidates, 0.02)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -361,27 +361,34 @@ func (c *Cache) SetDomainMask(d trace.Domain, mask uint64) {
 // not reported (the data is gone once a way is gated).
 func (c *Cache) Probe(addr uint64) (set, way int, ok bool) {
 	set, tag := c.index(addr)
-	base := set * c.ways
+	way = c.find(set*c.ways, tag)
+	return set, way, way >= 0
+}
+
+// find returns the powered way of the row at base that holds tag, or
+// -1. While every way is powered it scans the row sequentially instead
+// of walking the enabled-way bitmask.
+func (c *Cache) find(base int, tag uint64) int {
 	if c.allOn {
 		tags := c.tags[base : base+c.ways]
 		for w := range tags {
 			if tags[w] == tag {
 				if ln := &c.lines[base+w]; ln.valid && ln.tag == tag {
-					return set, w, true
+					return w
 				}
 			}
 		}
-		return set, -1, false
+		return -1
 	}
 	for m := c.enabledMask; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros64(m)
 		if c.tags[base+w] == tag {
 			if ln := &c.lines[base+w]; ln.valid && ln.tag == tag {
-				return set, w, true
+				return w
 			}
 		}
 	}
-	return set, -1, false
+	return -1
 }
 
 // Meta returns the metadata of a valid line, or nil.
@@ -400,61 +407,27 @@ func (c *Cache) Meta(set, way int) *BlockMeta {
 // the caller decides whether to Fill.
 func (c *Cache) Lookup(addr uint64, write bool, dom trace.Domain, now uint64) (set, way int, hit bool) {
 	set, tag := c.index(addr)
-	way, hit = c.LookupAt(set, tag, write, dom, now)
-	return set, way, hit
-}
-
-// LookupAt is Lookup with the set/tag decomposition already done (by
-// the frame-precompute stage, or by Lookup): counts the access, touches
-// on hit, and leaves fills to the caller.
-func (c *Cache) LookupAt(set int, tag uint64, write bool, dom trace.Domain, now uint64) (way int, hit bool) {
 	base := set * c.ways
 	c.stats.Accesses[dom]++
-	if c.allOn {
-		tags := c.tags[base : base+c.ways]
-		for w := range tags {
-			if tags[w] == tag {
-				if ln := &c.lines[base+w]; ln.valid && ln.tag == tag {
-					c.stats.Hits[dom]++
-					// The dominant case — a read hit under LRU — is
-					// touchLine's fast path written out by hand; the
-					// combined function is over the inlining budget.
-					if c.policy == LRU && !write {
-						c.seq++
-						ln.lruSeq = c.seq
-						c.seqs[base+w] = c.seq
-						ln.meta.LastTouch = now
-						ln.meta.RefreshCount = 0
-					} else {
-						c.touchLine(ln, set, w, write, dom, now)
-					}
-					return w, true
-				}
-			}
-		}
+	if way = c.find(base, tag); way < 0 {
 		c.stats.Misses[dom]++
-		return -1, false
+		return set, -1, false
 	}
-	for m := c.enabledMask; m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
-		if c.tags[base+w] == tag {
-			if ln := &c.lines[base+w]; ln.valid && ln.tag == tag {
-				c.stats.Hits[dom]++
-				if c.policy == LRU && !write {
-					c.seq++
-					ln.lruSeq = c.seq
-					c.seqs[base+w] = c.seq
-					ln.meta.LastTouch = now
-					ln.meta.RefreshCount = 0
-				} else {
-					c.touchLine(ln, set, w, write, dom, now)
-				}
-				return w, true
-			}
-		}
+	c.stats.Hits[dom]++
+	ln := &c.lines[base+way]
+	// The dominant case — a read hit under LRU — is touchLine's fast
+	// path written out by hand; the combined function is over the
+	// inlining budget.
+	if c.policy == LRU && !write {
+		c.seq++
+		ln.lruSeq = c.seq
+		c.seqs[base+way] = c.seq
+		ln.meta.LastTouch = now
+		ln.meta.RefreshCount = 0
+	} else {
+		c.touchLine(ln, set, way, write, dom, now)
 	}
-	c.stats.Misses[dom]++
-	return -1, false
+	return set, way, true
 }
 
 // Touch performs the hit-path bookkeeping for a line found by Probe:

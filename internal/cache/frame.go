@@ -8,9 +8,10 @@ import "mobilecache/internal/trace"
 // points below, so the per-hit cost is the tag row scan plus a handful
 // of stores — no Lookup call, no Result struct, no per-access stats
 // writes (the kernel batches access/hit counts and flushes them once
-// per frame via AddFrameCounts). Everything here is LRU-specific and
-// gated by FrameKernelOK: a cache with gated ways or a non-LRU policy
-// is served by the general Lookup path instead.
+// per frame via AddFrameCounts). Everything here assumes LRU
+// replacement with every way powered, which is what every L1 is: the
+// kernel serves only L1s, and nothing gates or re-policies them. The
+// L2 organizations, which gate ways and vary the policy, use Lookup.
 
 // Geometry exports the cache's (set, tag) address decomposition for
 // the trace-side frame precompute.
@@ -21,25 +22,17 @@ func (c *Cache) Geometry() trace.SetTagGeom {
 // frameTagsPad is the number of permanent invalidTag sentinels kept
 // past the last set in the tags sidecar: the kernel's hit scan loads a
 // fixed FrameScanWays-wide window starting at any row base, so the
-// last row needs FrameScanWays-1 readable entries beyond it (one more
-// keeps the arithmetic obviously safe). Sentinels are invalidTag and
-// are never written — Fill and Invalidate only touch indexes below
-// sets*ways — and a window entry past the row's real ways is masked
-// out of the match bits before it can alias the next set.
+// last window of the last row needs up to FrameScanWays-1 readable
+// entries beyond it (one more keeps the arithmetic obviously safe).
+// Sentinels are invalidTag and are never written — Fill and Invalidate
+// only touch indexes below sets*ways — and a window entry past the
+// row's real ways is masked out of the match bits before it can alias
+// the next set.
 const frameTagsPad = FrameScanWays
 
-// FrameScanWays is the fixed width of the kernel's tag-row scan.
+// FrameScanWays is the width of one window of the kernel's tag-row
+// scan; a row wider than this is scanned in consecutive windows.
 const FrameScanWays = 4
-
-// FrameKernelOK reports whether the frame kernel's specialized hit
-// path is valid for this cache: every way powered, LRU replacement,
-// and associativity within the fixed scan width. All three are the
-// permanent state of every L1 the simulator builds; the check guards
-// against future organizations silently taking a path whose semantics
-// would no longer match Lookup.
-func (c *Cache) FrameKernelOK() bool {
-	return c.allOn && c.policy == LRU && c.ways <= FrameScanWays
-}
 
 // FrameTags exposes the tags sidecar for the kernel's hit scan. A
 // sidecar match is a hint, not a hit: the caller must confirm it with

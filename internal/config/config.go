@@ -333,13 +333,9 @@ func (m Machine) DrowsyConfig(seg core.SegmentConfig) core.DrowsyConfig {
 
 // L1Config converts an L1 description.
 func (l L1) L1Config(name string) mem.L1Config {
-	hit := uint64(2)
-	if name == "L1I" {
-		hit = 1
-	}
 	return mem.L1Config{
 		Name: name, SizeBytes: uint64(l.SizeKB) * 1024, Ways: l.Ways,
-		BlockBytes: l.BlockBytes, HitCycles: hit,
+		BlockBytes: l.BlockBytes,
 	}
 }
 

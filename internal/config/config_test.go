@@ -138,12 +138,11 @@ func TestLoadFileMissing(t *testing.T) {
 func TestL1Config(t *testing.T) {
 	l := L1{SizeKB: 32, Ways: 4, BlockBytes: 64}
 	c := l.L1Config("L1D")
-	if c.SizeBytes != 32*1024 || c.Ways != 4 || c.HitCycles != 2 {
+	if c.Name != "L1D" || c.SizeBytes != 32*1024 || c.Ways != 4 || c.BlockBytes != 64 {
 		t.Fatalf("L1D config wrong: %+v", c)
 	}
-	ci := l.L1Config("L1I")
-	if ci.HitCycles != 1 {
-		t.Fatalf("L1I hit cycles = %d, want 1", ci.HitCycles)
+	if ci := l.L1Config("L1I"); ci.Name != "L1I" {
+		t.Fatalf("L1I config named %q, want L1I", ci.Name)
 	}
 }
 

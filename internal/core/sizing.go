@@ -24,10 +24,31 @@ type SizingPoint struct {
 	Accesses  uint64
 }
 
+// L2Recorder is an L2 that records every access it forwards to the
+// wrapped L2, in order: the L2-level stream the sizing search replays.
+// Installed as a hierarchy's L2 for a baseline run, it captures demand
+// fills, dirty L1 writebacks and prefetch fills with their domains.
+// Each record holds the block address, Store or Load for a write or a
+// read, and the domain; the sizing search reads nothing else.
+type L2Recorder struct {
+	L2
+	Stream []trace.Access
+}
+
+// Access records the access, then forwards it.
+func (r *L2Recorder) Access(blockAddr uint64, write bool, dom trace.Domain, now uint64) (bool, uint64) {
+	op := trace.Load
+	if write {
+		op = trace.Store
+	}
+	r.Stream = append(r.Stream, trace.Access{Addr: blockAddr, Op: op, Domain: dom})
+	return r.L2.Access(blockAddr, write, dom, now)
+}
+
 // MissRateForSize replays only dom's accesses from recs through an
 // isolated cache of the given geometry and returns its miss statistics.
-// recs must be an L2-level stream (e.g. captured via mem.Hierarchy's
-// L2 tap) for the numbers to mean what the paper's do.
+// recs must be an L2-level stream (e.g. an L2Recorder's) for the
+// numbers to mean what the paper's do.
 func MissRateForSize(recs []trace.Access, dom trace.Domain, sizeBytes uint64, ways, blockBytes int, policy cache.PolicyKind) (SizingPoint, error) {
 	c, err := cache.New(cache.Config{
 		Name:      fmt.Sprintf("sizing-%s-%d", dom, sizeBytes),

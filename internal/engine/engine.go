@@ -26,7 +26,7 @@
 //     machine or profile under an unchanged name can never be served
 //     a stale report.
 //
-// Results flow to pluggable Sinks (Collector, CSV, Table; the
+// Results flow to pluggable Sinks (Collector, CSV, CSVFile; the
 // checkpoint journal is an engine-internal tee) in plan order, so a
 // future front end — an HTTP API, a sharded backend — is a new Sink
 // plus wiring, not a fourth copy of the pipeline.
@@ -323,15 +323,13 @@ func (e *Engine) Execute(ctx context.Context, plan Plan, opt ExecOptions, sinks 
 	// configuration error and must fail the plan before any cell runs.
 	rcells := make([]runner.Cell, len(plan.Cells))
 	keys := make([]checkpoint.Key, len(plan.Cells))
-	index := make(map[runner.Cell]int, len(plan.Cells))
 	for i, c := range plan.Cells {
-		rc := runner.Cell{Machine: c.Machine, App: c.App, Seed: c.Seed}
+		rc := runner.Cell{Machine: c.Machine, App: c.App, Seed: c.Seed, Index: i}
 		key, err := keyOf(c, plan.Accesses, plan.Warmup, plan.Sample)
 		if err != nil {
 			return sum, fmt.Errorf("keying cell %s: %w", rc, err)
 		}
 		rcells[i], keys[i] = rc, key
-		index[rc] = i
 	}
 
 	journal, resumed, discarded, err := e.openJournal(fsys, opt, logw)
@@ -368,7 +366,7 @@ func (e *Engine) Execute(ctx context.Context, plan Plan, opt ExecOptions, sinks 
 	fromMemo := make([]bool, len(plan.Cells))
 	outcomes, runErr := runner.Run(ctx, rcfg, rcells,
 		func(ctx context.Context, rc runner.Cell) (sim.RunReport, error) {
-			i := index[rc]
+			i := rc.Index
 			key := keys[i]
 			rep, ok := resumed[key]
 			if ok {

@@ -445,6 +445,42 @@ func TestExecuteOnResult(t *testing.T) {
 	}
 }
 
+// TestExecuteRepeatedCellKeepsItsIndex: a plan may repeat a (machine,
+// app, seed) cell, as a spec with "seeds": [1, 1] does. Each copy must
+// report under its own plan index, and a second execution on the same
+// engine, where both copies are memo hits, must mark both memoized.
+func TestExecuteRepeatedCellKeepsItsIndex(t *testing.T) {
+	p := testPlan(t, []string{"baseline-sram"}, 1, []uint64{1, 1}, 2000)
+	eng := New(Config{Workers: 2})
+	for run := 1; run <= 2; run++ {
+		var mu sync.Mutex
+		got := map[int]Result{}
+		sum, err := eng.Execute(context.Background(), p, ExecOptions{
+			OnResult: func(r Result) {
+				mu.Lock()
+				defer mu.Unlock()
+				if _, dup := got[r.Index]; dup {
+					t.Errorf("run %d: OnResult fired twice for index %d", run, r.Index)
+				}
+				got[r.Index] = r
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, saw0 := got[0]
+		_, saw1 := got[1]
+		if !saw0 || !saw1 || len(got) != 2 {
+			t.Fatalf("run %d: OnResult saw %d indexes (0: %v, 1: %v), want {0, 1}", run, len(got), saw0, saw1)
+		}
+		if run == 2 {
+			if !got[0].Memoized || !got[1].Memoized || sum.Memoized != 2 {
+				t.Fatalf("second run: memoized %v, %v (summary %d), want both", got[0].Memoized, got[1].Memoized, sum.Memoized)
+			}
+		}
+	}
+}
+
 // testGate is a channel semaphore that records its concurrency peak.
 type testGate struct {
 	slots chan struct{}

@@ -113,20 +113,20 @@ func runE3(opts Options) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	var l2stream []trace.Access
-	m.Hier.L2Tap = func(a trace.Access) { l2stream = append(l2stream, a) }
+	rec := &core.L2Recorder{L2: m.Hier.L2}
+	m.Hier.L2 = rec
 	if _, err := runOnMachine(opts, m, app, appSeed(opts.Seed, 0)); err != nil {
 		return res, err
 	}
 
 	baseline := core.SegmentConfig{Name: "base", SizeBytes: 1024 * 1024, Ways: 16, BlockBytes: 64, Policy: cache.LRU}
 	candidates := []uint64{64 * 1024, 128 * 1024, 256 * 1024, 512 * 1024, 1024 * 1024}
-	sizing, err := core.ChooseStaticSizes(l2stream, baseline, candidates, 0.02)
+	sizing, err := core.ChooseStaticSizes(rec.Stream, baseline, candidates, 0.02)
 	if err != nil {
 		return res, err
 	}
 
-	tb := report.NewTable(fmt.Sprintf("E3: miss rate vs segment size (app %s, %d L2 accesses)", app.Name, len(l2stream)),
+	tb := report.NewTable(fmt.Sprintf("E3: miss rate vs segment size (app %s, %d L2 accesses)", app.Name, len(rec.Stream)),
 		"segment size", "user missrate", "kernel missrate")
 	for i := range sizing.UserCurve {
 		tb.AddRow(report.Bytes(sizing.UserCurve[i].SizeBytes),

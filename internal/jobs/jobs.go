@@ -36,6 +36,7 @@ import (
 	"mobilecache/internal/engine"
 	"mobilecache/internal/faultfs"
 	"mobilecache/internal/runner"
+	"mobilecache/internal/tracestore"
 )
 
 // State is a job's FSM state.
@@ -349,18 +350,7 @@ type Stats struct {
 	Waiting  int
 	Slots    int
 	Memo     engine.MemoStats
-	Store    StoreStats
-}
-
-// StoreStats mirrors the trace arena counters (tracestore.Stats) so
-// metrics callers need no tracestore import.
-type StoreStats struct {
-	Hits, Misses, Generated, Evictions, Demotions uint64
-	BytesInUse                                    int64
-	// Entries and the shard occupancy spread expose how evenly the
-	// lock-striped arena is loaded (MaxShardEntries/MinShardEntries is
-	// the skew /metrics graphs).
-	Entries, Shards, MaxShardEntries, MinShardEntries int
+	Store    tracestore.Stats
 }
 
 // Manager owns the job store, the shared engine and the fair gate.
@@ -832,14 +822,8 @@ func (m *Manager) Stats() Stats {
 		Waiting:  waiting,
 		Slots:    m.gate.total,
 		Memo:     m.eng.MemoStats(),
+		Store:    m.eng.Store().Stats(),
 		ByState:  map[State]int{},
-	}
-	ts := m.eng.Store().Stats()
-	st.Store = StoreStats{
-		Hits: ts.Hits, Misses: ts.Misses, Generated: ts.Generated,
-		Evictions: ts.Evictions, Demotions: ts.Demotions, BytesInUse: ts.BytesInUse,
-		Entries: ts.Entries, Shards: ts.Shards,
-		MaxShardEntries: ts.MaxShardEntries, MinShardEntries: ts.MinShardEntries,
 	}
 	for _, s := range m.List() {
 		st.ByState[s.State]++

@@ -10,9 +10,9 @@ import (
 	"mobilecache/internal/workload"
 )
 
-// Spec is the sweep a client submits: the same grid format
-// cmd/mcsweep parses (machines x apps x seeds at a run length), plus
-// the optional set-sampling spec. Machine entries name standard
+// Spec is the sweep a client submits, and the spec file cmd/mcsweep
+// runs: a grid of machines x apps x seeds at a run length, plus the
+// optional warmup and set-sampling spec. Machine entries name standard
 // schemes or point at config JSON files readable by the daemon.
 type Spec struct {
 	Machines []string `json:"machines"`

@@ -169,19 +169,16 @@ type L1Config struct {
 	SizeBytes  uint64
 	Ways       int
 	BlockBytes int
-	// HitCycles is the L1 hit latency; it is assumed pipelined and is
-	// not charged as a stall, but is reported for documentation.
-	HitCycles uint64
 }
 
 // DefaultL1I returns the 32KB 2-way instruction cache used throughout.
 func DefaultL1I() L1Config {
-	return L1Config{Name: "L1I", SizeBytes: 32 * 1024, Ways: 2, BlockBytes: 64, HitCycles: 1}
+	return L1Config{Name: "L1I", SizeBytes: 32 * 1024, Ways: 2, BlockBytes: 64}
 }
 
 // DefaultL1D returns the 32KB 4-way data cache used throughout.
 func DefaultL1D() L1Config {
-	return L1Config{Name: "L1D", SizeBytes: 32 * 1024, Ways: 4, BlockBytes: 64, HitCycles: 2}
+	return L1Config{Name: "L1D", SizeBytes: 32 * 1024, Ways: 4, BlockBytes: 64}
 }
 
 // L1 is a first-level cache: SRAM, write-back, write-allocate.
@@ -217,11 +214,6 @@ type Hierarchy struct {
 	L1D  *L1
 	L2   core.L2
 	DRAM *DRAM
-
-	// L2Tap, when set, observes every L2-level access (demand misses
-	// from the L1s and dirty L1 writebacks) as a trace record. The
-	// static sizing experiments replay this captured stream.
-	L2Tap func(a trace.Access)
 
 	// NextLinePrefetch enables a simple L1 next-line prefetcher: on an
 	// L1 data miss, the following block is fetched into the L1 as well
@@ -264,37 +256,31 @@ func NewHierarchy(l1i, l1d L1Config, l2 core.L2, dram *DRAM) (*Hierarchy, error)
 	return &Hierarchy{L1I: i, L1D: d, L2: l2, DRAM: dram}, nil
 }
 
-// missPath is the L1-miss continuation shared by the frame kernel's
-// fast loop and accessPre:
-// demand fill through the L2 (and DRAM on an L2 miss), victim
-// writeback, and the optional next-line prefetch.
-func (h *Hierarchy) missPath(l1 *L1, a trace.Access, write bool, now uint64) uint64 {
+// missPath is the L1-miss continuation of the frame kernel: demand
+// fill through the L2 (and DRAM on an L2 miss), victim writeback, and
+// the optional next-line prefetch. Every L2-bound event is one
+// h.L2.Access call, in trace order.
+func (h *Hierarchy) missPath(l1 *L1, p *FramePre, now uint64) uint64 {
 	// L1 miss: demand-read the block from L2.
 	l1.meter.Read(1) // tag probe
-	blockAddr := l1.c.BlockAddr(a.Addr)
-	if h.L2Tap != nil {
-		h.tap(blockAddr, a.PC, false, a.Domain)
-	}
-	l2hit, l2lat := h.L2.Access(blockAddr, false, a.Domain, now)
+	blockAddr := l1.c.BlockAddr(p.Addr)
+	l2hit, l2lat := h.L2.Access(blockAddr, false, p.Dom, now)
 	stall := l2lat
 	if !l2hit {
 		stall += h.DRAM.Read(blockAddr)
 	}
 
 	// Fill the L1; a dirty victim goes down into the L2 as a write.
-	res := l1.c.Fill(a.Addr, write, a.Domain, now)
+	res := l1.c.Fill(p.Addr, p.Write, p.Dom, now)
 	l1.meter.Write(1)
 	if res.Evicted && res.EvictedDirty {
 		l1.meter.Read(1) // victim readout
-		if h.L2Tap != nil {
-			h.tap(res.EvictedAddr, a.PC, true, res.EvictedDomain)
-		}
 		h.L2.Access(res.EvictedAddr, true, res.EvictedDomain, now)
 	}
 
 	// Next-line prefetch: bring block+1 into the L1 off the critical
 	// path (no stall), unless it is already resident.
-	if h.NextLinePrefetch && a.Op != trace.Ifetch {
+	if h.NextLinePrefetch && p.Kind != trace.KindIfetch {
 		next := blockAddr + uint64(l1.cfg.BlockBytes)
 		if h.SampleFilter != nil && !h.SampleFilter(next) {
 			return stall
@@ -302,31 +288,18 @@ func (h *Hierarchy) missPath(l1 *L1, a trace.Access, write bool, now uint64) uin
 		if _, _, hit := l1.c.Probe(next); !hit {
 			h.Prefetches++
 			l1.meter.Read(1)
-			h.tap(next, a.PC, false, a.Domain)
-			if pfHit, _ := h.L2.Access(next, false, a.Domain, now); !pfHit {
+			if pfHit, _ := h.L2.Access(next, false, p.Dom, now); !pfHit {
 				h.DRAM.Read(next) // energy/traffic, no stall
 			}
-			pres := l1.c.Fill(next, false, a.Domain, now)
+			pres := l1.c.Fill(next, false, p.Dom, now)
 			l1.meter.Write(1)
 			if pres.Evicted && pres.EvictedDirty {
 				l1.meter.Read(1)
-				h.tap(pres.EvictedAddr, a.PC, true, pres.EvictedDomain)
 				h.L2.Access(pres.EvictedAddr, true, pres.EvictedDomain, now)
 			}
 		}
 	}
 	return stall
-}
-
-func (h *Hierarchy) tap(addr, pc uint64, write bool, dom trace.Domain) {
-	if h.L2Tap == nil {
-		return
-	}
-	op := trace.Load
-	if write {
-		op = trace.Store
-	}
-	h.L2Tap(trace.Access{Addr: addr, PC: pc, Op: op, Domain: dom})
 }
 
 // Advance integrates leakage in every level up to cycle now.

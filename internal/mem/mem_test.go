@@ -203,16 +203,20 @@ func TestDirtyL1WritebackReachesL2(t *testing.T) {
 	}
 }
 
+// TestL2TapSeesDemandAndWriteback: an L2Recorder installed as the
+// hierarchy's L2 captures demand fills and dirty writebacks, each
+// writeback under the domain of the block's owner.
 func TestL2TapSeesDemandAndWriteback(t *testing.T) {
 	h, _ := testHierarchy(t)
-	var tapped []trace.Access
-	h.L2Tap = func(a trace.Access) { tapped = append(tapped, a) }
+	rec := &core.L2Recorder{L2: h.L2}
+	h.L2 = rec
 	access(h, trace.Access{Addr: 0x100000, Op: trace.Store, Domain: trace.Kernel}, 1)
 	for i := uint64(1); i <= 4; i++ {
 		access(h, trace.Access{Addr: 0x100000 + i*8192, Op: trace.Load, Domain: trace.User}, 1+i)
 	}
+	tapped := rec.Stream
 	if len(tapped) != 6 {
-		t.Fatalf("tap saw %d records, want 6", len(tapped))
+		t.Fatalf("recorder saw %d records, want 6", len(tapped))
 	}
 	stores := 0
 	for _, a := range tapped {
@@ -224,7 +228,7 @@ func TestL2TapSeesDemandAndWriteback(t *testing.T) {
 		}
 	}
 	if stores != 1 {
-		t.Fatalf("tap saw %d stores, want 1 writeback", stores)
+		t.Fatalf("recorder saw %d stores, want 1 writeback", stores)
 	}
 }
 

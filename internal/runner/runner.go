@@ -32,6 +32,10 @@ type Cell struct {
 	Machine string
 	App     string
 	Seed    uint64
+	// Index is the cell's slot in the caller's own list. The pool does
+	// not read it; it lets a cell function find its slot even when a
+	// list repeats a (machine, app, seed) cell.
+	Index int
 }
 
 // String renders the cell identity for error messages.

@@ -39,10 +39,6 @@ type Machine struct {
 	Dynamic *core.DynamicPartition
 	// Static is non-nil when the L2 is the static design.
 	Static *core.StaticPartition
-	// Unified is non-nil for unified L2s.
-	Unified *core.Unified
-	// Drowsy is non-nil for the drowsy-SRAM baseline.
-	Drowsy *core.DrowsyUnified
 	// Sample is non-nil for a set-sampled machine (BuildSampled with an
 	// enabled spec): replay sources must be filtered through it, and
 	// the resulting raw report covers 1/Factor of the workload.
@@ -152,7 +148,6 @@ func build(cfg config.Machine, sel *sample.Selector) (*Machine, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.Unified = u
 		l2 = u
 	case config.SchemeStatic:
 		us, err := cfg.User.ToCore()
@@ -210,7 +205,6 @@ func build(cfg config.Machine, sel *sample.Selector) (*Machine, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.Drowsy = dw
 		l2 = dw
 	default:
 		return nil, fmt.Errorf("sim: unknown scheme %q", cfg.Scheme)

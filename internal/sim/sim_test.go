@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mobilecache/internal/config"
+	"mobilecache/internal/core"
 	"mobilecache/internal/sample"
 	"mobilecache/internal/trace"
 	"mobilecache/internal/workload"
@@ -65,10 +66,12 @@ func TestBuildSchemeSpecificHandles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if (m.Unified != nil) != tc.unified || (m.Static != nil) != tc.static_ ||
-			(m.Dynamic != nil) != tc.dynamic || (m.Drowsy != nil) != tc.drowsy {
+		_, unified := m.L2.(*core.Unified)
+		_, drowsy := m.L2.(*core.DrowsyUnified)
+		if unified != tc.unified || (m.Static != nil) != tc.static_ ||
+			(m.Dynamic != nil) != tc.dynamic || drowsy != tc.drowsy {
 			t.Errorf("%s handles wrong: unified=%v static=%v dynamic=%v drowsy=%v",
-				tc.name, m.Unified != nil, m.Static != nil, m.Dynamic != nil, m.Drowsy != nil)
+				tc.name, unified, m.Static != nil, m.Dynamic != nil, drowsy)
 		}
 	}
 }

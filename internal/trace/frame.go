@@ -47,7 +47,7 @@ const (
 // frame stays L1-resident on the host.
 type FramePre struct {
 	// Addr and PC are the record's raw fields (the miss path needs
-	// them for block math and trace taps).
+	// Addr for block math; replay does not read PC).
 	Addr uint64
 	PC   uint64
 	// Tag is the address tag under the target L1's geometry.
@@ -64,17 +64,6 @@ type FramePre struct {
 	Kind uint8
 	// Write marks stores.
 	Write bool
-}
-
-// Op reconstructs the record's operation kind.
-func (p *FramePre) Op() Op {
-	if p.Kind == KindIfetch {
-		return Ifetch
-	}
-	if p.Write {
-		return Store
-	}
-	return Load
 }
 
 // FrameSource is a Source that can fill a replay frame directly: up to
