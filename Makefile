@@ -15,8 +15,10 @@ test:
 # not type-check the tree), a race-enabled short pass (the
 # engine/runner/chaos tests are where races would hide), fuzz smokes
 # over the crash-recovery scanner, the invariant auditor and the packed
-# trace format, the golden-audit gate (the quick experiment matrix must
-# be conservation-clean under strict audit), the sampling validation
+# trace format, the golden-audit gates (the quick experiment matrix must
+# be conservation-clean, and under a report-miscounting tamper every
+# experiment that builds its own machine — E3, E4, E9, E10, E11, E20 —
+# must fail with the violated invariant), the sampling validation
 # gate (1/8 set sampling within 2% on every standard machine), the
 # uncached exact-replay gates (the frame kernel's L1 counters must
 # equal a standalone LRU cache's at every L1 associativity from 1 to 32
@@ -37,7 +39,7 @@ check:
 	$(GO) test -run '^$$' -fuzz FuzzJournalDecode -fuzztime 5s ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzAuditReport -fuzztime 5s ./internal/invariant/
 	$(GO) test -run '^$$' -fuzz FuzzPackedRoundTrip -fuzztime 5s ./internal/trace/
-	$(GO) test -run TestGoldenAuditQuickMatrix -count=1 ./internal/experiments/
+	$(GO) test -run 'TestGoldenAuditQuickMatrix|TestHandBuiltRunsAudited' -count=1 ./internal/experiments/
 	$(GO) test -run TestSampleValidationQuickMatrix -count=1 ./internal/experiments/
 	$(GO) test -run TestAccessFrameMatchesCacheModel -count=1 ./internal/mem/
 	$(GO) test -run 'TestRunFromSegmentComposition|TestRunSegmentedExact|TestRunArenaMatchesGenerator' -count=1 ./internal/sim/

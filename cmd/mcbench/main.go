@@ -8,8 +8,9 @@
 //	mcbench -list                # list experiment IDs and titles
 //	mcbench -csv dir/            # additionally dump each table as CSV
 //
-// Experiment IDs E1..E12 are the reconstructed figures, T1/T2 the
-// tables; see DESIGN.md for the per-experiment index.
+// Experiment IDs E1..E12 are the reconstructed figures, E13..E21
+// extensions and T1..T3 the tables; see DESIGN.md for the
+// per-experiment index.
 //
 // Every experiment in a run is executed through one shared pipeline
 // engine (internal/engine): its trace arena, bounded by
@@ -17,8 +18,8 @@
 // revisit the same (app, seed), and its content-hash run memo lets
 // experiments that share (machine, app, seed) cells simulate them
 // once. -cpuprofile and -memprofile write pprof profiles of the run.
-// -audit selects the invariant-audit mode for every simulation (off,
-// warn or strict; see internal/invariant).
+// Every simulation's report is audited against the conservation laws
+// of internal/invariant, and a violation fails the run.
 //
 // -sample runs every experiment set-sampled (e.g. -sample 1/8
 // simulates one in eight cache-set groups and scales the reports back
@@ -69,7 +70,6 @@ func run(args []string, out io.Writer) error {
 	mdDir := fs.String("md", "", "directory to dump tables as Markdown")
 	svgDir := fs.String("svg", "", "directory to write SVG figures")
 	traceCacheMB := fs.Int("trace-cache-mb", 256, "trace arena LRU budget in MB (0 = unlimited)")
-	audit := fs.String("audit", "warn", "invariant audit mode: off, warn or strict")
 	sampleArg := fs.String("sample", "", `set-sampling spec, e.g. "1/8" or "hash:1/8" (default: exact simulation)`)
 	sampleValidate := fs.Bool("sample-validate", false, "run the sampled-vs-exact validation grid instead of the experiments")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile here")
@@ -119,12 +119,6 @@ func run(args []string, out io.Writer) error {
 		// invocation short: mcbench -sample-validate.
 		sampleSpec = sample.Spec{Factor: 8}
 	}
-	restoreAudit, err := engine.ApplyAudit(*audit)
-	if err != nil {
-		return fmt.Errorf("-audit: %w", err)
-	}
-	defer restoreAudit()
-
 	if *list {
 		for _, id := range experiments.IDs() {
 			fmt.Fprintf(out, "%-4s %s\n", id, experiments.Title(id))

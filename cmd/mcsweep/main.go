@@ -47,10 +47,9 @@
 // keys hash contents rather than spec positions, editing or reordering
 // the spec only re-runs cells whose inputs actually changed.
 //
-// -audit selects the invariant-audit mode (internal/invariant) for
-// every simulation: "warn" (default) logs conservation violations,
-// "strict" turns them into structured failures in the manifest, "off"
-// disables checking.
+// Every cell's report is audited against the simulator's conservation
+// laws (internal/invariant); a cell whose report breaks one fails, and
+// its violations are listed in the failure manifest.
 //
 // -sample runs every cell set-sampled (internal/sample): "1/8"
 // simulates one in eight cache-set groups and scales the report back
@@ -110,7 +109,6 @@ type options struct {
 	traceCacheMB   int
 	checkpointPath string
 	resume         bool
-	audit          string
 	sampleArg      string
 	// fs, when non-nil, replaces the filesystem under the checkpoint
 	// journal and failure manifest (fault-injection tests only).
@@ -135,9 +133,6 @@ func (o *options) validate() error {
 	}
 	if o.resume && o.checkpointPath == "" {
 		return fmt.Errorf("-resume needs -checkpoint to name the journal to resume from")
-	}
-	if err := engine.CheckAudit(o.audit); err != nil {
-		return fmt.Errorf("-audit: %w", err)
 	}
 	if o.sampleArg != "" {
 		if _, err := sample.Parse(o.sampleArg); err != nil {
@@ -178,7 +173,6 @@ func run(args []string, out, errOut io.Writer) error {
 	fs.IntVar(&opt.traceCacheMB, "trace-cache-mb", 256, "trace arena LRU budget in MB (0 = unlimited)")
 	fs.StringVar(&opt.checkpointPath, "checkpoint", "", "journal completed cells to this crash-safe file")
 	fs.BoolVar(&opt.resume, "resume", false, "skip cells already completed in the -checkpoint journal")
-	fs.StringVar(&opt.audit, "audit", "warn", "invariant audit mode: off, warn or strict")
 	fs.StringVar(&opt.sampleArg, "sample", "", `set-sampling spec, e.g. "1/8" or "hash:1/8" (default: the spec's sample, else exact simulation)`)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -202,12 +196,6 @@ func run(args []string, out, errOut io.Writer) error {
 	if opt.sampleArg != "" {
 		spec.Sample = opt.sampleArg
 	}
-
-	restoreAudit, err := engine.ApplyAudit(opt.audit)
-	if err != nil {
-		return err
-	}
-	defer restoreAudit()
 
 	stopProfile, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {

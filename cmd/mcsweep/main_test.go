@@ -386,10 +386,10 @@ func TestSampleFlagValidation(t *testing.T) {
 		}
 	}
 	var exact, sampled bytes.Buffer
-	if err := run([]string{"-spec", spec, "-audit", "strict"}, &exact, io.Discard); err != nil {
+	if err := run([]string{"-spec", spec}, &exact, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-spec", spec, "-audit", "strict", "-sample", "1/8"}, &sampled, io.Discard); err != nil {
+	if err := run([]string{"-spec", spec, "-sample", "1/8"}, &sampled, io.Discard); err != nil {
 		t.Fatalf("sampled sweep failed: %v", err)
 	}
 	er, _ := csv.NewReader(strings.NewReader(exact.String())).ReadAll()

@@ -46,7 +46,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep := sim.RunTrace(m, strings.Join(session, "->"), src, 0)
+	rep, err := sim.RunSampledTrace(m, strings.Join(session, "->"), src, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("session %s on %s (%d L2 accesses)\n\n", rep.Workload, rep.Machine, rep.L2.TotalAccesses())
 	fmt.Println("epoch  at access   user ways         kernel ways       gated")

@@ -48,7 +48,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep := sim.RunTrace(m, "session", src, 0)
+		rep, err := sim.RunSampledTrace(m, "session", src, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
 		rows = append(rows, row{name, rep.L2EnergyJ(), rep.IPC(), rep.L2.KernelShare()})
 	}
 

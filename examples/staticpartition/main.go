@@ -51,7 +51,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	baseRep := sim.RunTrace(m, app.Name, trace.NewLimitSource(gen, accesses), 0)
+	baseRep, err := sim.RunSampledTrace(m, app.Name, trace.NewLimitSource(gen, accesses), 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("baseline: %d L2 accesses, miss rate %.1f%%, %d cross-domain evictions\n",
 		baseRep.L2.TotalAccesses(), baseRep.L2.MissRate()*100, baseRep.L2.InterferenceEvictions)
 
@@ -83,7 +86,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sim.RunTrace(sp, app.Name, trace.NewLimitSource(gen2, accesses), 0)
+	if _, err := sim.RunSampledTrace(sp, app.Name, trace.NewLimitSource(gen2, accesses), 0); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nretention matching:\n")
 	for _, d := range []trace.Domain{trace.User, trace.Kernel} {
 		lt := sp.Static.SegmentCache(d).Stats().Lifetimes[d]

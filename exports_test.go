@@ -29,7 +29,7 @@ var exportAllowlist = map[string]string{
 	"faultfs.(*Plan).FailKind":          "fault-injection seam: fails every op of one kind, such as checkpoint fsyncs, for the crash-consistency tests",
 	"faultfs.(*Plan).ShortWriteNth":     "fault-injection seam: the torn-record schedule that make torture and journal recovery inject",
 	"sim.InstallChaos":                  "fault-injection seam: fails cells mid-sweep to exercise the runner's panic containment, -keep-going and manifest paths",
-	"sim.SetAuditTamper":                "fault-injection seam: miscounts a report to show the strict audit catches it end to end",
+	"sim.SetAuditTamper":                "fault-injection seam: miscounts a report to show the audit catches it end to end",
 }
 
 // TestNoTestOnlyExports makes the rule "a test-only production API is

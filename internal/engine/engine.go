@@ -16,8 +16,8 @@
 //   - internal/checkpoint: an optional crash-safe journal of completed
 //     cells keyed by a content hash of each cell's full inputs, with
 //     resume-by-key so a killed sweep continues where it stopped;
-//   - internal/invariant: the off/warn/strict conservation audit
-//     (applied inside sim.Run; ApplyAudit selects the mode);
+//   - internal/invariant: the conservation audit, applied inside
+//     sim.Run to every report; a violating report fails its cell;
 //   - incremental failure manifests (runner.ManifestLogger), streamed
 //     as cells fail and finalized at the end;
 //   - a bounded per-engine run memo keyed by the same content hash the

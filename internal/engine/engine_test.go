@@ -376,40 +376,6 @@ func TestConcurrentExecutes(t *testing.T) {
 	}
 }
 
-// TestAuditHelpers: CheckAudit validates names; ApplyAudit installs
-// the mode (strict turns a tampered report into a failure).
-func TestAuditHelpers(t *testing.T) {
-	if err := CheckAudit("loud"); err == nil {
-		t.Error("bad audit mode accepted")
-	}
-	if err := CheckAudit("strict"); err != nil {
-		t.Errorf("strict rejected: %v", err)
-	}
-	if _, err := ApplyAudit("loud"); err == nil {
-		t.Error("ApplyAudit accepted a bad mode")
-	}
-
-	restore, err := ApplyAudit("strict")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restore()
-	restoreTamper := sim.SetAuditTamper(func(r *sim.RunReport) { r.L2.Hits[0]++ })
-	defer restoreTamper()
-
-	cfg, err := sim.MachineByName("baseline-sram")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof := workload.Profiles()[0]
-	_, err = New(Config{}).RunOneSampled(context.Background(), Cell{
-		Machine: cfg.Name, Config: cfg, App: prof.Name, Profile: prof, Seed: 99,
-	}, 2000, 0, sample.Spec{})
-	if err == nil {
-		t.Fatal("strict audit let a tampered report pass")
-	}
-}
-
 // TestExecuteOnResult: the progress-callback sink fires once per
 // successful cell with the cell's plan identity, concurrently with the
 // run, and the ordered sinks still see everything afterwards.

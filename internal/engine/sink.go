@@ -142,8 +142,10 @@ func csvRow(machine, app string, seed uint64, rep sim.RunReport) []string {
 // therefore never holds a half-written CSV — a reader sees either the
 // previous file or the complete new one, even across a crash — and a
 // disk-full or I/O error surfaces from Flush instead of leaving a
-// truncated file behind. Front ends that write result CSVs (mcsweep -o,
-// the daemon's result.csv) use this instead of an os.Create stream.
+// truncated file behind. mcsweep -o uses this instead of an os.Create
+// stream. The daemon does not: it buffers a job's CSV itself and writes
+// result.csv with faultfs.WriteFileAtomic only when the job's execution
+// completed (internal/jobs).
 type CSVFile struct {
 	fsys faultfs.FS
 	path string

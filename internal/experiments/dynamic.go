@@ -51,7 +51,10 @@ func runE9(opts Options) (Result, error) {
 		names += app.Name
 	}
 	src := workload.NewPhasedSource(opts.Accesses, gens...)
-	rep := sim.RunTrace(m, names, src, 0)
+	rep, err := sim.RunSampledTrace(m, names, src, 0)
+	if err != nil {
+		return res, err
+	}
 
 	hist := rep.History
 	tb := report.NewTable(fmt.Sprintf("E9: partition trajectory over session %q", names),

@@ -1,6 +1,6 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation. Each experiment has an ID — E1..E12 are the
-// reconstructed paper figures, E13..E20 ablation/robustness extensions,
+// reconstructed paper figures, E13..E21 ablation/robustness extensions,
 // T1..T3 the tables — runs deterministically from Options, and returns
 // rendered tables plus the headline scalar values that EXPERIMENTS.md
 // records against the paper's numbers.
@@ -78,14 +78,15 @@ func runWorkload(opts Options, cfg config.Machine, app workload.Profile, seed ui
 // runOnMachine replays opts.Accesses of app, generated from seed,
 // through a machine the experiment built itself, outside the engine:
 // the path of the experiments that wire a machine by hand or inspect
-// it after the run. The phase length is workload.PhaseLen's, the rule
-// sim.Run and the trace store use.
+// it after the run. The report is audited as an engine cell's is. The
+// phase length is workload.PhaseLen's, the rule sim.Run and the trace
+// store use.
 func runOnMachine(opts Options, m *sim.Machine, app workload.Profile, seed uint64) (sim.RunReport, error) {
 	gen, err := workload.NewGenerator(app, seed, workload.PhaseLen(app, opts.Accesses))
 	if err != nil {
 		return sim.RunReport{}, err
 	}
-	return sim.RunTrace(m, app.Name, trace.NewLimitSource(gen, opts.Accesses), 0), nil
+	return sim.RunSampledTrace(m, app.Name, trace.NewLimitSource(gen, opts.Accesses), 0)
 }
 
 // DefaultOptions is the full-size configuration cmd/mcbench uses.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"mobilecache/internal/config"
 	"mobilecache/internal/core"
 	"mobilecache/internal/cpu"
 	"mobilecache/internal/mem"
@@ -36,35 +37,27 @@ func buildSetPartMachine(userSets int) (*sim.Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &sim.Machine{CPU: c, Hier: hier, L2: sp, DRAM: dram}, nil
+	return &sim.Machine{Config: config.Machine{Name: "setpart"}, CPU: c, Hier: hier, L2: sp, DRAM: dram}, nil
 }
 
-// buildWayPartMachine assembles a machine whose 1MB L2 is statically
-// way-partitioned (userWays for user, rest kernel) using the dynamic
-// design's machinery with the controller effectively frozen.
+// buildWayPartMachine builds a machine whose 1MB L2 is statically
+// way-partitioned (userWays for user, rest kernel): the dp machine
+// with its controller frozen, since epochs far beyond any run length
+// keep the forced split.
 func buildWayPartMachine(userWays int) (*sim.Machine, error) {
-	dram := mem.NewDRAM(mem.DefaultDRAMConfig())
-	wb := func(addr uint64) { dram.Write(addr) }
-	seg := core.SegmentConfig{
-		Name: "L2-waypart", SizeBytes: 1 << 20, Ways: 16, BlockBytes: 64,
-	}
-	dc := core.DefaultDynamicConfig(seg)
-	// Freeze: epochs far beyond any run length keep the initial split.
-	dc.EpochAccesses = 1 << 62
-	dp, err := core.NewDynamicPartition(dc, wb)
+	cfg, err := sim.MachineByName("dp")
 	if err != nil {
 		return nil, err
 	}
-	dp.ForceAllocation(userWays, seg.Ways-userWays)
-	hier, err := mem.NewHierarchy(mem.DefaultL1I(), mem.DefaultL1D(), dp, dram)
+	cfg.Name = "waypart"
+	cfg.Unified.Name = "L2-waypart"
+	cfg.Dynamic = &config.Dynamic{EpochAccesses: 1 << 62}
+	m, err := sim.Build(cfg)
 	if err != nil {
 		return nil, err
 	}
-	c, err := cpu.New(cpu.DefaultConfig(), hier)
-	if err != nil {
-		return nil, err
-	}
-	return &sim.Machine{CPU: c, Hier: hier, L2: dp, DRAM: dram, Dynamic: dp}, nil
+	m.Dynamic.ForceAllocation(userWays, cfg.Unified.Ways-userWays)
+	return m, nil
 }
 
 // runE20 compares the isolation mechanisms on a representative app.

@@ -3,11 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"mobilecache/internal/cache"
-	"mobilecache/internal/core"
-	"mobilecache/internal/cpu"
 	"mobilecache/internal/energy"
-	"mobilecache/internal/mem"
 	"mobilecache/internal/report"
 	"mobilecache/internal/sim"
 	"mobilecache/internal/sttram"
@@ -23,33 +19,19 @@ func init() {
 		runE11)
 }
 
-// buildStaticWithKernel builds the standard SP machine geometry but
-// with the kernel segment's technology parameters overridden.
-func buildStaticWithKernel(params *energy.Params, refresh sttram.RefreshPolicy) (*sim.Machine, error) {
-	dram := mem.NewDRAM(mem.DefaultDRAMConfig())
-	wb := func(addr uint64) { dram.Write(addr) }
-	user := core.SegmentConfig{
-		Name: "L2-user", SizeBytes: 512 * 1024, Ways: 16, BlockBytes: 64,
-		Policy: cache.LRU, Tech: energy.STTMedium, Refresh: sttram.DirtyOnly,
-	}
-	kernel := core.SegmentConfig{
-		Name: "L2-kernel", SizeBytes: 256 * 1024, Ways: 16, BlockBytes: 64,
-		Policy: cache.LRU, Tech: energy.STTShort, Refresh: refresh,
-		ParamsOverride: params,
-	}
-	sp, err := core.NewStaticPartition("sp-sweep", user, kernel, wb)
+// buildStaticWithKernel builds the sp-mr machine with the kernel
+// segment's retention target and refresh policy replaced and its idle
+// refresh cap lifted. A zero retention keeps the technology default.
+func buildStaticWithKernel(retentionS float64, refresh sttram.RefreshPolicy) (*sim.Machine, error) {
+	cfg, err := sim.MachineByName("sp-mr")
 	if err != nil {
 		return nil, err
 	}
-	hier, err := mem.NewHierarchy(mem.DefaultL1I(), mem.DefaultL1D(), sp, dram)
-	if err != nil {
-		return nil, err
-	}
-	c, err := cpu.New(cpu.DefaultConfig(), hier)
-	if err != nil {
-		return nil, err
-	}
-	return &sim.Machine{CPU: c, Hier: hier, L2: sp, DRAM: dram, Static: sp}, nil
+	cfg.Name = "sp-sweep"
+	cfg.Kernel.RetentionS = retentionS
+	cfg.Kernel.Refresh = refresh.String()
+	cfg.Kernel.RefreshLimit = 0
+	return sim.Build(cfg)
 }
 
 // runE10 sweeps the kernel segment's retention target across six
@@ -64,7 +46,7 @@ func runE10(opts Options) (Result, error) {
 	bestRet, bestE := 0.0, -1.0
 	for _, ret := range retentions {
 		params := energy.ParamsForRetention(ret)
-		m, err := buildStaticWithKernel(&params, sttram.DirtyOnly)
+		m, err := buildStaticWithKernel(ret, sttram.DirtyOnly)
 		if err != nil {
 			return res, err
 		}
@@ -98,7 +80,7 @@ func runE11(opts Options) (Result, error) {
 	tb := report.NewTable(fmt.Sprintf("E11: refresh policy ablation, short-retention kernel segment (app %s)", app.Name),
 		"policy", "kernel energy", "refresh energy", "refreshes", "eager wbs", "expiries", "kernel missrate", "dirty losses")
 	for _, pol := range []sttram.RefreshPolicy{sttram.PeriodicAll, sttram.DirtyOnly, sttram.EagerWriteback} {
-		m, err := buildStaticWithKernel(nil, pol)
+		m, err := buildStaticWithKernel(0, pol)
 		if err != nil {
 			return res, err
 		}

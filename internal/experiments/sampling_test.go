@@ -4,20 +4,18 @@ import (
 	"strings"
 	"testing"
 
-	"mobilecache/internal/invariant"
 	"mobilecache/internal/sample"
 	"mobilecache/internal/sim"
 )
 
 // The PR's accuracy gate: at the default 1/8 low-bit spec, every
 // standard machine's aggregate L2 miss rate and total energy stay
-// within 2% of the exact simulation over the quick-matrix grid. Runs
-// under strict audit so both arms are also invariant-checked.
+// within 2% of the exact simulation over the quick-matrix grid. Every
+// run of both arms is audited, so both are also invariant-checked.
 func TestSampleValidationQuickMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full validation grid is slow; run without -short")
 	}
-	t.Cleanup(sim.SetAuditMode(invariant.ModeStrict))
 	v, err := ValidateSample(quickOptions(), sample.Spec{Factor: 8}, 0.02)
 	if err != nil {
 		t.Fatal(err)

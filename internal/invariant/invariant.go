@@ -25,44 +25,6 @@ import (
 	"mobilecache/internal/trace"
 )
 
-// Mode selects how run paths react to a violating report.
-type Mode uint8
-
-const (
-	// ModeOff disables auditing entirely.
-	ModeOff Mode = iota
-	// ModeWarn audits and logs violations without failing the run.
-	ModeWarn
-	// ModeStrict audits and turns violations into a structured *Error,
-	// which parallel sweeps surface through the failure manifest.
-	ModeStrict
-	numModes
-)
-
-// String returns the canonical flag spelling.
-func (m Mode) String() string {
-	switch m {
-	case ModeOff:
-		return "off"
-	case ModeWarn:
-		return "warn"
-	case ModeStrict:
-		return "strict"
-	default:
-		return fmt.Sprintf("mode(%d)", uint8(m))
-	}
-}
-
-// ParseMode maps a flag value to its Mode.
-func ParseMode(s string) (Mode, error) {
-	for m := Mode(0); m < numModes; m++ {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("invariant: unknown audit mode %q (want off, warn or strict)", s)
-}
-
 // Report is the auditable view of one finished simulation — a flat
 // mirror of sim.RunReport's counters. It lives here rather than using
 // sim.RunReport directly so internal/sim can import the auditor
@@ -101,8 +63,9 @@ type Violation struct {
 
 func (v Violation) String() string { return v.Check + ": " + v.Detail }
 
-// Error is the structured failure a strict audit attaches to a run; it
-// flows through internal/runner's RunError into the failure manifest.
+// Error is the structured failure the audit returns for a violating
+// report; it flows through internal/runner's RunError into the failure
+// manifest.
 type Error struct {
 	Machine   string
 	Workload  string

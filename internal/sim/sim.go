@@ -269,7 +269,10 @@ func (r RunReport) L2EnergyJ() float64 { return r.Energy.L2.Total() }
 // IPC forwards the CPU's metric.
 func (r RunReport) IPC() float64 { return r.CPU.IPC() }
 
-// RunTrace replays a prepared source on the machine.
+// RunTrace replays a prepared source on the machine and returns the
+// raw, unaudited report. Code that reports or records results replays
+// through RunSampledTrace, which audits; a caller of RunTrace audits
+// the report itself with Audit.
 func RunTrace(m *Machine, name string, src trace.Source, maxAccesses uint64) RunReport {
 	rep, _ := runTrace(context.TODO(), m, name, src, maxAccesses) // cannot fail: the context never ends
 	return rep

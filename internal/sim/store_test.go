@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mobilecache/internal/config"
-	"mobilecache/internal/invariant"
 	"mobilecache/internal/sample"
 	"mobilecache/internal/tracestore"
 	"mobilecache/internal/workload"
@@ -130,13 +129,12 @@ func TestRunWorkloadFromNilStore(t *testing.T) {
 // standard machine, cold and warm, exact and 1/8-sampled, a replay
 // from an arena that keeps the hot tier and from one that demotes
 // every trace to packed-only must DeepEqual the arena-free run, which
-// drives the generator and filters it live when sampled, under strict
-// audit. Exact runs must measure exactly the requested accesses. The
+// drives the generator and filters it live when sampled; every run is
+// audited. Exact runs must measure exactly the requested accesses. The
 // DeepEqual cannot see a branch both sides share, so the test also
 // checks that a cold dynamic-design run keeps the epoch-0 allocation
 // in History (a warm replay with an empty prefix would trim it).
 func TestRunArenaMatchesGenerator(t *testing.T) {
-	t.Cleanup(SetAuditMode(invariant.ModeStrict))
 	prof := workload.Profiles()[0]
 	const seed, accesses = 17, 30_000
 	for _, budget := range []int64{0, 1} {

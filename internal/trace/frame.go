@@ -43,13 +43,12 @@ const (
 )
 
 // FramePre is one frame record: the decoded access with its L1 lookup
-// context precomputed. The struct packs to 40 bytes so a 256-record
+// context precomputed. The struct packs to 32 bytes so a 256-record
 // frame stays L1-resident on the host.
 type FramePre struct {
-	// Addr and PC are the record's raw fields (the miss path needs
-	// Addr for block math; replay does not read PC).
+	// Addr is the record's raw address (the miss path needs it for
+	// block math). Replay never reads the PC, so the record omits it.
 	Addr uint64
-	PC   uint64
 	// Tag is the address tag under the target L1's geometry.
 	Tag uint64
 	// Busy is filled as the record's instruction count (Gap+1); the
@@ -99,7 +98,6 @@ func Precompute(a *Access, geom *FrameGeom) FramePre {
 	b := a.Addr >> g.BlockShift
 	return FramePre{
 		Addr:  a.Addr,
-		PC:    a.PC,
 		Tag:   b >> g.TagShift,
 		Busy:  uint64(a.Gap) + 1,
 		Set:   int32(b & g.IndexMask),
@@ -156,7 +154,6 @@ func (c *Cursor) DecodeFrame(dst []FramePre, geom *FrameGeom) int {
 		b := prevAddr >> g.BlockShift
 		out[k] = FramePre{
 			Addr:  prevAddr,
-			PC:    prevPC,
 			Tag:   b >> g.TagShift,
 			Busy:  gap + 1,
 			Set:   int32(b & g.IndexMask),

@@ -21,7 +21,7 @@
 //	fmt.Println(rep.L2EnergyJ(), rep.IPC())
 //
 // Every table and figure of the paper's evaluation can be regenerated
-// via RunExperiment (IDs E1..E12, T1, T2) or the cmd/mcbench tool.
+// via RunExperiment (IDs E1..E21, T1..T3) or the cmd/mcbench tool.
 package mobilecache
 
 import (
