@@ -22,11 +22,14 @@ test:
 # gate (1/8 set sampling within 2% on every standard machine), the
 # uncached exact-replay gates (the frame kernel's L1 counters must
 # equal a standalone LRU cache's at every L1 associativity from 1 to 32
-# ways, a replay split into RunFrom pieces must be bit-identical to one
-# uninterrupted run on every standard machine, and every branch of
-# sim.Run — arena or generator, hot or packed-only tier, cold or warm,
-# exact or 1/8-sampled — must match the arena-free run, with a cold
-# dynamic run keeping its epoch-0 allocation) and the
+# ways; under every replacement policy the cache's tags and seqs arrays
+# must agree on which slots are valid, and every powered valid line's
+# rebuilt block address must probe back to its own slot, the address
+# space's top block included; a replay split into RunFrom pieces must
+# be bit-identical to one uninterrupted run on every standard machine,
+# and every branch of sim.Run — arena or generator, hot or packed-only
+# tier, cold or warm, exact or 1/8-sampled — must match the arena-free
+# run, with a cold dynamic run keeping its epoch-0 allocation) and the
 # benchmark module's vet and tests (bench/ is its own Go module, so the
 # root ./... never compiles it).
 check:
@@ -42,6 +45,7 @@ check:
 	$(GO) test -run 'TestGoldenAuditQuickMatrix|TestHandBuiltRunsAudited' -count=1 ./internal/experiments/
 	$(GO) test -run TestSampleValidationQuickMatrix -count=1 ./internal/experiments/
 	$(GO) test -run TestAccessFrameMatchesCacheModel -count=1 ./internal/mem/
+	$(GO) test -run 'TestSidecarsMirrorLines|TestTopOfAddressSpace' -count=1 ./internal/cache/
 	$(GO) test -run 'TestRunFromSegmentComposition|TestRunSegmentedExact|TestRunArenaMatchesGenerator' -count=1 ./internal/sim/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 

@@ -55,6 +55,11 @@ func (c Config) Validate() error {
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("cache %s: set count %d not a power of two", c.Name, sets)
 	}
+	if c.BlockBytes == 1 && sets == 1 {
+		// The tag would be the whole address, and the all-ones address
+		// would collide with invalidTag.
+		return fmt.Errorf("cache %s: 1-byte blocks in a single set leave no offset or index bit", c.Name)
+	}
 	if !c.Policy.Valid() {
 		return fmt.Errorf("cache %s: unknown policy %d", c.Name, c.Policy)
 	}
@@ -68,12 +73,10 @@ func (c Config) Sets() int {
 
 // BlockMeta is the externally visible per-line metadata. Controllers
 // (refresh, repartitioning) read it; WrittenAt is also updated by
-// refresh operations through Rewrite.
-// BlockMeta fields are ordered widest-first so the struct packs tight;
-// with the line wrapper below that keeps one way at exactly 64 bytes.
+// refresh operations through Rewrite. The block address is not stored:
+// BlockAddrAt rebuilds it from the line's set and tag.
+// BlockMeta fields are ordered widest-first so the struct packs tight.
 type BlockMeta struct {
-	// Addr is the block-aligned address the line holds.
-	Addr uint64
 	// FilledAt is the time the line was brought in.
 	FilledAt uint64
 	// WrittenAt is the last time the physical cells were written:
@@ -91,15 +94,12 @@ type BlockMeta struct {
 	Dirty bool
 }
 
-// line packs to exactly 64 bytes — one host cache line per way — with
-// the tag-match and replacement fields every probe and touch uses at
-// the head of the struct.
+// line is the per-way state the dense tags and seqs arrays do not
+// hold: the metadata and the SRRIP and tree-PLRU replacement bits. It
+// packs to 40 bytes. Its validity, tag and LRU/FIFO sequence live in
+// tags and seqs alone.
 type line struct {
-	tag    uint64
-	lruSeq uint64 // LRU: last-use sequence number; FIFO: fill sequence
-	meta   BlockMeta
-	valid  bool
-	// replacement state
+	meta    BlockMeta
 	rrpv    uint8 // SRRIP re-reference prediction value
 	plruHot bool  // tree-PLRU approximation bit
 }
@@ -214,23 +214,23 @@ type Cache struct {
 	tagShift   uint
 	indexMask  uint64
 	lines      []line
-	// tags mirrors lines[i].tag for valid lines (invalidTag otherwise)
-	// in a dense array of its own: a whole set's tags share one host
-	// cache line, so the per-way scan in Lookup/Probe stops striding
-	// across the much larger line structs. Lines stay authoritative —
-	// a tag match is verified against the line before it counts. The
-	// array carries frameTagsPad permanent invalidTag entries past the
-	// last set so the frame kernel can load a fixed-width window from
-	// any row without a bounds branch (see frame.go).
+	// tags holds slot i's tag, or invalidTag when the slot is empty: a
+	// slot is valid exactly when its tag is not invalidTag, and a tag
+	// match is a hit. The array is dense, so a whole set's tags share
+	// one host cache line and the per-way scan in Lookup/Probe never
+	// touches the line structs. It carries frameTagsPad permanent
+	// invalidTag entries past the last set so the frame kernel can load
+	// a fixed-width window from any row without a bounds branch (see
+	// frame.go).
 	tags []uint64
-	// seqs mirrors lines[i].lruSeq for valid lines (0 otherwise — a
-	// valid line's sequence is always positive because the counter
-	// pre-increments). The LRU/FIFO victim scan reads this dense array
-	// instead of striding across the 64-byte line structs: a 16-way
-	// row is two host cache lines here versus sixteen there, and the
-	// 0-for-invalid sentinel folds the prefer-an-invalid-way rule into
-	// the same min scan (an invalid way is the global minimum, and the
-	// strict < keeps the lowest index on ties).
+	// seqs holds slot i's LRU last-use sequence (FIFO: fill sequence),
+	// or 0 when the slot is empty — a valid slot's sequence is always
+	// positive because the counter pre-increments. Fill, Invalidate and
+	// FlushWays write tags and seqs together, so both agree on which
+	// slots are valid. The 0-for-invalid sentinel folds the
+	// prefer-an-invalid-way rule into the LRU/FIFO victim's min scan
+	// (an invalid way is the global minimum, and the strict < keeps the
+	// lowest index on ties); a 16-way row is two host cache lines.
 	seqs []uint64
 	seq  uint64 // replacement sequence counter
 
@@ -296,9 +296,11 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// invalidTag marks empty slots in the tags sidecar. A genuine tag may
-// collide with it (an all-ones address), which is why a sidecar match
-// is always re-verified against the line struct before it counts.
+// invalidTag marks empty slots in tags. No genuine tag can equal it: a
+// tag is addr >> (blockShift + index bits), so it has at most 63
+// significant bits once the cache has a block-offset or set-index bit,
+// and Validate rejects the one geometry without either (1-byte blocks
+// in a single set).
 const invalidTag = ^uint64(0)
 
 func allWays(n int) uint64 {
@@ -319,6 +321,12 @@ func (c *Cache) BlockAddr(addr uint64) uint64 {
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	b := addr >> c.blockShift
 	return int(b & c.indexMask), b >> c.tagShift
+}
+
+// BlockAddrAt rebuilds the block address of the valid line at (set,
+// way) from its set index and tag: the inverse of index.
+func (c *Cache) BlockAddrAt(set, way int) uint64 {
+	return (c.tags[set*c.ways+way]<<c.tagShift | uint64(set)) << c.blockShift
 }
 
 func (c *Cache) line(set, way int) *line {
@@ -373,9 +381,7 @@ func (c *Cache) find(base int, tag uint64) int {
 		tags := c.tags[base : base+c.ways]
 		for w := range tags {
 			if tags[w] == tag {
-				if ln := &c.lines[base+w]; ln.valid && ln.tag == tag {
-					return w
-				}
+				return w
 			}
 		}
 		return -1
@@ -383,9 +389,7 @@ func (c *Cache) find(base int, tag uint64) int {
 	for m := c.enabledMask; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros64(m)
 		if c.tags[base+w] == tag {
-			if ln := &c.lines[base+w]; ln.valid && ln.tag == tag {
-				return w
-			}
+			return w
 		}
 	}
 	return -1
@@ -393,11 +397,11 @@ func (c *Cache) find(base int, tag uint64) int {
 
 // Meta returns the metadata of a valid line, or nil.
 func (c *Cache) Meta(set, way int) *BlockMeta {
-	ln := c.line(set, way)
-	if !ln.valid {
+	i := set*c.ways + way
+	if c.tags[i] == invalidTag {
 		return nil
 	}
-	return &ln.meta
+	return &c.lines[i].meta
 }
 
 // Lookup is the fused hot-path entry point: Probe + CountAccess +
@@ -420,7 +424,6 @@ func (c *Cache) Lookup(addr uint64, write bool, dom trace.Domain, now uint64) (s
 	// inlining budget.
 	if c.policy == LRU && !write {
 		c.seq++
-		ln.lruSeq = c.seq
 		c.seqs[base+way] = c.seq
 		ln.meta.LastTouch = now
 		ln.meta.RefreshCount = 0
@@ -442,7 +445,6 @@ func (c *Cache) touchLine(ln *line, set, way int, write bool, dom trace.Domain, 
 	switch c.policy {
 	case LRU, FIFO: // FIFO does not update on hit
 		if c.policy == LRU {
-			ln.lruSeq = c.seq
 			c.seqs[set*c.ways+way] = c.seq
 		}
 	case Random:
@@ -469,19 +471,18 @@ func (c *Cache) touchLine(ln *line, set, way int, write bool, dom trace.Domain, 
 // valid way is hot, all hot bits are cleared except the way that was
 // just touched, which stays most-recently-used.
 func (c *Cache) maybeClearHotBits(set, keepWay int) {
-	for w := 0; w < c.cfg.Ways; w++ {
+	base := set * c.ways
+	for w := 0; w < c.ways; w++ {
 		if c.enabledMask&(1<<uint(w)) == 0 {
 			continue
 		}
-		ln := c.line(set, w)
-		if ln.valid && !ln.plruHot {
+		if c.tags[base+w] != invalidTag && !c.lines[base+w].plruHot {
 			return
 		}
 	}
-	for w := 0; w < c.cfg.Ways; w++ {
-		ln := c.line(set, w)
-		if ln.valid && w != keepWay {
-			ln.plruHot = false
+	for w := 0; w < c.ways; w++ {
+		if c.tags[base+w] != invalidTag && w != keepWay {
+			c.lines[base+w].plruHot = false
 		}
 	}
 }
@@ -504,26 +505,23 @@ func (c *Cache) Fill(addr uint64, write bool, dom trace.Domain, now uint64) Resu
 	way := c.victim(set, allowed)
 	res := Result{Set: set, Way: way}
 
-	ln := c.line(set, way)
-	if ln.valid {
+	i := set*c.ways + way
+	ln := &c.lines[i]
+	if c.tags[i] != invalidTag {
 		res.Evicted = true
 		res.EvictedDirty = ln.meta.Dirty
-		res.EvictedAddr = ln.meta.Addr
+		res.EvictedAddr = c.BlockAddrAt(set, way)
 		res.EvictedDomain = ln.meta.Domain
 		res.Interference = ln.meta.Domain != dom
 		c.recordEviction(ln, now, res.Interference)
 	}
 
 	c.seq++
-	c.tags[set*c.ways+way] = tag
-	c.seqs[set*c.ways+way] = c.seq
+	c.tags[i] = tag
+	c.seqs[i] = c.seq
 	*ln = line{
-		valid:  true,
-		tag:    tag,
-		lruSeq: c.seq,
-		rrpv:   2, // SRRIP long re-reference on insert
+		rrpv: 2, // SRRIP long re-reference on insert
 		meta: BlockMeta{
-			Addr:      c.BlockAddr(addr),
 			Domain:    dom,
 			Dirty:     write,
 			FilledAt:  now,
@@ -563,10 +561,9 @@ func (c *Cache) victim(set int, allowed uint64) int {
 	base := set * c.ways
 	switch c.policy {
 	case LRU, FIFO:
-		// One min scan over the dense sequence sidecar: invalid ways
-		// hold 0, so the prefer-an-invalid-way rule is the same scan
-		// (see the seqs field comment), and the row costs two host
-		// cache lines instead of a load from every 64-byte line struct.
+		// One min scan over the dense sequence array: invalid ways hold
+		// 0, so the prefer-an-invalid-way rule is the same scan (see the
+		// seqs field comment).
 		seqs := c.seqs[base : base+c.ways : base+c.ways]
 		best, bestSeq := -1, ^uint64(0)
 		for w := range seqs {
@@ -579,11 +576,10 @@ func (c *Cache) victim(set int, allowed uint64) int {
 		}
 		return best
 	}
-	// Prefer an invalid allowed way; the tags sidecar holds invalidTag
-	// exactly for invalid lines, so this scan stays off the line structs.
+	// Prefer an invalid allowed way.
 	for m := allowed; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros64(m)
-		if c.tags[base+w] == invalidTag && !c.lines[base+w].valid {
+		if c.tags[base+w] == invalidTag {
 			return w
 		}
 	}
@@ -653,17 +649,17 @@ func (c *Cache) Access(addr uint64, write bool, dom trace.Domain, now uint64) Re
 // address (for writeback). Dropping counts as an eviction for lifetime
 // stats only when evict is true.
 func (c *Cache) Invalidate(set, way int, now uint64, evict bool) (dirty bool, addr uint64, ok bool) {
-	ln := c.line(set, way)
-	if !ln.valid {
+	i := set*c.ways + way
+	if c.tags[i] == invalidTag {
 		return false, 0, false
 	}
-	dirty, addr = ln.meta.Dirty, ln.meta.Addr
+	ln := &c.lines[i]
+	dirty, addr = ln.meta.Dirty, c.BlockAddrAt(set, way)
 	if evict {
 		c.recordEviction(ln, now, false)
 	}
-	ln.valid = false
-	c.tags[set*c.ways+way] = invalidTag
-	c.seqs[set*c.ways+way] = 0
+	c.tags[i] = invalidTag
+	c.seqs[i] = 0
 	return dirty, addr, true
 }
 
@@ -682,25 +678,24 @@ func (c *Cache) MarkExpired(set, way int, now uint64) (dirty bool, addr uint64, 
 // without changing replacement state, incrementing its idle-refresh
 // counter. It returns false for invalid lines.
 func (c *Cache) Rewrite(set, way int, now uint64) bool {
-	ln := c.line(set, way)
-	if !ln.valid {
+	meta := c.Meta(set, way)
+	if meta == nil {
 		return false
 	}
-	ln.meta.WrittenAt = now
-	ln.meta.RefreshCount++
+	meta.WrittenAt = now
+	meta.RefreshCount++
 	return true
 }
 
 // VisitValid calls fn for every valid line in enabled ways.
 func (c *Cache) VisitValid(fn func(set, way int, meta *BlockMeta)) {
 	for set := 0; set < c.sets; set++ {
-		for w := 0; w < c.cfg.Ways; w++ {
+		for w := 0; w < c.ways; w++ {
 			if c.enabledMask&(1<<uint(w)) == 0 {
 				continue
 			}
-			ln := c.line(set, w)
-			if ln.valid {
-				fn(set, w, &ln.meta)
+			if meta := c.Meta(set, w); meta != nil {
+				fn(set, w, meta)
 			}
 		}
 	}
@@ -712,21 +707,20 @@ func (c *Cache) VisitValid(fn func(set, way int, meta *BlockMeta)) {
 func (c *Cache) FlushWays(mask uint64, now uint64, wb func(addr uint64)) int {
 	flushed := 0
 	for set := 0; set < c.sets; set++ {
-		for w := 0; w < c.cfg.Ways; w++ {
+		for w := 0; w < c.ways; w++ {
 			if mask&(1<<uint(w)) == 0 {
 				continue
 			}
-			ln := c.line(set, w)
-			if !ln.valid {
+			i := set*c.ways + w
+			if c.tags[i] == invalidTag {
 				continue
 			}
-			if ln.meta.Dirty && wb != nil {
-				wb(ln.meta.Addr)
+			if c.lines[i].meta.Dirty && wb != nil {
+				wb(c.BlockAddrAt(set, w))
 				c.stats.Writebacks++
 			}
-			ln.valid = false
-			c.tags[set*c.ways+w] = invalidTag
-			c.seqs[set*c.ways+w] = 0
+			c.tags[i] = invalidTag
+			c.seqs[i] = 0
 			flushed++
 		}
 	}

@@ -276,6 +276,88 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
+// The last block of the address space has an all-ones set index and
+// the widest tag a 64-byte-block cache can hold. It must fill, hit,
+// evict, invalidate and flush like any other block under every policy,
+// with every writeback address rebuilt exactly from its set and tag.
+func TestTopOfAddressSpace(t *testing.T) {
+	const top = ^uint64(0) &^ 63
+	for pol := PolicyKind(0); pol < numPolicies; pol++ {
+		t.Run(pol.String(), func(t *testing.T) {
+			cfg := Config{Name: "top", SizeBytes: 512, Ways: 2, BlockBytes: 64, Policy: pol} // 4 sets
+			c := mustNew(t, cfg)
+			stride := uint64(c.sets) * 64 // next block of the same set
+			now := uint64(1)
+			if r := c.Access(top|5, true, trace.User, now); r.Hit || r.Evicted {
+				t.Fatalf("first access to the top block = %+v, want a cold fill", r)
+			}
+			now++
+			if r := c.Access(top, false, trace.Kernel, now); !r.Hit {
+				t.Fatalf("second access to the top block = %+v, want a hit", r)
+			}
+			resident := map[uint64]bool{top: true}
+			evicted := false
+			for k := uint64(1); k <= 16 && !evicted; k++ {
+				now++
+				addr := top - k*stride
+				r := c.Access(addr, false, trace.User, now)
+				if r.Hit {
+					t.Fatalf("conflicting block %#x hit before it was filled", addr)
+				}
+				if r.Evicted {
+					if !resident[r.EvictedAddr] {
+						t.Fatalf("evicted %#x, which is not resident", r.EvictedAddr)
+					}
+					delete(resident, r.EvictedAddr)
+					if r.EvictedAddr == top {
+						if !r.EvictedDirty || r.EvictedDomain != trace.User {
+							t.Fatalf("top block evicted as %+v, want dirty and user", r)
+						}
+						evicted = true
+					}
+				}
+				resident[addr] = true
+			}
+			if !evicted {
+				t.Fatal("16 conflicting fills never evicted the top block")
+			}
+
+			now++
+			c.Access(top, true, trace.User, now)
+			set, way, ok := c.Probe(top)
+			if !ok || set != c.sets-1 {
+				t.Fatalf("top block probes to (%d, %d, %v), want the last set", set, way, ok)
+			}
+			if dirty, addr, ok := c.Invalidate(set, way, now, true); !ok || !dirty || addr != top {
+				t.Fatalf("invalidate = (%v, %#x, %v), want (true, %#x, true)", dirty, addr, ok, top)
+			}
+
+			now++
+			c.Access(top, true, trace.User, now)
+			var wb []uint64
+			c.FlushWays(allWays(cfg.Ways), now, func(addr uint64) { wb = append(wb, addr) })
+			if len(wb) != 1 || wb[0] != top {
+				t.Fatalf("flush writebacks = %#x, want [%#x]", wb, top)
+			}
+		})
+	}
+
+	// 1-byte blocks in a single set would make the tag the whole
+	// address, so the all-ones address would read as an empty slot; one
+	// set-index bit is enough to rule that out.
+	if err := (Config{SizeBytes: 1, Ways: 1, BlockBytes: 1}).Validate(); err == nil {
+		t.Fatal("1-byte blocks in a single set accepted")
+	}
+	c := mustNew(t, Config{SizeBytes: 2, Ways: 1, BlockBytes: 1})
+	c.Access(^uint64(0), true, trace.User, 1)
+	if r := c.Access(^uint64(0), false, trace.User, 2); !r.Hit {
+		t.Fatal("all-ones address missed after its fill in a 2-set, 1-byte-block cache")
+	}
+	if r := c.Access(^uint64(0)-2, false, trace.User, 3); !r.Evicted || r.EvictedAddr != ^uint64(0) || !r.EvictedDirty {
+		t.Fatalf("conflicting fill = %+v, want the dirty all-ones block evicted", r)
+	}
+}
+
 func TestMarkExpiredCountsExpiry(t *testing.T) {
 	c := mustNew(t, smallCfg())
 	c.Access(0x40, false, trace.User, 1)

@@ -3,7 +3,7 @@ package cache
 import "mobilecache/internal/trace"
 
 // This file is the cache-side surface of the frame-batched replay
-// kernel (mem.AccessFrame). The kernel scans the tags sidecar directly
+// kernel (mem.AccessFrame). The kernel scans the tags array directly
 // and performs the hit bookkeeping through the specialized entry
 // points below, so the per-hit cost is the tag row scan plus a handful
 // of stores — no Lookup call, no Result struct, no per-access stats
@@ -20,7 +20,7 @@ func (c *Cache) Geometry() trace.SetTagGeom {
 }
 
 // frameTagsPad is the number of permanent invalidTag sentinels kept
-// past the last set in the tags sidecar: the kernel's hit scan loads a
+// past the last set in the tags array: the kernel's hit scan loads a
 // fixed FrameScanWays-wide window starting at any row base, so the
 // last window of the last row needs up to FrameScanWays-1 readable
 // entries beyond it (one more keeps the arithmetic obviously safe).
@@ -34,42 +34,32 @@ const frameTagsPad = FrameScanWays
 // scan; a row wider than this is scanned in consecutive windows.
 const FrameScanWays = 4
 
-// FrameTags exposes the tags sidecar for the kernel's hit scan. A
-// sidecar match is a hint, not a hit: the caller must confirm it with
-// VerifyHit before touching anything (see the invalidTag comment).
+// FrameTags exposes the tags array for the kernel's hit scan. A tag
+// match at slot i is a hit on slot i: invalidTag never equals a real
+// tag (see its comment).
 func (c *Cache) FrameTags() []uint64 { return c.tags }
 
-// Ways reports the associativity (the sidecar row stride).
+// Ways reports the associativity (the tags row stride).
 func (c *Cache) Ways() int { return c.ways }
 
-// VerifyHit confirms a sidecar tag match against the authoritative
-// line: lines[i] is valid and holds tag.
-func (c *Cache) VerifyHit(i int, tag uint64) bool {
-	ln := &c.lines[i]
-	return ln.valid && ln.tag == tag
-}
-
 // TouchReadHitLRU is the read-hit bookkeeping of Lookup's LRU fast
-// path for a verified hit on lines[i]: bump the replacement clock and
-// refresh the line's recency metadata.
+// path for a hit on slot i: bump the replacement clock and refresh the
+// line's recency metadata.
 func (c *Cache) TouchReadHitLRU(i int, now uint64) {
 	c.seq++
-	ln := &c.lines[i]
-	ln.lruSeq = c.seq
 	c.seqs[i] = c.seq
+	ln := &c.lines[i]
 	ln.meta.LastTouch = now
 	ln.meta.RefreshCount = 0
 }
 
-// TouchWriteHitLRU is touchLine's LRU write-hit path for a verified
-// hit on lines[i]: recency update plus write-interval stats, dirty
-// marking and the per-domain write counter, in touchLine's exact
-// order.
+// TouchWriteHitLRU is touchLine's LRU write-hit path for a hit on slot
+// i: recency update plus write-interval stats, dirty marking and the
+// per-domain write counter, in touchLine's exact order.
 func (c *Cache) TouchWriteHitLRU(i int, dom trace.Domain, now uint64) {
 	c.seq++
-	ln := &c.lines[i]
-	ln.lruSeq = c.seq
 	c.seqs[i] = c.seq
+	ln := &c.lines[i]
 	ln.meta.LastTouch = now
 	ln.meta.RefreshCount = 0
 	if ln.meta.WrittenAt <= now {

@@ -15,10 +15,10 @@ import (
 // reads off how many extra hits each additional way would buy.
 //
 // Shadow tags hold no data and are cheap: the paper-style controller
-// needs only hit counters per stack position plus a miss counter.
+// needs only hit counters per stack position plus an access counter
+// (misses are the accesses no position hit).
 type ShadowTags struct {
 	ways        int
-	sets        int
 	sampleShift uint
 	blockShift  uint
 	indexMask   uint64
@@ -37,7 +37,6 @@ type ShadowTags struct {
 	entries [][]uint64
 
 	hitsAtPos []uint64
-	misses    uint64
 	accesses  uint64
 }
 
@@ -74,7 +73,6 @@ func NewShadowTagsSampled(sets, ways, blockBytes int, sampleShift uint, sel *sam
 	}
 	st := &ShadowTags{
 		ways:        ways,
-		sets:        sets,
 		sampleShift: sampleShift,
 		blockShift:  uint(bits.TrailingZeros(uint(blockBytes))),
 		indexMask:   uint64(sets - 1),
@@ -126,8 +124,7 @@ func (st *ShadowTags) Access(addr uint64) {
 			return
 		}
 	}
-	st.misses++
-	// Insert at MRU, evicting beyond the mirrored associativity.
+	// Miss: insert at MRU, evicting beyond the mirrored associativity.
 	if len(tags) < st.ways {
 		tags = append(tags, 0)
 	}
@@ -163,7 +160,6 @@ func (st *ShadowTags) MissesWith(ways int) uint64 {
 // controller track phase changes. Tag contents are preserved.
 func (st *ShadowTags) Halve() {
 	st.accesses /= 2
-	st.misses /= 2
 	for i := range st.hitsAtPos {
 		st.hitsAtPos[i] /= 2
 	}

@@ -1,46 +1,32 @@
 package cache
 
 import (
+	"math/bits"
 	"testing"
 
 	"mobilecache/internal/trace"
 )
 
-// The tags and seqs sidecars are redundant dense copies of per-line
-// state kept purely for the replay hot paths: Lookup scans tags
-// instead of the 64-byte line structs, and the LRU/FIFO victim scan
-// reads seqs the same way. Redundant state invites divergence, so this
-// property test drives a cache through randomized mixes of every
-// mutation the sidecars must track — accesses (read and write, both
-// domains), way gating with flushes, targeted invalidations and expiry
-// marks — and re-checks the mirror invariant throughout, on every
-// replacement policy:
+// The tags and seqs arrays are the cache's slot state: a slot is valid
+// exactly when its tag is not invalidTag, a tag match is a hit, and a
+// line's block address is rebuilt from its set and tag. This property
+// test drives a cache through randomized mixes of every mutation that
+// writes them — accesses (read and write, both domains), way gating
+// with flushes, targeted invalidations and expiry marks — and
+// re-checks the invariants throughout, on every replacement policy:
 //
-//	lines[i].valid  ⇒  tags[i] == lines[i].tag && seqs[i] == lines[i].lruSeq
-//	!lines[i].valid ⇒  tags[i] == invalidTag  && seqs[i] == 0
+//	tags[i] == invalidTag  ⇔  seqs[i] == 0
+//	a powered valid line's BlockAddrAt probes back to its own (set, way)
 //
 // plus: the frameTagsPad sentinel entries past the last set are
 // invalidTag forever (the frame kernel's fixed-width scan reads them).
 
-// checkSidecars asserts the mirror invariant over the whole array.
-func checkSidecars(t *testing.T, c *Cache, when string) {
+// checkSlotState asserts the slot-state invariants over the whole array.
+func checkSlotState(t *testing.T, c *Cache, when string) {
 	t.Helper()
 	for i := range c.lines {
-		ln := &c.lines[i]
-		if ln.valid {
-			if c.tags[i] != ln.tag {
-				t.Fatalf("%s: tags[%d] = %#x, line holds %#x", when, i, c.tags[i], ln.tag)
-			}
-			if c.seqs[i] != ln.lruSeq {
-				t.Fatalf("%s: seqs[%d] = %d, line holds %d", when, i, c.seqs[i], ln.lruSeq)
-			}
-		} else {
-			if c.tags[i] != invalidTag {
-				t.Fatalf("%s: tags[%d] = %#x for invalid line, want invalidTag", when, i, c.tags[i])
-			}
-			if c.seqs[i] != 0 {
-				t.Fatalf("%s: seqs[%d] = %d for invalid line, want 0", when, i, c.seqs[i])
-			}
+		if (c.tags[i] == invalidTag) != (c.seqs[i] == 0) {
+			t.Fatalf("%s: slot %d: tags = %#x, seqs = %d disagree on validity", when, i, c.tags[i], c.seqs[i])
 		}
 	}
 	for i := len(c.lines); i < len(c.tags); i++ {
@@ -48,8 +34,22 @@ func checkSidecars(t *testing.T, c *Cache, when string) {
 			t.Fatalf("%s: sentinel tags[%d] = %#x, want invalidTag", when, i, c.tags[i])
 		}
 	}
+	for set := 0; set < c.sets; set++ {
+		for m := c.enabledMask; m != 0; m &= m - 1 {
+			way := bits.TrailingZeros64(m)
+			if c.tags[set*c.ways+way] == invalidTag {
+				continue
+			}
+			addr := c.BlockAddrAt(set, way)
+			if gs, gw, ok := c.Probe(addr); !ok || gs != set || gw != way {
+				t.Fatalf("%s: BlockAddrAt(%d, %d) = %#x probes to (%d, %d, %v)", when, set, way, addr, gs, gw, ok)
+			}
+		}
+	}
 }
 
+// TestSidecarsMirrorLines checks the slot-state invariants above under
+// every replacement policy.
 func TestSidecarsMirrorLines(t *testing.T) {
 	for pol := PolicyKind(0); pol < numPolicies; pol++ {
 		pol := pol
@@ -82,7 +82,7 @@ func TestSidecarsMirrorLines(t *testing.T) {
 					// re-assert both, as the partition controllers do.
 					c.SetDomainMask(0, mask)
 					c.SetDomainMask(1, mask)
-					checkSidecars(t, c, "after gating")
+					checkSlotState(t, c, "after gating")
 				case 3, 4: // restore full power
 					c.SetEnabledMask(ways)
 					c.SetDomainMask(0, ways)
@@ -91,7 +91,7 @@ func TestSidecarsMirrorLines(t *testing.T) {
 					set := int(r>>8) % c.sets
 					way := int(r>>32) % cfg.Ways
 					c.Invalidate(set, way, now, true)
-					checkSidecars(t, c, "after invalidate")
+					checkSlotState(t, c, "after invalidate")
 				case 7: // retention expiry
 					set := int(r>>8) % c.sets
 					way := int(r>>32) % cfg.Ways
@@ -102,10 +102,10 @@ func TestSidecarsMirrorLines(t *testing.T) {
 					c.Access(addr, r>>48&1 == 0, dom, now)
 				}
 				if step%997 == 0 {
-					checkSidecars(t, c, "periodic")
+					checkSlotState(t, c, "periodic")
 				}
 			}
-			checkSidecars(t, c, "final")
+			checkSlotState(t, c, "final")
 			if validLines(c) == 0 {
 				t.Fatal("walk never populated the cache")
 			}

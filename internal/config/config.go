@@ -61,9 +61,6 @@ type Segment struct {
 	// Banks interleaves the array across independently schedulable
 	// banks; 0/1 = single bank.
 	Banks int `json:"banks,omitempty"`
-	// RetentionJitter derates per-line retention by up to this
-	// fraction (process variation); 0 = nominal.
-	RetentionJitter float64 `json:"retention_jitter,omitempty"`
 	// FaultBER injects stochastic retention faults: the probability,
 	// per line fill, of a seeded thermal-tail early expiry (0 = ideal
 	// cells). Requires an STT-RAM tech.
@@ -279,8 +276,7 @@ func (s Segment) ToCore() (core.SegmentConfig, error) {
 		Name: s.Name, SizeBytes: uint64(s.SizeKB) * 1024, Ways: s.Ways,
 		BlockBytes: s.BlockBytes, Policy: pol, Tech: tech, Refresh: ref,
 		RefreshLimit: s.RefreshLimit, Banks: s.Banks,
-		RetentionJitter: s.RetentionJitter,
-		FaultBER:        s.FaultBER, FaultSeed: s.FaultSeed,
+		FaultBER: s.FaultBER, FaultSeed: s.FaultSeed,
 	}
 	if s.RetentionS > 0 {
 		if !tech.IsSTT() {

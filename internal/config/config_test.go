@@ -2,6 +2,7 @@ package config
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -274,5 +275,31 @@ func TestFaultKnobsJSONRoundTrip(t *testing.T) {
 	}
 	if back.Unified.FaultBER != 5e-4 || back.Unified.FaultSeed != 9 {
 		t.Fatalf("fault knobs lost in JSON round trip: %+v", back.Unified)
+	}
+}
+
+// The retired per-line retention derate must not load silently: a
+// machine file that still names it is rejected as an unknown field,
+// while the same file without the key loads.
+func TestLoadRejectsRetiredJitterField(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Default().Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("control machine rejected: %v", err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["unified"].(map[string]any)["retention_jitter"] = 0.5
+	withJitter, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Load(bytes.NewReader(withJitter))
+	if err == nil || !strings.Contains(err.Error(), "retention_jitter") {
+		t.Fatalf("machine naming retention_jitter: err = %v, want an unknown-field error naming it", err)
 	}
 }

@@ -144,10 +144,6 @@ type SegmentConfig struct {
 	// is interleaved across (by block address). More banks reduce
 	// bank-busy serialization. Zero or one means a single bank.
 	Banks int
-	// RetentionJitter derates per-line retention into
-	// [retention*(1-j), retention] to model process variation (0 =
-	// nominal retention everywhere).
-	RetentionJitter float64
 	// FaultBER injects stochastic retention faults: each fill suffers
 	// a seeded thermal-tail early expiry with this probability (0 =
 	// ideal cells). Only meaningful for STT-RAM technologies.
@@ -244,7 +240,6 @@ func newSegment(cfg SegmentConfig, wb func(addr uint64)) (*segment, error) {
 		return nil, err
 	}
 	ctrl.SetRefreshLimit(cfg.RefreshLimit)
-	ctrl.SetRetentionJitter(cfg.RetentionJitter)
 	ctrl.SetRetentionFaults(cfg.FaultBER, cfg.FaultSeed)
 	banks := cfg.Banks
 	if banks <= 0 {

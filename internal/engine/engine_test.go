@@ -144,8 +144,8 @@ func TestRunOneMemoizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.memo.len() != 1 {
-		t.Fatalf("memo holds %d entries after one run, want 1", eng.memo.len())
+	if eng.memo.stats().Entries != 1 {
+		t.Fatalf("memo holds %d entries after one run, want 1", eng.memo.stats().Entries)
 	}
 	second, err := eng.RunOneSampled(context.Background(), cell, 4000, 0, sample.Spec{})
 	if err != nil {

@@ -108,6 +108,3 @@ func (m *memo) stats() MemoStats {
 		MinShardEntries: st.MinShardEntries,
 	}
 }
-
-// len reports the live entry count (for tests).
-func (m *memo) len() int { return m.cache.Len() }

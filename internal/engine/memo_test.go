@@ -65,8 +65,8 @@ func TestMemoContentHashNoStaleness(t *testing.T) {
 	if reflect.DeepEqual(got2, base) {
 		t.Fatal("modified profile under the same name was served the stale cached report")
 	}
-	if eng.memo.len() != 3 {
-		t.Fatalf("memo holds %d entries, want 3 distinct content hashes", eng.memo.len())
+	if eng.memo.stats().Entries != 3 {
+		t.Fatalf("memo holds %d entries, want 3 distinct content hashes", eng.memo.stats().Entries)
 	}
 }
 
@@ -87,8 +87,8 @@ func TestMemoBounded(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		m.add(key(i), rep(i))
 	}
-	if m.len() != 3 {
-		t.Fatalf("memo grew to %d entries past capacity 3", m.len())
+	if m.stats().Entries != 3 {
+		t.Fatalf("memo grew to %d entries past capacity 3", m.stats().Entries)
 	}
 	for i := 0; i < 2; i++ {
 		if _, ok := m.get(key(i)); ok {

@@ -45,9 +45,9 @@ func TestMatrixMatchesDirectRuns(t *testing.T) {
 	}
 }
 
-// TestCachedRunMatchesDirect: the memoized single-cell path returns
-// the same report as a cold direct run, on the first call and on the
-// memo-served repeat.
+// TestCachedRunMatchesDirect: the memoized single-cell path
+// (runWorkload) returns the same report as a cold direct run, on the
+// first call and on the memo-served repeat.
 func TestCachedRunMatchesDirect(t *testing.T) {
 	opts := quickOptions()
 	opts.Engine = engine.New(engine.Config{})
@@ -61,12 +61,12 @@ func TestCachedRunMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pass := 0; pass < 2; pass++ {
-		got, err := cachedRun(opts, "dp-sr", app, 42)
+		got, err := runWorkload(opts, cfg, app, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("cachedRun pass %d diverges from direct sim.Run", pass)
+			t.Fatalf("runWorkload pass %d diverges from direct sim.Run", pass)
 		}
 	}
 }

@@ -209,22 +209,6 @@ func appSeed(base uint64, appIndex int) uint64 {
 	return base*1_000_003 + uint64(appIndex)*7919
 }
 
-// cachedRun runs a standard machine on an app through the engine. The
-// engine's bounded run memo makes repeats free: several experiments
-// (E7, E8, T2, T3) share the same (machine, app, seed, accesses)
-// cells, and since every run is deterministic, memoization is
-// transparent and cuts a full mcbench sweep substantially. Unlike the
-// old package-global cache this memo keys on the content hash
-// internal/checkpoint.KeyOf computes, so it can never serve a stale
-// report for modified inputs, and it is bounded.
-func cachedRun(opts Options, machineName string, app workload.Profile, seed uint64) (sim.RunReport, error) {
-	cfg, err := sim.MachineByName(machineName)
-	if err != nil {
-		return sim.RunReport{}, err
-	}
-	return runWorkload(opts, cfg, app, seed)
-}
-
 // matrix runs every app on every named standard machine through the
 // engine's bounded, panic-containing worker pool. Reports are keyed
 // [machine][app]. Results are deterministic regardless of scheduling:

@@ -134,8 +134,9 @@ type Event struct {
 	// Type is "cell" (a completed cell), "failure" (a failed cell) or
 	// "done" (the terminal summary).
 	Type string `json:"type"`
-	// Index is the cell's plan position (cell/failure events).
-	Index   int    `json:"index,omitempty"`
+	// Index is the cell's plan position. Cell and failure events
+	// always carry it, index 0 included; a done event has none.
+	Index   *int   `json:"index,omitempty"`
 	Machine string `json:"machine,omitempty"`
 	App     string `json:"app,omitempty"`
 	Seed    uint64 `json:"seed,omitempty"`
@@ -174,7 +175,6 @@ type Job struct {
 	client  string
 	created time.Time
 	dir     string
-	spec    Spec
 	plan    engine.Plan
 	m       *Manager
 
@@ -307,7 +307,7 @@ func (j *Job) onFailure(e *runner.RunError) {
 	j.mu.Unlock()
 	j.m.cellsFailed.Add(1)
 	j.appendEvent(Event{
-		Type: "failure", Index: e.Cell.Index,
+		Type: "failure", Index: planIndex(e.Cell.Index),
 		Machine: e.Cell.Machine, App: e.Cell.App, Seed: e.Cell.Seed,
 		Error: e.Err.Error(),
 	})
@@ -316,7 +316,7 @@ func (j *Job) onFailure(e *runner.RunError) {
 // cellEvent renders one successful cell for the stream.
 func cellEvent(r engine.Result) Event {
 	return Event{
-		Type: "cell", Index: r.Index,
+		Type: "cell", Index: planIndex(r.Index),
 		Machine: r.Cell.Machine, App: r.Cell.App, Seed: r.Cell.Seed,
 		Resumed:      r.Resumed,
 		IPC:          r.Report.IPC(),
@@ -325,6 +325,9 @@ func cellEvent(r engine.Result) Event {
 		TotalEnergyJ: r.Report.Energy.TotalJ(),
 	}
 }
+
+// planIndex boxes a plan position for Event.Index.
+func planIndex(i int) *int { return &i }
 
 // Stats is the manager-wide counter snapshot behind /metrics.
 type Stats struct {
@@ -456,7 +459,7 @@ func (m *Manager) recover() error {
 	for _, r := range recs {
 		j := &Job{
 			id: r.meta.ID, client: r.meta.Client, created: r.meta.Created,
-			dir: r.dir, spec: r.meta.Spec, m: m,
+			dir: r.dir, m: m,
 			notify: make(chan struct{}), finished: make(chan struct{}),
 			state: r.state.State, err: r.state.Error,
 			total: r.state.Total, done: r.state.Completed, failed: r.state.Failed,
@@ -540,7 +543,7 @@ func (m *Manager) Submit(spec Spec, client string) (*Job, error) {
 
 	j := &Job{
 		id: id, client: client, created: time.Now().UTC(),
-		dir: filepath.Join(m.opts.Root, id), spec: spec, plan: plan, m: m,
+		dir: filepath.Join(m.opts.Root, id), plan: plan, m: m,
 		state: StatePending, total: len(plan.Cells),
 		notify: make(chan struct{}), finished: make(chan struct{}),
 	}

@@ -3,10 +3,12 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -444,7 +446,7 @@ func TestTimeoutAccountsForEveryCellOnce(t *testing.T) {
 
 // A failure event names its cell by plan index, as a cell event does:
 // a job whose every cell fails streams one failure event per plan
-// index.
+// index, and the JSON of index 0's event still has its index key.
 func TestFailureEventsCarryPlanIndex(t *testing.T) {
 	t.Cleanup(sim.InstallChaos(&sim.Chaos{ErrorRate: 1}))
 	m := newTestManager(t, Options{})
@@ -459,8 +461,22 @@ func TestFailureEventsCarryPlanIndex(t *testing.T) {
 	}
 	seen := map[int]int{}
 	if err := j.Stream(context.Background(), func(e Event) error {
-		if e.Type == "failure" {
-			seen[e.Index]++
+		if e.Type != "failure" {
+			return nil
+		}
+		if e.Index == nil {
+			t.Errorf("failure event without an index: %+v", e)
+			return nil
+		}
+		seen[*e.Index]++
+		if *e.Index == 0 {
+			b, err := json.Marshal(e)
+			if err != nil {
+				return err
+			}
+			if !strings.Contains(string(b), `"index":0`) {
+				t.Errorf("index 0's failure event renders as %s, want an \"index\":0 key", b)
+			}
 		}
 		return nil
 	}); err != nil {

@@ -13,13 +13,13 @@ import (
 // stages the trace in frames of up to 256 precomputed records
 // (trace.FramePre: decoded access plus set/tag decomposition and
 // routing) and hands each frame to AccessFrame, which replays it with
-// all invariant state — tag sidecars, way strides, meter pointers, the
-// line arrays — hoisted into locals once per frame:
+// all invariant state — tag arrays, way strides, meter pointers —
+// hoisted into locals once per frame:
 //
-//	hit path   branch-minimized scan of the target L1's tags sidecar
-//	           row in four-wide windows (one window on a <=4-way L1),
-//	           verified against the line, then the specialized LRU
-//	           touch. No Lookup call, no Result struct, no stats
+//	hit path   branch-minimized scan of the target L1's tags row in
+//	           four-wide windows (one window on a <=4-way L1); the
+//	           lowest match bit is the hit way, and the specialized LRU
+//	           touch follows. No Lookup call, no Result struct, no stats
 //	           writes — access/hit tallies and meter counts accumulate
 //	           in frame locals and flush once at the frame boundary.
 //	miss path  missPath, inline and in order. Misses cannot be deferred
@@ -69,7 +69,7 @@ type frameL1 struct {
 	// wayMask has one bit per real way of a tag row. Shifted down to a
 	// window's first way it keeps only that window's real ways: the
 	// last window of a row whose associativity is not a multiple of
-	// the window width overlaps the next set's row, or the sidecar's
+	// the window width overlaps the next set's row, or the tags array's
 	// sentinel padding.
 	wayMask uint
 
@@ -102,7 +102,7 @@ func (s *frameL1) flush() {
 // (v|-v)>>63 is 1 exactly when v != 0, so the folded word has a bit
 // per differing tag and ^0xf flips it to the matches. The caller masks
 // the bits past the row's real ways: the window may overlap the next
-// set's row, or the sidecar's sentinel padding.
+// set's row, or the tags array's sentinel padding.
 func window(tg *[cache.FrameScanWays]uint64, tag uint64) uint {
 	v0 := tg[0] ^ tag
 	v1 := tg[1] ^ tag
@@ -111,24 +111,10 @@ func window(tg *[cache.FrameScanWays]uint64, tag uint64) uint {
 	return uint((v0|-v0)>>63|(v1|-v1)>>63<<1|(v2|-v2)>>63<<2|(v3|-v3)>>63<<3) ^ 0xf
 }
 
-// tagsAt returns the four sidecar tags starting at tags[i]; the
-// sidecar's padding keeps any window of any row in bounds.
+// tagsAt returns the four tags starting at tags[i]; the tags array's
+// padding keeps any window of any row in bounds.
 func (s *frameL1) tagsAt(i int) *[cache.FrameScanWays]uint64 {
 	return (*[cache.FrameScanWays]uint64)(s.tags[i:])
-}
-
-// verify returns the way of the first match bit in m (a window starting
-// at way off of the row at base) that the line confirms, or -1. A
-// sidecar match is a hint (invalidTag can collide with a genuine tag),
-// so it is checked against the line; almost always the first set bit
-// verifies, so both branches predict well.
-func (s *frameL1) verify(base, off int, m uint, tag uint64) int {
-	for ; m != 0; m &= m - 1 {
-		if w := off + bits.TrailingZeros(m); s.c.VerifyHit(base+w, tag) {
-			return w
-		}
-	}
-	return -1
 }
 
 // findRest scans the windows after the first of a row wider than one
@@ -137,8 +123,8 @@ func (s *frameL1) verify(base, off int, m uint, tag uint64) int {
 // standard machine uses pay nothing for it.
 func (s *frameL1) findRest(base int, tag uint64) int {
 	for off := cache.FrameScanWays; off < s.ways; off += cache.FrameScanWays {
-		if w := s.verify(base, off, window(s.tagsAt(base+off), tag)&(s.wayMask>>uint(off)), tag); w >= 0 {
-			return w
+		if m := window(s.tagsAt(base+off), tag) & (s.wayMask >> uint(off)); m != 0 {
+			return off + bits.TrailingZeros(m)
 		}
 	}
 	return -1
@@ -171,8 +157,10 @@ func (h *Hierarchy) AccessFrame(pre []FramePre, now uint64) FrameStats {
 		s.acc[dom]++
 		// The first window is scanned inline; only a row wider than one
 		// window, with no hit in its first, continues in findRest.
-		way := s.verify(base, 0, window(s.tagsAt(base), p.Tag)&s.wayMask, p.Tag)
-		if way < 0 && s.ways > cache.FrameScanWays {
+		way := -1
+		if m := window(s.tagsAt(base), p.Tag) & s.wayMask; m != 0 {
+			way = bits.TrailingZeros(m)
+		} else if s.ways > cache.FrameScanWays {
 			way = s.findRest(base, p.Tag)
 		}
 		if way >= 0 {

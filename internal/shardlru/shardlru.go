@@ -287,18 +287,6 @@ func (c *Cache[K, V]) WithShardLock(key K, fn func()) {
 	fn()
 }
 
-// Len reports the resident entry count, reservations included.
-func (c *Cache[K, V]) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
-}
-
 // Stats aggregates the per-shard counters, locking one shard at a
 // time. The snapshot is internally consistent per shard; across shards
 // it is a moving-window aggregate, which is exactly as strong a claim

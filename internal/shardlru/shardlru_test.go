@@ -28,8 +28,8 @@ func TestSingleShardExactLRU(t *testing.T) {
 	for i := uint64(0); i < 5; i++ {
 		c.Add(key32(i), fmt.Sprint(i), 1)
 	}
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d past budget 3", c.Len())
+	if n := c.Stats().Entries; n != 3 {
+		t.Fatalf("%d entries past budget 3", n)
 	}
 	for i := uint64(0); i < 2; i++ {
 		if _, ok := c.Get(key32(i)); ok {
@@ -85,8 +85,12 @@ func TestShardedBudgetSplit(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Fatal("100 unit-cost adds into budget 10 evicted nothing")
 	}
-	if st.Entries != c.Len() {
-		t.Fatalf("Stats.Entries %d != Len %d", st.Entries, c.Len())
+	resident := 0
+	for i := range c.shards {
+		resident += len(c.shards[i].entries)
+	}
+	if st.Entries != resident {
+		t.Fatalf("Stats.Entries %d != %d resident entries", st.Entries, resident)
 	}
 	if st.MaxShardEntries < st.MinShardEntries {
 		t.Fatalf("shard skew inverted: max %d < min %d", st.MaxShardEntries, st.MinShardEntries)

@@ -107,8 +107,8 @@ type Stats struct {
 	// this counter measures that loss.
 	DirtyExpiries uint64
 	// FaultExpiries counts lines invalidated before their nominal
-	// (jittered) retention because an injected stochastic fault cut
-	// their effective retention short. Always zero when fault injection
+	// retention because an injected stochastic fault cut their
+	// effective retention short. Always zero when fault injection
 	// is off. Fault expiries are also counted as clean/dirty expiries.
 	FaultExpiries uint64
 }
@@ -127,18 +127,13 @@ type Controller struct {
 	// many times without being accessed, a dirty line is written back
 	// and the line is left to expire. Zero means unlimited.
 	refreshLimit uint32
-	// jitter widens per-cell retention into a deterministic
-	// pseudo-random band [retention*(1-jitter), retention]: real
-	// arrays have process variation, and the weakest cell bounds a
-	// line's life. Zero keeps the nominal retention for every line.
-	jitter float64
 	// faultBER, when positive, injects stochastic retention failures:
 	// each line fill draws (deterministically from faultSeed, the
 	// line's position and its write time) whether this residency
-	// suffers a thermal-tail early flip, and if so when. Unlike jitter,
-	// faults are per-fill and can strike long before the scan schedule
-	// protects the line — the regime where the refresh controller's
-	// data-loss accounting is actually exercised.
+	// suffers a thermal-tail early flip, and if so when. Faults are
+	// per-fill and can strike long before the scan schedule protects
+	// the line — the regime where the refresh controller's data-loss
+	// accounting is actually exercised.
 	faultBER  float64
 	faultSeed uint64
 }
@@ -158,11 +153,10 @@ func NewController(c *cache.Cache, meter *energy.Meter, retention uint64, policy
 	return ct, nil
 }
 
-// scanPeriod is half the worst-case line retention (>=1 cycle), so
-// every line is visited before its cells can decay.
+// scanPeriod is half the retention (>=1 cycle), so every line is
+// visited before its cells can decay.
 func (ct *Controller) scanPeriod() uint64 {
-	worst := uint64(float64(ct.retention) * (1 - ct.jitter))
-	p := worst / 2
+	p := ct.retention / 2
 	if p == 0 {
 		p = 1
 	}
@@ -174,43 +168,6 @@ func (ct *Controller) scanPeriod() uint64 {
 // allowed to expire instead of being refreshed forever — the paper's
 // dynamic refresh scheme for short-retention arrays.
 func (ct *Controller) SetRefreshLimit(n uint32) { ct.refreshLimit = n }
-
-// SetRetentionJitter models process variation: each line's retention
-// is derated deterministically (by a hash of its set/way) into
-// [retention*(1-j), retention]. j is clamped to [0, 0.9]. The scan
-// period conservatively follows the worst-case line.
-// Call it before the first Tick: the scan schedule follows the
-// worst-case line.
-func (ct *Controller) SetRetentionJitter(j float64) {
-	if j < 0 {
-		j = 0
-	}
-	if j > 0.9 {
-		j = 0.9
-	}
-	ct.jitter = j
-	if ct.retention > 0 {
-		ct.nextScan = ct.scanPeriod()
-	}
-}
-
-// lineRetention is the effective retention of the line at (set, way).
-func (ct *Controller) lineRetention(set, way int) uint64 {
-	if ct.jitter == 0 {
-		return ct.retention
-	}
-	h := uint64(set)*0x9e3779b97f4a7c15 + uint64(way)*0xbf58476d1ce4e5b9
-	h ^= h >> 31
-	h *= 0x94d049bb133111eb
-	h ^= h >> 29
-	frac := float64(h%1024) / 1024 // uniform in [0,1)
-	derate := 1 - ct.jitter*frac
-	r := uint64(float64(ct.retention) * derate)
-	if r == 0 {
-		r = 1
-	}
-	return r
-}
 
 // faultTailLambda shapes the exponential thermal-tail failure time:
 // a faulted residency flips at retention * Exp(1)/faultTailLambda
@@ -250,11 +207,11 @@ func mix64(x uint64) uint64 {
 // unit maps a hash to a uniform float64 in [0, 1).
 func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
-// effectiveRetention is the residency's actual retention: the jittered
-// per-line value, further cut short when this (set, way, writtenAt)
-// residency drew an injected fault.
+// effectiveRetention is the residency's actual retention: the nominal
+// retention, cut short when this (set, way, writtenAt) residency drew
+// an injected fault.
 func (ct *Controller) effectiveRetention(set, way int, writtenAt uint64) uint64 {
-	r := ct.lineRetention(set, way)
+	r := ct.retention
 	if ct.faultBER == 0 {
 		return r
 	}
@@ -300,13 +257,13 @@ func (ct *Controller) Expired(set, way int, now uint64) bool {
 // HandleExpired invalidates an expired line found on the access path,
 // accounting it as clean or dirty expiry. It returns whether the line
 // was dirty (indicating data loss the configuration failed to prevent).
-// An expiry arriving before the line's nominal (jittered) retention can
-// only come from an injected fault and is additionally counted as one.
+// An expiry arriving before the line's nominal retention can only come
+// from an injected fault and is additionally counted as one.
 func (ct *Controller) HandleExpired(set, way int, now uint64) bool {
 	faulted := false
 	if ct.faultBER > 0 {
 		if meta := ct.c.Meta(set, way); meta != nil {
-			faulted = now-meta.WrittenAt < ct.lineRetention(set, way)
+			faulted = now-meta.WrittenAt < ct.retention
 		}
 	}
 	dirty, _, ok := ct.c.MarkExpired(set, way, now)
@@ -401,7 +358,7 @@ func (ct *Controller) scan(t uint64) {
 			if meta == nil || !meta.Dirty {
 				continue
 			}
-			addr := meta.Addr
+			addr := ct.c.BlockAddrAt(a.set, a.way)
 			meta.Dirty = false
 			// The array cells are not rewritten: the line keeps aging
 			// and will expire as a clean line. Reading it out for the

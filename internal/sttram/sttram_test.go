@@ -275,94 +275,6 @@ func TestDomainForPicksShortForShortLived(t *testing.T) {
 	}
 }
 
-func TestRetentionJitterDeratesDeterministically(t *testing.T) {
-	c := newArray(t)
-	ct, err := NewController(c, nil, 100_000, DirtyOnly, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct.SetRetentionJitter(0.5)
-	c.Access(0x40, false, trace.User, 0)
-	set, way, _ := c.Probe(0x40)
-	// With jitter 0.5 the effective retention sits in [50k, 100k]. At
-	// t just past the nominal value every line is expired; at t below
-	// the worst case none is.
-	if ct.Expired(set, way, 49_999) {
-		t.Fatal("line expired before the worst-case bound")
-	}
-	if !ct.Expired(set, way, 100_001) {
-		t.Fatal("line alive past nominal retention")
-	}
-	// The derate is a pure function of (set, way): repeated queries at
-	// a boundary time must agree.
-	mid := uint64(75_000)
-	first := ct.Expired(set, way, mid)
-	for i := 0; i < 10; i++ {
-		if ct.Expired(set, way, mid) != first {
-			t.Fatal("jittered expiry not deterministic")
-		}
-	}
-}
-
-func TestRetentionJitterSpreadsExpiry(t *testing.T) {
-	// Across many lines, some must derate more than others: fill many
-	// sets and count expirations at an intermediate age.
-	c, err := cache.New(cache.Config{Name: "j", SizeBytes: 64 * 1024, Ways: 4, BlockBytes: 64, Policy: cache.LRU})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := NewController(c, nil, 100_000, DirtyOnly, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct.SetRetentionJitter(0.5)
-	for i := uint64(0); i < 256; i++ {
-		c.Access(i*64, false, trace.User, 0)
-	}
-	expired := 0
-	c.VisitValid(func(set, way int, _ *cache.BlockMeta) {
-		if ct.Expired(set, way, 75_000) {
-			expired++
-		}
-	})
-	if expired == 0 || expired == 256 {
-		t.Fatalf("jitter did not spread expiries: %d/256 at the midpoint", expired)
-	}
-}
-
-func TestRetentionJitterNoDirtyLoss(t *testing.T) {
-	// The scan schedule must follow the worst-case line: with maximal
-	// jitter and regular ticking, dirty lines still never lapse.
-	c := newArray(t)
-	ct, err := NewController(c, nil, 10_000, DirtyOnly, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct.SetRetentionJitter(0.5)
-	now := uint64(0)
-	for i := 0; i < 300; i++ {
-		now += 1000 // well inside the derated scan period
-		ct.Tick(now)
-		c.Access(uint64(i%16)*64, i%2 == 0, trace.User, now)
-	}
-	if ct.Stats().DirtyExpiries != 0 {
-		t.Fatalf("dirty expiries = %d under jittered retention", ct.Stats().DirtyExpiries)
-	}
-}
-
-func TestRetentionJitterClamped(t *testing.T) {
-	c := newArray(t)
-	ct, _ := NewController(c, nil, 1000, DirtyOnly, nil)
-	ct.SetRetentionJitter(-1)
-	if ct.lineRetention(0, 0) != 1000 {
-		t.Fatal("negative jitter not clamped to zero")
-	}
-	ct.SetRetentionJitter(5)
-	if ct.lineRetention(0, 0) < 100 {
-		t.Fatal("jitter clamp above 0.9 failed")
-	}
-}
-
 func TestTickCatchesUpMultipleScans(t *testing.T) {
 	c := newArray(t)
 	ct, _ := NewController(c, nil, 1000, PeriodicAll, nil)

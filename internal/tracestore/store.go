@@ -148,7 +148,6 @@ type Stats struct {
 // closed once packed/err are final, and waiters block on it outside
 // the shard lock.
 type entry struct {
-	key   Key
 	ready chan struct{}
 
 	// packed, err and meta are written by the generating goroutine
@@ -326,7 +325,7 @@ func (s *Store) getOrBuild(key Key, build func() (*trace.Packed, []trace.Access,
 // bumped alongside the generated counter on successful builds.
 func (s *Store) getOrBuildMeta(key Key, build func() (*trace.Packed, []trace.Access, any, error),
 	derived *atomic.Uint64) (Trace, any, error) {
-	e := &entry{key: key, ready: make(chan struct{})}
+	e := &entry{ready: make(chan struct{})}
 	got, reserved := s.cache.GetOrReserve(key, e)
 	if !reserved {
 		e = got

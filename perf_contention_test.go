@@ -98,7 +98,7 @@ func warmMemoShape(tb testing.TB, shards, workers int) *shardlru.Cache[uint64, s
 	for k := 0; k < keys; k++ {
 		c.Add(uint64(k), sim.RunReport{Machine: "bench", Workload: "bench"}, 1)
 	}
-	if got := c.Len(); got != keys {
+	if got := c.Stats().Entries; got != keys {
 		tb.Fatalf("warm memo holds %d entries, want %d", got, keys)
 	}
 	return c

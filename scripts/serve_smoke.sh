@@ -186,9 +186,8 @@ grep -q '"state":"done"' "$WORK/stream3.jsonl" \
     || fail "deadline job did not end done: $(tail -n1 "$WORK/stream3.jsonl")"
 FAILURES="$(grep -c '"type":"failure"' "$WORK/stream3.jsonl" || true)"
 [ "$FAILURES" -eq 4 ] || fail "deadline job streamed $FAILURES failure events, want 4"
-# Each failure event names its cell by plan index; index 0 is omitted
-# from the JSON, as it is on a cell event.
-for idx in 1 2 3; do
+# Each failure event names its cell by plan index.
+for idx in 0 1 2 3; do
     grep '"type":"failure"' "$WORK/stream3.jsonl" | grep -q "\"index\":$idx," \
         || fail "no failure event carries plan index $idx"
 done
