@@ -48,6 +48,33 @@ func TestRunDumpConfig(t *testing.T) {
 	}
 }
 
+// Every shipped configs/<name>.json is exactly what -dump-config prints
+// for the standard machine <name>, as configs/README.md promises; a
+// config-format change must regenerate them.
+func TestShippedConfigsMatchDumps(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "configs", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no shipped configs found")
+	}
+	for _, path := range files {
+		name := strings.TrimSuffix(filepath.Base(path), ".json")
+		shipped, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dumped bytes.Buffer
+		if err := run([]string{"-machine", name, "-dump-config"}, &dumped); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if !bytes.Equal(dumped.Bytes(), shipped) {
+			t.Errorf("%s differs from `mcsim -machine %s -dump-config`; regenerate it:\n%s", path, name, dumped.String())
+		}
+	}
+}
+
 func TestRunConfigFileRoundTrip(t *testing.T) {
 	// Dump a config, reload it via -config, and run with it.
 	var dumped bytes.Buffer

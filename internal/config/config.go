@@ -58,9 +58,6 @@ type Segment struct {
 	// RefreshLimit caps consecutive idle refreshes per line (the
 	// dynamic refresh scheme); 0 = unlimited.
 	RefreshLimit uint32 `json:"refresh_limit,omitempty"`
-	// Banks interleaves the array across independently schedulable
-	// banks; 0/1 = single bank.
-	Banks int `json:"banks,omitempty"`
 	// FaultBER injects stochastic retention faults: the probability,
 	// per line fill, of a seeded thermal-tail early expiry (0 = ideal
 	// cells). Requires an STT-RAM tech.
@@ -72,17 +69,8 @@ type Segment struct {
 
 // Dynamic holds the dynamic-partition controller knobs.
 type Dynamic struct {
-	EpochAccesses    uint64  `json:"epoch_accesses"`
-	Slack            float64 `json:"slack"`
-	MinWaysPerDomain int     `json:"min_ways_per_domain"`
-	SampleShift      uint    `json:"sample_shift"`
-}
-
-// Drowsy holds the drowsy-SRAM knobs.
-type Drowsy struct {
-	WindowCycles    uint64  `json:"window_cycles"`
-	WakeCycles      uint64  `json:"wake_cycles"`
-	DrowsyLeakRatio float64 `json:"drowsy_leak_ratio"`
+	EpochAccesses uint64  `json:"epoch_accesses"`
+	Slack         float64 `json:"slack"`
 }
 
 // DRAM holds the main-memory parameters.
@@ -91,20 +79,15 @@ type DRAM struct {
 	ReadPJ        float64 `json:"read_pj"`
 	WritePJ       float64 `json:"write_pj"`
 	// Policy selects the timing model: "" or "flat" for a single
-	// latency, "open-page" for the row-buffer model (the remaining
-	// fields then configure it; zeros take the open-page defaults).
-	Policy       string  `json:"policy,omitempty"`
-	RowHitCycles uint64  `json:"row_hit_cycles,omitempty"`
-	RowHitPJ     float64 `json:"row_hit_pj,omitempty"`
-	Banks        int     `json:"banks,omitempty"`
-	RowBytes     uint64  `json:"row_bytes,omitempty"`
+	// latency, "open-page" for mem's row-buffer model, whose row misses
+	// cost the latency and energies above.
+	Policy string `json:"policy,omitempty"`
 }
 
 // Machine is a full machine description.
 type Machine struct {
-	Name    string  `json:"name"`
-	Scheme  Scheme  `json:"scheme"`
-	BaseCPI float64 `json:"base_cpi"`
+	Name   string `json:"name"`
+	Scheme Scheme `json:"scheme"`
 	// IdleEvery/IdleCycles insert an idle stretch of IdleCycles cycles
 	// every IdleEvery accesses, modeling interactive think-time and
 	// screen-off periods. Zero IdleEvery disables idling.
@@ -123,8 +106,6 @@ type Machine struct {
 	Kernel *Segment `json:"kernel,omitempty"`
 	// Dynamic configures the controller for the dynamic scheme.
 	Dynamic *Dynamic `json:"dynamic,omitempty"`
-	// Drowsy configures the drowsy scheme (nil takes defaults).
-	Drowsy *Drowsy `json:"drowsy,omitempty"`
 
 	DRAM DRAM `json:"dram"`
 }
@@ -151,10 +132,6 @@ func (m Machine) Clone() Machine {
 		d := *m.Dynamic
 		out.Dynamic = &d
 	}
-	if m.Drowsy != nil {
-		d := *m.Drowsy
-		out.Drowsy = &d
-	}
 	return out
 }
 
@@ -162,11 +139,10 @@ func (m Machine) Clone() Machine {
 // normalized to: 1MB 16-way SRAM unified L2.
 func Default() Machine {
 	return Machine{
-		Name:    "baseline-sram",
-		Scheme:  SchemeUnified,
-		BaseCPI: 1.0,
-		L1I:     L1{SizeKB: 32, Ways: 2, BlockBytes: 64},
-		L1D:     L1{SizeKB: 32, Ways: 4, BlockBytes: 64},
+		Name:   "baseline-sram",
+		Scheme: SchemeUnified,
+		L1I:    L1{SizeKB: 32, Ways: 2, BlockBytes: 64},
+		L1D:    L1{SizeKB: 32, Ways: 4, BlockBytes: 64},
 		Unified: &Segment{
 			Name: "L2", SizeKB: 1024, Ways: 16, BlockBytes: 64,
 			Policy: "lru", Tech: "sram", Refresh: "dirty-only",
@@ -179,9 +155,6 @@ func Default() Machine {
 func (m Machine) Validate() error {
 	if m.Name == "" {
 		return fmt.Errorf("config: machine needs a name")
-	}
-	if m.BaseCPI <= 0 {
-		return fmt.Errorf("config %s: base CPI %g must be positive", m.Name, m.BaseCPI)
 	}
 	for _, l1 := range []struct {
 		label string
@@ -237,7 +210,7 @@ func (m Machine) Validate() error {
 		if err != nil {
 			return err
 		}
-		if err := m.DrowsyConfig(seg).Validate(); err != nil {
+		if err := core.DefaultDrowsyConfig(seg).Validate(); err != nil {
 			return err
 		}
 	default:
@@ -275,8 +248,7 @@ func (s Segment) ToCore() (core.SegmentConfig, error) {
 	cfg := core.SegmentConfig{
 		Name: s.Name, SizeBytes: uint64(s.SizeKB) * 1024, Ways: s.Ways,
 		BlockBytes: s.BlockBytes, Policy: pol, Tech: tech, Refresh: ref,
-		RefreshLimit: s.RefreshLimit, Banks: s.Banks,
-		FaultBER: s.FaultBER, FaultSeed: s.FaultSeed,
+		RefreshLimit: s.RefreshLimit, FaultBER: s.FaultBER, FaultSeed: s.FaultSeed,
 	}
 	if s.RetentionS > 0 {
 		if !tech.IsSTT() {
@@ -299,30 +271,6 @@ func (m Machine) DynamicConfig(seg core.SegmentConfig) core.DynamicConfig {
 		if m.Dynamic.Slack != 0 {
 			dc.Slack = m.Dynamic.Slack
 		}
-		if m.Dynamic.MinWaysPerDomain != 0 {
-			dc.MinWaysPerDomain = m.Dynamic.MinWaysPerDomain
-		}
-		if m.Dynamic.SampleShift != 0 {
-			dc.SampleShift = m.Dynamic.SampleShift
-		}
-	}
-	return dc
-}
-
-// DrowsyConfig converts the drowsy knobs (falling back to defaults)
-// for the given segment.
-func (m Machine) DrowsyConfig(seg core.SegmentConfig) core.DrowsyConfig {
-	dc := core.DefaultDrowsyConfig(seg)
-	if m.Drowsy != nil {
-		if m.Drowsy.WindowCycles != 0 {
-			dc.WindowCycles = m.Drowsy.WindowCycles
-		}
-		if m.Drowsy.WakeCycles != 0 {
-			dc.WakeCycles = m.Drowsy.WakeCycles
-		}
-		if m.Drowsy.DrowsyLeakRatio != 0 {
-			dc.DrowsyLeakRatio = m.Drowsy.DrowsyLeakRatio
-		}
 	}
 	return dc
 }
@@ -343,18 +291,7 @@ func (m Machine) DRAMConfig() mem.DRAMConfig {
 		WritePJ:       m.DRAM.WritePJ,
 	}
 	if m.DRAM.Policy == "open-page" {
-		open := mem.OpenPageDRAMConfig()
 		cfg.Policy = mem.RowOpenPage
-		cfg.RowHitCycles = m.DRAM.RowHitCycles
-		if cfg.RowHitCycles == 0 {
-			cfg.RowHitCycles = open.RowHitCycles
-		}
-		cfg.RowHitPJ = m.DRAM.RowHitPJ
-		if cfg.RowHitPJ == 0 {
-			cfg.RowHitPJ = open.RowHitPJ
-		}
-		cfg.Banks = m.DRAM.Banks
-		cfg.RowBytes = m.DRAM.RowBytes
 	}
 	return cfg
 }
@@ -366,6 +303,9 @@ func Load(r io.Reader) (Machine, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&m); err != nil {
 		return Machine{}, fmt.Errorf("config: decoding: %w", err)
+	}
+	if tok, err := dec.Token(); err != io.EOF {
+		return Machine{}, fmt.Errorf("config: trailing data after the machine object (next token %v, err %v)", tok, err)
 	}
 	if err := m.Validate(); err != nil {
 		return Machine{}, err

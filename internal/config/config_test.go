@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"mobilecache/internal/core"
+	"mobilecache/internal/mem"
 )
 
 func TestDefaultValidates(t *testing.T) {
@@ -19,7 +22,6 @@ func TestValidateCatchesErrors(t *testing.T) {
 		mut  func(*Machine)
 	}{
 		{"empty name", func(m *Machine) { m.Name = "" }},
-		{"zero cpi", func(m *Machine) { m.BaseCPI = 0 }},
 		{"bad l1i", func(m *Machine) { m.L1I.Ways = 0 }},
 		{"bad l1d", func(m *Machine) { m.L1D.SizeKB = 0 }},
 		{"zero dram latency", func(m *Machine) { m.DRAM.LatencyCycles = 0 }},
@@ -59,9 +61,14 @@ func TestDynamicSchemeValidation(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatalf("valid dynamic rejected: %v", err)
 	}
-	m.Dynamic = &Dynamic{MinWaysPerDomain: 99}
+	m.Dynamic = &Dynamic{Slack: 2}
 	if err := m.Validate(); err == nil {
-		t.Fatal("infeasible dynamic knobs accepted")
+		t.Fatal("slack above 1 accepted")
+	}
+	m.Dynamic = nil
+	m.Unified.SizeKB, m.Unified.Ways = 64, 1
+	if err := m.Validate(); err == nil {
+		t.Fatal("one-way dynamic array accepted")
 	}
 }
 
@@ -83,14 +90,17 @@ func TestSegmentToCoreDefaults(t *testing.T) {
 func TestDynamicConfigOverrides(t *testing.T) {
 	m := Default()
 	m.Scheme = SchemeDynamic
-	m.Dynamic = &Dynamic{EpochAccesses: 1234, Slack: 0.01, MinWaysPerDomain: 2, SampleShift: 3}
+	m.Dynamic = &Dynamic{EpochAccesses: 1234, Slack: 0.01}
 	seg, err := m.Unified.ToCore()
 	if err != nil {
 		t.Fatal(err)
 	}
 	dc := m.DynamicConfig(seg)
-	if dc.EpochAccesses != 1234 || dc.Slack != 0.01 || dc.MinWaysPerDomain != 2 || dc.SampleShift != 3 {
+	if dc.EpochAccesses != 1234 || dc.Slack != 0.01 {
 		t.Fatalf("overrides not applied: %+v", dc)
+	}
+	if def := core.DefaultDynamicConfig(seg); dc.SampleShift != def.SampleShift {
+		t.Fatalf("monitor sampling shift %d, want the default %d", dc.SampleShift, def.SampleShift)
 	}
 	// Nil Dynamic falls back to defaults.
 	m.Dynamic = nil
@@ -159,21 +169,12 @@ func TestDRAMConfigOpenPage(t *testing.T) {
 	m := Default()
 	m.DRAM.Policy = "open-page"
 	dc := m.DRAMConfig()
-	if dc.Policy == 0 {
+	if dc.Policy != mem.RowOpenPage {
 		t.Fatal("open-page policy not converted")
 	}
-	// Zero row fields take the open-page defaults.
-	if dc.RowHitCycles == 0 || dc.RowHitPJ == 0 {
-		t.Fatalf("open-page defaults not applied: %+v", dc)
-	}
-	// Explicit values win.
-	m.DRAM.RowHitCycles = 77
-	m.DRAM.RowHitPJ = 99
-	m.DRAM.Banks = 4
-	m.DRAM.RowBytes = 4096
-	dc = m.DRAMConfig()
-	if dc.RowHitCycles != 77 || dc.RowHitPJ != 99 || dc.Banks != 4 || dc.RowBytes != 4096 {
-		t.Fatalf("open-page overrides lost: %+v", dc)
+	// The machine's access costs are the open-page model's row misses.
+	if dc.LatencyCycles != 200 || dc.ReadPJ != 20000 || dc.WritePJ != 22000 {
+		t.Fatalf("open-page row-miss costs lost: %+v", dc)
 	}
 	// Bad policy rejected at validation.
 	m.DRAM.Policy = "closed-loop"
@@ -192,14 +193,13 @@ func TestDrowsyConfigConversion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dc := m.DrowsyConfig(seg)
-	if dc.WindowCycles == 0 || dc.DrowsyLeakRatio == 0 || dc.PeripheralFraction == 0 {
-		t.Fatalf("drowsy defaults not applied: %+v", dc)
+	if dc := core.DefaultDrowsyConfig(seg); dc.Segment != seg || dc.WindowCycles == 0 {
+		t.Fatalf("drowsy config does not wrap the converted segment: %+v", dc)
 	}
-	m.Drowsy = &Drowsy{WindowCycles: 123, WakeCycles: 9, DrowsyLeakRatio: 0.5}
-	dc = m.DrowsyConfig(seg)
-	if dc.WindowCycles != 123 || dc.WakeCycles != 9 || dc.DrowsyLeakRatio != 0.5 {
-		t.Fatalf("drowsy overrides lost: %+v", dc)
+	// Drowsy mode is an SRAM technique.
+	m.Unified.Tech = "stt-long"
+	if err := m.Validate(); err == nil {
+		t.Fatal("drowsy STT-RAM array accepted")
 	}
 	// Missing unified segment rejected.
 	m.Unified = nil
@@ -220,17 +220,6 @@ func TestSegmentRetentionValidation(t *testing.T) {
 	}
 	if cfg.ParamsOverride == nil || cfg.ParamsOverride.RetentionSeconds != 1e-3 {
 		t.Fatalf("retention override not applied: %+v", cfg.ParamsOverride)
-	}
-}
-
-func TestSegmentBanksConversion(t *testing.T) {
-	s := Segment{Name: "x", SizeKB: 256, Ways: 8, BlockBytes: 64, Banks: 8}
-	cfg, err := s.ToCore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Banks != 8 {
-		t.Fatalf("banks lost: %+v", cfg)
 	}
 }
 
@@ -278,28 +267,105 @@ func TestFaultKnobsJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// The retired per-line retention derate must not load silently: a
-// machine file that still names it is rejected as an unknown field,
-// while the same file without the key loads.
+// A retired knob must not load silently: a machine file that still
+// names one is rejected as an unknown field, and the error names the
+// key, while the same file without it loads. The drowsy block is
+// retired whole, so its keys fail on the block's own name.
 func TestLoadRejectsRetiredJitterField(t *testing.T) {
+	static := Default()
+	static.Scheme = SchemeStatic
+	static.Unified = nil
+	static.User = &Segment{Name: "u", SizeKB: 512, Ways: 16, BlockBytes: 64}
+	static.Kernel = &Segment{Name: "k", SizeKB: 256, Ways: 16, BlockBytes: 64}
+	dynamic := Default()
+	dynamic.Scheme = SchemeDynamic
+	dynamic.Dynamic = &Dynamic{EpochAccesses: 25_000, Slack: 0.003}
+	drowsy := Default()
+	drowsy.Scheme = SchemeDrowsy
+	openPage := Default()
+	openPage.DRAM.Policy = "open-page"
+	for _, tc := range []struct {
+		m    Machine
+		path string
+	}{
+		{Default(), "unified.retention_jitter"},
+		{Default(), "base_cpi"},
+		{Default(), "unified.banks"},
+		{static, "user.banks"},
+		{static, "kernel.banks"},
+		{dynamic, "dynamic.min_ways_per_domain"},
+		{dynamic, "dynamic.sample_shift"},
+		{drowsy, "drowsy.window_cycles"},
+		{drowsy, "drowsy.wake_cycles"},
+		{drowsy, "drowsy.drowsy_leak_ratio"},
+		{openPage, "dram.row_hit_cycles"},
+		{openPage, "dram.row_hit_pj"},
+		{openPage, "dram.banks"},
+		{openPage, "dram.row_bytes"},
+	} {
+		t.Run(tc.path, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := tc.m.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatalf("control machine rejected: %v", err)
+			}
+			var doc map[string]any
+			if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+				t.Fatal(err)
+			}
+			// Walk to the key's parent object; the first name the saved
+			// machine lacks is the one the decoder must reject.
+			keys := strings.Split(tc.path, ".")
+			obj, unknown := doc, ""
+			for _, k := range keys[:len(keys)-1] {
+				next, ok := obj[k].(map[string]any)
+				if !ok {
+					next = map[string]any{}
+					obj[k] = next
+					if unknown == "" {
+						unknown = k
+					}
+				}
+				obj = next
+			}
+			obj[keys[len(keys)-1]] = 1
+			if unknown == "" {
+				unknown = keys[len(keys)-1]
+			}
+			retired, err := json.Marshal(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = Load(bytes.NewReader(retired))
+			if err == nil || !strings.Contains(err.Error(), "unknown field") || !strings.Contains(err.Error(), `"`+unknown+`"`) {
+				t.Fatalf("machine naming %s: err = %v, want an unknown-field error naming %q", tc.path, err, unknown)
+			}
+		})
+	}
+}
+
+// Load reads exactly one machine: a second object or stray bytes after
+// it are an error, not silently ignored.
+func TestLoadRejectsTrailingData(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Default().Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("control machine rejected: %v", err)
+	for _, tail := range []string{
+		`{"name": "second"} trailing garbage`,
+		`{"name": "second"}`,
+		`trailing garbage`,
+		`]`,
+	} {
+		doc := buf.String() + tail
+		if _, err := Load(strings.NewReader(doc)); err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("machine followed by %q: err = %v, want a trailing-data error", tail, err)
+		}
 	}
-	var doc map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	doc["unified"].(map[string]any)["retention_jitter"] = 0.5
-	withJitter, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Load(bytes.NewReader(withJitter))
-	if err == nil || !strings.Contains(err.Error(), "retention_jitter") {
-		t.Fatalf("machine naming retention_jitter: err = %v, want an unknown-field error naming it", err)
+	// Trailing whitespace is not data.
+	if _, err := Load(strings.NewReader(buf.String() + "\n\t \n")); err != nil {
+		t.Fatalf("machine with trailing whitespace rejected: %v", err)
 	}
 }

@@ -20,30 +20,28 @@ type DrowsyConfig struct {
 	// WindowCycles is how long a line stays awake after its last
 	// access before dropping into drowsy mode.
 	WindowCycles uint64
-	// WakeCycles is the extra latency of touching a drowsy line.
-	WakeCycles uint64
-	// DrowsyLeakRatio is a drowsy cell's leakage relative to an awake
+}
+
+// The published-style drowsy circuit parameters.
+const (
+	// wakePenalty is the extra latency, in cycles, of touching a
+	// drowsy line.
+	wakePenalty uint64 = 1
+	// drowsyLeakRatio is a drowsy cell's leakage relative to an awake
 	// cell's.
-	DrowsyLeakRatio float64
-	// PeripheralFraction is the share of the array's leakage spent in
+	drowsyLeakRatio float64 = 0.08
+	// peripheralFraction is the share of the array's leakage spent in
 	// peripheral circuits (decoders, sense amplifiers, wordline
 	// drivers) that drowsy mode cannot reduce — the floor under any
 	// cell-level technique, and the reason technology replacement
 	// (STT-RAM) plus capacity shrink/gating saves more.
-	PeripheralFraction float64
-}
+	peripheralFraction float64 = 0.30
+)
 
-// DefaultDrowsyConfig returns the published-style drowsy parameters:
-// a 4000-cycle window, 1-cycle wake-up, drowsy lines leaking ~8% of
-// full power.
+// DefaultDrowsyConfig returns the drowsy baseline over seg with a
+// 4000-cycle window.
 func DefaultDrowsyConfig(seg SegmentConfig) DrowsyConfig {
-	return DrowsyConfig{
-		Segment:            seg,
-		WindowCycles:       4000,
-		WakeCycles:         1,
-		DrowsyLeakRatio:    0.08,
-		PeripheralFraction: 0.30,
-	}
+	return DrowsyConfig{Segment: seg, WindowCycles: 4000}
 }
 
 // Validate checks the drowsy parameters.
@@ -56,12 +54,6 @@ func (dc DrowsyConfig) Validate() error {
 	}
 	if dc.WindowCycles == 0 {
 		return fmt.Errorf("core: drowsy window must be positive")
-	}
-	if dc.DrowsyLeakRatio < 0 || dc.DrowsyLeakRatio > 1 {
-		return fmt.Errorf("core: drowsy leak ratio %g outside [0,1]", dc.DrowsyLeakRatio)
-	}
-	if dc.PeripheralFraction < 0 || dc.PeripheralFraction > 1 {
-		return fmt.Errorf("core: peripheral fraction %g outside [0,1]", dc.PeripheralFraction)
 	}
 	return nil
 }
@@ -92,7 +84,7 @@ func (d *DrowsyUnified) Access(blockAddr uint64, write bool, dom trace.Domain, n
 	wake := uint64(0)
 	if set, way, hit := d.seg.c.Probe(blockAddr); hit {
 		if meta := d.seg.c.Meta(set, way); meta != nil && now-meta.LastTouch > d.cfg.WindowCycles {
-			wake = d.cfg.WakeCycles
+			wake = wakePenalty
 		}
 	}
 	hit, lat := d.seg.access(blockAddr, write, dom, now)
@@ -113,8 +105,8 @@ func (d *DrowsyUnified) Advance(now uint64) {
 	})
 	total := d.cfg.Segment.Sets() * d.cfg.Segment.Ways
 	awakeFrac := float64(awake) / float64(total)
-	cells := awakeFrac + (1-awakeFrac)*d.cfg.DrowsyLeakRatio
-	eff := d.cfg.PeripheralFraction + (1-d.cfg.PeripheralFraction)*cells
+	cells := awakeFrac + (1-awakeFrac)*drowsyLeakRatio
+	eff := peripheralFraction + (1-peripheralFraction)*cells
 	d.seg.meter.SetPoweredFraction(eff)
 	d.seg.advance(now)
 }

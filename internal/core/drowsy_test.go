@@ -25,16 +25,6 @@ func TestDrowsyConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero window accepted")
 	}
-	bad = drowsyCfg()
-	bad.DrowsyLeakRatio = 1.5
-	if err := bad.Validate(); err == nil {
-		t.Fatal("leak ratio > 1 accepted")
-	}
-	bad = drowsyCfg()
-	bad.PeripheralFraction = -0.1
-	if err := bad.Validate(); err == nil {
-		t.Fatal("negative peripheral fraction accepted")
-	}
 }
 
 func TestDrowsyWakePenalty(t *testing.T) {
@@ -45,10 +35,10 @@ func TestDrowsyWakePenalty(t *testing.T) {
 	d.Access(0x40, false, trace.User, 0)
 	// Fresh hit: no wake penalty.
 	_, freshLat := d.Access(0x40, false, trace.User, 100)
-	// Stale hit (past the window): +WakeCycles.
+	// Stale hit (past the window): +wakePenalty.
 	_, staleLat := d.Access(0x40, false, trace.User, 100+drowsyCfg().WindowCycles*3)
-	if staleLat != freshLat+drowsyCfg().WakeCycles {
-		t.Fatalf("stale hit latency %d, want fresh %d + wake %d", staleLat, freshLat, drowsyCfg().WakeCycles)
+	if staleLat != freshLat+wakePenalty {
+		t.Fatalf("stale hit latency %d, want fresh %d + wake %d", staleLat, freshLat, wakePenalty)
 	}
 	// Contents preserved: the stale access was still a hit.
 	if st := d.Stats(); st.Misses[trace.User] != 1 {
@@ -78,7 +68,7 @@ func TestDrowsyLeakageBelowPlainSRAM(t *testing.T) {
 		t.Fatalf("drowsy leakage %g not well below plain %g", dl, pl)
 	}
 	// But the peripheral floor holds: cannot go below that share.
-	floor := pl * drowsyCfg().PeripheralFraction * 0.9
+	floor := pl * peripheralFraction * 0.9
 	if dl < floor {
 		t.Fatalf("drowsy leakage %g below the peripheral floor %g", dl, floor)
 	}

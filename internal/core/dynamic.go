@@ -24,32 +24,33 @@ type DynamicConfig struct {
 	// DRAM cost of one extra miss) makes the controller minimize
 	// energy; the paper's "minimize overall cache size" behaviour.
 	Slack float64
-	// MinWaysPerDomain keeps every domain allocatable (>= 1).
-	MinWaysPerDomain int
 	// SampleShift sets monitor set-sampling to 1 in 2^shift sets.
 	SampleShift uint
-	// MaxStepPerEpoch clamps how many ways a domain's allocation may
-	// *shrink* per repartition, damping cold-start over-gating and
-	// bounding flush costs. Growth is never clamped: powering a way on
-	// costs nothing but leakage, while powering one off discards its
-	// contents. Zero selects the default (2).
-	MaxStepPerEpoch int
 	// Sample, when non-nil, is the set-sampling selector of a sampled
 	// run: the utility monitors then subsample the live sets rather
 	// than the nominal geometry (see cache.NewDomainMonitorsSampled).
 	Sample *sample.Selector
 }
 
+const (
+	// minWaysPerDomain keeps every domain allocatable.
+	minWaysPerDomain = 1
+	// maxShrinkPerEpoch clamps how many ways a domain's allocation may
+	// *shrink* per repartition, damping cold-start over-gating and
+	// bounding flush costs. Growth is never clamped: powering a way on
+	// costs nothing but leakage, while powering one off discards its
+	// contents.
+	maxShrinkPerEpoch = 2
+)
+
 // DefaultDynamicConfig returns the controller settings used by the
 // paper-reproduction experiments for the given array config.
 func DefaultDynamicConfig(seg SegmentConfig) DynamicConfig {
 	return DynamicConfig{
-		Segment:          seg,
-		EpochAccesses:    25_000,
-		Slack:            0.005,
-		MinWaysPerDomain: 1,
-		SampleShift:      3,
-		MaxStepPerEpoch:  2,
+		Segment:       seg,
+		EpochAccesses: 25_000,
+		Slack:         0.005,
+		SampleShift:   3,
 	}
 }
 
@@ -64,14 +65,8 @@ func (dc DynamicConfig) Validate() error {
 	if dc.Slack < 0 || dc.Slack > 1 {
 		return fmt.Errorf("core: dynamic slack %g outside [0,1]", dc.Slack)
 	}
-	if dc.MinWaysPerDomain < 1 {
-		return fmt.Errorf("core: dynamic min ways %d below 1", dc.MinWaysPerDomain)
-	}
-	if 2*dc.MinWaysPerDomain > dc.Segment.Ways {
-		return fmt.Errorf("core: dynamic min ways %d infeasible for %d-way array", dc.MinWaysPerDomain, dc.Segment.Ways)
-	}
-	if dc.MaxStepPerEpoch < 0 {
-		return fmt.Errorf("core: negative max step %d", dc.MaxStepPerEpoch)
+	if 2*minWaysPerDomain > dc.Segment.Ways {
+		return fmt.Errorf("core: dynamic partition needs at least %d ways, got a %d-way array", 2*minWaysPerDomain, dc.Segment.Ways)
 	}
 	return nil
 }
@@ -134,10 +129,7 @@ func NewDynamicPartition(cfg DynamicConfig, wb func(addr uint64)) (*DynamicParti
 	// Initial allocation: start small and grow on demand — a cold
 	// cache cannot exploit full capacity anyway, and powering it up
 	// front only leaks.
-	start := cfg.Segment.Ways / 8
-	if start < cfg.MinWaysPerDomain {
-		start = cfg.MinWaysPerDomain
-	}
+	start := max(cfg.Segment.Ways/8, minWaysPerDomain)
 	dp.userWays = start
 	dp.kernelWays = start
 	// Early epochs are short so the cold-start allocation is corrected
@@ -219,7 +211,6 @@ func (dp *DynamicPartition) FlushWritebacks() uint64 { return dp.flushWritebacks
 func (dp *DynamicPartition) repartition(now uint64) {
 	dp.epoch++
 	ways := dp.cfg.Segment.Ways
-	minW := dp.cfg.MinWaysPerDomain
 	um, km := dp.mon.Mon[trace.User], dp.mon.Mon[trace.Kernel]
 	sampled := um.Accesses() + km.Accesses()
 	if sampled == 0 {
@@ -232,12 +223,12 @@ func (dp *DynamicPartition) repartition(now uint64) {
 	// premium — gating every way whose marginal utility is below the
 	// premium. Ties prefer fewer powered ways.
 	perWay := dp.cfg.Slack * float64(sampled)
-	chosenU, chosenK := minW, minW
+	chosenU, chosenK := minWaysPerDomain, minWaysPerDomain
 	chosenMisses := ^uint64(0)
 	bestCost := 0.0
 	first := true
-	for u := minW; u <= ways-minW; u++ {
-		for k := minW; u+k <= ways; k++ {
+	for u := minWaysPerDomain; u <= ways-minWaysPerDomain; u++ {
+		for k := minWaysPerDomain; u+k <= ways; k++ {
 			m := um.MissesWith(u) + km.MissesWith(k)
 			cost := float64(m) + perWay*float64(u+k)
 			better := cost < bestCost ||
@@ -252,29 +243,21 @@ func (dp *DynamicPartition) repartition(now uint64) {
 	// Clamp shrinking so one noisy epoch (cold monitors, phase
 	// boundary) cannot gate away live capacity violently; growth
 	// follows demand immediately.
-	step := dp.cfg.MaxStepPerEpoch
-	if step == 0 {
-		step = 2
-	}
-	if chosenU < dp.userWays-step {
-		chosenU = dp.userWays - step
-	}
-	if chosenK < dp.kernelWays-step {
-		chosenK = dp.kernelWays - step
-	}
+	chosenU = max(chosenU, dp.userWays-maxShrinkPerEpoch)
+	chosenK = max(chosenK, dp.kernelWays-maxShrinkPerEpoch)
 	// Clamping can overfill the array when one domain shrinks slowly
 	// while the other wants to grow; trim the grown domain back.
 	if over := chosenU + chosenK - ways; over > 0 {
 		if chosenU > dp.userWays { // user was the grower
-			chosenU -= min(over, chosenU-dp.cfg.MinWaysPerDomain)
+			chosenU -= min(over, chosenU-minWaysPerDomain)
 		} else {
-			chosenK -= min(over, chosenK-dp.cfg.MinWaysPerDomain)
+			chosenK -= min(over, chosenK-minWaysPerDomain)
 		}
 		// Degenerate curves could still overfill; hard-trim.
 		for chosenU+chosenK > ways {
-			if chosenU >= chosenK && chosenU > dp.cfg.MinWaysPerDomain {
+			if chosenU >= chosenK && chosenU > minWaysPerDomain {
 				chosenU--
-			} else if chosenK > dp.cfg.MinWaysPerDomain {
+			} else if chosenK > minWaysPerDomain {
 				chosenK--
 			} else {
 				chosenU--

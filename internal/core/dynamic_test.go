@@ -32,14 +32,12 @@ func TestDynamicConfigValidate(t *testing.T) {
 		t.Fatal("negative slack accepted")
 	}
 	bad = good
-	bad.MinWaysPerDomain = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero min ways accepted")
+	bad.Segment = segCfg("L2-dyn", 64*1024, 1, energy.SRAM)
+	if err := bad.Segment.Validate(); err != nil {
+		t.Fatalf("direct-mapped segment rejected: %v", err)
 	}
-	bad = good
-	bad.MinWaysPerDomain = 9 // 2*9 > 16 ways
 	if err := bad.Validate(); err == nil {
-		t.Fatal("infeasible min ways accepted")
+		t.Fatal("one-way dynamic array accepted: each domain needs a way")
 	}
 }
 

@@ -19,7 +19,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"mobilecache/internal/cache"
 	"mobilecache/internal/energy"
@@ -140,10 +139,6 @@ type SegmentConfig struct {
 	// controller writes the line back and lets it expire (the dynamic
 	// refresh scheme). Zero means unlimited.
 	RefreshLimit uint32
-	// Banks is the number of independently schedulable banks the array
-	// is interleaved across (by block address). More banks reduce
-	// bank-busy serialization. Zero or one means a single bank.
-	Banks int
 	// FaultBER injects stochastic retention faults: each fill suffers
 	// a seeded thermal-tail early expiry with this probability (0 =
 	// ideal cells). Only meaningful for STT-RAM technologies.
@@ -174,9 +169,6 @@ func (sc SegmentConfig) Validate() error {
 	if !sc.Refresh.Valid() {
 		return fmt.Errorf("core: segment %s: invalid refresh policy %d", sc.Name, sc.Refresh)
 	}
-	if sc.Banks < 0 || sc.Banks > 64 {
-		return fmt.Errorf("core: segment %s: bank count %d outside 0..64", sc.Name, sc.Banks)
-	}
 	if sc.FaultBER < 0 || sc.FaultBER > 1 {
 		return fmt.Errorf("core: segment %s: fault BER %g outside [0, 1]", sc.Name, sc.FaultBER)
 	}
@@ -196,19 +188,15 @@ type segment struct {
 	// wb receives dirty victim addresses (DRAM writeback path).
 	wb func(addr uint64)
 	// busyUntil models bank occupancy: a new access waits for the
-	// previous one to release its bank, which is how costlier STT-RAM
-	// writes translate into real stall cycles. One entry per bank,
-	// indexed by block address.
-	busyUntil []uint64
+	// previous one to release the array, which is how costlier STT-RAM
+	// writes translate into real stall cycles.
+	busyUntil uint64
 
 	// Access-path constants hoisted out of the hot loop: meter params
-	// are immutable after construction, block size is a power of two,
-	// and an unbounded-retention (SRAM) controller never expires lines.
+	// are immutable after construction, and an unbounded-retention
+	// (SRAM) controller never expires lines.
 	readCycles  uint64
 	writeCycles uint64
-	blockShift  uint
-	bankMask    uint64 // len(busyUntil)-1 when a power of two
-	bankPow2    bool
 	volatile    bool // ctrl.CanExpire()
 }
 
@@ -241,26 +229,11 @@ func newSegment(cfg SegmentConfig, wb func(addr uint64)) (*segment, error) {
 	}
 	ctrl.SetRefreshLimit(cfg.RefreshLimit)
 	ctrl.SetRetentionFaults(cfg.FaultBER, cfg.FaultSeed)
-	banks := cfg.Banks
-	if banks <= 0 {
-		banks = 1
-	}
-	s := &segment{cfg: cfg, c: c, meter: meter, ctrl: ctrl, wb: wb, busyUntil: make([]uint64, banks)}
+	s := &segment{cfg: cfg, c: c, meter: meter, ctrl: ctrl, wb: wb}
 	p := meter.Params()
 	s.readCycles, s.writeCycles = p.ReadCycles, p.WriteCycles
-	s.blockShift = uint(bits.TrailingZeros(uint(cfg.BlockBytes)))
-	s.bankPow2 = banks&(banks-1) == 0
-	s.bankMask = uint64(banks - 1)
 	s.volatile = ctrl.CanExpire()
 	return s, nil
-}
-
-// bankOf maps a block address to its bank.
-func (s *segment) bankOf(blockAddr uint64) int {
-	if s.bankPow2 {
-		return int((blockAddr >> s.blockShift) & s.bankMask)
-	}
-	return int((blockAddr / uint64(s.cfg.BlockBytes)) % uint64(len(s.busyUntil)))
 }
 
 // access runs the full probe/expiry/touch/fill sequence on the bank.
@@ -284,11 +257,7 @@ func (s *segment) access(blockAddr uint64, write bool, dom trace.Domain, now uin
 		set, way, hit = s.c.Lookup(blockAddr, write, dom, now)
 	}
 
-	bank := s.bankOf(blockAddr)
-	start := now
-	if s.busyUntil[bank] > start {
-		start = s.busyUntil[bank]
-	}
+	start := max(now, s.busyUntil)
 
 	if hit {
 		lat := s.readCycles
@@ -298,8 +267,8 @@ func (s *segment) access(blockAddr uint64, write bool, dom trace.Domain, now uin
 		} else {
 			s.meter.Read(1)
 		}
-		s.busyUntil[bank] = start + lat
-		return true, s.busyUntil[bank] - now
+		s.busyUntil = start + lat
+		return true, s.busyUntil - now
 	}
 
 	// Miss: the probe consumed a tag read; the fill writes the array.
@@ -315,7 +284,7 @@ func (s *segment) access(blockAddr uint64, write bool, dom trace.Domain, now uin
 	}
 	// The demand path pays the probe; the fill write occupies the bank
 	// afterwards but is off the critical path.
-	s.busyUntil[bank] = start + s.readCycles + s.writeCycles
+	s.busyUntil = start + s.readCycles + s.writeCycles
 	return false, (start + s.readCycles) - now
 }
 

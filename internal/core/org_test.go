@@ -102,50 +102,6 @@ func TestUnifiedBankBusySerializesAccesses(t *testing.T) {
 	}
 }
 
-func TestBankingReducesSerialization(t *testing.T) {
-	// Two back-to-back accesses at the same timestamp to adjacent
-	// blocks: with one bank the second waits, with many banks it
-	// proceeds in parallel.
-	single := segCfg("L2-1bank", 64*1024, 8, energy.STTLong)
-	banked := segCfg("L2-8bank", 64*1024, 8, energy.STTLong)
-	banked.Banks = 8
-
-	u1, err := NewUnified(single, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u8, err := NewUnified(banked, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range []*Unified{u1, u8} {
-		u.Access(0x0, false, trace.User, 0)
-		u.Access(0x40, false, trace.User, 0)
-	}
-	_, lat1a := u1.Access(0x0, false, trace.User, 1000)
-	_, lat1b := u1.Access(0x40, false, trace.User, 1000)
-	_, lat8a := u8.Access(0x0, false, trace.User, 2000)
-	_, lat8b := u8.Access(0x40, false, trace.User, 2000)
-	if lat1b <= lat1a {
-		t.Fatalf("single bank did not serialize: %d then %d", lat1a, lat1b)
-	}
-	if lat8b != lat8a {
-		t.Fatalf("adjacent blocks in an 8-bank array collided: %d then %d", lat8a, lat8b)
-	}
-}
-
-func TestSegmentConfigRejectsBadBanks(t *testing.T) {
-	cfg := segCfg("b", 64*1024, 8, energy.SRAM)
-	cfg.Banks = -1
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("negative banks accepted")
-	}
-	cfg.Banks = 65
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("banks > 64 accepted")
-	}
-}
-
 func TestUnifiedSTTShortExpiresCleanLines(t *testing.T) {
 	cfg := segCfg("L2", 64*1024, 8, energy.STTShort)
 	cfg.Refresh = sttram.EagerWriteback

@@ -15,9 +15,6 @@ import (
 
 // Config parameterizes the core.
 type Config struct {
-	// BaseCPI is the cycles charged per instruction absent memory
-	// stalls. Mobile in-order cores run near 1.
-	BaseCPI float64
 	// IdleEvery and IdleCycles model the idle stretches of interactive
 	// mobile use (waiting for input, screen dimmed): every IdleEvery
 	// accesses the core idles for IdleCycles cycles — no instructions
@@ -26,19 +23,6 @@ type Config struct {
 	// from IPC, which measures active execution only.
 	IdleEvery  uint64
 	IdleCycles uint64
-}
-
-// DefaultConfig returns the settings used by all experiments.
-func DefaultConfig() Config {
-	return Config{BaseCPI: 1.0}
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.BaseCPI <= 0 {
-		return fmt.Errorf("cpu: base CPI %g must be positive", c.BaseCPI)
-	}
-	return nil
 }
 
 // Result summarizes one run.
@@ -114,9 +98,6 @@ type CPU struct {
 
 // New builds a CPU over the hierarchy.
 func New(cfg Config, hier *mem.Hierarchy) (*CPU, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if hier == nil {
 		return nil, fmt.Errorf("cpu: nil hierarchy")
 	}
@@ -151,10 +132,6 @@ func (c *CPU) NewRunState() *RunState {
 		// (the counter never moves).
 		idleLeft: c.cfg.IdleEvery,
 		advLeft:  advanceEvery,
-		// uint64(float64(instr) * 1.0) is exact for any Gap-sized count,
-		// so a unit CPI — every standard config — can skip the float
-		// round-trip without changing a single cycle.
-		unitCPI: c.cfg.BaseCPI == 1.0,
 	}}
 }
 
@@ -215,7 +192,7 @@ func (c *CPU) RunFrom(ctx context.Context, rs *RunState, src trace.Source, maxAc
 		if n == 0 {
 			break
 		}
-		c.stepFrame(c.pre[:n], &res, st)
+		c.stepFrame(c.pre[:n], &res)
 		c.frameEnd(n, &res, st)
 	}
 	c.next.src = nil
@@ -255,7 +232,6 @@ func (a *nextFrames) DecodeFrame(dst []trace.FramePre, geom *trace.FrameGeom) in
 // stepState is the per-Run hot-loop state.
 type stepState struct {
 	idleLeft, advLeft uint64
-	unitCPI           bool
 }
 
 // frameCap sizes the next frame: at most stepBatchLen records, never
@@ -280,35 +256,15 @@ func (c *CPU) frameCap(st *stepState, res *Result, maxAccesses uint64) int {
 	return want
 }
 
-// stepFrame charges one staged frame: base cycles for each record's
-// instructions (rescaled in place for non-unit CPI) and the
-// hierarchy's frame kernel for the accesses. The kernel returns the
+// stepFrame charges one staged frame: one base cycle per instruction
+// (DecodeFrame fills each record's Busy with its instruction count) and
+// the hierarchy's frame kernel for the accesses. The kernel returns the
 // frame's clock totals; everything folds into res in one pass.
-func (c *CPU) stepFrame(pre []mem.FramePre, res *Result, st *stepState) {
-	var instrs uint64
-	if !st.unitCPI {
-		// DecodeFrame fills Busy with the instruction count; rescale to
-		// base cycles here, preserving the old loop's at-least-one-cycle
-		// clamp.
-		for i := range pre {
-			instr := pre[i].Busy
-			instrs += instr
-			busy := uint64(float64(instr) * c.cfg.BaseCPI)
-			if busy == 0 {
-				busy = 1
-			}
-			pre[i].Busy = busy
-		}
-	}
+func (c *CPU) stepFrame(pre []mem.FramePre, res *Result) {
 	fs := c.hier.AccessFrame(pre, c.now)
-	if st.unitCPI {
-		// Unit CPI: busy cycles are the instruction counts (each >= 1 by
-		// construction, so the clamp never binds).
-		instrs = fs.Busy
-	}
 	c.now += fs.Busy + fs.Stall
 	res.Accesses += uint64(len(pre))
-	res.Instructions += instrs
+	res.Instructions += fs.Busy
 	res.Cycles += fs.Busy + fs.Stall
 	res.StallCycles += fs.Stall
 	for d, v := range fs.ByDomain {

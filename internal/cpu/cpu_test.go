@@ -59,7 +59,7 @@ func (s *cancelAfter) Next() (trace.Access, bool) {
 // Cancellation is polled at frame boundaries only: the frame during
 // which the context ends is replayed whole, and the next never starts.
 func TestRunStopsAtFrameBoundaryWhenCancelled(t *testing.T) {
-	c, err := New(DefaultConfig(), testHier(t))
+	c, err := New(Config{}, testHier(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,23 +82,19 @@ func TestRunStopsAtFrameBoundaryWhenCancelled(t *testing.T) {
 	}
 }
 
+// New checks its inputs: the zero Config (no idling) is a valid core,
+// a nil hierarchy is not.
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
+	if _, err := New(Config{}, testHier(t)); err != nil {
+		t.Fatalf("zero config rejected: %v", err)
 	}
-	if err := (Config{BaseCPI: 0}).Validate(); err == nil {
-		t.Fatal("zero CPI accepted")
-	}
-	if _, err := New(Config{BaseCPI: -1}, testHier(t)); err == nil {
-		t.Fatal("negative CPI accepted")
-	}
-	if _, err := New(DefaultConfig(), nil); err == nil {
+	if _, err := New(Config{}, nil); err == nil {
 		t.Fatal("nil hierarchy accepted")
 	}
 }
 
 func TestRunCountsInstructionsAndCycles(t *testing.T) {
-	c, err := New(DefaultConfig(), testHier(t))
+	c, err := New(Config{}, testHier(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +125,7 @@ func TestRunCountsInstructionsAndCycles(t *testing.T) {
 }
 
 func TestRunLimit(t *testing.T) {
-	c, err := New(DefaultConfig(), testHier(t))
+	c, err := New(Config{}, testHier(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +140,7 @@ func TestRunLimit(t *testing.T) {
 }
 
 func TestIPCBoundedByBaseCPI(t *testing.T) {
-	c, err := New(DefaultConfig(), testHier(t))
+	c, err := New(Config{}, testHier(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +165,7 @@ func TestIPCBoundedByBaseCPI(t *testing.T) {
 }
 
 func TestTimeAdvancesMonotonically(t *testing.T) {
-	c, err := New(DefaultConfig(), testHier(t))
+	c, err := New(Config{}, testHier(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,10 +179,7 @@ func TestTimeAdvancesMonotonically(t *testing.T) {
 }
 
 func TestIdleStretches(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.IdleEvery = 10
-	cfg.IdleCycles = 5000
-	c, err := New(cfg, testHier(t))
+	c, err := New(Config{IdleEvery: 10, IdleCycles: 5000}, testHier(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,10 +208,7 @@ func TestIdleStretches(t *testing.T) {
 func TestIdleAccumulatesLeakage(t *testing.T) {
 	run := func(idle uint64) float64 {
 		h := testHier(t)
-		cfg := DefaultConfig()
-		cfg.IdleEvery = 100
-		cfg.IdleCycles = idle
-		c, err := New(cfg, h)
+		c, err := New(Config{IdleEvery: 100, IdleCycles: idle}, h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +247,7 @@ func TestBiggerCacheNoWorseIPC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := New(DefaultConfig(), h)
+		c, err := New(Config{}, h)
 		if err != nil {
 			t.Fatal(err)
 		}

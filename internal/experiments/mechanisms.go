@@ -33,7 +33,7 @@ func buildSetPartMachine(userSets int) (*sim.Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := cpu.New(cpu.DefaultConfig(), hier)
+	c, err := cpu.New(cpu.Config{}, hier)
 	if err != nil {
 		return nil, err
 	}

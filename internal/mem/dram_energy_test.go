@@ -29,13 +29,7 @@ type accumDRAMEnergy struct {
 func newAccumDRAMEnergy(cfg DRAMConfig) *accumDRAMEnergy {
 	a := &accumDRAMEnergy{cfg: cfg}
 	if cfg.Policy == RowOpenPage {
-		if a.cfg.Banks <= 0 {
-			a.cfg.Banks = 8
-		}
-		if a.cfg.RowBytes == 0 {
-			a.cfg.RowBytes = 2048
-		}
-		a.openRows = make([]uint64, a.cfg.Banks)
+		a.openRows = make([]uint64, openPageBanks)
 		for i := range a.openRows {
 			a.openRows[i] = noOpenRow
 		}
@@ -44,8 +38,8 @@ func newAccumDRAMEnergy(cfg DRAMConfig) *accumDRAMEnergy {
 }
 
 func (a *accumDRAMEnergy) rowHit(addr uint64) bool {
-	row := addr / a.cfg.RowBytes
-	bank := int(row) % a.cfg.Banks
+	row := addr / openPageRowBytes
+	bank := int(row) % openPageBanks
 	if a.openRows[bank] == row {
 		return true
 	}
@@ -55,7 +49,7 @@ func (a *accumDRAMEnergy) rowHit(addr uint64) bool {
 
 func (a *accumDRAMEnergy) read(addr uint64) {
 	if a.cfg.Policy == RowOpenPage && a.rowHit(addr) {
-		a.energyJ += a.cfg.RowHitPJ * 1e-12
+		a.energyJ += rowHitPJ * 1e-12
 		return
 	}
 	a.energyJ += a.cfg.ReadPJ * 1e-12
@@ -63,7 +57,7 @@ func (a *accumDRAMEnergy) read(addr uint64) {
 
 func (a *accumDRAMEnergy) write(addr uint64) {
 	if a.cfg.Policy == RowOpenPage && a.rowHit(addr) {
-		a.energyJ += a.cfg.RowHitPJ * 1e-12
+		a.energyJ += rowHitPJ * 1e-12
 		return
 	}
 	a.energyJ += a.cfg.WritePJ * 1e-12
@@ -87,7 +81,7 @@ func TestDRAMEnergyDeferralEquivalence(t *testing.T) {
 		cfg  DRAMConfig
 	}{
 		{"flat", DefaultDRAMConfig()},
-		{"open-page", OpenPageDRAMConfig()},
+		{"open-page", openPageTestConfig()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := NewDRAM(tc.cfg)

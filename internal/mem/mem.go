@@ -38,14 +38,6 @@ type DRAMConfig struct {
 	LatencyCycles uint64
 	ReadPJ        float64
 	WritePJ       float64
-
-	// Open-page parameters (ignored under RowFlat):
-	// RowHitCycles/RowHitPJ are the open-row costs; Banks and RowBytes
-	// define the interleaving.
-	RowHitCycles uint64
-	RowHitPJ     float64
-	Banks        int
-	RowBytes     uint64
 }
 
 // DefaultDRAMConfig returns the LPDDR-style flat parameters used by
@@ -55,17 +47,15 @@ func DefaultDRAMConfig() DRAMConfig {
 	return DRAMConfig{Policy: RowFlat, LatencyCycles: 200, ReadPJ: 20_000, WritePJ: 22_000}
 }
 
-// OpenPageDRAMConfig returns an LPDDR-style open-page model whose
-// average behaviour brackets the flat default: row hits cost 120
-// cycles/12nJ, row misses 260 cycles/26nJ across 8 banks of 2KB rows.
-func OpenPageDRAMConfig() DRAMConfig {
-	return DRAMConfig{
-		Policy:        RowOpenPage,
-		LatencyCycles: 260, ReadPJ: 26_000, WritePJ: 28_000,
-		RowHitCycles: 120, RowHitPJ: 12_000,
-		Banks: 8, RowBytes: 2048,
-	}
-}
+// The open-page model's LPDDR-style row buffers: 8 banks of 2KB rows,
+// rows interleaved across banks, and an open-row hit that costs 120
+// cycles and 12nJ whatever the row-miss costs are.
+const (
+	openPageBanks    = 8
+	openPageRowBytes = 2048
+	rowHitCycles     = 120
+	rowHitPJ         = 12_000
+)
 
 const noOpenRow = ^uint64(0)
 
@@ -80,7 +70,7 @@ type DRAM struct {
 	reads  uint64
 	writes uint64
 
-	openRows []uint64
+	openRows [openPageBanks]uint64
 	// rowHitReads/rowHitWrites split the open-page row hits by
 	// operation: the two sides charge different miss energies, so the
 	// deferred energy computation needs the split, and the public
@@ -93,19 +83,8 @@ type DRAM struct {
 // NewDRAM builds a DRAM model.
 func NewDRAM(cfg DRAMConfig) *DRAM {
 	d := &DRAM{cfg: cfg}
-	if cfg.Policy == RowOpenPage {
-		banks := cfg.Banks
-		if banks <= 0 {
-			banks = 8
-		}
-		d.cfg.Banks = banks
-		if d.cfg.RowBytes == 0 {
-			d.cfg.RowBytes = 2048
-		}
-		d.openRows = make([]uint64, banks)
-		for i := range d.openRows {
-			d.openRows[i] = noOpenRow
-		}
+	for i := range d.openRows {
+		d.openRows[i] = noOpenRow
 	}
 	return d
 }
@@ -113,8 +92,8 @@ func NewDRAM(cfg DRAMConfig) *DRAM {
 // rowLookup classifies an access against the open-row state and
 // updates it, returning whether it hit the open row.
 func (d *DRAM) rowLookup(addr uint64) bool {
-	row := addr / d.cfg.RowBytes
-	bank := int(row) % d.cfg.Banks
+	row := addr / openPageRowBytes
+	bank := row % openPageBanks
 	if d.openRows[bank] == row {
 		return true
 	}
@@ -127,7 +106,7 @@ func (d *DRAM) Read(addr uint64) uint64 {
 	d.reads++
 	if d.cfg.Policy == RowOpenPage && d.rowLookup(addr) {
 		d.rowHitReads++
-		return d.cfg.RowHitCycles
+		return rowHitCycles
 	}
 	return d.cfg.LatencyCycles
 }
@@ -155,10 +134,10 @@ func (d *DRAM) Writes() uint64 { return d.writes }
 func (d *DRAM) EnergyJ() float64 {
 	pJ := float64(d.reads)*d.cfg.ReadPJ + float64(d.writes)*d.cfg.WritePJ
 	if d.cfg.Policy == RowOpenPage {
-		// Row hits charge RowHitPJ instead of the full access energy:
+		// Row hits charge rowHitPJ instead of the full access energy:
 		// swap the difference in, per operation class.
-		pJ += float64(d.rowHitReads)*(d.cfg.RowHitPJ-d.cfg.ReadPJ) +
-			float64(d.rowHitWrites)*(d.cfg.RowHitPJ-d.cfg.WritePJ)
+		pJ += float64(d.rowHitReads)*(rowHitPJ-d.cfg.ReadPJ) +
+			float64(d.rowHitWrites)*(rowHitPJ-d.cfg.WritePJ)
 	}
 	return pJ * 1e-12
 }

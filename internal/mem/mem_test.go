@@ -61,8 +61,14 @@ func TestDRAMAccounting(t *testing.T) {
 	}
 }
 
+// openPageTestConfig is an open-page model whose row misses cost more
+// than the default flat access, so a row hit is cheaper on both axes.
+func openPageTestConfig() DRAMConfig {
+	return DRAMConfig{Policy: RowOpenPage, LatencyCycles: 260, ReadPJ: 26_000, WritePJ: 28_000}
+}
+
 func TestDRAMOpenPageRowBehaviour(t *testing.T) {
-	cfg := OpenPageDRAMConfig()
+	cfg := openPageTestConfig()
 	d := NewDRAM(cfg)
 	// First touch of a row: miss. Same row again: hit, cheaper+faster.
 	lat1 := d.Read(0x1000)
@@ -70,14 +76,14 @@ func TestDRAMOpenPageRowBehaviour(t *testing.T) {
 	if lat1 != cfg.LatencyCycles {
 		t.Fatalf("first access latency = %d, want row-miss %d", lat1, cfg.LatencyCycles)
 	}
-	if lat2 != cfg.RowHitCycles {
-		t.Fatalf("same-row access latency = %d, want row-hit %d", lat2, cfg.RowHitCycles)
+	if lat2 != rowHitCycles {
+		t.Fatalf("same-row access latency = %d, want row-hit %d", lat2, rowHitCycles)
 	}
 	if hits := d.rowHitReads + d.rowHitWrites; hits != 1 || d.Reads()-hits != 1 {
 		t.Fatalf("row stats = %d hits / %d misses", hits, d.Reads()-hits)
 	}
 	// A different row in the same bank evicts the open row.
-	rowStride := cfg.RowBytes * uint64(cfg.Banks)
+	rowStride := uint64(openPageRowBytes * openPageBanks)
 	if lat := d.Read(0x1000 + rowStride); lat != cfg.LatencyCycles {
 		t.Fatalf("bank-conflict latency = %d, want row-miss", lat)
 	}
@@ -92,27 +98,16 @@ func TestDRAMOpenPageRowBehaviour(t *testing.T) {
 }
 
 func TestDRAMOpenPageEnergyCheaperOnHits(t *testing.T) {
-	cfg := OpenPageDRAMConfig()
+	cfg := openPageTestConfig()
 	hot := NewDRAM(cfg)
 	cold := NewDRAM(cfg)
 	// Sequential within a row vs strided across rows.
 	for i := uint64(0); i < 32; i++ {
 		hot.Read(i * 64)                                // one row: 1 miss + 31 hits
-		cold.Read(i * cfg.RowBytes * uint64(cfg.Banks)) // all conflicts
+		cold.Read(i * openPageRowBytes * openPageBanks) // all conflicts
 	}
 	if hot.EnergyJ() >= cold.EnergyJ() {
 		t.Fatalf("row-friendly stream cost %g >= conflict stream %g", hot.EnergyJ(), cold.EnergyJ())
-	}
-}
-
-func TestDRAMOpenPageDefaults(t *testing.T) {
-	d := NewDRAM(DRAMConfig{Policy: RowOpenPage, LatencyCycles: 100, ReadPJ: 1, WritePJ: 1, RowHitCycles: 50, RowHitPJ: 0.5})
-	// Banks and RowBytes default sensibly instead of dividing by zero.
-	if lat := d.Read(0); lat != 100 {
-		t.Fatalf("defaulted open-page read latency = %d", lat)
-	}
-	if lat := d.Read(64); lat != 50 {
-		t.Fatalf("defaulted open-page row hit = %d", lat)
 	}
 }
 

@@ -199,7 +199,7 @@ func build(cfg config.Machine, sel *sample.Selector) (*Machine, error) {
 			return nil, err
 		}
 		compress(&seg)
-		dc := cfg.DrowsyConfig(seg)
+		dc := core.DefaultDrowsyConfig(seg)
 		dc.WindowCycles = compressCycles(dc.WindowCycles, factor)
 		dw, err := core.NewDrowsyUnified(dc, wb)
 		if err != nil {
@@ -221,7 +221,6 @@ func build(cfg config.Machine, sel *sample.Selector) (*Machine, error) {
 	}
 	m.Hier = hier
 	c, err := cpu.New(cpu.Config{
-		BaseCPI:    cfg.BaseCPI,
 		IdleEvery:  compressCycles(cfg.IdleEvery, factor),
 		IdleCycles: compressCycles(cfg.IdleCycles, factor),
 	}, hier)

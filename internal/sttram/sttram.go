@@ -33,6 +33,7 @@ package sttram
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"mobilecache/internal/cache"
 	"mobilecache/internal/energy"
@@ -387,20 +388,11 @@ func DomainFor(lifetimes *cache.Log2Hist, maxExpiryFrac float64) energy.Tech {
 	for _, t := range []energy.Tech{energy.STTShort, energy.STTMedium} {
 		p := energy.DefaultParams(t)
 		// Fraction of blocks living beyond the retention window.
-		exp := bitsLenU64(p.RetentionCycles)
+		exp := bits.Len64(p.RetentionCycles)
 		surviving := 1 - lifetimes.CDFBelow(exp)
 		if surviving <= maxExpiryFrac {
 			return t
 		}
 	}
 	return energy.STTLong
-}
-
-func bitsLenU64(x uint64) int {
-	n := 0
-	for x > 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }

@@ -51,9 +51,8 @@ type FramePre struct {
 	Addr uint64
 	// Tag is the address tag under the target L1's geometry.
 	Tag uint64
-	// Busy is filled as the record's instruction count (Gap+1); the
-	// CPU rescales it in place to base cycles when the configured CPI
-	// is not 1.
+	// Busy is the record's instruction count (Gap+1), which at the
+	// core's fixed CPI of 1 is also its base cycles.
 	Busy uint64
 	// Set is the set index under the target L1's geometry.
 	Set int32

@@ -83,6 +83,9 @@ func LoadProfile(r io.Reader) (Profile, error) {
 	if err := dec.Decode(&j); err != nil {
 		return Profile{}, fmt.Errorf("workload: decoding profile: %w", err)
 	}
+	if tok, err := dec.Token(); err != io.EOF {
+		return Profile{}, fmt.Errorf("workload: trailing data after the profile object (next token %v, err %v)", tok, err)
+	}
 	p := fromJSON(j)
 	if err := p.Validate(); err != nil {
 		return Profile{}, err

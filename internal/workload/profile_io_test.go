@@ -46,6 +46,28 @@ func TestLoadProfileRejectsInvalid(t *testing.T) {
 	}
 }
 
+// LoadProfile reads exactly one profile: a second object or stray
+// bytes after it are an error, not silently ignored.
+func TestLoadProfileRejectsTrailingData(t *testing.T) {
+	var buf bytes.Buffer
+	if err := SaveProfile(&buf, Profiles()[0]); err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{
+		`{"name": "second"} trailing garbage`,
+		`{"name": "second"}`,
+		`trailing garbage`,
+	} {
+		doc := buf.String() + tail
+		if _, err := LoadProfile(strings.NewReader(doc)); err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("profile followed by %q: err = %v, want a trailing-data error", tail, err)
+		}
+	}
+	if _, err := LoadProfile(strings.NewReader(buf.String() + "\n\n")); err != nil {
+		t.Fatalf("profile with trailing whitespace rejected: %v", err)
+	}
+}
+
 func TestLoadProfileFile(t *testing.T) {
 	p := Profiles()[2]
 	path := filepath.Join(t.TempDir(), "p.json")
