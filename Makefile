@@ -26,12 +26,17 @@ test:
 # must agree on which slots are valid, and every powered valid line's
 # rebuilt block address must probe back to its own slot, the address
 # space's top block included; a replay split into RunFrom pieces must
-# be bit-identical to one uninterrupted run on every standard machine,
-# and every branch of sim.Run — arena or generator, hot or packed-only
-# tier, cold or warm, exact or 1/8-sampled — must match the arena-free
-# run, with a cold dynamic run keeping its epoch-0 allocation) and the
-# benchmark module's vet and tests (bench/ is its own Go module, so the
-# root ./... never compiles it).
+# be bit-identical to one uninterrupted run on every standard machine;
+# every branch of sim.Run — arena or generator, hot or packed-only
+# tier, cold or warm, exact or 1/8-sampled, standard machines and
+# prefetch-on, idle and wide-L1 ones — must match the arena-free run,
+# with a cold dynamic run keeping its epoch-0 allocation; whole reports,
+# through a stored front-stage output and through the pipelined
+# stages, must hash to digests recorded before the front/back split;
+# and replays that differ in one front-key field, run back to back on
+# one arena, must each match their arena-free run) and the benchmark
+# module's vet and tests (bench/ is its own Go module, so the root
+# ./... never compiles it).
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt: needs formatting:"; echo "$$unformatted"; exit 1; fi
@@ -46,7 +51,7 @@ check:
 	$(GO) test -run TestSampleValidationQuickMatrix -count=1 ./internal/experiments/
 	$(GO) test -run TestAccessFrameMatchesCacheModel -count=1 ./internal/mem/
 	$(GO) test -run 'TestSidecarsMirrorLines|TestTopOfAddressSpace' -count=1 ./internal/cache/
-	$(GO) test -run 'TestRunFromSegmentComposition|TestRunSegmentedExact|TestRunArenaMatchesGenerator' -count=1 ./internal/sim/
+	$(GO) test -run 'TestRunFromSegmentComposition|TestRunSegmentedExact|TestRunArenaMatchesGenerator|TestRunReportDigests|TestFrontKeyAliasing' -count=1 ./internal/sim/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the repository benchmark (bench/, described by

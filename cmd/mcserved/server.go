@@ -265,6 +265,7 @@ func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 	counter("mcserved_trace_hits_total", "Trace-arena hits.", st.Store.Hits)
 	counter("mcserved_trace_misses_total", "Trace-arena misses.", st.Store.Misses)
 	counter("mcserved_trace_generated_total", "Traces generated.", st.Store.Generated)
+	counter("mcserved_trace_derived_total", "Derived arena entries built (sample-filtered traces, front-stage outputs); included in generated.", st.Store.Derived)
 	counter("mcserved_trace_evictions_total", "Trace-arena evictions.", st.Store.Evictions)
 	counter("mcserved_trace_demotions_total", "Hot traces demoted to packed-only residency.", st.Store.Demotions)
 	gauge("mcserved_trace_bytes_in_use", "Trace-arena resident bytes.", float64(st.Store.BytesInUse))

@@ -321,6 +321,7 @@ func TestHealthReadyMetrics(t *testing.T) {
 		"mcserved_memo_shards",
 		"mcserved_memo_shard_entries_max",
 		"mcserved_trace_bytes_in_use",
+		"mcserved_trace_derived_total",
 		"mcserved_trace_demotions_total",
 		"mcserved_trace_shards",
 		"mcserved_trace_shard_entries_min",

@@ -15,7 +15,12 @@
 //     the other domain, the effect static partitioning eliminates.
 //
 // Time is an opaque uint64 supplied by the caller (the simulator passes
-// cycles); the cache never advances time itself.
+// cycles); the cache never advances time itself. It reaches nothing but
+// the lines' time stamps and what reads them: the lifetime and
+// write-interval histograms, and the STT-RAM wrappers' retention and
+// refresh decisions. So a cache no wrapper reads the stamps of — every
+// L1 — may run on any monotone clock; the simulator's L1s run on their
+// front stage's own clock, which counts busy cycles only (see mem.Front).
 package cache
 
 import (

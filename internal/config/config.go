@@ -260,17 +260,15 @@ func (s Segment) ToCore() (core.SegmentConfig, error) {
 	return cfg, cfg.Validate()
 }
 
-// DynamicConfig converts the dynamic knobs (falling back to defaults)
-// for the given segment.
+// DynamicConfig converts the dynamic knobs for the given segment. A
+// dynamic block is taken as written — a zero slack runs at zero, and a
+// zero epoch fails validation — and a machine without one runs the
+// controller's defaults.
 func (m Machine) DynamicConfig(seg core.SegmentConfig) core.DynamicConfig {
 	dc := core.DefaultDynamicConfig(seg)
 	if m.Dynamic != nil {
-		if m.Dynamic.EpochAccesses != 0 {
-			dc.EpochAccesses = m.Dynamic.EpochAccesses
-		}
-		if m.Dynamic.Slack != 0 {
-			dc.Slack = m.Dynamic.Slack
-		}
+		dc.EpochAccesses = m.Dynamic.EpochAccesses
+		dc.Slack = m.Dynamic.Slack
 	}
 	return dc
 }

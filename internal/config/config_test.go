@@ -61,7 +61,7 @@ func TestDynamicSchemeValidation(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatalf("valid dynamic rejected: %v", err)
 	}
-	m.Dynamic = &Dynamic{Slack: 2}
+	m.Dynamic = &Dynamic{EpochAccesses: 25_000, Slack: 2}
 	if err := m.Validate(); err == nil {
 		t.Fatal("slack above 1 accepted")
 	}
@@ -107,6 +107,44 @@ func TestDynamicConfigOverrides(t *testing.T) {
 	dc = m.DynamicConfig(seg)
 	if dc.EpochAccesses == 0 {
 		t.Fatal("defaults not applied")
+	}
+}
+
+// TestDynamicBlockTakenAsWritten: a zero slack in a machine's dynamic
+// block runs at zero instead of the controller's default.
+func TestDynamicBlockTakenAsWritten(t *testing.T) {
+	m := Default()
+	m.Scheme = SchemeDynamic
+	m.Dynamic = &Dynamic{EpochAccesses: 25_000, Slack: 0}
+	seg, err := m.Unified.ToCore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dc := m.DynamicConfig(seg); dc.Slack != 0 || dc.EpochAccesses != 25_000 {
+		t.Fatalf("dynamic block {25000, 0} converted to epoch %d, slack %g", dc.EpochAccesses, dc.Slack)
+	}
+}
+
+// TestLoadRejectsZeroEpoch: a machine file whose dynamic block sets a
+// zero epoch fails to load instead of running the default epoch.
+func TestLoadRejectsZeroEpoch(t *testing.T) {
+	m := Default()
+	m.Name = "dp-zero-epoch"
+	m.Scheme = SchemeDynamic
+	m.Dynamic = &Dynamic{EpochAccesses: 25_000, Slack: 0.003}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("valid dynamic machine rejected: %v", err)
+	}
+	zero := bytes.Replace(buf.Bytes(), []byte(`"epoch_accesses": 25000`), []byte(`"epoch_accesses": 0`), 1)
+	if bytes.Equal(zero, buf.Bytes()) {
+		t.Fatalf("test setup: no epoch field in\n%s", buf.Bytes())
+	}
+	if _, err := Load(bytes.NewReader(zero)); err == nil || !strings.Contains(err.Error(), "epoch") {
+		t.Fatalf("a zero dynamic epoch loaded (err %v)", err)
 	}
 }
 

@@ -8,6 +8,7 @@ package cpu
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"mobilecache/internal/mem"
 	"mobilecache/internal/trace"
@@ -86,7 +87,8 @@ const stepBatchLen = 256
 // clocks are synchronized with the CPU clock.
 const advanceEvery = 4096
 
-// CPU binds a config to a hierarchy.
+// CPU binds a config to a hierarchy. (RecordFront's CPU has none: it
+// drives a front stage alone.)
 type CPU struct {
 	cfg  Config
 	hier *mem.Hierarchy
@@ -94,6 +96,9 @@ type CPU struct {
 	pre  []mem.FramePre
 	geom trace.FrameGeom
 	next nextFrames
+	// ff holds one frame of front-stage output: decoded from a stored
+	// output by RunBack, or produced by the front stage in RecordFront.
+	ff mem.FrontFrame
 }
 
 // New builds a CPU over the hierarchy.
@@ -160,8 +165,9 @@ func (c *CPU) Run(ctx context.Context, src trace.Source, maxAccesses uint64) (Re
 // call's contribution (also accumulated into rs). Unlike Run it does
 // not synchronize the hierarchy's leakage clocks at the end — call
 // Finish after the last segment. maxAccesses bounds this call alone.
-// ctx is polled once per frame, never per access: when it ends, RunFrom
-// returns ctx's error before starting the next frame.
+// ctx is polled once per frame, never per access: when it ends, or its
+// deadline passes, RunFrom returns ctx's error (for a deadline,
+// context.DeadlineExceeded) before starting the next frame.
 //
 // Replay runs in frames: each iteration asks the source for up to one
 // frame of precomputed records (stepBatchLen, clipped so no frame spans
@@ -173,29 +179,140 @@ func (c *CPU) Run(ctx context.Context, src trace.Source, maxAccesses uint64) (Re
 // from their shared records, the set-sampling filter precomputes what
 // it keeps, and a plain Source is staged through the CPU's own
 // adapter. There is one loop, so results never depend on the source's
-// type.
+// type — and RunBack and RecordFront run the same loop over a stored
+// front output and into one.
 func (c *CPU) RunFrom(ctx context.Context, rs *RunState, src trace.Source, maxAccesses uint64) (Result, error) {
+	res, err := c.run(ctx, rs, pipelined{c.frameSource(src)}, maxAccesses)
+	c.next.src = nil
+	return res, err
+}
+
+// frameSource returns src as a FrameSource, staging a plain Source
+// through the CPU's adapter.
+func (c *CPU) frameSource(src trace.Source) trace.FrameSource {
+	if fsrc, ok := src.(trace.FrameSource); ok {
+		return fsrc
+	}
+	c.next.src = src
+	return &c.next
+}
+
+// RunBack is Run over a front stage's stored output instead of a
+// trace: only the hierarchy's back stage runs, fed the L2-bound events,
+// busy cycles and L1 meter counts the front recorded. The output must
+// have been recorded (RecordFront) under the same IdleEvery and the
+// same maxAccesses cuts as this replay, so its frames are the ones
+// this replay's loop asks for; the replay is then identical to a Run
+// over the trace on a hierarchy with the front's L1 geometry and
+// prefetcher, except that the hierarchy's own L1s stay cold.
+func (c *CPU) RunBack(ctx context.Context, r *mem.FrontReader, maxAccesses uint64) (Result, error) {
+	rs := c.NewRunState()
+	if _, err := c.run(ctx, rs, stored{r}, maxAccesses); err != nil {
+		return rs.res, err
+	}
+	c.Finish()
+	return rs.res, nil
+}
+
+// RecordFront runs up to maxAccesses records of src (0 = until the
+// source ends) through the front stage f alone, in the frames a Run of
+// the same bound under cfg would cut, and appends each frame's output
+// to out. Like Run it starts fresh idle and leakage-sync countdowns,
+// so a replay split into Run calls is recorded by the same split into
+// RecordFront calls. There is no back stage, so no clock: a recording
+// runs to completion.
+func RecordFront(cfg Config, f *mem.Front, src trace.Source, maxAccesses uint64, out *mem.FrontOutput) {
+	c := &CPU{cfg: cfg, pre: make([]mem.FramePre, stepBatchLen), geom: f.FrameGeom()}
+	c.run(context.Background(), c.NewRunState(), &recording{c.frameSource(src), f, out}, maxAccesses)
+}
+
+// frames is what the replay loop reads: a source of frames, each run
+// through some stage of the hierarchy.
+type frames interface {
+	// frame runs up to want records at the CPU's cycle and reports how
+	// many it ran (0 once the input is exhausted) and their clock
+	// totals.
+	frame(c *CPU, want int) (int, mem.FrameStats)
+	// advance synchronizes the leakage clocks with the CPU's.
+	advance(c *CPU)
+}
+
+// pipelined runs a trace through both stages, frame by frame.
+type pipelined struct{ src trace.FrameSource }
+
+func (p pipelined) frame(c *CPU, want int) (int, mem.FrameStats) {
+	n := p.src.DecodeFrame(c.pre[:want], &c.geom)
+	if n == 0 {
+		return 0, mem.FrameStats{}
+	}
+	return n, c.hier.AccessFrame(c.pre[:n], c.now)
+}
+
+func (pipelined) advance(c *CPU) { c.hier.Advance(c.now) }
+
+// stored runs a stored front output through the back stage.
+type stored struct{ r *mem.FrontReader }
+
+func (s stored) frame(c *CPU, want int) (int, mem.FrameStats) {
+	if want == 0 || !s.r.Next(&c.ff) {
+		return 0, mem.FrameStats{}
+	}
+	if c.ff.Records > want {
+		panic(fmt.Sprintf("cpu: stored front frame of %d records where the replay cuts %d: it was recorded under other cuts", c.ff.Records, want))
+	}
+	return c.ff.Records, c.hier.Back(&c.ff, c.now)
+}
+
+func (stored) advance(c *CPU) { c.hier.Advance(c.now) }
+
+// recording runs a trace through the front stage alone and appends its
+// output; the CPU's clock counts busy cycles only.
+type recording struct {
+	src trace.FrameSource
+	f   *mem.Front
+	out *mem.FrontOutput
+}
+
+func (r *recording) frame(c *CPU, want int) (int, mem.FrameStats) {
+	n := r.src.DecodeFrame(c.pre[:want], &c.geom)
+	if n == 0 {
+		return 0, mem.FrameStats{}
+	}
+	r.f.Frame(c.pre[:n], &c.ff)
+	r.out.Append(&c.ff)
+	return n, mem.FrameStats{Busy: c.ff.Busy, ByDomain: c.ff.BusyByDomain}
+}
+
+func (*recording) advance(*CPU) {}
+
+// run is the replay loop every entry point shares: frames cut by
+// frameCap, each run by in, retired against the countdowns by
+// frameEnd.
+func (c *CPU) run(ctx context.Context, rs *RunState, in frames, maxAccesses uint64) (Result, error) {
 	var res Result
 	st := &rs.st
-	fsrc, ok := src.(trace.FrameSource)
-	if !ok {
-		c.next.src = src
-		fsrc = &c.next
-	}
 	var err error
+	// A context's deadline reaches Err only once its timer fires, and
+	// the runtime runs timers when a processor schedules: with every
+	// processor busy replaying, a replay that never yields could run far
+	// past its deadline. So the loop reads the clock against it itself.
+	deadline, hasDeadline := ctx.Deadline()
 	for {
 		if err = ctx.Err(); err != nil {
 			break
 		}
+		if hasDeadline && !time.Now().Before(deadline) {
+			err = context.DeadlineExceeded
+			break
+		}
 		want := c.frameCap(st, &res, maxAccesses)
-		n := fsrc.DecodeFrame(c.pre[:want], &c.geom)
+		n, fs := in.frame(c, want)
 		if n == 0 {
 			break
 		}
-		c.stepFrame(c.pre[:n], &res)
-		c.frameEnd(n, &res, st)
+		c.stepFrame(n, fs, &res)
+		c.frameEnd(n, &res, st, in)
 	}
-	c.next.src = nil
 	rs.res.Add(res)
 	return res, err
 }
@@ -256,14 +373,13 @@ func (c *CPU) frameCap(st *stepState, res *Result, maxAccesses uint64) int {
 	return want
 }
 
-// stepFrame charges one staged frame: one base cycle per instruction
-// (DecodeFrame fills each record's Busy with its instruction count) and
-// the hierarchy's frame kernel for the accesses. The kernel returns the
-// frame's clock totals; everything folds into res in one pass.
-func (c *CPU) stepFrame(pre []mem.FramePre, res *Result) {
-	fs := c.hier.AccessFrame(pre, c.now)
+// stepFrame charges one frame of n records: one base cycle per
+// instruction (DecodeFrame fills each record's Busy with its
+// instruction count) and the stalls the hierarchy reported; everything
+// folds into res in one pass.
+func (c *CPU) stepFrame(n int, fs mem.FrameStats, res *Result) {
 	c.now += fs.Busy + fs.Stall
-	res.Accesses += uint64(len(pre))
+	res.Accesses += uint64(n)
 	res.Instructions += fs.Busy
 	res.Cycles += fs.Busy + fs.Stall
 	res.StallCycles += fs.Stall
@@ -277,7 +393,7 @@ func (c *CPU) stepFrame(pre []mem.FramePre, res *Result) {
 // either countdown, so each fires exactly at its per-access position;
 // when both fire at the same access, idle runs first and the leakage
 // sync observes the post-idle clock — the per-record loop's order.
-func (c *CPU) frameEnd(n int, res *Result, st *stepState) {
+func (c *CPU) frameEnd(n int, res *Result, st *stepState, in frames) {
 	st.advLeft -= uint64(n)
 	if st.idleLeft > 0 {
 		st.idleLeft -= uint64(n)
@@ -287,11 +403,11 @@ func (c *CPU) frameEnd(n int, res *Result, st *stepState) {
 			res.IdleCycles += c.cfg.IdleCycles
 			// Let retention controllers and leakage meters observe the
 			// idle stretch immediately.
-			c.hier.Advance(c.now)
+			in.advance(c)
 		}
 	}
 	if st.advLeft == 0 {
 		st.advLeft = advanceEvery
-		c.hier.Advance(c.now)
+		in.advance(c)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"mobilecache/internal/cache"
 	"mobilecache/internal/core"
@@ -79,6 +80,43 @@ func TestRunStopsAtFrameBoundaryWhenCancelled(t *testing.T) {
 	}
 	if res, err := c.Run(ctx, trace.NewSliceSource(recs), 0); !errors.Is(err, context.Canceled) || res.Accesses != 0 {
 		t.Fatalf("already-cancelled run = %d accesses, err %v; want 0 and context.Canceled", res.Accesses, err)
+	}
+}
+
+// lateTimer is a context whose deadline has passed while its Err still
+// reads nil: a deadline timer the runtime has not fired yet, as happens
+// while every processor is busy replaying.
+type lateTimer struct {
+	context.Context
+	deadline time.Time
+}
+
+func (c lateTimer) Deadline() (time.Time, bool) { return c.deadline, true }
+
+// A passed deadline stops the replay at the next frame even before the
+// context's timer fires, on the pipelined and the stored-front path
+// alike.
+func TestRunStopsAtPassedDeadline(t *testing.T) {
+	recs := make([]trace.Access, 10*stepBatchLen)
+	for i := range recs {
+		recs[i] = trace.Access{Addr: uint64(i) * 64, Op: trace.Load, Domain: trace.User}
+	}
+	ctx := lateTimer{Context: context.Background(), deadline: time.Now().Add(-time.Millisecond)}
+	c, err := New(Config{}, testHier(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := c.Run(ctx, trace.NewSliceSource(recs), 0); !errors.Is(err, context.DeadlineExceeded) || res.Accesses != 0 {
+		t.Fatalf("pipelined run past its deadline = %d accesses, err %v; want 0 and context.DeadlineExceeded", res.Accesses, err)
+	}
+	f, err := mem.NewFront(mem.DefaultL1I(), mem.DefaultL1D())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := mem.NewFrontOutput(f)
+	RecordFront(Config{}, f, trace.NewSliceSource(recs), 0, out)
+	if res, err := c.RunBack(ctx, out.Reader(), 0); !errors.Is(err, context.DeadlineExceeded) || res.Accesses != 0 {
+		t.Fatalf("back-only run past its deadline = %d accesses, err %v; want 0 and context.DeadlineExceeded", res.Accesses, err)
 	}
 }
 

@@ -290,9 +290,9 @@ type Summary struct {
 // mcsim report the memo and arena identically.
 func CacheSummary(memo MemoStats, st tracestore.Stats) string {
 	return fmt.Sprintf(
-		"run memo: %d hits, %d misses, %d dup adds, %d evicted, %d entries (%d shards); trace arena: %d generated, %d hits, %d misses, %.1f MB resident, %d evicted, %d demoted (%d shards)",
+		"run memo: %d hits, %d misses, %d dup adds, %d evicted, %d entries (%d shards); trace arena: %d generated (%d derived), %d hits, %d misses, %.1f MB resident, %d evicted, %d demoted (%d shards)",
 		memo.Hits, memo.Misses, memo.Duplicates, memo.Evictions, memo.Entries, memo.Shards,
-		st.Generated, st.Hits, st.Misses, float64(st.BytesInUse)/(1<<20), st.Evictions, st.Demotions, st.Shards)
+		st.Generated, st.Derived, st.Hits, st.Misses, float64(st.BytesInUse)/(1<<20), st.Evictions, st.Demotions, st.Shards)
 }
 
 // Execute runs the plan on the engine's worker pool and feeds every

@@ -19,6 +19,7 @@ import (
 	"mobilecache/internal/runner"
 	"mobilecache/internal/sample"
 	"mobilecache/internal/sim"
+	"mobilecache/internal/tracestore"
 	"mobilecache/internal/workload"
 )
 
@@ -154,8 +155,8 @@ func TestRunOneMemoizes(t *testing.T) {
 	if !reflect.DeepEqual(first, second) {
 		t.Fatal("memoized report differs from the original")
 	}
-	if st := eng.Store().Stats(); st.Generated != 1 {
-		t.Fatalf("repeat run regenerated the trace: %d generated", st.Generated)
+	if st := eng.Store().Stats(); st.Generated != 2 || st.Derived != 1 {
+		t.Fatalf("repeat run rebuilt arena entries: %d built (%d derived), want the trace and its front output once", st.Generated, st.Derived)
 	}
 }
 
@@ -571,5 +572,20 @@ func TestCancelledCellLeavesNoMemoEntry(t *testing.T) {
 	}
 	if st := eng.MemoStats(); st.Entries != 0 {
 		t.Fatalf("cancelled cell left %d memo entries", st.Entries)
+	}
+}
+
+// TestCacheSummary pins the one-line cache summary mcsweep, mcbench and
+// mcsim print: the arena's derived builds (sample-filtered traces and
+// shared front-stage outputs) show next to the generations that
+// include them.
+func TestCacheSummary(t *testing.T) {
+	got := CacheSummary(
+		MemoStats{Hits: 1, Misses: 2, Duplicates: 3, Evictions: 4, Entries: 5, Shards: 2},
+		tracestore.Stats{Generated: 6, Derived: 3, Hits: 18, Misses: 6, BytesInUse: 3 << 20, Evictions: 1, Demotions: 2, Shards: 8})
+	want := "run memo: 1 hits, 2 misses, 3 dup adds, 4 evicted, 5 entries (2 shards); " +
+		"trace arena: 6 generated (3 derived), 18 hits, 6 misses, 3.0 MB resident, 1 evicted, 2 demoted (8 shards)"
+	if got != want {
+		t.Fatalf("CacheSummary =\n %s\nwant\n %s", got, want)
 	}
 }

@@ -43,7 +43,8 @@ func buildSetPartMachine(userSets int) (*sim.Machine, error) {
 // buildWayPartMachine builds a machine whose 1MB L2 is statically
 // way-partitioned (userWays for user, rest kernel): the dp machine
 // with its controller frozen, since epochs far beyond any run length
-// keep the forced split.
+// keep the forced split. The slack is the controller's default; a
+// frozen controller never applies it.
 func buildWayPartMachine(userWays int) (*sim.Machine, error) {
 	cfg, err := sim.MachineByName("dp")
 	if err != nil {
@@ -51,7 +52,7 @@ func buildWayPartMachine(userWays int) (*sim.Machine, error) {
 	}
 	cfg.Name = "waypart"
 	cfg.Unified.Name = "L2-waypart"
-	cfg.Dynamic = &config.Dynamic{EpochAccesses: 1 << 62}
+	cfg.Dynamic = &config.Dynamic{EpochAccesses: 1 << 62, Slack: 0.005}
 	m, err := sim.Build(cfg)
 	if err != nil {
 		return nil, err

@@ -3,7 +3,10 @@
 // fixed-latency DRAM behind, and the plumbing between them (demand
 // fills, dirty writebacks, energy accounting). The L2 itself is any
 // implementation of core.L2 — the unified baseline or one of the
-// paper's partitioned designs plug in interchangeably.
+// paper's partitioned designs plug in interchangeably. Replay runs in
+// two stages split at the L1/L2 boundary (see frame.go): the front
+// stage (Front) turns accesses into L2-bound events, and the back
+// stage (Hierarchy.Back) runs them through the L2 and DRAM.
 package mem
 
 import (
@@ -12,7 +15,6 @@ import (
 	"mobilecache/internal/cache"
 	"mobilecache/internal/core"
 	"mobilecache/internal/energy"
-	"mobilecache/internal/trace"
 )
 
 // RowPolicy selects the DRAM timing model.
@@ -187,12 +189,12 @@ func (l *L1) Stats() *cache.Stats { return l.c.Stats() }
 // Energy reports the L1's energy breakdown.
 func (l *L1) Energy() energy.Breakdown { return l.meter.Breakdown() }
 
-// Hierarchy wires CPU-visible accesses through L1s, the L2, and DRAM.
-type Hierarchy struct {
-	L1I  *L1
-	L1D  *L1
-	L2   core.L2
-	DRAM *DRAM
+// Front is the hierarchy's front stage: the split L1s and the
+// next-line prefetcher, everything between a CPU access and the L2.
+// Its Frame turns trace frames into L2-bound events (see frame.go).
+type Front struct {
+	L1I *L1
+	L1D *L1
 
 	// NextLinePrefetch enables a simple L1 next-line prefetcher: on an
 	// L1 data miss, the following block is fetched into the L1 as well
@@ -208,9 +210,38 @@ type Hierarchy struct {
 	// addresses. A func field rather than a selector type keeps mem
 	// free of a sample-package dependency.
 	SampleFilter func(blockAddr uint64) bool
-	// Prefetches counts issued prefetch fills.
-	Prefetches uint64
 
+	// now is the L1s' clock: the busy cycles of every record the front
+	// has run. The L1s' time stamps feed only their lifetime and
+	// write-interval histograms, so they may run on any monotone clock;
+	// this one needs nothing from the back stage.
+	now uint64
+}
+
+// NewFront builds a front stage with cold L1s and the prefetcher off.
+func NewFront(l1i, l1d L1Config) (*Front, error) {
+	i, err := NewL1(l1i)
+	if err != nil {
+		return nil, err
+	}
+	d, err := NewL1(l1d)
+	if err != nil {
+		return nil, err
+	}
+	return &Front{L1I: i, L1D: d}, nil
+}
+
+// Hierarchy wires CPU-visible accesses through the front stage's L1s,
+// the L2, and DRAM. The L1 meters are the back stage's: it charges
+// them the counts the front stage reports and integrates their
+// leakage on the CPU clock.
+type Hierarchy struct {
+	Front
+	L2   core.L2
+	DRAM *DRAM
+
+	// frame is AccessFrame's front-stage output buffer.
+	frame FrontFrame
 	// lastAdvance remembers the last leakage integration point.
 	lastAdvance uint64
 }
@@ -224,61 +255,11 @@ func NewHierarchy(l1i, l1d L1Config, l2 core.L2, dram *DRAM) (*Hierarchy, error)
 	if dram == nil {
 		return nil, fmt.Errorf("mem: hierarchy needs a DRAM")
 	}
-	i, err := NewL1(l1i)
+	f, err := NewFront(l1i, l1d)
 	if err != nil {
 		return nil, err
 	}
-	d, err := NewL1(l1d)
-	if err != nil {
-		return nil, err
-	}
-	return &Hierarchy{L1I: i, L1D: d, L2: l2, DRAM: dram}, nil
-}
-
-// missPath is the L1-miss continuation of the frame kernel: demand
-// fill through the L2 (and DRAM on an L2 miss), victim writeback, and
-// the optional next-line prefetch. Every L2-bound event is one
-// h.L2.Access call, in trace order.
-func (h *Hierarchy) missPath(l1 *L1, p *FramePre, now uint64) uint64 {
-	// L1 miss: demand-read the block from L2.
-	l1.meter.Read(1) // tag probe
-	blockAddr := l1.c.BlockAddr(p.Addr)
-	l2hit, l2lat := h.L2.Access(blockAddr, false, p.Dom, now)
-	stall := l2lat
-	if !l2hit {
-		stall += h.DRAM.Read(blockAddr)
-	}
-
-	// Fill the L1; a dirty victim goes down into the L2 as a write.
-	res := l1.c.Fill(p.Addr, p.Write, p.Dom, now)
-	l1.meter.Write(1)
-	if res.Evicted && res.EvictedDirty {
-		l1.meter.Read(1) // victim readout
-		h.L2.Access(res.EvictedAddr, true, res.EvictedDomain, now)
-	}
-
-	// Next-line prefetch: bring block+1 into the L1 off the critical
-	// path (no stall), unless it is already resident.
-	if h.NextLinePrefetch && p.Kind != trace.KindIfetch {
-		next := blockAddr + uint64(l1.cfg.BlockBytes)
-		if h.SampleFilter != nil && !h.SampleFilter(next) {
-			return stall
-		}
-		if _, _, hit := l1.c.Probe(next); !hit {
-			h.Prefetches++
-			l1.meter.Read(1)
-			if pfHit, _ := h.L2.Access(next, false, p.Dom, now); !pfHit {
-				h.DRAM.Read(next) // energy/traffic, no stall
-			}
-			pres := l1.c.Fill(next, false, p.Dom, now)
-			l1.meter.Write(1)
-			if pres.Evicted && pres.EvictedDirty {
-				l1.meter.Read(1)
-				h.L2.Access(pres.EvictedAddr, true, pres.EvictedDomain, now)
-			}
-		}
-	}
-	return stall
+	return &Hierarchy{Front: *f, L2: l2, DRAM: dram}, nil
 }
 
 // Advance integrates leakage in every level up to cycle now.

@@ -1,0 +1,97 @@
+package sim
+
+import (
+	"fmt"
+
+	"mobilecache/internal/config"
+	"mobilecache/internal/cpu"
+	"mobilecache/internal/mem"
+	"mobilecache/internal/sample"
+	"mobilecache/internal/trace"
+	"mobilecache/internal/tracestore"
+	"mobilecache/internal/workload"
+)
+
+// This file shares the hierarchy's front stage across the machines of
+// a sweep. The L1s never see the L2 (see mem/frame.go), so the
+// L2-bound event stream a trace produces depends on the trace and the
+// front key alone, and every machine with the same front key replays
+// the same stored output through its own back stage. The seven
+// standard machines share one key, so a sweep runs the L1 stage once
+// per trace instead of once per machine.
+
+// frontEntry is the arena payload of a shared front stage: its output,
+// and for a sampled machine the filter's statistics over the stream it
+// was built from (which scale the report; see finishSampled).
+type frontEntry struct {
+	out *mem.FrontOutput
+	st  sample.Stats
+}
+
+// SizeBytes is what the arena charges for the entry.
+func (e *frontEntry) SizeBytes() int64 { return e.out.SizeBytes() }
+
+// frontKey is the arena variant tag of m's front stage output when its
+// replay warms up on warm records. It names everything the output
+// depends on besides the trace:
+//   - the L1I and L1D geometry;
+//   - the prefetcher;
+//   - the sampling spec (the selector's block size is the L1s' block
+//     size, which set sampling requires to be common to every level);
+//   - the idle cadence, as compressed under sampling, and the warmup
+//     split, which together with the fixed leakage-sync cadence decide
+//     where the replay cuts its frames.
+//
+// Nothing about the L2, DRAM or the idle stretch's length enters it.
+func frontKey(m *Machine, warm uint64) string {
+	c := m.Config
+	spec := "exact"
+	if m.Sample != nil {
+		spec = "sample:" + m.Sample.Spec().String()
+	}
+	l1 := func(g config.L1) string { return fmt.Sprintf("%dKB/%dw/%dB", g.SizeKB, g.Ways, g.BlockBytes) }
+	return fmt.Sprintf("front:l1i=%s:l1d=%s:prefetch=%t:%s:idle=%d:warm=%d",
+		l1(c.L1I), l1(c.L1D), c.Prefetch, spec, cpuConfig(c, m.factor()).IdleEvery, warm)
+}
+
+// sharedFront returns the front stage output m's replay of (prof,
+// seed, accesses) reads when it warms up on warm records, from the
+// arena's derived entries: the first machine with m's front key builds
+// it, running its trace (for a sampled machine the filtered stream)
+// through a fresh front stage in the frames runTrace or runWarm cuts,
+// and every later one reads it back. Like other derived builds, the
+// build runs to completion.
+func sharedFront(store *tracestore.Store, m *Machine, prof workload.Profile, seed uint64, accesses int, warm uint64) (*mem.FrontOutput, sample.Stats, error) {
+	_, meta, err := store.DeriveTrace(prof, seed, accesses, frontKey(m, warm),
+		func(base tracestore.Trace) (*trace.Packed, []trace.Access, any, error) {
+			var (
+				src trace.Source
+				st  sample.Stats
+			)
+			if m.Sample == nil {
+				src = base.Cursor()
+			} else {
+				var err error
+				if src, st, err = filteredTrace(store, m, prof, seed, accesses); err != nil {
+					return nil, nil, nil, err
+				}
+			}
+			f, err := mem.NewFront(m.Config.L1I.L1Config("L1I"), m.Config.L1D.L1Config("L1D"))
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			setFront(f, m.Config, m.Sample)
+			cfg := cpuConfig(m.Config, m.factor())
+			out := mem.NewFrontOutput(f)
+			if warm > 0 {
+				cpu.RecordFront(cfg, f, src, warm, out)
+			}
+			cpu.RecordFront(cfg, f, src, 0, out)
+			return nil, nil, &frontEntry{out: out, st: st}, nil
+		})
+	if err != nil {
+		return nil, sample.Stats{}, err
+	}
+	e := meta.(*frontEntry)
+	return e.out, e.st, nil
+}

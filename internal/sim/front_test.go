@@ -1,0 +1,143 @@
+package sim
+
+import (
+	"context"
+	"reflect"
+	"sync"
+	"testing"
+
+	"mobilecache/internal/config"
+	"mobilecache/internal/sample"
+	"mobilecache/internal/tracestore"
+	"mobilecache/internal/workload"
+)
+
+// TestFrontKeyAliasing runs, back to back on one store, replays that
+// differ from the one before in exactly one front-key field: the L1I
+// geometry, the L1D geometry, the prefetcher, the sampling spec, the
+// idle cadence, and the warmup split at a fixed trace length. Every
+// replay must DeepEqual its nil-store run, so a key that forgot a
+// field would hand a replay the front output of the one before it.
+func TestFrontKeyAliasing(t *testing.T) {
+	base, err := MachineByName("baseline-sram")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l1i := base.Clone()
+	l1i.L1I.Ways = 4
+	l1d := l1i.Clone()
+	l1d.L1D.Ways = 2
+	pf := l1d.Clone()
+	pf.Prefetch = true
+	idle := pf.Clone()
+	idle.IdleEvery, idle.IdleCycles = 1000, 50_000
+
+	const total = 50_000
+	steps := []struct {
+		field  string
+		cfg    config.Machine
+		spec   sample.Spec
+		warmup int
+	}{
+		{"base", base, sample.Spec{}, 0},
+		{"l1i", l1i, sample.Spec{}, 0},
+		{"l1d", l1d, sample.Spec{}, 0},
+		{"prefetch", pf, sample.Spec{}, 0},
+		{"sample", pf, sample.Spec{Factor: 8}, 0},
+		{"warmup", pf, sample.Spec{Factor: 8}, 20_000},
+		{"idle", idle, sample.Spec{Factor: 8}, 20_000},
+	}
+	prof := workload.Profiles()[0]
+	store := tracestore.New(0)
+	for _, s := range steps {
+		want, err := Run(context.Background(), nil, s.cfg, prof, 3, s.warmup, total-s.warmup, s.spec)
+		if err != nil {
+			t.Fatalf("%s: nil store: %v", s.field, err)
+		}
+		got, err := Run(context.Background(), store, s.cfg, prof, 3, s.warmup, total-s.warmup, s.spec)
+		if err != nil {
+			t.Fatalf("%s: shared store: %v", s.field, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: a replay differing from the one before only in its %s diverges from its nil-store run", s.cfg.Name, s.field)
+		}
+	}
+	// One trace, and its sample-filtered stream, and one front output
+	// per step: no step found another's.
+	if st := store.Stats(); st.Derived != uint64(1+len(steps)) {
+		t.Fatalf("store built %d derived entries, want %d front outputs and one filtered trace", st.Derived, len(steps))
+	}
+}
+
+// TestSharedFrontBuildCount pins how often a sweep runs the L1 stage:
+// the seven standard machines share one front key, so 7 machines x 3
+// apps on one store build exactly 3 front outputs, and a prefetch-on
+// machine, whose front stage differs, adds one per app.
+func TestSharedFrontBuildCount(t *testing.T) {
+	store := tracestore.New(0)
+	apps := workload.Profiles()[:3]
+	run := func(cfg config.Machine) {
+		for _, prof := range apps {
+			if _, err := Run(context.Background(), store, cfg, prof, 1, 0, 20_000, sample.Spec{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, cfg := range StandardMachines() {
+		run(cfg)
+	}
+	if st := store.Stats(); st.Derived != 3 || st.Generated != 6 {
+		t.Fatalf("7 machines x 3 apps: %d built (%d derived), want 3 traces and 3 front outputs", st.Generated, st.Derived)
+	}
+	pf, err := MachineByName("baseline-sram")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf.Prefetch = true
+	run(pf)
+	if st := store.Stats(); st.Derived != 6 || st.Generated != 9 {
+		t.Fatalf("adding a prefetch-on machine: %d built (%d derived), want 3 traces and 6 front outputs", st.Generated, st.Derived)
+	}
+}
+
+// TestSharedFrontConcurrentReaders runs the seven standard machines at
+// once on one store: one of them builds the shared front output while
+// the others wait for it, then all replay it through their own back
+// stages concurrently. Each report must DeepEqual its nil-store run.
+// Under -race this is the check on the stored output's sharing.
+func TestSharedFrontConcurrentReaders(t *testing.T) {
+	prof := workload.Profiles()[2]
+	const seed, accesses = 9, 20_000
+	machines := StandardMachines()
+	want := make([]RunReport, len(machines))
+	for i, cfg := range machines {
+		rep, err := Run(context.Background(), nil, cfg, prof, seed, 0, accesses, sample.Spec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = rep
+	}
+	store := tracestore.New(0)
+	got := make([]RunReport, len(machines))
+	errs := make([]error, len(machines))
+	var wg sync.WaitGroup
+	for i, cfg := range machines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = Run(context.Background(), store, cfg, prof, seed, 0, accesses, sample.Spec{})
+		}()
+	}
+	wg.Wait()
+	for i, cfg := range machines {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", cfg.Name, errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%s: concurrent shared-front replay diverges from its nil-store run", cfg.Name)
+		}
+	}
+	if st := store.Stats(); st.Derived != 1 {
+		t.Fatalf("seven concurrent machines built %d front outputs, want 1", st.Derived)
+	}
+}

@@ -107,6 +107,14 @@ func sampleBlockBytes(cfg config.Machine) (int, error) {
 	return blockBytes, nil
 }
 
+// factor is the machine's sampling factor: 1 for an exact machine.
+func (m *Machine) factor() uint64 {
+	if m.Sample == nil {
+		return 1
+	}
+	return uint64(m.Sample.Factor())
+}
+
 // compressCycles divides a time constant by the sampling factor,
 // keeping a nonzero constant nonzero.
 func compressCycles(v, factor uint64) uint64 {
@@ -215,20 +223,32 @@ func build(cfg config.Machine, sel *sample.Selector) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	hier.NextLinePrefetch = cfg.Prefetch
-	if sel != nil {
-		hier.SampleFilter = sel.SelectsAddr
-	}
+	setFront(&hier.Front, cfg, sel)
 	m.Hier = hier
-	c, err := cpu.New(cpu.Config{
-		IdleEvery:  compressCycles(cfg.IdleEvery, factor),
-		IdleCycles: compressCycles(cfg.IdleCycles, factor),
-	}, hier)
+	c, err := cpu.New(cpuConfig(cfg, factor), hier)
 	if err != nil {
 		return nil, err
 	}
 	m.CPU = c
 	return m, nil
+}
+
+// setFront sets what a machine's front stage does beyond its L1
+// geometry: the prefetcher, kept to the sampled blocks.
+func setFront(f *mem.Front, cfg config.Machine, sel *sample.Selector) {
+	f.NextLinePrefetch = cfg.Prefetch
+	if sel != nil {
+		f.SampleFilter = sel.SelectsAddr
+	}
+}
+
+// cpuConfig is the core of cfg under a sampling factor: the idle
+// cadence and stretch compress with the replay clock.
+func cpuConfig(cfg config.Machine, factor uint64) cpu.Config {
+	return cpu.Config{
+		IdleEvery:  compressCycles(cfg.IdleEvery, factor),
+		IdleCycles: compressCycles(cfg.IdleCycles, factor),
+	}
 }
 
 // RunReport is the uniform outcome record of one (machine, workload)
@@ -273,14 +293,31 @@ func (r RunReport) IPC() float64 { return r.CPU.IPC() }
 // through RunSampledTrace, which audits; a caller of RunTrace audits
 // the report itself with Audit.
 func RunTrace(m *Machine, name string, src trace.Source, maxAccesses uint64) RunReport {
-	rep, _ := runTrace(context.TODO(), m, name, src, maxAccesses) // cannot fail: the context never ends
+	rep, _ := runTrace(context.TODO(), m, name, input{src: src}, maxAccesses) // cannot fail: the context never ends
 	return rep
 }
 
-// runTrace is RunTrace under ctx: a replay whose context ends stops at
-// its next frame and returns the context's error instead of a report.
-func runTrace(ctx context.Context, m *Machine, name string, src trace.Source, maxAccesses uint64) (RunReport, error) {
-	res, err := m.CPU.Run(ctx, src, maxAccesses)
+// input is what a replay reads: a trace, run through both stages of
+// the hierarchy, or a stored front output (see sharedFront), run
+// through the back stage alone.
+type input struct {
+	src   trace.Source
+	front *mem.FrontReader
+}
+
+// run replays up to maxAccesses records of in on the machine's CPU.
+func (in input) run(ctx context.Context, m *Machine, maxAccesses uint64) (cpu.Result, error) {
+	if in.front != nil {
+		return m.CPU.RunBack(ctx, in.front, maxAccesses)
+	}
+	return m.CPU.Run(ctx, in.src, maxAccesses)
+}
+
+// runTrace is RunTrace under ctx over either input: a replay whose
+// context ends stops at its next frame and returns the context's error
+// instead of a report.
+func runTrace(ctx context.Context, m *Machine, name string, in input, maxAccesses uint64) (RunReport, error) {
+	res, err := in.run(ctx, m, maxAccesses)
 	if err != nil {
 		return RunReport{}, err
 	}
@@ -308,13 +345,16 @@ func runTrace(ctx context.Context, m *Machine, name string, src trace.Source, ma
 // app's trace and returns the audited report of the last accesses of
 // them, scaled to full-cache estimates when the machine is sampled.
 //
-// With a store, the trace comes from the shared arena: generated once
-// per (profile, seed, length) across every machine that replays it,
-// and for a sampled machine filtered once per spec into a cached
-// derived stream (see filteredTrace). A nil store drives the workload
-// generator directly, filtering live when sampled. Both carry the
-// byte-identical stream, so reports do not depend on which one served
-// a run.
+// With a store, the machine replays the output of its front stage from
+// the shared arena, through its back stage alone: the trace is
+// generated once per (profile, seed, length) across every machine that
+// replays it, for a sampled machine filtered once per spec into a
+// cached derived stream (see filteredTrace), and run through the L1s
+// once per front key into a stored front output (see sharedFront). A
+// nil store drives the workload generator directly, filtering live
+// when sampled, through both stages. The stored output is the one the
+// live front stage produces, so reports do not depend on which path
+// served a run.
 //
 // A positive warmup measures only what follows the warmup prefix (see
 // runWarm). The prefix is access-denominated, so it compresses with a
@@ -335,45 +375,37 @@ func Run(ctx context.Context, store *tracestore.Store, cfg config.Machine, prof 
 		return RunReport{}, err
 	}
 	total := warmup + accesses
+	warm := uint64(warmup) / m.factor()
 	var (
-		src  trace.Source
+		in   input
 		live *sample.Source // the live filter, read after the replay
 		st   sample.Stats
 	)
-	switch {
-	case store == nil:
+	if store == nil {
 		gen, err := workload.NewGenerator(prof, seed, workload.PhaseLen(prof, total))
 		if err != nil {
 			return RunReport{}, err
 		}
-		src = trace.NewLimitSource(gen, total)
+		in.src = trace.NewLimitSource(gen, total)
 		if m.Sample != nil {
-			live = sample.NewSource(m.Sample, src)
-			src = live
+			live = sample.NewSource(m.Sample, in.src)
+			in.src = live
 		}
-	case m.Sample != nil:
-		if src, st, err = filteredTrace(store, m, prof, seed, total); err != nil {
-			return RunReport{}, err
-		}
-	default:
-		tr, err := store.GetTrace(prof, seed, total)
+	} else {
+		fo, fst, err := sharedFront(store, m, prof, seed, total, warm)
 		if err != nil {
 			return RunReport{}, err
 		}
-		src = tr.Cursor()
+		in.front, st = fo.Reader(), fst
 	}
 	var rep RunReport
 	if warmup == 0 {
 		// Not runWarm with an empty prefix: that would trim the dynamic
 		// design's epoch-0 allocation from History, which a cold run
 		// reports.
-		rep, err = runTrace(ctx, m, prof.Name, src, 0)
+		rep, err = runTrace(ctx, m, prof.Name, in, 0)
 	} else {
-		factor := 1
-		if m.Sample != nil {
-			factor = m.Sample.Factor()
-		}
-		rep, err = runWarm(ctx, m, prof.Name, src, uint64(warmup/factor))
+		rep, err = runWarm(ctx, m, prof.Name, in, warm)
 	}
 	if err != nil {
 		return RunReport{}, err

@@ -16,7 +16,10 @@ import (
 // replaying a cached trace through every standard machine yields a
 // RunReport identical — CPU result, L2 stats, energy buckets, DRAM
 // traffic, partition history — to the arena-free, generator-driven Run
-// for the same (profile, seed, accesses), and generates the trace once.
+// for the same (profile, seed, accesses), generates the trace once,
+// and runs it through the L1s once: the seven machines share one front
+// key, so the first builds the one derived entry and the other six
+// read it back.
 func TestStoreReplayMatchesGenerator(t *testing.T) {
 	store := tracestore.New(0)
 	// A phased standard profile exercises the phase-length derivation;
@@ -42,8 +45,8 @@ func TestStoreReplayMatchesGenerator(t *testing.T) {
 		}
 	}
 	st := store.Stats()
-	if st.Generated != 1 {
-		t.Fatalf("store generated %d traces for one (profile, seed); want 1", st.Generated)
+	if st.Generated != 2 || st.Derived != 1 {
+		t.Fatalf("store built %d entries (%d derived) for one (profile, seed); want the trace and one front output", st.Generated, st.Derived)
 	}
 	if st.Hits != uint64(len(StandardMachineNames())-1) {
 		t.Fatalf("store hits = %d, want %d", st.Hits, len(StandardMachineNames())-1)
@@ -126,10 +129,14 @@ func TestRunWorkloadFromNilStore(t *testing.T) {
 }
 
 // TestRunArenaMatchesGenerator pins every branch of Run. On every
-// standard machine, cold and warm, exact and 1/8-sampled, a replay
-// from an arena that keeps the hot tier and from one that demotes
-// every trace to packed-only must DeepEqual the arena-free run, which
-// drives the generator and filters it live when sampled; every run is
+// standard machine, and on baseline-sram with the prefetcher on, with
+// idle stretches and with 16-way L1s, cold and warm, exact and
+// 1/8-sampled (exact only for the wide L1s, which have too few sets to
+// sample), a replay from an arena that keeps the hot tier and from one
+// that demotes every trace to packed-only must DeepEqual the
+// arena-free run, which drives the generator through both stages of
+// the hierarchy and filters it live when sampled, where the arena
+// replays a stored front output through the back stage; every run is
 // audited. Exact runs must measure exactly the requested accesses. The
 // DeepEqual cannot see a branch both sides share, so the test also
 // checks that a cold dynamic-design run keeps the epoch-0 allocation
@@ -137,11 +144,28 @@ func TestRunWorkloadFromNilStore(t *testing.T) {
 func TestRunArenaMatchesGenerator(t *testing.T) {
 	prof := workload.Profiles()[0]
 	const seed, accesses = 17, 30_000
+	base, err := MachineByName("baseline-sram")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf := base.Clone()
+	pf.Name, pf.Prefetch = "baseline-sram+prefetch", true
+	idle := base.Clone()
+	idle.Name, idle.IdleEvery, idle.IdleCycles = "baseline-sram+idle", 1000, 100_000
+	wide := base.Clone()
+	wide.Name = "baseline-sram+16-way-l1"
+	wide.L1I = config.L1{SizeKB: 32, Ways: 16, BlockBytes: 64}
+	wide.L1D = wide.L1I
+	machines := append(StandardMachines(), pf, idle, wide)
 	for _, budget := range []int64{0, 1} {
 		store := tracestore.New(budget)
-		for _, cfg := range StandardMachines() {
+		for _, cfg := range machines {
+			specs := []sample.Spec{{}, {Factor: 8}}
+			if cfg.Name == wide.Name {
+				specs = specs[:1]
+			}
 			for _, warmup := range []int{0, 20_000} {
-				for _, spec := range []sample.Spec{{}, {Factor: 8}} {
+				for _, spec := range specs {
 					name := fmt.Sprintf("budget %d/%s/warmup %d/%s", budget, cfg.Name, warmup, spec)
 					want, err := Run(context.Background(), nil, cfg, prof, seed, warmup, accesses, spec)
 					if err != nil {

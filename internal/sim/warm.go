@@ -63,11 +63,11 @@ func subL2Stats(a, b core.L2Stats) core.L2Stats {
 // only the measured portion; its History (for dynamic designs) is
 // trimmed to decisions taken during measurement. Like runTrace, it
 // stops at the next frame when ctx ends and returns ctx's error.
-func runWarm(ctx context.Context, m *Machine, name string, src trace.Source, warmupAccesses uint64) (RunReport, error) {
+func runWarm(ctx context.Context, m *Machine, name string, in input, warmupAccesses uint64) (RunReport, error) {
 	if warmupAccesses > 0 {
 		// Run bounds itself by the access count; skipping the LimitSource
 		// wrapper keeps packed-cursor sources on their fast path.
-		if _, err := m.CPU.Run(ctx, src, warmupAccesses); err != nil {
+		if _, err := in.run(ctx, m, warmupAccesses); err != nil {
 			return RunReport{}, err
 		}
 	}
@@ -87,7 +87,7 @@ func runWarm(ctx context.Context, m *Machine, name string, src trace.Source, war
 		beforeFlush = m.Dynamic.FlushWritebacks()
 	}
 
-	measured, err := m.CPU.Run(ctx, src, 0)
+	measured, err := in.run(ctx, m, 0)
 	if err != nil {
 		return RunReport{}, err
 	}

@@ -171,12 +171,21 @@ type entry struct {
 	decodedBytes int64
 }
 
-// sizeBytes is the entry's total charge against the LRU budget.
+// sizer is a derived payload that reports its memory footprint (see
+// DeriveTrace).
+type sizer interface{ SizeBytes() int64 }
+
+// sizeBytes is the entry's total charge against the LRU budget: every
+// form it holds, at its real size.
 func (e *entry) sizeBytes() int64 {
-	if e.packed == nil {
-		return 0
+	n := e.decodedBytes
+	if e.packed != nil {
+		n += e.packed.SizeBytes()
 	}
-	return e.packed.SizeBytes() + e.decodedBytes
+	if m, ok := e.meta.(sizer); ok {
+		n += m.SizeBytes()
+	}
+	return n
 }
 
 // Store memoizes packed traces with singleflight generation and a
@@ -277,34 +286,41 @@ func (s *Store) GetTrace(prof workload.Profile, seed uint64, accesses int) (Trac
 }
 
 // DeriveTrace returns a derived form of the (prof, seed, accesses)
-// trace — a deterministic per-record transform like set-sample
-// filtering — built at most once per variant tag and cached in the
-// same lock-striped LRU as base traces (hot decoded forms demote
-// first, whole entries evict last; an evicted derived trace is rebuilt
-// from its base on the next request). build receives the base trace
-// and returns the derived packed and decoded forms plus opaque
-// metadata the store hands back on every hit (e.g. the filter's
-// measured statistics — anything a replay of the derived stream alone
-// could not recover). The variant tag must capture the transform's
-// full identity: two different transforms under one tag would alias.
+// trace — a deterministic transform like set-sample filtering — built
+// at most once per variant tag and cached in the same lock-striped LRU
+// as base traces (hot decoded forms demote first, whole entries evict
+// last; an evicted derived trace is rebuilt from its base on the next
+// request). build receives the base trace and returns the derived
+// packed and decoded forms plus opaque metadata the store hands back
+// on every hit (e.g. the filter's measured statistics — anything a
+// replay of the derived stream alone could not recover). A derivation
+// whose product is not a trace returns no trace forms and carries the
+// product as its metadata (sim's shared front stage does); the arena
+// charges metadata that has a SizeBytes() int64 method at that size.
+// The variant tag must capture the transform's full identity: two
+// different transforms under one tag would alias.
 //
-// Like GetTrace, concurrent calls for one (key, variant) share a single
-// build, and failures are not cached.
+// The base trace is looked up only when the derived form is not
+// resident, so a hit neither needs nor touches it. Like GetTrace,
+// concurrent calls for one (key, variant) share a single build, and
+// failures are not cached.
 func (s *Store) DeriveTrace(prof workload.Profile, seed uint64, accesses int, variant string,
 	build func(Trace) (*trace.Packed, []trace.Access, any, error)) (Trace, any, error) {
 	if variant == "" {
 		return Trace{}, nil, fmt.Errorf("tracestore: DeriveTrace needs a variant tag")
 	}
-	base, err := s.GetTrace(prof, seed, accesses)
-	if err != nil {
-		return Trace{}, nil, err
+	if accesses <= 0 {
+		return Trace{}, nil, fmt.Errorf("tracestore: accesses %d must be positive", accesses)
 	}
 	key := KeyFor(prof, seed, accesses)
 	key.Variant = variant
-	tr, meta, err := s.getOrBuildMeta(key, func() (*trace.Packed, []trace.Access, any, error) {
+	return s.getOrBuildMeta(key, func() (*trace.Packed, []trace.Access, any, error) {
+		base, err := s.GetTrace(prof, seed, accesses)
+		if err != nil {
+			return nil, nil, nil, err
+		}
 		return build(base)
 	}, &s.derived)
-	return tr, meta, err
 }
 
 // getOrBuild is getOrBuildMeta discarding the metadata (base traces

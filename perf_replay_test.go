@@ -4,16 +4,21 @@
 // without a Lookup call, a Result struct, or any per-access stats or
 // energy write. TestReplaySmoke is the CI-safe structural gate, run
 // with the rest of the suite by go test ./... (and so by make check):
-// replay through every frame source must stay allocation-free, and packed replay under a budget ~40x above the
-// recorded steady state, so it catches a reintroduced per-access
-// allocation or interface round-trip without ever failing on a slow or
-// noisy runner. BENCH_PR10.json records the kernel's measurement.
+// replay through every frame source, and the back-only replay of a
+// stored front-stage output, must stay allocation-free, and packed
+// replay under a budget ~40x above the recorded steady state, so it
+// catches a reintroduced per-access allocation or interface round-trip
+// without ever failing on a slow or noisy runner. BENCH_PR10.json
+// records the kernel's measurement.
 package mobilecache
 
 import (
+	"context"
 	"testing"
 	"time"
 
+	"mobilecache/internal/cpu"
+	"mobilecache/internal/mem"
 	"mobilecache/internal/sample"
 	"mobilecache/internal/sim"
 	"mobilecache/internal/trace"
@@ -51,14 +56,25 @@ func TestReplaySmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The shared path replays a stored front-stage output through the
+	// back stage alone, as sim.Run does for every machine of a sweep
+	// after the first with its front key.
+	f, err := mem.NewFront(cfg.L1I.L1Config("L1I"), cfg.L1D.L1Config("L1D"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := mem.NewFrontOutput(f)
+	cur := packed.Cursor()
+	cpu.RecordFront(cpu.Config{}, f, &cur, accesses, front)
 
 	// Allocation structure: a replay allocates O(1) per run (the report,
 	// the sampling filter and its buffers), never O(accesses) or
 	// O(frames). Every path replays at least ~100 frames (the 1/8
 	// sampled stream keeps ~25k of the 200k records), so a budget of
 	// tens of allocations fails any per-frame allocation — in a source's
-	// DecodeFrame or in the CPU's adapter for plain Next sources — and a
-	// per-access one by orders of magnitude.
+	// DecodeFrame, in the CPU's adapter for plain Next sources or in the
+	// stored front output's frame decoder — and a per-access one by
+	// orders of magnitude.
 	paths := []struct {
 		name string
 		run  func()
@@ -79,6 +95,11 @@ func TestReplaySmoke(t *testing.T) {
 		}},
 		{"next", func() {
 			sim.RunTrace(m, "smoke", trace.NewLimitSource(trace.NewSliceSource(tr.Records), accesses), 0)
+		}},
+		{"shared", func() {
+			if _, err := m.CPU.RunBack(context.Background(), front.Reader(), accesses); err != nil {
+				t.Fatal(err)
+			}
 		}},
 	}
 	for _, p := range paths {
