@@ -27,14 +27,17 @@ test:
 # rebuilt block address must probe back to its own slot, the address
 # space's top block included; a replay split into RunFrom pieces must
 # be bit-identical to one uninterrupted run on every standard machine;
-# every branch of sim.Run — arena or generator, hot or packed-only
-# tier, cold or warm, exact or 1/8-sampled, standard machines and
-# prefetch-on, idle and wide-L1 ones — must match the arena-free run,
-# with a cold dynamic run keeping its epoch-0 allocation; whole reports,
-# through a stored front-stage output and through the pipelined
-# stages, must hash to digests recorded before the front/back split;
-# and replays that differ in one front-key field, run back to back on
-# one arena, must each match their arena-free run) and the benchmark
+# every branch of sim.Run — arena or generator, an arena that keeps
+# every front output or one that keeps only its last, cold or warm,
+# exact or 1/8-sampled, standard machines and prefetch-on, idle and
+# wide-L1 ones — must match the arena-free run, with a cold dynamic
+# run keeping its epoch-0 allocation; whole reports, through a stored
+# front-stage output and through the pipelined stages, must hash to
+# digests recorded before the front/back split; replays that differ in
+# one front-key field, run back to back on one arena, must each match
+# their arena-free run; and the standard machines on three apps, exact
+# and 1/8-sampled, must leave exactly their six front outputs in the
+# arena, charged at their own sizes) and the benchmark
 # module's vet and tests (bench/ is its own Go module, so the root
 # ./... never compiles it).
 check:
@@ -51,7 +54,7 @@ check:
 	$(GO) test -run TestSampleValidationQuickMatrix -count=1 ./internal/experiments/
 	$(GO) test -run TestAccessFrameMatchesCacheModel -count=1 ./internal/mem/
 	$(GO) test -run 'TestSidecarsMirrorLines|TestTopOfAddressSpace' -count=1 ./internal/cache/
-	$(GO) test -run 'TestRunFromSegmentComposition|TestRunSegmentedExact|TestRunArenaMatchesGenerator|TestRunReportDigests|TestFrontKeyAliasing' -count=1 ./internal/sim/
+	$(GO) test -run 'TestRunFromSegmentComposition|TestRunSegmentedExact|TestRunArenaMatchesGenerator|TestRunReportDigests|TestFrontKeyAliasing|TestArenaHoldsOnlyFrontOutputs' -count=1 ./internal/sim/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the repository benchmark (bench/, described by

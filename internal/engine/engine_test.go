@@ -133,7 +133,7 @@ func TestExecuteWarmupMatchesDirect(t *testing.T) {
 }
 
 // TestRunOneMemoizes: a repeated cell is served from the memo (one
-// trace generation, one simulation) and returns the identical report.
+// front-output build, one simulation) and returns the identical report.
 func TestRunOneMemoizes(t *testing.T) {
 	eng := New(Config{})
 	cfg, err := sim.MachineByName("sp-mr")
@@ -155,8 +155,8 @@ func TestRunOneMemoizes(t *testing.T) {
 	if !reflect.DeepEqual(first, second) {
 		t.Fatal("memoized report differs from the original")
 	}
-	if st := eng.Store().Stats(); st.Generated != 2 || st.Derived != 1 {
-		t.Fatalf("repeat run rebuilt arena entries: %d built (%d derived), want the trace and its front output once", st.Generated, st.Derived)
+	if st := eng.Store().Stats(); st.Generated != 1 || st.Derived != 1 {
+		t.Fatalf("repeat run rebuilt arena entries: %d built (%d derived), want the front output once and no trace", st.Generated, st.Derived)
 	}
 }
 
@@ -576,9 +576,8 @@ func TestCancelledCellLeavesNoMemoEntry(t *testing.T) {
 }
 
 // TestCacheSummary pins the one-line cache summary mcsweep, mcbench and
-// mcsim print: the arena's derived builds (sample-filtered traces and
-// shared front-stage outputs) show next to the generations that
-// include them.
+// mcsim print: the arena's derived builds (shared front-stage outputs)
+// show next to the generations that include them.
 func TestCacheSummary(t *testing.T) {
 	got := CacheSummary(
 		MemoStats{Hits: 1, Misses: 2, Duplicates: 3, Evictions: 4, Entries: 5, Shards: 2},

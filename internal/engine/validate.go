@@ -28,7 +28,10 @@ type SampleMachineError struct {
 // SampleValidation is the outcome of one sampled-vs-full validation:
 // per-machine relative errors plus the wall-clock of both arms.
 // Wall-clock is informative, not a controlled benchmark — memo hits
-// (e.g. validating twice on one engine) make an arm nearly free.
+// (e.g. validating twice on one engine) make an arm nearly free. Each
+// arm pays for its own traces: the arena stores front outputs and no
+// trace, and the spec is part of the front key, so the sampled arm
+// generates every trace again rather than reading the full arm's.
 type SampleValidation struct {
 	Spec      sample.Spec
 	Tolerance float64
@@ -83,8 +86,9 @@ func relErr(got, want float64) float64 {
 // metrics (L2 miss rate, total energy). The returned error covers
 // execution failures only; tolerance breaches are reported by the
 // validation's Err so callers decide whether they are fatal. Both arms
-// share the engine's trace arena, and their content keys differ by
-// construction, so the arms can never serve each other's memo entries.
+// share the engine's trace arena, but neither reads the other's front
+// outputs (their front keys differ in the spec), and their content keys
+// differ by construction, so neither serves the other's memo entries.
 func (e *Engine) ValidateSample(ctx context.Context, plan Plan, spec sample.Spec, tol float64) (SampleValidation, error) {
 	v := SampleValidation{Spec: spec.Norm(), Tolerance: tol}
 	if !v.Spec.Enabled() {

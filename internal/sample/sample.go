@@ -1,7 +1,7 @@
 // Package sample implements set-sampled fast simulation: instead of
 // replaying a workload against every set of every cache, a run
 // simulates a power-of-two fraction of the sets and statistically
-// scales the counters back to full-cache estimates. Per-cell sweep
+// scales the counters back to full-cache estimates. Per-cell replay
 // cost drops near-linearly in the sampling factor — the standard
 // fast-estimation technique behind large design-space explorations.
 //

@@ -7,7 +7,6 @@ import (
 	"mobilecache/internal/cpu"
 	"mobilecache/internal/mem"
 	"mobilecache/internal/sample"
-	"mobilecache/internal/trace"
 	"mobilecache/internal/tracestore"
 	"mobilecache/internal/workload"
 )
@@ -57,41 +56,36 @@ func frontKey(m *Machine, warm uint64) string {
 // sharedFront returns the front stage output m's replay of (prof,
 // seed, accesses) reads when it warms up on warm records, from the
 // arena's derived entries: the first machine with m's front key builds
-// it, running its trace (for a sampled machine the filtered stream)
-// through a fresh front stage in the frames runTrace or runWarm cuts,
-// and every later one reads it back. Like other derived builds, the
-// build runs to completion.
+// it, running the generator's stream (for a sampled machine filtered
+// live) through a fresh front stage in the frames runTrace or runWarm
+// cuts, and every later one reads it back. The entry carries the
+// filter's statistics with the output. The build runs to completion.
 func sharedFront(store *tracestore.Store, m *Machine, prof workload.Profile, seed uint64, accesses int, warm uint64) (*mem.FrontOutput, sample.Stats, error) {
-	_, meta, err := store.DeriveTrace(prof, seed, accesses, frontKey(m, warm),
-		func(base tracestore.Trace) (*trace.Packed, []trace.Access, any, error) {
-			var (
-				src trace.Source
-				st  sample.Stats
-			)
-			if m.Sample == nil {
-				src = base.Cursor()
-			} else {
-				var err error
-				if src, st, err = filteredTrace(store, m, prof, seed, accesses); err != nil {
-					return nil, nil, nil, err
-				}
-			}
-			f, err := mem.NewFront(m.Config.L1I.L1Config("L1I"), m.Config.L1D.L1Config("L1D"))
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			setFront(f, m.Config, m.Sample)
-			cfg := cpuConfig(m.Config, m.factor())
-			out := mem.NewFrontOutput(f)
-			if warm > 0 {
-				cpu.RecordFront(cfg, f, src, warm, out)
-			}
-			cpu.RecordFront(cfg, f, src, 0, out)
-			return nil, nil, &frontEntry{out: out, st: st}, nil
-		})
+	v, err := store.Derive(prof, seed, accesses, frontKey(m, warm), func() (any, error) {
+		src, live, err := source(m, prof, seed, accesses)
+		if err != nil {
+			return nil, err
+		}
+		f, err := mem.NewFront(m.Config.L1I.L1Config("L1I"), m.Config.L1D.L1Config("L1D"))
+		if err != nil {
+			return nil, err
+		}
+		setFront(f, m.Config, m.Sample)
+		cfg := cpuConfig(m.Config, m.factor())
+		out := mem.NewFrontOutput(f)
+		if warm > 0 {
+			cpu.RecordFront(cfg, f, src, warm, out)
+		}
+		cpu.RecordFront(cfg, f, src, 0, out)
+		e := &frontEntry{out: out}
+		if live != nil {
+			e.st = live.Stats()
+		}
+		return e, nil
+	})
 	if err != nil {
 		return nil, sample.Stats{}, err
 	}
-	e := meta.(*frontEntry)
+	e := v.(*frontEntry)
 	return e.out, e.st, nil
 }

@@ -62,17 +62,18 @@ func TestFrontKeyAliasing(t *testing.T) {
 			t.Errorf("%s: a replay differing from the one before only in its %s diverges from its nil-store run", s.cfg.Name, s.field)
 		}
 	}
-	// One trace, and its sample-filtered stream, and one front output
-	// per step: no step found another's.
-	if st := store.Stats(); st.Derived != uint64(1+len(steps)) {
-		t.Fatalf("store built %d derived entries, want %d front outputs and one filtered trace", st.Derived, len(steps))
+	// One front output per step, and no trace or filtered trace: no
+	// step found another's.
+	if st := store.Stats(); st.Derived != uint64(len(steps)) || st.Generated != st.Derived {
+		t.Fatalf("store built %d entries (%d derived), want %d front outputs and nothing else", st.Generated, st.Derived, len(steps))
 	}
 }
 
 // TestSharedFrontBuildCount pins how often a sweep runs the L1 stage:
 // the seven standard machines share one front key, so 7 machines x 3
 // apps on one store build exactly 3 front outputs, and a prefetch-on
-// machine, whose front stage differs, adds one per app.
+// machine, whose front stage differs, adds one per app. Each build
+// reads the generator, so the arena holds the outputs and no trace.
 func TestSharedFrontBuildCount(t *testing.T) {
 	store := tracestore.New(0)
 	apps := workload.Profiles()[:3]
@@ -86,8 +87,8 @@ func TestSharedFrontBuildCount(t *testing.T) {
 	for _, cfg := range StandardMachines() {
 		run(cfg)
 	}
-	if st := store.Stats(); st.Derived != 3 || st.Generated != 6 {
-		t.Fatalf("7 machines x 3 apps: %d built (%d derived), want 3 traces and 3 front outputs", st.Generated, st.Derived)
+	if st := store.Stats(); st.Derived != 3 || st.Generated != 3 || st.Entries != 3 {
+		t.Fatalf("7 machines x 3 apps: %d built (%d derived), %d resident; want 3 front outputs and no trace", st.Generated, st.Derived, st.Entries)
 	}
 	pf, err := MachineByName("baseline-sram")
 	if err != nil {
@@ -95,49 +96,95 @@ func TestSharedFrontBuildCount(t *testing.T) {
 	}
 	pf.Prefetch = true
 	run(pf)
-	if st := store.Stats(); st.Derived != 6 || st.Generated != 9 {
-		t.Fatalf("adding a prefetch-on machine: %d built (%d derived), want 3 traces and 6 front outputs", st.Generated, st.Derived)
+	if st := store.Stats(); st.Derived != 6 || st.Generated != 6 || st.Entries != 6 {
+		t.Fatalf("adding a prefetch-on machine: %d built (%d derived), %d resident; want 6 front outputs and no trace", st.Generated, st.Derived, st.Entries)
+	}
+}
+
+// TestArenaHoldsOnlyFrontOutputs pins what a sweep leaves in the
+// arena: the 7 standard machines x 3 apps, exact and again at 1/8, on
+// one store leave exactly the six front outputs — one per (app, spec)
+// — resident, and the arena charges exactly their sizes: no trace,
+// base or sample-filtered, is held beside them.
+func TestArenaHoldsOnlyFrontOutputs(t *testing.T) {
+	store := tracestore.New(0)
+	apps := workload.Profiles()[:3]
+	specs := []sample.Spec{{}, {Factor: 8}}
+	const seed, accesses = 4, 20_000
+	for _, spec := range specs {
+		for _, cfg := range StandardMachines() {
+			for _, prof := range apps {
+				if _, err := Run(context.Background(), store, cfg, prof, seed, 0, accesses, spec); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	st := store.Stats()
+	var want int64
+	for _, spec := range specs {
+		m, err := BuildSampled(StandardMachines()[0], spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, prof := range apps {
+			out, _, err := sharedFront(store, m, prof, seed, accesses, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want += out.SizeBytes()
+		}
+	}
+	if st.Entries != 6 || st.Generated != 6 || st.Derived != 6 {
+		t.Fatalf("7 machines x 3 apps x {exact, 1/8}: %d resident, %d built (%d derived); want the 6 front outputs alone", st.Entries, st.Generated, st.Derived)
+	}
+	if st.BytesInUse != want {
+		t.Fatalf("arena charges %d bytes, want the 6 front outputs' %d", st.BytesInUse, want)
 	}
 }
 
 // TestSharedFrontConcurrentReaders runs the seven standard machines at
-// once on one store: one of them builds the shared front output while
-// the others wait for it, then all replay it through their own back
-// stages concurrently. Each report must DeepEqual its nil-store run.
-// Under -race this is the check on the stored output's sharing.
+// once on one store, exact and then 1/8-sampled: one of them builds the
+// shared front output while the others wait for it, then all replay it
+// through their own back stages concurrently. Each report must
+// DeepEqual its nil-store run, which for the sampled machines also
+// checks the filter statistics the stored entry carries. Under -race
+// this is the check on the stored output's sharing.
 func TestSharedFrontConcurrentReaders(t *testing.T) {
 	prof := workload.Profiles()[2]
 	const seed, accesses = 9, 20_000
 	machines := StandardMachines()
-	want := make([]RunReport, len(machines))
-	for i, cfg := range machines {
-		rep, err := Run(context.Background(), nil, cfg, prof, seed, 0, accesses, sample.Spec{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = rep
-	}
 	store := tracestore.New(0)
-	got := make([]RunReport, len(machines))
-	errs := make([]error, len(machines))
-	var wg sync.WaitGroup
-	for i, cfg := range machines {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[i], errs[i] = Run(context.Background(), store, cfg, prof, seed, 0, accesses, sample.Spec{})
-		}()
-	}
-	wg.Wait()
-	for i, cfg := range machines {
-		if errs[i] != nil {
-			t.Fatalf("%s: %v", cfg.Name, errs[i])
+	for n, spec := range []sample.Spec{{}, {Factor: 8}} {
+		want := make([]RunReport, len(machines))
+		for i, cfg := range machines {
+			rep, err := Run(context.Background(), nil, cfg, prof, seed, 0, accesses, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = rep
 		}
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("%s: concurrent shared-front replay diverges from its nil-store run", cfg.Name)
+		got := make([]RunReport, len(machines))
+		errs := make([]error, len(machines))
+		var wg sync.WaitGroup
+		for i, cfg := range machines {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], errs[i] = Run(context.Background(), store, cfg, prof, seed, 0, accesses, spec)
+			}()
 		}
-	}
-	if st := store.Stats(); st.Derived != 1 {
-		t.Fatalf("seven concurrent machines built %d front outputs, want 1", st.Derived)
+		wg.Wait()
+		for i, cfg := range machines {
+			if errs[i] != nil {
+				t.Fatalf("%s/%s: %v", cfg.Name, spec, errs[i])
+			}
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("%s/%s: concurrent shared-front replay diverges from its nil-store run", cfg.Name, spec)
+			}
+		}
+		if st := store.Stats(); st.Derived != uint64(n+1) {
+			t.Fatalf("%s: seven concurrent machines built %d front outputs in all, want %d", spec, st.Derived, n+1)
+		}
 	}
 }

@@ -2,13 +2,11 @@ package sim
 
 import (
 	"context"
-	"fmt"
 
 	"mobilecache/internal/config"
 	"mobilecache/internal/energy"
 	"mobilecache/internal/sample"
 	"mobilecache/internal/trace"
-	"mobilecache/internal/tracestore"
 	"mobilecache/internal/workload"
 )
 
@@ -113,41 +111,6 @@ func finishSampled(m *Machine, st sample.Stats, rep RunReport) (RunReport, error
 	}
 	scaleReport(&rep, rep.SampleFactor, st)
 	return rep, nil
-}
-
-// filteredTrace returns the machine's sampled replay stream for
-// (prof, seed, accesses) from the arena's derived-trace cache. The
-// sample filter is a deterministic per-record transform of the base
-// trace, so it runs ONCE per (trace, spec, block size) — materializing
-// the kept records with their redistributed gaps plus the filter's
-// seen/kept statistics — and every machine of a sweep replays the
-// result zero-copy. This is what makes the sampled quick matrix
-// near-linear in 1/Factor: filtering on the fly would pay the bulk
-// decode and selector on every raw record of every cell, capping the
-// speedup near 2.5x regardless of factor. The materialized stream is
-// bit-identical to what the on-the-fly filter emits (same transform,
-// same order), so results do not depend on which path served a run.
-func filteredTrace(store *tracestore.Store, m *Machine, prof workload.Profile, seed uint64, accesses int) (trace.Source, sample.Stats, error) {
-	sel := m.Sample
-	variant := fmt.Sprintf("sample:%s:b%d", sel.Spec(), sel.BlockBytes())
-	tr, meta, err := store.DeriveTrace(prof, seed, accesses, variant,
-		func(base tracestore.Trace) (*trace.Packed, []trace.Access, any, error) {
-			fs := sample.NewSource(sel, base.Cursor())
-			out := make([]trace.Access, 0, accesses/sel.Factor()+16)
-			var buf [512]trace.Access
-			for {
-				n := fs.Decode(buf[:])
-				out = append(out, buf[:n]...)
-				if n < len(buf) {
-					break
-				}
-			}
-			return trace.PackSlice(out), out, fs.Stats(), nil
-		})
-	if err != nil {
-		return nil, sample.Stats{}, err
-	}
-	return tr.Cursor(), meta.(sample.Stats), nil
 }
 
 // RunSampledTrace replays a prepared source on a (possibly sampled)

@@ -345,16 +345,17 @@ func runTrace(ctx context.Context, m *Machine, name string, in input, maxAccesse
 // app's trace and returns the audited report of the last accesses of
 // them, scaled to full-cache estimates when the machine is sampled.
 //
-// With a store, the machine replays the output of its front stage from
-// the shared arena, through its back stage alone: the trace is
-// generated once per (profile, seed, length) across every machine that
-// replays it, for a sampled machine filtered once per spec into a
-// cached derived stream (see filteredTrace), and run through the L1s
-// once per front key into a stored front output (see sharedFront). A
-// nil store drives the workload generator directly, filtering live
-// when sampled, through both stages. The stored output is the one the
-// live front stage produces, so reports do not depend on which path
-// served a run.
+// Every run reads one stream (see source): the workload generator's,
+// filtered live when the machine is sampled. A nil store runs it
+// through both stages of the hierarchy. With a store, the machine
+// replays the output of its front stage from the shared arena, through
+// its back stage alone: the first machine of a (trace, front key) runs
+// the stream through the L1s into a stored front output (see
+// sharedFront), and every later one reads it back. The arena stores
+// that output and no trace, so a second front key on one trace
+// generates the trace again. The stored output is the one the live
+// front stage produces, so reports do not depend on which path served
+// a run.
 //
 // A positive warmup measures only what follows the warmup prefix (see
 // runWarm). The prefix is access-denominated, so it compresses with a
@@ -363,9 +364,8 @@ func runTrace(ctx context.Context, m *Machine, name string, in input, maxAccesse
 // measures. Counters are two-snapshot diffs, so scaling composes.
 //
 // The replay polls ctx once per frame: when ctx ends, Run returns its
-// error at the next frame boundary and no report. Trace generation and
-// derived-trace builds run to completion first; they are bounded by
-// the trace length.
+// error at the next frame boundary and no report. A front-output build
+// runs to completion first; it is bounded by the trace length.
 func Run(ctx context.Context, store *tracestore.Store, cfg config.Machine, prof workload.Profile, seed uint64, warmup, accesses int, spec sample.Spec) (RunReport, error) {
 	if err := chaosEnter(cfg.Name, prof.Name, seed); err != nil {
 		return RunReport{}, err
@@ -382,14 +382,8 @@ func Run(ctx context.Context, store *tracestore.Store, cfg config.Machine, prof 
 		st   sample.Stats
 	)
 	if store == nil {
-		gen, err := workload.NewGenerator(prof, seed, workload.PhaseLen(prof, total))
-		if err != nil {
+		if in.src, live, err = source(m, prof, seed, total); err != nil {
 			return RunReport{}, err
-		}
-		in.src = trace.NewLimitSource(gen, total)
-		if m.Sample != nil {
-			live = sample.NewSource(m.Sample, in.src)
-			in.src = live
 		}
 	} else {
 		fo, fst, err := sharedFront(store, m, prof, seed, total, warm)
@@ -414,6 +408,23 @@ func Run(ctx context.Context, store *tracestore.Store, cfg config.Machine, prof 
 		st = live.Stats()
 	}
 	return finishSampled(m, st, rep)
+}
+
+// source is the stream a run of m replays: the first total records the
+// generator makes for (prof, seed), filtered live by the machine's
+// selector when it is sampled. live is that filter (nil for an exact
+// machine); its statistics are final once the stream is drained.
+func source(m *Machine, prof workload.Profile, seed uint64, total int) (src trace.Source, live *sample.Source, err error) {
+	gen, err := workload.NewGenerator(prof, seed, workload.PhaseLen(prof, total))
+	if err != nil {
+		return nil, nil, err
+	}
+	src = trace.NewLimitSource(gen, total)
+	if m.Sample != nil {
+		live = sample.NewSource(m.Sample, src)
+		src = live
+	}
+	return src, live, nil
 }
 
 // buildStandardMachines constructs the seven schemes of the paper's

@@ -13,13 +13,13 @@ import (
 )
 
 // TestStoreReplayMatchesGenerator is the arena's correctness contract:
-// replaying a cached trace through every standard machine yields a
-// RunReport identical — CPU result, L2 stats, energy buckets, DRAM
-// traffic, partition history — to the arena-free, generator-driven Run
-// for the same (profile, seed, accesses), generates the trace once,
-// and runs it through the L1s once: the seven machines share one front
-// key, so the first builds the one derived entry and the other six
-// read it back.
+// replaying a stored front output through every standard machine
+// yields a RunReport identical — CPU result, L2 stats, energy buckets,
+// DRAM traffic, partition history — to the arena-free,
+// generator-driven Run for the same (profile, seed, accesses), and
+// runs the trace through the L1s once: the seven machines share one
+// front key, so the first builds the one derived entry straight from
+// the generator, storing no trace, and the other six read it back.
 func TestStoreReplayMatchesGenerator(t *testing.T) {
 	store := tracestore.New(0)
 	// A phased standard profile exercises the phase-length derivation;
@@ -45,49 +45,52 @@ func TestStoreReplayMatchesGenerator(t *testing.T) {
 		}
 	}
 	st := store.Stats()
-	if st.Generated != 2 || st.Derived != 1 {
-		t.Fatalf("store built %d entries (%d derived) for one (profile, seed); want the trace and one front output", st.Generated, st.Derived)
+	if st.Generated != 1 || st.Derived != 1 {
+		t.Fatalf("store built %d entries (%d derived) for one (profile, seed); want one front output and no trace", st.Generated, st.Derived)
 	}
 	if st.Hits != uint64(len(StandardMachineNames())-1) {
 		t.Fatalf("store hits = %d, want %d", st.Hits, len(StandardMachineNames())-1)
 	}
 }
 
-// TestStoreDemotedReplayMatchesGenerator covers the packed tier: with a
-// budget too small to hold any hot decoded form, every replay goes
-// through the packed decoding cursor and must still reproduce the
-// generator-driven reports exactly. The trace is generated before the
-// loop, because the call that generates it replays its own records;
-// every machine below is served by a packed-only hit.
+// TestStoreDemotedReplayMatchesGenerator covers an arena too small for
+// what it builds. Under a 1-byte budget a shard keeps only the entry
+// it committed last (a commit never evicts its own entry), so
+// alternating two front keys — each machine exact, then 1/8-sampled —
+// evicts every front output before its key comes round again, and
+// every run builds its own. Each report must still DeepEqual its
+// generator-driven run.
 func TestStoreDemotedReplayMatchesGenerator(t *testing.T) {
-	store := tracestore.New(1) // demotes every trace to packed-only
+	store := tracestore.New(1)
 	prof := workload.Profiles()[1]
 	const seed, accesses = 13, 40_000
-	if tr, err := store.GetTrace(prof, seed, accesses); err != nil {
-		t.Fatal(err)
-	} else if tr.Records == nil {
-		t.Fatal("the generating call did not get its records back")
-	}
-
+	runs := 0
 	for _, name := range []string{"baseline-sram", "sp-mr", "dp-sr"} {
 		cfg, err := MachineByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Run(context.Background(), nil, cfg, prof, seed, 0, accesses, sample.Spec{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Run(context.Background(), store, cfg, prof, seed, 0, accesses, sample.Spec{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: demoted packed replay diverges from generator run", name)
+		for _, spec := range []sample.Spec{{}, {Factor: 8}} {
+			want, err := Run(context.Background(), nil, cfg, prof, seed, 0, accesses, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Run(context.Background(), store, cfg, prof, seed, 0, accesses, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s/%s: replay from an evicting arena diverges from generator run", name, spec)
+			}
+			runs++
 		}
 	}
-	if st := store.Stats(); st.Demotions == 0 || st.Hits != 3 {
-		t.Fatalf("expected demotions under a 1-byte budget and a hit per machine, got %+v", st)
+	st := store.Stats()
+	if st.Generated != uint64(runs) || st.Derived != uint64(runs) || st.Hits != 0 {
+		t.Fatalf("%d runs under a 1-byte budget: %d built (%d derived), %d hits; want one front output built per run and no hit", runs, st.Generated, st.Derived, st.Hits)
+	}
+	if st.Evictions != uint64(runs-1) || st.Entries != 1 {
+		t.Fatalf("%d runs under a 1-byte budget: %d evictions, %d resident; want every output but the last evicted", runs, st.Evictions, st.Entries)
 	}
 }
 

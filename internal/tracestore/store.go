@@ -1,38 +1,40 @@
 // Package tracestore is the shared trace arena behind the sweep
-// engine: a memoizing store of packed, immutable workload traces keyed
-// by (profile, seed, phase length, accesses). Every experiment cell
-// (machine x app x seed) replays the byte-identical access stream, so
-// generating it once and handing out zero-allocation replay cursors
-// removes the dominant redundant work of a sweep — the seven standard
-// machines alone regenerate each trace seven times without it.
+// engine: a memoizing store of immutable per-trace products keyed by
+// (profile, seed, phase length, accesses) and a variant tag. Every
+// experiment cell (machine x app x seed) replays the byte-identical
+// access stream, so building what the cells replay once and handing it
+// to each of them removes the dominant redundant work of a sweep. In
+// production that product is sim's shared front-stage output, which
+// Derive stores: it is built straight from the generator, and the
+// arena keeps no trace beside it.
 //
-// The store deduplicates concurrent generation (N goroutines asking for
-// the same key trigger exactly one generator run; the rest wait) and
-// bounds its memory with an LRU byte budget, so sweeps over many
-// (app, seed) pairs degrade to regeneration instead of growing without
-// limit.
+// The store deduplicates concurrent builds (N goroutines asking for
+// the same key trigger exactly one build; the rest wait) and bounds
+// its memory with an LRU byte budget, so sweeps over many (app, seed)
+// pairs degrade to rebuilding instead of growing without limit.
 //
-// Traces are held in two tiers. The hot tier is the materialized record
-// slice the generator produced, replayed zero-copy (trace.SliceCursor)
-// with no per-record decoding; the packed tier is the struct-of-arrays
-// compressed form, several times smaller, replayed through a
-// zero-allocation decoding cursor. Under budget pressure the store
-// first demotes least-recently-used traces from hot to packed-only,
-// then evicts them entirely. The call that builds a trace always gets
-// its records back, even when the commit demoted them on arrival (a
-// trace larger than its shard's budget): it made them, so replaying
-// them costs nothing extra. Only later hits are limited to what the
-// arena kept.
+// GetTrace and DeriveTrace store traces themselves; outside tests only
+// the repository benchmark calls them. Such traces are held in two
+// tiers. The hot tier is the materialized record slice the generator
+// produced, replayed zero-copy (trace.SliceCursor) with no per-record
+// decoding; the packed tier is the struct-of-arrays compressed form,
+// several times smaller, replayed through a zero-allocation decoding
+// cursor. Under budget pressure the store first demotes
+// least-recently-used traces from hot to packed-only, then evicts
+// whole entries. The call that builds a trace always gets its records
+// back, even when the commit demoted them on arrival (a trace larger
+// than its shard's budget): it made them, so replaying them costs
+// nothing extra. Only later hits are limited to what the arena kept.
 //
-// Synchronization is lock-striped (internal/shardlru): the trace key
-// hashes to one of a small number of shards, each with its own mutex,
-// LRU list and slice of the byte budget, so concurrent workers warming
-// different traces — or hitting different warm ones — never serialize
-// on a global mutex. Eviction and demotion decisions are therefore
-// shard-local (an LRU-locality change only; the streams a hit returns
-// are byte-identical either way), and derived variants (DeriveTrace)
-// hash like any other key, so a base trace and its variants spread
-// across shards independently.
+// Synchronization is lock-striped (internal/shardlru): the key hashes
+// to one of a small number of shards, each with its own mutex, LRU
+// list and slice of the byte budget, so concurrent workers building
+// different entries — or hitting different warm ones — never
+// serialize on a global mutex. Eviction and demotion decisions are
+// therefore shard-local (an LRU-locality change only; what a hit
+// returns is byte-identical either way), and the variant tag enters
+// the hash, so the entries of one trace spread across shards
+// independently.
 package tracestore
 
 import (
@@ -49,18 +51,21 @@ import (
 	"mobilecache/internal/workload"
 )
 
-// DefaultBudgetBytes is the default LRU capacity (256 MB across both
-// tiers — roughly a dozen full-scale app traces in hot decoded form,
-// or a hundred demoted to their packed streams).
+// DefaultBudgetBytes is the default LRU capacity: 256 MB, several
+// hundred full-scale front outputs (under half a megabyte each at
+// 400 000 accesses).
 const DefaultBudgetBytes = 256 << 20
 
-// DefaultShards is the arena's default stripe count. Traces are few
-// and large (tens of MB hot), so the count stays small: each shard's
-// slice of the byte budget must still hold whole hot traces, or
-// striping the budget would force demotions a global budget wouldn't.
+// DefaultShards is the arena's default stripe count. A cell makes one
+// arena lookup and a sweep's entries are few — one per (trace, front
+// key) — so a small count already keeps workers apart, and each
+// shard's slice of the budget (32 MB at the default) still holds
+// dozens of whole entries, so striping changes only which entry an
+// over-budget shard evicts.
 const DefaultShards = 8
 
-// Key identifies one generated trace. Two cells with equal keys replay
+// Key identifies one arena entry: a generated trace, or with a Variant
+// a product derived from it. Two cells with equal trace fields replay
 // byte-identical streams regardless of the machine under test.
 type Key struct {
 	// Profile is the workload profile name.
@@ -76,10 +81,9 @@ type Key struct {
 	PhaseLen uint64
 	// Accesses is the trace length.
 	Accesses int
-	// Variant is empty for generator traces. Derived forms (see
-	// DeriveTrace) set it to the transform's identity tag, so a base
-	// trace and its derived streams coexist in the arena without
-	// aliasing.
+	// Variant is empty for generator traces. Derived entries (see
+	// Derive and DeriveTrace) set it to the build's identity tag, so
+	// the entries of one trace coexist in the arena without aliasing.
 	Variant string
 }
 
@@ -123,13 +127,13 @@ type Stats struct {
 	Hits uint64
 	// Misses counts lookups that had to start a build.
 	Misses uint64
-	// Generated counts completed generations (misses minus failures).
+	// Generated counts completed builds (misses minus failures).
 	Generated uint64
-	// Derived counts completed derived-trace builds (DeriveTrace
-	// misses that ran their transform; included in Misses/Generated
-	// alongside base generations).
+	// Derived counts the completed builds of derived entries (Derive
+	// and DeriveTrace misses that ran their build), which Generated
+	// includes.
 	Derived uint64
-	// Evictions counts traces dropped by the LRU budget.
+	// Evictions counts entries dropped by the LRU budget.
 	Evictions uint64
 	// Demotions counts hot decoded forms dropped to fit the budget
 	// while their packed form stayed resident.
@@ -155,8 +159,8 @@ type entry struct {
 	// only after <-ready (the close is the happens-before edge).
 	packed *trace.Packed
 	err    error
-	// meta is the opaque metadata a DeriveTrace build returned (nil
-	// for base traces).
+	// meta is the product a Derive build returned, or the opaque
+	// metadata a DeriveTrace build did (nil for base traces).
 	meta any
 
 	// decoded is the hot-tier form: the materialized record slice the
@@ -171,8 +175,8 @@ type entry struct {
 	decodedBytes int64
 }
 
-// sizer is a derived payload that reports its memory footprint (see
-// DeriveTrace).
+// sizer is a derived product that reports its memory footprint (see
+// Derive).
 type sizer interface{ SizeBytes() int64 }
 
 // sizeBytes is the entry's total charge against the LRU budget: every
@@ -274,6 +278,8 @@ func (t Trace) Cursor() trace.Source {
 // immutable — callers replay them through their own cursors and must
 // not retain them longer than needed (the LRU may drop or demote them
 // at any time; dropped forms stay valid for existing holders).
+// Outside tests only the repository benchmark calls it: sim.Run stores
+// front outputs through Derive, and no trace.
 func (s *Store) GetTrace(prof workload.Profile, seed uint64, accesses int) (Trace, error) {
 	if accesses <= 0 {
 		return Trace{}, fmt.Errorf("tracestore: accesses %d must be positive", accesses)
@@ -293,12 +299,11 @@ func (s *Store) GetTrace(prof workload.Profile, seed uint64, accesses int) (Trac
 // request). build receives the base trace and returns the derived
 // packed and decoded forms plus opaque metadata the store hands back
 // on every hit (e.g. the filter's measured statistics — anything a
-// replay of the derived stream alone could not recover). A derivation
-// whose product is not a trace returns no trace forms and carries the
-// product as its metadata (sim's shared front stage does); the arena
-// charges metadata that has a SizeBytes() int64 method at that size.
-// The variant tag must capture the transform's full identity: two
-// different transforms under one tag would alias.
+// replay of the derived stream alone could not recover). The variant
+// tag must capture the transform's full identity: two different
+// transforms under one tag would alias. Outside tests only the
+// repository benchmark calls it; Derive builds a product without a
+// base trace.
 //
 // The base trace is looked up only when the derived form is not
 // resident, so a hit neither needs nor touches it. Like GetTrace,
@@ -306,14 +311,10 @@ func (s *Store) GetTrace(prof workload.Profile, seed uint64, accesses int) (Trac
 // failures are not cached.
 func (s *Store) DeriveTrace(prof workload.Profile, seed uint64, accesses int, variant string,
 	build func(Trace) (*trace.Packed, []trace.Access, any, error)) (Trace, any, error) {
-	if variant == "" {
-		return Trace{}, nil, fmt.Errorf("tracestore: DeriveTrace needs a variant tag")
+	key, err := derivedKey(prof, seed, accesses, variant)
+	if err != nil {
+		return Trace{}, nil, err
 	}
-	if accesses <= 0 {
-		return Trace{}, nil, fmt.Errorf("tracestore: accesses %d must be positive", accesses)
-	}
-	key := KeyFor(prof, seed, accesses)
-	key.Variant = variant
 	return s.getOrBuildMeta(key, func() (*trace.Packed, []trace.Access, any, error) {
 		base, err := s.GetTrace(prof, seed, accesses)
 		if err != nil {
@@ -321,6 +322,43 @@ func (s *Store) DeriveTrace(prof workload.Profile, seed uint64, accesses int, va
 		}
 		return build(base)
 	}, &s.derived)
+}
+
+// Derive returns the product build makes for the (prof, seed,
+// accesses) trace under a variant tag, built at most once per tag and
+// cached in the same LRU as every other entry; an evicted product is
+// rebuilt on the next request. build gets no trace: it makes the
+// product from the generator itself, so the arena neither looks up nor
+// keeps a base trace for it. A product with a SizeBytes() int64
+// method is charged at that size (sim's shared front-stage output
+// is). The variant tag must capture the product's full identity: two
+// different builds under one tag would alias. Concurrent calls for
+// one (key, variant) share a single build, and failures are not
+// cached.
+func (s *Store) Derive(prof workload.Profile, seed uint64, accesses int, variant string, build func() (any, error)) (any, error) {
+	key, err := derivedKey(prof, seed, accesses, variant)
+	if err != nil {
+		return nil, err
+	}
+	_, v, err := s.getOrBuildMeta(key, func() (*trace.Packed, []trace.Access, any, error) {
+		v, err := build()
+		return nil, nil, v, err
+	}, &s.derived)
+	return v, err
+}
+
+// derivedKey is the key of (prof, seed, accesses)'s entry under
+// variant.
+func derivedKey(prof workload.Profile, seed uint64, accesses int, variant string) (Key, error) {
+	if variant == "" {
+		return Key{}, fmt.Errorf("tracestore: a derived entry needs a variant tag")
+	}
+	if accesses <= 0 {
+		return Key{}, fmt.Errorf("tracestore: accesses %d must be positive", accesses)
+	}
+	key := KeyFor(prof, seed, accesses)
+	key.Variant = variant
+	return key, nil
 }
 
 // getOrBuild is getOrBuildMeta discarding the metadata (base traces

@@ -1,6 +1,7 @@
 package tracestore
 
 import (
+	"errors"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -435,6 +436,67 @@ func TestDeriveTrace(t *testing.T) {
 		t.Fatalf("Derived = %d, want 2", got)
 	}
 }
+
+// sized is a Derive product that reports its footprint.
+type sized int64
+
+func (z sized) SizeBytes() int64 { return int64(z) }
+
+// TestDerive: a product is built once per variant tag however many
+// callers race for it, carries no trace with it (the arena holds the
+// one entry, charged at the product's SizeBytes), is distinct per tag,
+// and a failed build is not cached.
+func TestDerive(t *testing.T) {
+	prof := testProfile("app")
+	const n = 5_000
+	s := New(0)
+	if _, err := s.Derive(prof, 1, n, "", func() (any, error) { return sized(1), nil }); err == nil {
+		t.Fatal("empty variant accepted")
+	}
+
+	var builds atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, err := s.Derive(prof, 1, n, "p", func() (any, error) {
+				builds.Add(1)
+				return sized(1000), nil
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if v != sized(1000) {
+				t.Errorf("product = %v", v)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := builds.Load(); got != 1 {
+		t.Fatalf("build ran %d times, want 1", got)
+	}
+	st := s.Stats()
+	if st.Generated != 1 || st.Derived != 1 || st.Entries != 1 || st.BytesInUse != 1000 || st.Hits != 7 {
+		t.Fatalf("one product, no trace: %+v", st)
+	}
+
+	if v, err := s.Derive(prof, 1, n, "q", func() (any, error) { return sized(10), nil }); err != nil || v != sized(10) {
+		t.Fatalf("second tag: %v, %v", v, err)
+	}
+	failing := func() (any, error) { return nil, errBuild }
+	for i := 0; i < 2; i++ {
+		if _, err := s.Derive(prof, 2, n, "p", failing); err != errBuild {
+			t.Fatalf("failed build %d returned %v", i, err)
+		}
+	}
+	if st := s.Stats(); st.Generated != 2 || st.Derived != 2 || st.Entries != 2 || st.BytesInUse != 1010 {
+		t.Fatalf("after a second tag and two failed builds: %+v", st)
+	}
+}
+
+var errBuild = errors.New("build failed")
 
 // TestShardedStatsConsistency is the -race snapshot check for the
 // striped arena: concurrent warm hits, cold generations and derive
