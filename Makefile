@@ -9,12 +9,11 @@ test:
 	$(GO) test ./...
 
 # check is the pre-commit gate: gofmt cleanliness, vet, the full test
-# suite (which includes the contention and replay smokes,
-# TestContentionSmoke and TestReplaySmoke, and the exported-API scan
-# TestNoTestOnlyExports, which skips under -short so the race pass does
-# not type-check the tree), a race-enabled short pass (the
-# engine/runner/chaos tests are where races would hide), fuzz smokes
-# over the crash-recovery scanner, the invariant auditor and the packed
+# suite (which includes the replay smoke TestReplaySmoke and the
+# exported-API scan TestNoTestOnlyExports, which skips under -short so
+# the race pass does not type-check the tree), a race-enabled short
+# pass (the engine/runner/chaos tests are where races would hide), fuzz
+# smokes over the crash-recovery scanner, the invariant auditor and the packed
 # trace format, the golden-audit gates (the quick experiment matrix must
 # be conservation-clean, and under a report-miscounting tamper every
 # experiment that builds its own machine — E3, E4, E9, E10, E11, E20 —
@@ -28,7 +27,7 @@ test:
 # space's top block included; a replay split into RunFrom pieces must
 # be bit-identical to one uninterrupted run on every standard machine;
 # every branch of sim.Run — arena or generator, an arena that keeps
-# every front output or one that keeps only its last, cold or warm,
+# every front output or one that keeps none, cold or warm,
 # exact or 1/8-sampled, standard machines and prefetch-on, idle and
 # wide-L1 ones — must match the arena-free run, with a cold dynamic
 # run keeping its epoch-0 allocation; whole reports, through a stored
@@ -46,7 +45,7 @@ check:
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race -short ./...
-	$(GO) test -race ./internal/engine/ ./internal/runner/ ./internal/tracestore/ ./internal/shardlru/ ./internal/sim/ ./internal/sample/ ./internal/checkpoint/ ./internal/faultfs/ ./internal/invariant/ ./internal/jobs/ ./internal/cpu/ ./internal/trace/ ./internal/mem/ ./internal/core/ ./internal/cache/ ./internal/energy/ ./internal/sttram/ ./cmd/mcserved/ ./cmd/mcsweep/
+	$(GO) test -race ./internal/engine/ ./internal/runner/ ./internal/tracestore/ ./internal/lru/ ./internal/sim/ ./internal/sample/ ./internal/checkpoint/ ./internal/faultfs/ ./internal/invariant/ ./internal/jobs/ ./internal/cpu/ ./internal/trace/ ./internal/mem/ ./internal/core/ ./internal/cache/ ./internal/energy/ ./internal/sttram/ ./cmd/mcserved/ ./cmd/mcsweep/
 	$(GO) test -run '^$$' -fuzz FuzzJournalDecode -fuzztime 5s ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzAuditReport -fuzztime 5s ./internal/invariant/
 	$(GO) test -run '^$$' -fuzz FuzzPackedRoundTrip -fuzztime 5s ./internal/trace/

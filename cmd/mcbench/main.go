@@ -14,8 +14,10 @@
 //
 // Every experiment in a run is executed through one shared pipeline
 // engine (internal/engine): its trace arena, bounded by
-// -trace-cache-mb, replays cached packed traces for experiments that
-// revisit the same (app, seed), and its content-hash run memo lets
+// -trace-cache-mb, keeps each trace's front-stage output (the L1s'
+// L2-bound stream), so experiments that revisit an (app, seed) with
+// the same front stage replay only their back stage, and its
+// content-hash run memo lets
 // experiments that share (machine, app, seed) cells simulate them
 // once. -cpuprofile and -memprofile write pprof profiles of the run.
 // Every simulation's report is audited against the conservation laws

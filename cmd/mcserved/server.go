@@ -259,20 +259,13 @@ func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 	counter("mcserved_memo_evictions_total", "Run-memo evictions.", st.Memo.Evictions)
 	counter("mcserved_memo_duplicates_total", "Run-memo adds that found the key already cached.", st.Memo.Duplicates)
 	gauge("mcserved_memo_entries", "Run-memo resident entries.", float64(st.Memo.Entries))
-	gauge("mcserved_memo_shards", "Run-memo lock stripes.", float64(st.Memo.Shards))
-	gauge("mcserved_memo_shard_entries_max", "Entries in the fullest run-memo shard (skew vs min).", float64(st.Memo.MaxShardEntries))
-	gauge("mcserved_memo_shard_entries_min", "Entries in the emptiest run-memo shard (skew vs max).", float64(st.Memo.MinShardEntries))
 	counter("mcserved_trace_hits_total", "Trace-arena hits.", st.Store.Hits)
 	counter("mcserved_trace_misses_total", "Trace-arena misses.", st.Store.Misses)
 	counter("mcserved_trace_generated_total", "Trace-arena builds: front-stage outputs, each from a freshly generated trace.", st.Store.Generated)
 	counter("mcserved_trace_derived_total", "Trace-arena derived builds (front-stage outputs); included in generated.", st.Store.Derived)
 	counter("mcserved_trace_evictions_total", "Trace-arena evictions.", st.Store.Evictions)
-	counter("mcserved_trace_demotions_total", "Hot traces demoted to packed-only residency (the daemon stores no trace).", st.Store.Demotions)
 	gauge("mcserved_trace_bytes_in_use", "Trace-arena resident bytes.", float64(st.Store.BytesInUse))
 	gauge("mcserved_trace_entries", "Trace-arena resident entries (front-stage outputs).", float64(st.Store.Entries))
-	gauge("mcserved_trace_shards", "Trace-arena lock stripes.", float64(st.Store.Shards))
-	gauge("mcserved_trace_shard_entries_max", "Entries in the fullest arena shard (skew vs min).", float64(st.Store.MaxShardEntries))
-	gauge("mcserved_trace_shard_entries_min", "Entries in the emptiest arena shard (skew vs max).", float64(st.Store.MinShardEntries))
 
 	io.WriteString(w, b.String())
 }

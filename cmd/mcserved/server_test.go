@@ -318,17 +318,22 @@ func TestHealthReadyMetrics(t *testing.T) {
 		"mcserved_cells_per_second",
 		"mcserved_memo_hits_total",
 		"mcserved_memo_duplicates_total",
-		"mcserved_memo_shards",
-		"mcserved_memo_shard_entries_max",
+		"mcserved_memo_entries",
 		"mcserved_trace_bytes_in_use",
 		"mcserved_trace_derived_total",
-		"mcserved_trace_demotions_total",
-		"mcserved_trace_shards",
-		"mcserved_trace_shard_entries_min",
+		"mcserved_trace_evictions_total",
+		"mcserved_trace_entries",
 		"mcserved_jobs_recovered_total 0",
 	} {
 		if !bytes.Contains(body, []byte(metric)) {
 			t.Fatalf("/metrics missing %q:\n%s", metric, body)
+		}
+	}
+	// The caches have one lock each and the daemon stores no trace, so
+	// no lock-stripe gauge or demotion count is exported.
+	for _, gone := range []string{"shard", "demotions"} {
+		if bytes.Contains(body, []byte(gone)) {
+			t.Fatalf("/metrics still exports %q:\n%s", gone, body)
 		}
 	}
 

@@ -62,11 +62,12 @@
 // mcbench -sample-validate.
 //
 // All cells of a sweep share one trace arena (internal/tracestore):
-// rows that repeat an (app, seed) pair across machines replay the
-// cached packed trace instead of regenerating it. -trace-cache-mb
-// bounds the arena's memory; the end-of-sweep summary on stderr
-// reports, manifest-style, how many cells ran and how the arena
-// performed (generated/hits/evictions). -cpuprofile and -memprofile
+// rows that repeat an (app, seed) pair across machines with the same
+// front stage (L1s, prefetcher, sampling) replay its stored output
+// instead of regenerating the trace and rerunning the L1s. -trace-cache-mb bounds the arena's
+// memory; the end-of-sweep summary on stderr reports, manifest-style,
+// how many cells ran and how the run memo and the arena performed
+// (generated/hits/evictions). -cpuprofile and -memprofile
 // write pprof profiles for performance work on the sweep engine.
 package main
 

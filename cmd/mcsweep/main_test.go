@@ -115,8 +115,8 @@ func TestSweepSharedTraceArena(t *testing.T) {
 	if !strings.Contains(summary, "2 generated (2 derived), 2 hits, 2 misses") {
 		t.Fatalf("summary missing trace-arena counters (want 2 generated (2 derived), 2 hits, 2 misses):\n%s", summary)
 	}
-	// The sharded-cache summary surfaces the run memo alongside the
-	// arena: 4 distinct cells mean 4 memo misses and no hits.
+	// The cache summary surfaces the run memo alongside the arena: 4
+	// distinct cells mean 4 memo misses and no hits.
 	if !strings.Contains(summary, "run memo: 0 hits, 4 misses") {
 		t.Fatalf("summary missing run-memo counters:\n%s", summary)
 	}

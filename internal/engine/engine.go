@@ -6,8 +6,9 @@
 // which composes, in one place:
 //
 //   - internal/tracestore: one shared trace arena per engine, so cells
-//     that repeat an (app, seed, accesses) triple replay the cached
-//     packed trace instead of regenerating it;
+//     that repeat an (app, seed, accesses) triple with the same front
+//     stage (L1s, prefetcher, sampling) replay its stored output
+//     instead of regenerating the trace and rerunning the L1s;
 //   - internal/runner: bounded workers, per-cell deadlines, panic
 //     isolation and keep-going degradation; each cell runs once, and
 //     one whose deadline passes or whose execution is cancelled stops
@@ -28,8 +29,8 @@
 //
 // Results flow to pluggable Sinks (Collector, CSV, CSVFile; the
 // checkpoint journal is an engine-internal tee) in plan order, so a
-// future front end — an HTTP API, a sharded backend — is a new Sink
-// plus wiring, not a fourth copy of the pipeline.
+// new front end is a new Sink plus wiring, not another copy of the
+// pipeline.
 package engine
 
 import (
@@ -180,7 +181,7 @@ func New(cfg Config) *Engine {
 	case budget < 0:
 		budget = 0 // tracestore treats 0 as unlimited
 	}
-	return &Engine{cfg: cfg, store: tracestore.New(budget), memo: newMemo()}
+	return &Engine{cfg: cfg, store: tracestore.New(budget), memo: newMemo(DefaultMemoCapacity)}
 }
 
 // Store exposes the engine's trace arena (for stats reporting and for
@@ -290,9 +291,9 @@ type Summary struct {
 // mcsim report the memo and arena identically.
 func CacheSummary(memo MemoStats, st tracestore.Stats) string {
 	return fmt.Sprintf(
-		"run memo: %d hits, %d misses, %d dup adds, %d evicted, %d entries (%d shards); trace arena: %d generated (%d derived), %d hits, %d misses, %.1f MB resident, %d evicted, %d demoted (%d shards)",
-		memo.Hits, memo.Misses, memo.Duplicates, memo.Evictions, memo.Entries, memo.Shards,
-		st.Generated, st.Derived, st.Hits, st.Misses, float64(st.BytesInUse)/(1<<20), st.Evictions, st.Demotions, st.Shards)
+		"run memo: %d hits, %d misses, %d dup adds, %d evicted, %d entries; trace arena: %d generated (%d derived), %d hits, %d misses, %.1f MB resident, %d evicted",
+		memo.Hits, memo.Misses, memo.Duplicates, memo.Evictions, memo.Entries,
+		st.Generated, st.Derived, st.Hits, st.Misses, float64(st.BytesInUse)/(1<<20), st.Evictions)
 }
 
 // Execute runs the plan on the engine's worker pool and feeds every

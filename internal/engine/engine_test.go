@@ -580,10 +580,10 @@ func TestCancelledCellLeavesNoMemoEntry(t *testing.T) {
 // show next to the generations that include them.
 func TestCacheSummary(t *testing.T) {
 	got := CacheSummary(
-		MemoStats{Hits: 1, Misses: 2, Duplicates: 3, Evictions: 4, Entries: 5, Shards: 2},
-		tracestore.Stats{Generated: 6, Derived: 3, Hits: 18, Misses: 6, BytesInUse: 3 << 20, Evictions: 1, Demotions: 2, Shards: 8})
-	want := "run memo: 1 hits, 2 misses, 3 dup adds, 4 evicted, 5 entries (2 shards); " +
-		"trace arena: 6 generated (3 derived), 18 hits, 6 misses, 3.0 MB resident, 1 evicted, 2 demoted (8 shards)"
+		MemoStats{Hits: 1, Misses: 2, Duplicates: 3, Evictions: 4, Entries: 5},
+		tracestore.Stats{Generated: 6, Derived: 3, Hits: 18, Misses: 6, BytesInUse: 3 << 20, Evictions: 1})
+	want := "run memo: 1 hits, 2 misses, 3 dup adds, 4 evicted, 5 entries; " +
+		"trace arena: 6 generated (3 derived), 18 hits, 6 misses, 3.0 MB resident, 1 evicted"
 	if got != want {
 		t.Fatalf("CacheSummary =\n %s\nwant\n %s", got, want)
 	}

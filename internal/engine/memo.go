@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"encoding/binary"
-
 	"mobilecache/internal/checkpoint"
-	"mobilecache/internal/shardlru"
+	"mobilecache/internal/lru"
 	"mobilecache/internal/sim"
 )
 
@@ -20,17 +18,11 @@ const DefaultMemoCapacity = 1024
 // config under an unchanged name was served a stale report — and it
 // grew without bound. Keys here are the same content hashes the
 // checkpoint journal uses (checkpoint.KeyOf over the machine config,
-// profile, seed and run lengths).
-//
-// The memo is a lock-striped sharded LRU (internal/shardlru): the
-// content hash picks a shard, the capacity splits across shards, and
-// concurrent workers hitting a warm memo never serialize on a global
-// mutex. Eviction is therefore per-shard LRU, not global LRU — a
-// synchronization change only; the reports a hit returns are
-// byte-identical either way.
+// profile, seed and run lengths). It is one LRU behind one mutex
+// (internal/lru), keeping the capacity most recently used reports.
 type memo struct {
 	cap   int
-	cache *shardlru.Cache[checkpoint.Key, sim.RunReport]
+	cache *lru.Cache[checkpoint.Key, sim.RunReport]
 }
 
 // MemoStats counts how the run memo performed; reads are safe at any
@@ -46,37 +38,14 @@ type MemoStats struct {
 	// (misses = entries added + duplicates, for successful runs).
 	Duplicates uint64
 	Entries    int
-	// Shards is the stripe count; MaxShardEntries/MinShardEntries the
-	// most and least populated stripes (the /metrics skew gauge).
-	Shards          int
-	MaxShardEntries int
-	MinShardEntries int
 }
 
-// memoHash shards a checkpoint key by its leading bytes — the key is a
-// SHA-256 content hash, already uniformly distributed.
-func memoHash(k checkpoint.Key) uint64 {
-	return binary.LittleEndian.Uint64(k[:8])
-}
-
-// newMemo builds the engine's DefaultMemoCapacity memo. The stripe
-// count follows GOMAXPROCS (clamped by the capacity so no stripe's
-// budget slice is empty).
-func newMemo() *memo {
-	return newMemoSharded(DefaultMemoCapacity, 0)
-}
-
-// newMemoSharded builds a memo of capacity > 0 entries over the given
-// stripe count, 0 selecting the GOMAXPROCS default (tests size small
-// memos here and pin exact single-stripe LRU order with shards = 1).
-func newMemoSharded(capacity, shards int) *memo {
+// newMemo builds a memo of capacity > 0 entries; the engine's holds
+// DefaultMemoCapacity.
+func newMemo(capacity int) *memo {
 	return &memo{
-		cap: capacity,
-		cache: shardlru.New(shardlru.Config[checkpoint.Key, sim.RunReport]{
-			Shards: shards,
-			Budget: int64(capacity),
-			Hash:   memoHash,
-		}),
+		cap:   capacity,
+		cache: lru.New(lru.Config[checkpoint.Key, sim.RunReport]{Budget: int64(capacity)}),
 	}
 }
 
@@ -86,25 +55,22 @@ func (m *memo) get(key checkpoint.Key) (sim.RunReport, bool) {
 }
 
 // add memoizes one successful run (unit cost; the budget is an entry
-// count), evicting the least recently used entry in the key's shard
-// when over its capacity slice. Duplicate adds — two workers racing
-// the same cell — collapse to one entry and are counted; the reports
-// are identical because runs are deterministic.
+// count), evicting the least recently used entry when over capacity.
+// Duplicate adds — two workers racing the same cell — collapse to one
+// entry and are counted; the reports are identical because runs are
+// deterministic.
 func (m *memo) add(key checkpoint.Key, rep sim.RunReport) {
 	m.cache.Add(key, rep, 1)
 }
 
-// stats snapshots the memo counters, aggregated across shards.
+// stats snapshots the memo counters.
 func (m *memo) stats() MemoStats {
 	st := m.cache.Stats()
 	return MemoStats{
-		Hits:            st.Hits,
-		Misses:          st.Misses,
-		Evictions:       st.Evictions,
-		Duplicates:      st.Duplicates,
-		Entries:         st.Entries,
-		Shards:          st.Shards,
-		MaxShardEntries: st.MaxShardEntries,
-		MinShardEntries: st.MinShardEntries,
+		Hits:       st.Hits,
+		Misses:     st.Misses,
+		Evictions:  st.Evictions,
+		Duplicates: st.Duplicates,
+		Entries:    st.Entries,
 	}
 }

@@ -72,10 +72,8 @@ func TestMemoContentHashNoStaleness(t *testing.T) {
 
 // TestMemoBounded: the memo is an LRU with a hard capacity; filling it
 // past capacity evicts the least recently used key rather than growing.
-// A single stripe pins the exact global-LRU order the pre-shard memo
-// had; TestMemoShardedBound covers the striped capacity split.
 func TestMemoBounded(t *testing.T) {
-	m := newMemoSharded(3, 1)
+	m := newMemo(3)
 	key := func(i int) [32]byte {
 		var k [32]byte
 		k[0] = byte(i)
@@ -105,7 +103,7 @@ func TestMemoBounded(t *testing.T) {
 // TestMemoLRUTouchOnGet: a get refreshes recency, changing which key
 // the next insertion evicts.
 func TestMemoLRUTouchOnGet(t *testing.T) {
-	m := newMemoSharded(2, 1)
+	m := newMemo(2)
 	var a, b, c [32]byte
 	a[0], b[0], c[0] = 1, 2, 3
 	m.add(a, sim.RunReport{Machine: "a"})
@@ -134,7 +132,7 @@ func TestMemoDefaultCapacity(t *testing.T) {
 // both add; the second add must collapse onto the incumbent and be
 // counted, so lookup/entry arithmetic reconciles in /metrics.
 func TestMemoDuplicates(t *testing.T) {
-	m := newMemoSharded(8, 0)
+	m := newMemo(8)
 	var k [32]byte
 	k[0] = 1
 	m.add(k, sim.RunReport{Machine: "first"})
@@ -151,12 +149,11 @@ func TestMemoDuplicates(t *testing.T) {
 	}
 }
 
-// TestMemoShardedBound: with the default stripe count the capacity is
-// split across shards; total entries never exceed the capacity and the
-// stats aggregate stays coherent with the per-shard occupancy.
+// TestMemoShardedBound: filling the memo far past its capacity never
+// leaves more entries than the capacity, and evicts.
 func TestMemoShardedBound(t *testing.T) {
 	const capacity = 64
-	m := newMemoSharded(capacity, 0)
+	m := newMemo(capacity)
 	key := func(i int) [32]byte {
 		var k [32]byte
 		k[0], k[1], k[2] = byte(i), byte(i>>8), byte(i>>16)
@@ -169,16 +166,40 @@ func TestMemoShardedBound(t *testing.T) {
 	if st.Entries > capacity {
 		t.Fatalf("memo holds %d entries past capacity %d", st.Entries, capacity)
 	}
-	if st.Shards < 1 || st.MaxShardEntries < st.MinShardEntries {
-		t.Fatalf("shard occupancy incoherent: %+v", st)
-	}
 	if st.Evictions == 0 {
 		t.Fatalf("%d adds into capacity %d evicted nothing", 10*capacity, capacity)
 	}
 }
 
-// TestMemoStatsConcurrent is the -race snapshot check for the sharded
-// memo: lookups and adds from many goroutines with Stats() scraped
+// TestMemoHoldsFullCapacity: a memo of capacity N keeps exactly the N
+// most recently added keys, whatever the keys' bytes. The keys here
+// share their first eight bytes and differ only past them, so a memo
+// that split its capacity by a hash of the leading bytes would keep a
+// fraction of N.
+func TestMemoHoldsFullCapacity(t *testing.T) {
+	const capacity = 64
+	m := newMemo(capacity)
+	key := func(i int) [32]byte {
+		var k [32]byte
+		k[8], k[9] = byte(i), byte(i>>8)
+		return k
+	}
+	for i := 0; i < 2*capacity; i++ {
+		m.add(key(i), sim.RunReport{Machine: fmt.Sprintf("m%d", i)})
+	}
+	if st := m.stats(); st.Entries != capacity || st.Evictions != capacity {
+		t.Fatalf("memo of capacity %d after %d adds: %+v", capacity, 2*capacity, st)
+	}
+	for i := 0; i < 2*capacity; i++ {
+		r, ok := m.get(key(i))
+		if want := i >= capacity; ok != want || (ok && r.Machine != fmt.Sprintf("m%d", i)) {
+			t.Errorf("key %d: resident %v (%q), want resident %v", i, ok, r.Machine, want)
+		}
+	}
+}
+
+// TestMemoStatsConcurrent is the -race snapshot check for the memo:
+// lookups and adds from many goroutines with Stats() scraped
 // throughout; every snapshot keeps the capacity bound and monotone
 // counters, and the quiescent totals reconcile exactly.
 func TestMemoStatsConcurrent(t *testing.T) {
@@ -188,7 +209,7 @@ func TestMemoStatsConcurrent(t *testing.T) {
 		distinct = 48
 		capacity = 32
 	)
-	m := newMemoSharded(capacity, 0)
+	m := newMemo(capacity)
 	key := func(i int) [32]byte {
 		var k [32]byte
 		k[0], k[1] = byte(i), byte(i>>8)

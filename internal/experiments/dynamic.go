@@ -60,7 +60,7 @@ func runE9(opts Options) (Result, error) {
 	tb := report.NewTable(fmt.Sprintf("E9: partition trajectory over session %q", names),
 		"epoch", "at access", "user ways", "kernel ways", "gated ways", "est missrate")
 	// Sample up to 24 rows evenly so long runs stay readable.
-	step := maxInt(len(hist)/24, 1)
+	step := max(len(hist)/24, 1)
 	for i := 0; i < len(hist); i += step {
 		d := hist[i]
 		tb.AddRow(fmt.Sprint(d.Epoch), fmt.Sprint(d.AtAccess),
@@ -105,7 +105,7 @@ func runE9(opts Options) (Result, error) {
 	res.addValue("distinct_allocations", float64(len(distinct)))
 	res.addValue("min_powered_ways", float64(minPow))
 	res.addValue("max_powered_ways", float64(maxPow))
-	res.addValue("gated_epoch_fraction", float64(gatedEpochs)/float64(maxInt(len(hist), 1)))
+	res.addValue("gated_epoch_fraction", float64(gatedEpochs)/float64(max(len(hist), 1)))
 	res.addValue("flush_writebacks", float64(rep.FlushWritebacks))
 	res.addNote("across %d epochs the controller used %d distinct allocations, powering between %d and %d of 16 ways",
 		len(hist), len(distinct), minPow, maxPow)

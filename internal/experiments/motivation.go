@@ -241,13 +241,6 @@ func boolToFrac(b bool) float64 {
 	return 0
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func log2ceil(x uint64) int {
 	n := 0
 	for (uint64(1) << uint(n)) < x {

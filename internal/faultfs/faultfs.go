@@ -5,12 +5,10 @@
 // through the FS interface instead of calling the os package directly.
 //
 // Two implementations exist. OS is the pass-through production
-// filesystem — thin enough that threading it through the hot paths
-// costs nothing measurable (BENCH_PR7's contention smoke pins this).
-// New wraps it with a deterministic fault injector for tests: fail the
-// Nth operation, fail every operation matching a path pattern, cut a
-// write short, run an ENOSPC streak, fail an fsync, or simulate a
-// whole-process crash that drops every byte written since the last
+// filesystem, a thin wrapper over the os package. New wraps it with a
+// deterministic fault injector for tests: fail the Nth operation, fail
+// every operation matching a path pattern, cut a write short, run an
+// ENOSPC streak, fail an fsync, or simulate a whole-process crash that drops every byte written since the last
 // successful fsync. The torture harness (internal/faultfs/torture)
 // uses the injector to enumerate every fault point in a sweep and a
 // daemon job lifecycle and prove the recovery invariants DESIGN.md

@@ -1,4 +1,4 @@
-package shardlru
+package lru
 
 import (
 	"encoding/binary"
@@ -7,24 +7,22 @@ import (
 	"testing"
 )
 
-// key32 builds a [32]byte key whose hash is its first 8 bytes — the
-// same shape (and hash rule) the engine memo uses for checkpoint keys.
+// key32 builds a [32]byte key, the shape of the engine memo's
+// checkpoint keys.
 func key32(i uint64) [32]byte {
 	var k [32]byte
-	binary.LittleEndian.PutUint64(k[:8], Mix64(i))
+	binary.LittleEndian.PutUint64(k[:8], i)
 	return k
 }
 
-func hash32(k [32]byte) uint64 { return binary.LittleEndian.Uint64(k[:8]) }
-
-func newTest(shards int, budget int64) *Cache[[32]byte, string] {
-	return New(Config[[32]byte, string]{Shards: shards, Budget: budget, Hash: hash32})
+func newTest(budget int64) *Cache[[32]byte, string] {
+	return New(Config[[32]byte, string]{Budget: budget})
 }
 
-// TestSingleShardExactLRU pins the per-shard replacement policy: with
-// one stripe the cache is exactly the global-lock LRU it replaces.
+// TestSingleShardExactLRU pins the replacement policy: the cache is
+// an exact LRU over every key it holds.
 func TestSingleShardExactLRU(t *testing.T) {
-	c := newTest(1, 3)
+	c := newTest(3)
 	for i := uint64(0); i < 5; i++ {
 		c.Add(key32(i), fmt.Sprint(i), 1)
 	}
@@ -43,7 +41,7 @@ func TestSingleShardExactLRU(t *testing.T) {
 	}
 	// A Get refreshes recency: touch the LRU survivor, then overflow —
 	// the untouched one must go first.
-	c = newTest(1, 2)
+	c = newTest(2)
 	a, b, d := key32(1), key32(2), key32(3)
 	c.Add(a, "a", 1)
 	c.Add(b, "b", 1)
@@ -59,74 +57,11 @@ func TestSingleShardExactLRU(t *testing.T) {
 	}
 }
 
-// TestShardedBudgetSplit: the shard budgets sum to the configured
-// total, and the resident cost never exceeds it no matter how keys
-// skew across stripes.
-func TestShardedBudgetSplit(t *testing.T) {
-	const budget = 10
-	c := newTest(4, budget)
-	if got := len(c.shards); got != 4 {
-		t.Fatalf("Shards = %d, want 4", got)
-	}
-	var sum int64
-	for i := range c.shards {
-		sum += c.shards[i].budget
-	}
-	if sum != budget {
-		t.Fatalf("shard budgets sum to %d, want %d", sum, budget)
-	}
-	for i := uint64(0); i < 100; i++ {
-		c.Add(key32(i), "v", 1)
-	}
-	st := c.Stats()
-	if st.CostInUse > budget {
-		t.Fatalf("CostInUse %d exceeds budget %d", st.CostInUse, budget)
-	}
-	if st.Evictions == 0 {
-		t.Fatal("100 unit-cost adds into budget 10 evicted nothing")
-	}
-	resident := 0
-	for i := range c.shards {
-		resident += len(c.shards[i].entries)
-	}
-	if st.Entries != resident {
-		t.Fatalf("Stats.Entries %d != %d resident entries", st.Entries, resident)
-	}
-	if st.MaxShardEntries < st.MinShardEntries {
-		t.Fatalf("shard skew inverted: max %d < min %d", st.MaxShardEntries, st.MinShardEntries)
-	}
-}
-
-// TestShardClamping: shard counts round up to powers of two, clamp to
-// MaxShards, and never exceed the budget (a zero-budget stripe could
-// retain nothing).
-func TestShardClamping(t *testing.T) {
-	for _, tc := range []struct {
-		shards int
-		budget int64
-		want   int
-	}{
-		{3, 0, 4},            // round up, unlimited budget
-		{16, 16, 16},         // exact
-		{16, 3, 2},           // clamped by budget: largest pow2 <= 3
-		{1024, 0, MaxShards}, // clamped to MaxShards
-		{8, 1, 1},            // one-unit budget degenerates to one stripe
-	} {
-		c := newTest(tc.shards, tc.budget)
-		if got := len(c.shards); got != tc.want {
-			t.Errorf("Shards(%d, budget %d) = %d, want %d", tc.shards, tc.budget, got, tc.want)
-		}
-	}
-	if defaultShards() < 1 {
-		t.Fatal("defaultShards < 1")
-	}
-}
-
 // TestDuplicateAdds: racing adds collapse to one entry, the incumbent
 // value wins, and the loser is counted so lookup arithmetic
 // reconciles.
 func TestDuplicateAdds(t *testing.T) {
-	c := newTest(4, 0)
+	c := newTest(0)
 	k := key32(7)
 	if !c.Add(k, "first", 1) {
 		t.Fatal("first Add rejected")
@@ -146,7 +81,7 @@ func TestDuplicateAdds(t *testing.T) {
 // reservations are visible and joinable but uncharged and
 // undemotable; Commit charges and links; Delete refunds.
 func TestReserveCommitDelete(t *testing.T) {
-	c := newTest(1, 10)
+	c := newTest(10)
 	k := key32(1)
 	v, reserved := c.GetOrReserve(k, "building")
 	if !reserved || v != "building" {
@@ -188,16 +123,15 @@ func TestReserveCommitDelete(t *testing.T) {
 	}
 }
 
-// TestDemoteBeforeEvict: the Demote hook reclaims cost in place before
-// any whole entry is dropped, and a just-committed oversized entry is
-// demoted rather than evicted.
+// TestDemoteBeforeEvict: the Demote hook reclaims cost in place, least
+// recently used first, before any whole entry is dropped; and the
+// budget binds: a just-committed entry alone larger than the budget is
+// demoted first, then evicted.
 func TestDemoteBeforeEvict(t *testing.T) {
 	type val struct{ hot int64 }
 	demoted := map[uint64]bool{}
 	c := New(Config[uint64, *val]{
-		Shards: 1,
 		Budget: 10,
-		Hash:   Mix64,
 		Demote: func(k uint64, v *val) int64 {
 			r := v.hot
 			v.hot = 0
@@ -208,7 +142,7 @@ func TestDemoteBeforeEvict(t *testing.T) {
 		},
 	})
 	// Two entries of cost 5 (4 hot + 1 base) fill the budget; a third
-	// must demote the LRU one before anything is evicted.
+	// must demote the older two before anything is evicted.
 	for k := uint64(1); k <= 2; k++ {
 		c.GetOrReserve(k, &val{hot: 4})
 		c.Commit(k, 5)
@@ -225,26 +159,32 @@ func TestDemoteBeforeEvict(t *testing.T) {
 	if st.CostInUse > 10 {
 		t.Fatalf("CostInUse %d over budget", st.CostInUse)
 	}
-	// An entry alone larger than the whole budget survives commit,
-	// demoted to its base cost.
+	if !demoted[1] || !demoted[2] || demoted[3] {
+		t.Fatalf("demoted %v, want the two older entries and not the new one", demoted)
+	}
+	// An entry alone larger than the whole budget is demoted to its base
+	// cost, and evicted when that still exceeds the budget; its caller
+	// already holds the value.
 	c2 := New(Config[uint64, *val]{
-		Shards: 1, Budget: 3, Hash: Mix64,
+		Budget: 3,
 		Demote: func(_ uint64, v *val) int64 { r := v.hot; v.hot = 0; return r },
 	})
 	c2.GetOrReserve(9, &val{hot: 90})
-	c2.Commit(9, 100)
-	if _, ok := c2.Get(9); !ok {
-		t.Fatal("oversized committed entry was evicted")
+	if !c2.Commit(9, 100) {
+		t.Fatal("Commit rejected")
 	}
-	if st := c2.Stats(); st.Demotions != 1 || st.CostInUse != 10 {
-		t.Fatalf("oversized entry not demoted to base cost: %+v", st)
+	if st := c2.Stats(); st.Demotions != 1 || st.Evictions != 1 || st.CostInUse != 0 || st.Entries != 0 {
+		t.Fatalf("oversized entry not demoted, then evicted: %+v", st)
+	}
+	if _, ok := c2.Get(9); ok {
+		t.Fatal("oversized committed entry stayed resident over budget")
 	}
 }
 
-// TestConcurrentStatsConsistency is the -race snapshot check the
-// sharded rebase is pinned by: under concurrent lookups, adds and
-// scrapes, every mid-flight snapshot keeps its invariants (counters
-// monotone, budget respected, skew sane), and the final quiescent
+// TestConcurrentStatsConsistency is the -race snapshot check: under
+// concurrent lookups, adds and scrapes, every mid-flight snapshot keeps
+// its invariants (counters monotone, budget respected even though some
+// keys cost more than the whole budget), and the final quiescent
 // snapshot reconciles exactly: hits + misses == lookups issued, and
 // misses == adds + duplicates for the add-after-miss protocol.
 func TestConcurrentStatsConsistency(t *testing.T) {
@@ -254,7 +194,7 @@ func TestConcurrentStatsConsistency(t *testing.T) {
 		keys    = 64
 		budget  = 48
 	)
-	c := newTest(8, budget)
+	c := newTest(budget)
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	stop := make(chan struct{})
@@ -280,9 +220,6 @@ func TestConcurrentStatsConsistency(t *testing.T) {
 					st.Evictions < last.Evictions || st.Duplicates < last.Duplicates {
 					t.Errorf("counter went backwards: %+v then %+v", last, st)
 				}
-				if st.MaxShardEntries < st.MinShardEntries {
-					t.Errorf("snapshot skew inverted: %+v", st)
-				}
 				last = st
 			}
 		}()
@@ -294,9 +231,14 @@ func TestConcurrentStatsConsistency(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for r := 0; r < rounds; r++ {
-				k := key32(uint64((w*rounds + r) % keys))
+				i := uint64((w*rounds + r) % keys)
+				k := key32(i)
 				if _, ok := c.Get(k); !ok {
-					c.Add(k, "v", 1)
+					cost := int64(1)
+					if i%16 == 15 {
+						cost = budget + 1
+					}
+					c.Add(k, "v", cost)
 				}
 			}
 		}(w)
@@ -321,30 +263,4 @@ func TestConcurrentStatsConsistency(t *testing.T) {
 	if st.CostInUse > budget {
 		t.Fatalf("final CostInUse %d exceeds budget %d", st.CostInUse, budget)
 	}
-}
-
-// TestMix64 sanity: distinct inputs spread, zero is not a fixed point.
-func TestMix64(t *testing.T) {
-	seen := map[uint64]bool{}
-	for i := uint64(0); i < 1000; i++ {
-		h := Mix64(i)
-		if seen[h] {
-			t.Fatalf("Mix64 collision at %d", i)
-		}
-		seen[h] = true
-	}
-	if Mix64(0) == 0 {
-		t.Fatal("Mix64(0) == 0 would stripe zero-keys onto shard 0 forever")
-	}
-}
-
-// TestNilHashPanics: a cache without a hash would silently serialize
-// on shard 0; construction must refuse it loudly.
-func TestNilHashPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New with nil Hash did not panic")
-		}
-	}()
-	New(Config[int, int]{Shards: 4})
 }

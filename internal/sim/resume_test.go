@@ -146,14 +146,19 @@ func TestRunSegmentedExactMatchesSerial(t *testing.T) {
 }
 
 // TestRunSegmentedExactPackedTier repeats the segment-boundary check on
-// the packed-only tier (budget 1 demotes the hot decoded form), so the
-// packed cursor is the one resumed across segment boundaries. The
-// trace comes from a second lookup: the call that generated it still
-// gets its own records back, and only a hit is packed-only.
+// the packed-only tier (a budget that fits only the packed form demotes
+// the hot decoded one), so the packed cursor is the one resumed across
+// segment boundaries. The trace comes from a second lookup: the call
+// that generated it still gets its own records back, and only a hit is
+// packed-only.
 func TestRunSegmentedExactPackedTier(t *testing.T) {
-	store := tracestore.New(1)
 	prof := smallProfile()
 	const total = 30_000
+	full, err := tracestore.New(0).GetTrace(prof, 7, total)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := tracestore.New(full.Packed.SizeBytes())
 	if _, err := store.GetTrace(prof, 7, total); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +167,7 @@ func TestRunSegmentedExactPackedTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	if tr.Records != nil {
-		t.Fatal("budget-1 store kept the hot tier; test needs packed-only")
+		t.Fatal("packed-sized store kept the hot tier; test needs packed-only")
 	}
 	for _, name := range []string{"baseline-sram", "sp-mr", "dp-sr"} {
 		cfg, err := MachineByName(name)

@@ -54,11 +54,10 @@ func TestStoreReplayMatchesGenerator(t *testing.T) {
 }
 
 // TestStoreDemotedReplayMatchesGenerator covers an arena too small for
-// what it builds. Under a 1-byte budget a shard keeps only the entry
-// it committed last (a commit never evicts its own entry), so
-// alternating two front keys — each machine exact, then 1/8-sampled —
-// evicts every front output before its key comes round again, and
-// every run builds its own. Each report must still DeepEqual its
+// what it builds. A 1-byte budget binds: every front output is evicted
+// by its own commit, after the run that built it has it in hand, so
+// the arena holds nothing and every run — each machine exact, then
+// 1/8-sampled — builds its own. Each report must still DeepEqual its
 // generator-driven run.
 func TestStoreDemotedReplayMatchesGenerator(t *testing.T) {
 	store := tracestore.New(1)
@@ -89,8 +88,8 @@ func TestStoreDemotedReplayMatchesGenerator(t *testing.T) {
 	if st.Generated != uint64(runs) || st.Derived != uint64(runs) || st.Hits != 0 {
 		t.Fatalf("%d runs under a 1-byte budget: %d built (%d derived), %d hits; want one front output built per run and no hit", runs, st.Generated, st.Derived, st.Hits)
 	}
-	if st.Evictions != uint64(runs-1) || st.Entries != 1 {
-		t.Fatalf("%d runs under a 1-byte budget: %d evictions, %d resident; want every output but the last evicted", runs, st.Evictions, st.Entries)
+	if st.Evictions != uint64(runs) || st.Entries != 0 || st.BytesInUse != 0 {
+		t.Fatalf("%d runs under a 1-byte budget: %d evictions, %d resident (%d bytes); want every output evicted", runs, st.Evictions, st.Entries, st.BytesInUse)
 	}
 }
 
@@ -135,8 +134,8 @@ func TestRunWorkloadFromNilStore(t *testing.T) {
 // standard machine, and on baseline-sram with the prefetcher on, with
 // idle stretches and with 16-way L1s, cold and warm, exact and
 // 1/8-sampled (exact only for the wide L1s, which have too few sets to
-// sample), a replay from an arena that keeps the hot tier and from one
-// that demotes every trace to packed-only must DeepEqual the
+// sample), a replay from an unlimited arena, which keeps every front
+// output, and from a 1-byte one, which keeps none, must DeepEqual the
 // arena-free run, which drives the generator through both stages of
 // the hierarchy and filters it live when sampled, where the arena
 // replays a stored front output through the back stage; every run is

@@ -21,32 +21,24 @@
 // several times smaller, replayed through a zero-allocation decoding
 // cursor. Under budget pressure the store first demotes
 // least-recently-used traces from hot to packed-only, then evicts
-// whole entries. The call that builds a trace always gets its records
-// back, even when the commit demoted them on arrival (a trace larger
-// than its shard's budget): it made them, so replaying them costs
+// whole entries. The call that builds an entry always gets what it
+// built back, even when the commit demoted or evicted it on arrival
+// (an entry larger than the budget): it made it, so replaying it costs
 // nothing extra. Only later hits are limited to what the arena kept.
 //
-// Synchronization is lock-striped (internal/shardlru): the key hashes
-// to one of a small number of shards, each with its own mutex, LRU
-// list and slice of the byte budget, so concurrent workers building
-// different entries — or hitting different warm ones — never
-// serialize on a global mutex. Eviction and demotion decisions are
-// therefore shard-local (an LRU-locality change only; what a hit
-// returns is byte-identical either way), and the variant tag enters
-// the hash, so the entries of one trace spread across shards
-// independently.
+// The entries sit in one LRU behind one mutex (internal/lru): builds
+// run outside the lock, and a cell takes it only to look up and to
+// commit.
 package tracestore
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"sync/atomic"
 	"unsafe"
 
-	"mobilecache/internal/shardlru"
+	"mobilecache/internal/lru"
 	"mobilecache/internal/trace"
 	"mobilecache/internal/workload"
 )
@@ -55,14 +47,6 @@ import (
 // hundred full-scale front outputs (under half a megabyte each at
 // 400 000 accesses).
 const DefaultBudgetBytes = 256 << 20
-
-// DefaultShards is the arena's default stripe count. A cell makes one
-// arena lookup and a sweep's entries are few — one per (trace, front
-// key) — so a small count already keeps workers apart, and each
-// shard's slice of the budget (32 MB at the default) still holds
-// dozens of whole entries, so striping changes only which entry an
-// over-budget shard evicts.
-const DefaultShards = 8
 
 // Key identifies one arena entry: a generated trace, or with a Variant
 // a product derived from it. Two cells with equal trace fields replay
@@ -85,22 +69,6 @@ type Key struct {
 	// Derive and DeriveTrace) set it to the build's identity tag, so
 	// the entries of one trace coexist in the arena without aliasing.
 	Variant string
-}
-
-// shardHash spreads a key across shards: the profile digest is already
-// uniform, and the remaining fields (seed, lengths, variant) are mixed
-// in so sibling traces of one profile land on different stripes.
-func shardHash(k Key) uint64 {
-	h := binary.LittleEndian.Uint64(k.Digest[:8])
-	h = shardlru.Mix64(h ^ k.Seed)
-	h = shardlru.Mix64(h ^ k.PhaseLen)
-	h = shardlru.Mix64(h ^ uint64(k.Accesses))
-	if k.Variant != "" {
-		f := fnv.New64a()
-		f.Write([]byte(k.Variant))
-		h = shardlru.Mix64(h ^ f.Sum64())
-	}
-	return h
 }
 
 // KeyFor derives the store key a full-trace run of prof uses, applying
@@ -141,16 +109,11 @@ type Stats struct {
 	// BytesInUse and Entries describe the current resident set.
 	BytesInUse int64
 	Entries    int
-	// Shards is the stripe count; MaxShardEntries/MinShardEntries the
-	// most and least populated stripes (the /metrics skew gauge).
-	Shards          int
-	MaxShardEntries int
-	MinShardEntries int
 }
 
 // entry is one cached trace plus its singleflight state: ready is
 // closed once packed/err are final, and waiters block on it outside
-// the shard lock.
+// the cache's lock.
 type entry struct {
 	ready chan struct{}
 
@@ -166,10 +129,10 @@ type entry struct {
 	// decoded is the hot-tier form: the materialized record slice the
 	// generator produced, kept alongside the packed streams so replays
 	// can skip per-record decoding entirely. Under budget pressure the
-	// shard demotes entries to packed-only (the cache's Demote hook) by
+	// cache demotes entries to packed-only (its Demote hook) by
 	// dropping this slice; demoted traces replay through a packed
-	// cursor instead. Both fields are guarded by the entry's shard lock
-	// once the entry is committed. Readers treat the slice as
+	// cursor instead. Both fields are guarded by the cache's lock once
+	// the entry is committed. Readers treat the slice as
 	// immutable.
 	decoded      []trace.Access
 	decodedBytes int64
@@ -192,34 +155,24 @@ func (e *entry) sizeBytes() int64 {
 	return n
 }
 
-// Store memoizes packed traces with singleflight generation and a
-// lock-striped LRU byte budget. The zero value is not usable; call New.
+// Store memoizes arena entries with singleflight builds and an LRU
+// byte budget. The zero value is not usable; call New.
 type Store struct {
-	cache *shardlru.Cache[Key, *entry]
+	cache *lru.Cache[Key, *entry]
 
 	// generated/derived count completed builds; they live here (not in
-	// the sharded cache) because the cache only sees lookups and
-	// insertions, not which insertions came from a derive transform.
+	// the cache) because the cache only sees lookups and insertions,
+	// not which insertions came from a derive transform.
 	generated atomic.Uint64
 	derived   atomic.Uint64
 }
 
-// New builds a store with the given LRU byte budget and the default
-// stripe count; budgetBytes <= 0 means unlimited.
+// New builds a store with the given LRU byte budget; budgetBytes <= 0
+// means unlimited.
 func New(budgetBytes int64) *Store {
-	return NewSharded(budgetBytes, DefaultShards)
-}
-
-// NewSharded is New with an explicit stripe count (rounded to a power
-// of two; see shardlru.Config). Tests pin exact global-LRU eviction
-// order with shards = 1; the contention benchmark uses the same
-// configuration as its global-lock baseline.
-func NewSharded(budgetBytes int64, shards int) *Store {
 	s := &Store{}
-	s.cache = shardlru.New(shardlru.Config[Key, *entry]{
-		Shards: shards,
+	s.cache = lru.New(lru.Config[Key, *entry]{
 		Budget: budgetBytes, // <= 0 is unlimited in both layers
-		Hash:   shardHash,
 		Demote: func(_ Key, e *entry) int64 {
 			r := e.decodedBytes
 			e.decoded, e.decodedBytes = nil, 0
@@ -229,22 +182,18 @@ func NewSharded(budgetBytes int64, shards int) *Store {
 	return s
 }
 
-// Stats returns a snapshot of the counters, aggregated across shards
-// without a global lock.
+// Stats returns a snapshot of the counters.
 func (s *Store) Stats() Stats {
 	cs := s.cache.Stats()
 	return Stats{
-		Hits:            cs.Hits,
-		Misses:          cs.Misses,
-		Generated:       s.generated.Load(),
-		Derived:         s.derived.Load(),
-		Evictions:       cs.Evictions,
-		Demotions:       cs.Demotions,
-		BytesInUse:      cs.CostInUse,
-		Entries:         cs.Entries,
-		Shards:          cs.Shards,
-		MaxShardEntries: cs.MaxShardEntries,
-		MinShardEntries: cs.MinShardEntries,
+		Hits:       cs.Hits,
+		Misses:     cs.Misses,
+		Generated:  s.generated.Load(),
+		Derived:    s.derived.Load(),
+		Evictions:  cs.Evictions,
+		Demotions:  cs.Demotions,
+		BytesInUse: cs.CostInUse,
+		Entries:    cs.Entries,
 	}
 }
 
@@ -293,8 +242,8 @@ func (s *Store) GetTrace(prof workload.Profile, seed uint64, accesses int) (Trac
 
 // DeriveTrace returns a derived form of the (prof, seed, accesses)
 // trace — a deterministic transform like set-sample filtering — built
-// at most once per variant tag and cached in the same lock-striped LRU
-// as base traces (hot decoded forms demote first, whole entries evict
+// at most once per variant tag and cached in the same LRU as base
+// traces (hot decoded forms demote first, whole entries evict
 // last; an evicted derived trace is rebuilt from its base on the next
 // request). build receives the base trace and returns the derived
 // packed and decoded forms plus opaque metadata the store hands back
@@ -370,12 +319,12 @@ func (s *Store) getOrBuild(key Key, build func() (*trace.Packed, []trace.Access,
 
 // getOrBuildMeta is the store's single lookup/build path: join (or
 // start) the singleflight entry for key, run build outside any lock on
-// a miss, and commit the result into the key's shard. A hit returns
-// the forms the arena holds now: the packed stream, plus the records
-// unless they were demoted. The call that ran build returns the
-// records build made even when the commit demoted them at once, so a
-// trace bigger than its shard's budget is still replayed without
-// decoding by the cell that generated it. derived, when non-nil, is
+// a miss, and commit the result. A hit returns the forms the arena
+// holds now: the packed stream, plus the records unless they were
+// demoted. The call that ran build returns what build made even when
+// the commit demoted or evicted it at once, so a trace bigger than the
+// budget is still replayed without decoding by the cell that generated
+// it. derived, when non-nil, is
 // bumped alongside the generated counter on successful builds.
 func (s *Store) getOrBuildMeta(key Key, build func() (*trace.Packed, []trace.Access, any, error),
 	derived *atomic.Uint64) (Trace, any, error) {
@@ -389,11 +338,11 @@ func (s *Store) getOrBuildMeta(key Key, build func() (*trace.Packed, []trace.Acc
 		}
 		// packed, err and meta are immutable once ready closes, but
 		// decoded can be demoted at any time — re-read it under the
-		// shard lock. The entry may have been evicted (or even replaced)
+		// cache's lock. The entry may have been evicted (or even replaced)
 		// since the lookup; its packed form stays valid regardless, and
 		// a demoted or evicted entry simply replays packed.
 		var recs []trace.Access
-		s.cache.WithShardLock(key, func() { recs = e.decoded })
+		s.cache.WithLock(func() { recs = e.decoded })
 		return Trace{Packed: e.packed, Records: recs}, e.meta, nil
 	}
 
@@ -412,11 +361,11 @@ func (s *Store) getOrBuildMeta(key Key, build func() (*trace.Packed, []trace.Acc
 	if derived != nil {
 		derived.Add(1)
 	}
-	// Commit charges the entry and may demote it on the spot (its shard
-	// budget can be smaller than the hot form). This call still holds
-	// the records build just made, so its caller replays them either
-	// way: a demotion only drops the arena's reference, and later hits
-	// see what the arena kept.
+	// Commit charges the entry and may demote or evict it on the spot
+	// (the budget can be smaller than the entry). This call still holds
+	// what build just made, so its caller replays it either way: a
+	// demotion or eviction only drops the arena's reference, and later
+	// hits see what the arena kept.
 	s.cache.Commit(key, e.sizeBytes())
 	close(e.ready)
 	return Trace{Packed: packed, Records: recs}, meta, nil

@@ -168,10 +168,10 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 }
 
 // TestGetTraceTiers: an unlimited budget keeps the hot decoded form
-// alongside the packed streams; a starved budget demotes entries to
-// packed-only while they stay resident and replayable. The call that
-// generated a demoted trace still gets its own records back; only
-// later hits are packed-only.
+// alongside the packed streams; a budget that fits only the packed
+// form demotes entries to packed-only while they stay resident and
+// replayable. The call that generated a demoted trace still gets its
+// own records back; only later hits are packed-only.
 func TestGetTraceTiers(t *testing.T) {
 	prof := testProfile("app")
 	const n = 5000
@@ -195,7 +195,7 @@ func TestGetTraceTiers(t *testing.T) {
 		}
 	}
 
-	s = New(1)
+	s = New(tr.Packed.SizeBytes())
 	tr, err = s.GetTrace(prof, 1, n)
 	if err != nil {
 		t.Fatal(err)
@@ -236,9 +236,8 @@ func TestGetTraceTiers(t *testing.T) {
 	}
 }
 
-// TestLRUEviction pins the eviction order within one stripe (a
-// single-shard store is exactly the global-lock LRU the striped store
-// replaces); TestShardedStatsConsistency covers the striped budget.
+// TestLRUEviction pins the eviction order: the least recently used
+// trace goes first.
 func TestLRUEviction(t *testing.T) {
 	prof := testProfile("app")
 	s := New(0)
@@ -249,7 +248,7 @@ func TestLRUEviction(t *testing.T) {
 	per := one.Packed.SizeBytes()
 
 	// Budget fits two traces but not three.
-	s = NewSharded(2*per+per/2, 1)
+	s = New(2*per + per/2)
 	for seed := uint64(1); seed <= 3; seed++ {
 		if _, err := s.GetTrace(prof, seed, 10_000); err != nil {
 			t.Fatal(err)
@@ -273,7 +272,9 @@ func TestLRUEviction(t *testing.T) {
 }
 
 // TestOversizedTraceSurvives: a single trace larger than the budget is
-// still returned and retained (the caller is about to replay it).
+// still returned whole to the call that generated it (the caller is
+// about to replay it), but the budget binds: nothing stays resident
+// over it.
 func TestOversizedTraceSurvives(t *testing.T) {
 	prof := testProfile("app")
 	s := New(1) // 1 byte budget
@@ -281,11 +282,11 @@ func TestOversizedTraceSurvives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Packed.Len() != 5000 {
-		t.Fatalf("oversized trace truncated: %d records", tr.Packed.Len())
+	if tr.Packed.Len() != 5000 || len(tr.Records) != 5000 {
+		t.Fatalf("oversized trace truncated: %d packed, %d decoded records", tr.Packed.Len(), len(tr.Records))
 	}
-	if st := s.Stats(); st.Entries != 1 {
-		t.Fatalf("oversized trace not retained: %+v", st)
+	if st := s.Stats(); st.Entries != 0 || st.BytesInUse != 0 || st.Evictions != 1 {
+		t.Fatalf("oversized trace stayed resident over a 1-byte budget: %+v", st)
 	}
 }
 
@@ -499,11 +500,10 @@ func TestDerive(t *testing.T) {
 var errBuild = errors.New("build failed")
 
 // TestShardedStatsConsistency is the -race snapshot check for the
-// striped arena: concurrent warm hits, cold generations and derive
-// builds across many keys, with Stats() scraped throughout. Every
-// snapshot keeps its invariants (bytes within budget, counters
-// monotone, skew coherent) and the quiescent totals reconcile:
-// hits + misses == lookups issued.
+// arena: concurrent warm hits, cold generations and derive builds
+// across many keys, with Stats() scraped throughout. Every snapshot
+// keeps its invariants (bytes within budget, counters monotone) and
+// the quiescent totals reconcile: hits + misses == lookups issued.
 func TestShardedStatsConsistency(t *testing.T) {
 	prof := testProfile("app")
 	const (
@@ -520,7 +520,7 @@ func TestShardedStatsConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := 6 * tr.Packed.SizeBytes()
-	s := NewSharded(budget, 4)
+	s := New(budget)
 
 	stop := make(chan struct{})
 	var scrapeWG sync.WaitGroup
@@ -540,11 +540,8 @@ func TestShardedStatsConsistency(t *testing.T) {
 				st.Generated < last.Generated {
 				t.Errorf("counter went backwards: %+v then %+v", last, st)
 			}
-			if st.MaxShardEntries < st.MinShardEntries {
-				t.Errorf("snapshot skew inverted: %+v", st)
-			}
-			if st.BytesInUse < 0 {
-				t.Errorf("negative BytesInUse: %+v", st)
+			if st.BytesInUse < 0 || st.BytesInUse > budget {
+				t.Errorf("snapshot BytesInUse %d outside [0, budget %d]: %+v", st.BytesInUse, budget, st)
 			}
 			last = st
 		}

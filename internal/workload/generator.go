@@ -186,7 +186,7 @@ func NewGenerator(prof Profile, seed uint64, phaseLen uint64) (*Generator, error
 		zipf:       NewZipf(userBlocks, prof.UserZipf),
 		dataBase:   UserBase,
 		codeBase:   UserCodeBase,
-		codeBlocks: maxInt(1, int(prof.UserCodeSet/BlockBytes)),
+		codeBlocks: max(1, int(prof.UserCodeSet/BlockBytes)),
 		streamBase: UserBase + prof.UserWorkingSet*4,
 		pc:         UserCodeBase,
 	}
@@ -194,18 +194,11 @@ func NewGenerator(prof Profile, seed uint64, phaseLen uint64) (*Generator, error
 		zipf:       NewZipf(kernelBlocks, prof.KernelZipf),
 		dataBase:   KernelBase,
 		codeBase:   KernelCodeBase,
-		codeBlocks: maxInt(1, int(prof.KernelCodeSet/BlockBytes)),
+		codeBlocks: max(1, int(prof.KernelCodeSet/BlockBytes)),
 		streamBase: KernelBase + prof.KernelWorkingSet*4,
 		pc:         KernelCodeBase,
 	}
 	return g, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // phaseSpan is the countdown to the next phase boundary: one phase's
