@@ -19,9 +19,11 @@ test:
 # experiment that builds its own machine — E3, E4, E9, E10, E11, E20 —
 # must fail with the violated invariant), the sampling validation
 # gate (1/8 set sampling within 2% on every standard machine), the
-# uncached exact-replay gates (the frame kernel's L1 counters must
-# equal a standalone LRU cache's at every L1 associativity from 1 to 32
-# ways; under every replacement policy the cache's tags and seqs arrays
+# uncached exact-replay gates (the front stage's output — every
+# frame's events, busy cycles and L1 meter counts — must equal a
+# reference front built on standalone LRU caches at every L1
+# associativity from 1 to 32 ways, prefetcher off and on; under every
+# replacement policy the cache's tags and seqs arrays
 # must agree on which slots are valid, and every powered valid line's
 # rebuilt block address must probe back to its own slot, the address
 # space's top block included; a replay split into RunFrom pieces must
@@ -69,7 +71,7 @@ bench:
 # profiling notes and DESIGN.md's kernel-floor analysis reference.
 profile-replay:
 	@mkdir -p results
-	$(GO) test -run '^$$' -bench BenchmarkPackedReplay -benchtime 2s \
+	$(GO) test -run '^$$' -bench BenchmarkReplay -benchtime 2s \
 		-cpuprofile results/replay.prof -o results/replay.test .
 	$(GO) tool pprof -top -nodecount 20 results/replay.test results/replay.prof \
 		| tee results/replay_pprof_top.txt

@@ -228,10 +228,10 @@ func run(args []string, out, errOut io.Writer) error {
 }
 
 // loadSpec reads and strictly decodes the spec file with the daemon's
-// decoder: unknown fields and trailing data after the JSON object (a
-// concatenated second spec, an editing accident) are rejected, since
-// silently ignoring them would run a different sweep than the file
-// describes.
+// decoder: unknown fields, repeated keys and trailing data after the
+// JSON object (a concatenated second spec, an editing accident) are
+// rejected, since silently ignoring them would run a different sweep
+// than the file describes.
 func loadSpec(path string) (jobs.Spec, error) {
 	f, err := os.Open(path)
 	if err != nil {

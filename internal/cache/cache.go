@@ -1,6 +1,7 @@
 // Package cache implements the set-associative cache model underlying
-// every L1 and L2 organization in the simulator. It supports the
-// features the paper's designs need on top of a textbook cache:
+// every L2 organization in the simulator, its sizing search and its
+// partition monitors. It supports the features the paper's designs need
+// on top of a textbook cache:
 //
 //   - per-domain way masks, so a single array can be way-partitioned
 //     between user and kernel blocks (dynamic partitioning);
@@ -18,9 +19,7 @@
 // cycles); the cache never advances time itself. It reaches nothing but
 // the lines' time stamps and what reads them: the lifetime and
 // write-interval histograms, and the STT-RAM wrappers' retention and
-// refresh decisions. So a cache no wrapper reads the stamps of — every
-// L1 — may run on any monotone clock; the simulator's L1s run on their
-// front stage's own clock, which counts busy cycles only (see mem.Front).
+// refresh decisions.
 package cache
 
 import (
@@ -223,10 +222,7 @@ type Cache struct {
 	// slot is valid exactly when its tag is not invalidTag, and a tag
 	// match is a hit. The array is dense, so a whole set's tags share
 	// one host cache line and the per-way scan in Lookup/Probe never
-	// touches the line structs. It carries frameTagsPad permanent
-	// invalidTag entries past the last set so the frame kernel can load
-	// a fixed-width window from any row without a bounds branch (see
-	// frame.go).
+	// touches the line structs.
 	tags []uint64
 	// seqs holds slot i's LRU last-use sequence (FIFO: fill sequence),
 	// or 0 when the slot is empty — a valid slot's sequence is always
@@ -283,7 +279,7 @@ func New(cfg Config) (*Cache, error) {
 		tagShift:   uint(bits.Len64(uint64(sets - 1))),
 		indexMask:  uint64(sets - 1),
 		lines:      make([]line, sets*cfg.Ways),
-		tags:       make([]uint64, sets*cfg.Ways+frameTagsPad),
+		tags:       make([]uint64, sets*cfg.Ways),
 		seqs:       make([]uint64, sets*cfg.Ways),
 		policy:     cfg.Policy,
 	}
@@ -317,11 +313,6 @@ func allWays(n int) uint64 {
 
 // Stats exposes the counters; callers must treat it as read-only.
 func (c *Cache) Stats() *Stats { return &c.stats }
-
-// BlockAddr returns addr rounded down to its block base.
-func (c *Cache) BlockAddr(addr uint64) uint64 {
-	return addr &^ (uint64(c.cfg.BlockBytes) - 1)
-}
 
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	b := addr >> c.blockShift

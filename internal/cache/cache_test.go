@@ -441,13 +441,6 @@ func TestOccupancyByDomain(t *testing.T) {
 	}
 }
 
-func TestBlockAddr(t *testing.T) {
-	c := mustNew(t, smallCfg())
-	if got := c.BlockAddr(0x1234); got != 0x1200 {
-		t.Fatalf("BlockAddr(0x1234) = %#x, want 0x1200", got)
-	}
-}
-
 // Property: a cache never reports more hits than accesses, and
 // hits+misses == accesses, under arbitrary access streams.
 func TestAccountingInvariant(t *testing.T) {

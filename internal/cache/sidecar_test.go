@@ -17,9 +17,6 @@ import (
 //
 //	tags[i] == invalidTag  ⇔  seqs[i] == 0
 //	a powered valid line's BlockAddrAt probes back to its own (set, way)
-//
-// plus: the frameTagsPad sentinel entries past the last set are
-// invalidTag forever (the frame kernel's fixed-width scan reads them).
 
 // checkSlotState asserts the slot-state invariants over the whole array.
 func checkSlotState(t *testing.T, c *Cache, when string) {
@@ -27,11 +24,6 @@ func checkSlotState(t *testing.T, c *Cache, when string) {
 	for i := range c.lines {
 		if (c.tags[i] == invalidTag) != (c.seqs[i] == 0) {
 			t.Fatalf("%s: slot %d: tags = %#x, seqs = %d disagree on validity", when, i, c.tags[i], c.seqs[i])
-		}
-	}
-	for i := len(c.lines); i < len(c.tags); i++ {
-		if c.tags[i] != invalidTag {
-			t.Fatalf("%s: sentinel tags[%d] = %#x, want invalidTag", when, i, c.tags[i])
 		}
 	}
 	for set := 0; set < c.sets; set++ {

@@ -15,6 +15,7 @@ import (
 	"mobilecache/internal/core"
 	"mobilecache/internal/energy"
 	"mobilecache/internal/mem"
+	"mobilecache/internal/strictjson"
 	"mobilecache/internal/sttram"
 )
 
@@ -297,13 +298,8 @@ func (m Machine) DRAMConfig() mem.DRAMConfig {
 // Load reads and validates a machine description from JSON.
 func Load(r io.Reader) (Machine, error) {
 	var m Machine
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&m); err != nil {
-		return Machine{}, fmt.Errorf("config: decoding: %w", err)
-	}
-	if tok, err := dec.Token(); err != io.EOF {
-		return Machine{}, fmt.Errorf("config: trailing data after the machine object (next token %v, err %v)", tok, err)
+	if err := strictjson.Decode(r, &m, "machine object"); err != nil {
+		return Machine{}, fmt.Errorf("config: %w", err)
 	}
 	if err := m.Validate(); err != nil {
 		return Machine{}, err

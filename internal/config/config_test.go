@@ -407,3 +407,19 @@ func TestLoadRejectsTrailingData(t *testing.T) {
 		t.Fatalf("machine with trailing whitespace rejected: %v", err)
 	}
 }
+
+// Load rejects a key repeated inside a nested object and names its
+// path: encoding/json alone keeps the last value.
+func TestLoadRejectsRepeatedKey(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Default().Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	doc := strings.Replace(buf.String(), `"l1d": {`, `"l1d": {"ways": 8,`, 1)
+	if doc == buf.String() {
+		t.Fatal("saved machine has no l1d object")
+	}
+	if _, err := Load(strings.NewReader(doc)); err == nil || !strings.Contains(err.Error(), `repeated key "l1d.ways"`) {
+		t.Fatalf("machine with l1d.ways given twice: err = %v, want a repeated-key error", err)
+	}
+}

@@ -21,7 +21,6 @@ const DefaultMemoCapacity = 1024
 // profile, seed and run lengths). It is one LRU behind one mutex
 // (internal/lru), keeping the capacity most recently used reports.
 type memo struct {
-	cap   int
 	cache *lru.Cache[checkpoint.Key, sim.RunReport]
 }
 
@@ -43,10 +42,7 @@ type MemoStats struct {
 // newMemo builds a memo of capacity > 0 entries; the engine's holds
 // DefaultMemoCapacity.
 func newMemo(capacity int) *memo {
-	return &memo{
-		cap:   capacity,
-		cache: lru.New(lru.Config[checkpoint.Key, sim.RunReport]{Budget: int64(capacity)}),
-	}
+	return &memo{cache: lru.New(lru.Config[checkpoint.Key, sim.RunReport]{Budget: int64(capacity)})}
 }
 
 // get returns the memoized report for key, refreshing its recency.

@@ -2,11 +2,13 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
+	"mobilecache/internal/checkpoint"
 	"mobilecache/internal/sample"
 	"mobilecache/internal/sim"
 	"mobilecache/internal/workload"
@@ -121,10 +123,18 @@ func TestMemoLRUTouchOnGet(t *testing.T) {
 }
 
 // TestMemoDefaultCapacity: every engine's memo holds
-// DefaultMemoCapacity entries.
+// DefaultMemoCapacity entries: given one more distinct key, it keeps
+// that many and evicts one.
 func TestMemoDefaultCapacity(t *testing.T) {
-	if m := New(Config{}).memo; m.cap != DefaultMemoCapacity {
-		t.Fatalf("engine memo cap = %d, want %d", m.cap, DefaultMemoCapacity)
+	m := New(Config{}).memo
+	for i := 0; i <= DefaultMemoCapacity; i++ {
+		var k checkpoint.Key
+		binary.LittleEndian.PutUint64(k[:], uint64(i))
+		m.add(k, sim.RunReport{})
+	}
+	if st := m.stats(); st.Entries != DefaultMemoCapacity || st.Evictions != 1 {
+		t.Fatalf("after %d distinct adds: %d entries, %d evictions; want %d and 1",
+			DefaultMemoCapacity+1, st.Entries, st.Evictions, DefaultMemoCapacity)
 	}
 }
 

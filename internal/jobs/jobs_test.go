@@ -491,3 +491,12 @@ func TestFailureEventsCarryPlanIndex(t *testing.T) {
 		}
 	}
 }
+
+// DecodeSpec rejects a repeated key and names it: encoding/json alone
+// keeps the last value, so this spec would run 30000 accesses per cell.
+func TestDecodeSpecRejectsRepeatedKey(t *testing.T) {
+	doc := `{"machines": ["baseline-sram"], "apps": ["browser"], "seeds": [1], "accesses": 20000, "accesses": 30000}`
+	if _, err := DecodeSpec(strings.NewReader(doc)); err == nil || !strings.Contains(err.Error(), `repeated key "accesses"`) {
+		t.Fatalf("spec with accesses given twice: err = %v, want a repeated-key error", err)
+	}
+}

@@ -1,12 +1,12 @@
 package jobs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
 	"mobilecache/internal/engine"
 	"mobilecache/internal/sample"
+	"mobilecache/internal/strictjson"
 	"mobilecache/internal/workload"
 )
 
@@ -90,19 +90,14 @@ func (s Spec) Plan() (engine.Plan, error) {
 	return p, nil
 }
 
-// DecodeSpec strictly decodes one spec from r: unknown fields and
-// trailing data are submission errors, exactly as mcsweep treats its
-// spec files — a daemon must not run a different sweep than the client
-// thinks it posted.
+// DecodeSpec strictly decodes one spec from r: unknown fields, repeated
+// keys and trailing data are submission errors, exactly as mcsweep
+// treats its spec files — a daemon must not run a different sweep than
+// the client thinks it posted.
 func DecodeSpec(r io.Reader) (Spec, error) {
 	var s Spec
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return Spec{}, fmt.Errorf("jobs: decoding spec: %w", err)
-	}
-	if tok, err := dec.Token(); err != io.EOF {
-		return Spec{}, fmt.Errorf("jobs: trailing data after the spec object (next token %v, err %v)", tok, err)
+	if err := strictjson.Decode(r, &s, "spec object"); err != nil {
+		return Spec{}, fmt.Errorf("jobs: %w", err)
 	}
 	return s, s.Validate()
 }

@@ -3,7 +3,6 @@ package mem
 import (
 	"math/bits"
 
-	"mobilecache/internal/cache"
 	"mobilecache/internal/trace"
 )
 
@@ -25,34 +24,31 @@ import (
 // because nothing the back stage does reaches the front: the miss
 // path only sends demand fills, dirty victims and prefetches down (no
 // back-invalidation, no inclusion), every L1 is LRU with every way
-// powered and picks victims by its sequence counter, and the L1s run
-// on their own clock (Front.now), whose stamps feed only their
-// lifetime and write-interval histograms. So a front stage's output is
-// a function of the trace, the L1 geometry, the prefetcher, the sample
-// filter and the frame cuts alone, and sim.Run stores it once per
-// trace for every machine that shares those (see FrontOutput).
+// powered and picks victims by its sequence counter, and the L1s take
+// no clock. So a front stage's output is a function of the trace, the
+// L1 geometry, the prefetcher, the sample filter and the frame cuts
+// alone, and sim.Run stores it once per trace for every machine that
+// shares those (see FrontOutput).
 //
 // The front's hit path, per record:
 //
 //	hit path   branch-minimized scan of the target L1's tags row in
 //	           four-wide windows (one window on a <=4-way L1); the
-//	           lowest match bit is the hit way, and the specialized LRU
-//	           touch follows. No Lookup call, no Result struct, no stats
-//	           writes — access/hit tallies and meter counts accumulate
-//	           in frame locals and flush once at the frame boundary.
+//	           lowest match bit is the hit way. A hit bumps the L1's
+//	           sequence into the slot, and a write hit sets its dirty
+//	           bit. Access/hit tallies and meter counts accumulate in
+//	           frame locals and flush once at the frame boundary.
 //	miss path  Front.miss, inline and in order. Misses cannot be
 //	           deferred to the frame boundary: a fill changes the set
 //	           the very next record may index, so eviction, writeback
 //	           and interference semantics stay exact only if the miss
 //	           runs at its trace position.
 //
-// The hit path is specialized to what every L1 is by construction
-// (NewL1 is the only L1 constructor): LRU replacement with every way
-// powered, at any associativity the cache accepts. Deferring the
-// tallies is safe because nothing observes L1 stats or meter counts
-// mid-frame: the CPU only calls Advance (leakage integration, which
-// reads time, not counts) at frame boundaries, and every reporting
-// path runs after Run returns.
+// The kernel serves any associativity cache.Config.Validate accepts.
+// Deferring the tallies is safe because nothing observes L1 stats or
+// meter counts mid-frame: the CPU only calls Advance (leakage
+// integration, which reads time, not counts) at frame boundaries, and
+// every reporting path runs after Run returns.
 
 // FramePre is the precomputed per-record lookup context; the concrete
 // type lives in trace so the packed-trace decoder can emit it
@@ -116,18 +112,20 @@ type FrontFrame struct {
 // FrameGeom exports both L1 geometries for the trace-side precompute,
 // indexed by trace.KindData / trace.KindIfetch.
 func (f *Front) FrameGeom() trace.FrameGeom {
-	return trace.FrameGeom{
-		trace.KindData:   f.L1D.c.Geometry(),
-		trace.KindIfetch: f.L1I.c.Geometry(),
-	}
+	return trace.FrameGeom{trace.KindData: f.L1D.geom, trace.KindIfetch: f.L1I.geom}
 }
+
+// scanWays is the width of one window of the hit scan; a row wider
+// than this is scanned in consecutive windows.
+const scanWays = 4
 
 // frameL1 is one L1's hoisted state plus its frame-local tallies.
 type frameL1 struct {
-	l1   *L1
-	c    *cache.Cache
-	tags []uint64
-	ways int
+	l1    *L1
+	tags  []uint64
+	seqs  []uint64
+	flags []uint8
+	ways  int
 	// wayMask has one bit per real way of a tag row. Shifted down to a
 	// window's first way it keeps only that window's real ways: the
 	// last window of a row whose associativity is not a multiple of
@@ -143,9 +141,8 @@ type frameL1 struct {
 
 func (s *frameL1) init(l1 *L1) {
 	s.l1 = l1
-	s.c = l1.c
-	s.tags = l1.c.FrameTags()
-	s.ways = l1.c.Ways()
+	s.tags, s.seqs, s.flags = l1.tags, l1.seqs, l1.flags
+	s.ways = l1.cfg.Ways
 	s.wayMask = uint(1)<<s.ways - 1
 }
 
@@ -158,7 +155,7 @@ func (s *frameL1) init(l1 *L1) {
 // per differing tag and ^0xf flips it to the matches. The caller masks
 // the bits past the row's real ways: the window may overlap the next
 // set's row, or the tags array's sentinel padding.
-func window(tg *[cache.FrameScanWays]uint64, tag uint64) uint {
+func window(tg *[scanWays]uint64, tag uint64) uint {
 	v0 := tg[0] ^ tag
 	v1 := tg[1] ^ tag
 	v2 := tg[2] ^ tag
@@ -168,8 +165,8 @@ func window(tg *[cache.FrameScanWays]uint64, tag uint64) uint {
 
 // tagsAt returns the four tags starting at tags[i]; the tags array's
 // padding keeps any window of any row in bounds.
-func (s *frameL1) tagsAt(i int) *[cache.FrameScanWays]uint64 {
-	return (*[cache.FrameScanWays]uint64)(s.tags[i:])
+func (s *frameL1) tagsAt(i int) *[scanWays]uint64 {
+	return (*[scanWays]uint64)(s.tags[i:])
 }
 
 // findRest scans the windows after the first of a row wider than one
@@ -177,7 +174,7 @@ func (s *frameL1) tagsAt(i int) *[cache.FrameScanWays]uint64 {
 // It is kept out of Frame's loop so the <=4-way rows every standard
 // machine uses pay nothing for it.
 func (s *frameL1) findRest(base int, tag uint64) int {
-	for off := cache.FrameScanWays; off < s.ways; off += cache.FrameScanWays {
+	for off := scanWays; off < s.ways; off += scanWays {
 		if m := window(s.tagsAt(base+off), tag) & (s.wayMask >> uint(off)); m != 0 {
 			return off + bits.TrailingZeros(m)
 		}
@@ -197,11 +194,9 @@ func (f *Front) Frame(pre []FramePre, out *FrontFrame) {
 	var l1s [2]frameL1
 	l1s[trace.KindData].init(f.L1D)
 	l1s[trace.KindIfetch].init(f.L1I)
-	now := f.now
 	var busy uint64 // since the last demand fill
 	for k := range pre {
 		p := &pre[k]
-		now += p.Busy
 		busy += p.Busy
 		s := &l1s[p.Kind]
 		base := int(p.Set) * s.ways
@@ -215,30 +210,36 @@ func (f *Front) Frame(pre []FramePre, out *FrontFrame) {
 		way := -1
 		if m := window(s.tagsAt(base), p.Tag) & s.wayMask; m != 0 {
 			way = bits.TrailingZeros(m)
-		} else if s.ways > cache.FrameScanWays {
+		} else if s.ways > scanWays {
 			way = s.findRest(base, p.Tag)
 		}
 		if way >= 0 {
+			i := base + way
 			s.hits[dom]++
+			s.l1.seq++
+			s.seqs[i] = s.l1.seq
 			if p.Write {
-				s.c.TouchWriteHitLRU(base+way, dom, now)
+				s.flags[i] |= l1Dirty
 				s.writes++
 			} else {
-				s.c.TouchReadHitLRU(base+way, now)
 				s.reads++
 			}
 			continue
 		}
 		// Misses leave the loop and run the miss continuation at their
 		// exact trace position.
-		f.miss(s, p, now, busy, out)
+		f.miss(s, p, busy, out)
 		busy = 0
 	}
-	f.now = now
 	out.Busy = out.BusyByDomain[trace.User] + out.BusyByDomain[trace.Kernel]
 	for kind := range l1s {
 		s := &l1s[kind]
-		s.c.AddFrameCounts(&s.acc, &s.hits)
+		st := &s.l1.stats
+		for d := range s.acc {
+			st.Accesses[d] += s.acc[d]
+			st.Hits[d] += s.hits[d]
+			st.Misses[d] += s.acc[d] - s.hits[d]
+		}
 		out.L1Reads[kind], out.L1Writes[kind] = s.reads, s.writes
 	}
 }
@@ -247,18 +248,17 @@ func (f *Front) Frame(pre []FramePre, out *FrontFrame) {
 // fill's event, the L1 fill and its dirty victim's writeback, and the
 // optional next-line prefetch with its own fill and victim. The L2
 // sees each event at the record's cycle, in this order.
-func (f *Front) miss(s *frameL1, p *FramePre, now, busy uint64, out *FrontFrame) {
+func (f *Front) miss(s *frameL1, p *FramePre, busy uint64, out *FrontFrame) {
 	l1 := s.l1
 	s.reads++ // tag probe
-	blockAddr := l1.c.BlockAddr(p.Addr)
+	blockAddr := p.Addr &^ (uint64(l1.cfg.BlockBytes) - 1)
 	out.Events = append(out.Events, Event{Busy: busy, Addr: blockAddr, Dom: p.Dom, Kind: Demand})
 
 	// Fill the L1; a dirty victim goes down into the L2 as a write.
-	res := l1.c.Fill(p.Addr, p.Write, p.Dom, now)
 	s.writes++
-	if res.Evicted && res.EvictedDirty {
+	if victim, vdom, dirty := l1.fill(p.Set, p.Tag, p.Write, p.Dom); dirty {
 		s.reads++ // victim readout
-		out.Events = append(out.Events, Event{Addr: res.EvictedAddr, Dom: res.EvictedDomain, Kind: Writeback})
+		out.Events = append(out.Events, Event{Addr: victim, Dom: vdom, Kind: Writeback})
 	}
 
 	// Next-line prefetch: bring block+1 into the L1 off the critical
@@ -270,16 +270,17 @@ func (f *Front) miss(s *frameL1, p *FramePre, now, busy uint64, out *FrontFrame)
 	if f.SampleFilter != nil && !f.SampleFilter(next) {
 		return
 	}
-	if _, _, hit := l1.c.Probe(next); hit {
+	b := next >> l1.geom.BlockShift
+	set, tag := int32(b&l1.geom.IndexMask), b>>l1.geom.TagShift
+	if base := int(set) * s.ways; window(s.tagsAt(base), tag)&s.wayMask != 0 || s.findRest(base, tag) >= 0 {
 		return
 	}
 	s.reads++
 	out.Events = append(out.Events, Event{Addr: next, Dom: p.Dom, Kind: Prefetch})
-	pres := l1.c.Fill(next, false, p.Dom, now)
 	s.writes++
-	if pres.Evicted && pres.EvictedDirty {
+	if victim, vdom, dirty := l1.fill(set, tag, false, p.Dom); dirty {
 		s.reads++
-		out.Events = append(out.Events, Event{Addr: pres.EvictedAddr, Dom: pres.EvictedDomain, Kind: Writeback})
+		out.Events = append(out.Events, Event{Addr: victim, Dom: vdom, Kind: Writeback})
 	}
 }
 

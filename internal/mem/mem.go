@@ -11,10 +11,12 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mobilecache/internal/cache"
 	"mobilecache/internal/core"
 	"mobilecache/internal/energy"
+	"mobilecache/internal/trace"
 )
 
 // RowPolicy selects the DRAM timing model.
@@ -162,29 +164,96 @@ func DefaultL1D() L1Config {
 	return L1Config{Name: "L1D", SizeBytes: 32 * 1024, Ways: 4, BlockBytes: 64}
 }
 
-// L1 is a first-level cache: SRAM, write-back, write-allocate.
+// L1 is a first-level cache: SRAM, write-back, write-allocate, and LRU
+// with every way powered. It is a tag array the front stage scans and
+// fills directly (see frame.go), and it keeps no time stamps: no
+// report reads an L1 line's age, so the L1s take no clock.
 type L1 struct {
-	cfg   L1Config
-	c     *cache.Cache
+	cfg  L1Config
+	geom trace.SetTagGeom
+	// tags holds slot i's tag, or invalidTag when the slot is empty. It
+	// runs scanWays invalidTag entries past the last set, so the hit
+	// scan's fixed-width window never leaves the array; nothing writes
+	// them.
+	tags []uint64
+	// seqs holds slot i's LRU sequence, or 0 when the slot is empty. The
+	// counter pre-increments, so a filled slot's sequence is positive
+	// and an empty slot wins the victim scan.
+	seqs []uint64
+	// flags holds slot i's fill domain (bit 0) and its dirty bit
+	// (l1Dirty); an empty slot's is 0.
+	flags []uint8
+	seq   uint64
+	// stats holds the per-domain accesses, hits and misses, flushed
+	// once per frame; the L1 keeps no other counter.
+	stats cache.Stats
 	meter *energy.Meter
 }
 
-// NewL1 builds an L1 from cfg.
+// l1Dirty is the dirty bit of an L1 slot's flags.
+const l1Dirty = 2
+
+// invalidTag marks an empty L1 slot. No genuine tag equals it: a tag is
+// the address shifted right past the block offset and set index, and
+// cache.Config.Validate rejects the one geometry with neither (1-byte
+// blocks in a single set).
+const invalidTag = ^uint64(0)
+
+// NewL1 builds an empty L1 from cfg.
 func NewL1(cfg L1Config) (*L1, error) {
-	c, err := cache.New(cache.Config{
-		Name: cfg.Name, SizeBytes: cfg.SizeBytes, Ways: cfg.Ways,
-		BlockBytes: cfg.BlockBytes, Policy: cache.LRU,
-	})
-	if err != nil {
+	cc := cache.Config{Name: cfg.Name, SizeBytes: cfg.SizeBytes, Ways: cfg.Ways, BlockBytes: cfg.BlockBytes}
+	if err := cc.Validate(); err != nil {
 		return nil, err
 	}
-	// L1s are always SRAM; leakage scales with their (small) size.
-	meter := energy.NewMeter(energy.DefaultParams(energy.SRAM), cfg.SizeBytes)
-	return &L1{cfg: cfg, c: c, meter: meter}, nil
+	sets := cc.Sets()
+	l := &L1{
+		cfg: cfg,
+		geom: trace.SetTagGeom{
+			BlockShift: uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
+			IndexMask:  uint64(sets - 1),
+			TagShift:   uint(bits.Len64(uint64(sets - 1))),
+		},
+		tags:  make([]uint64, sets*cfg.Ways+scanWays),
+		seqs:  make([]uint64, sets*cfg.Ways),
+		flags: make([]uint8, sets*cfg.Ways),
+		// L1s are always SRAM; leakage scales with their (small) size.
+		meter: energy.NewMeter(energy.DefaultParams(energy.SRAM), cfg.SizeBytes),
+	}
+	for i := range l.tags {
+		l.tags[i] = invalidTag
+	}
+	return l, nil
 }
 
-// Stats exposes the underlying cache counters.
-func (l *L1) Stats() *cache.Stats { return l.c.Stats() }
+// fill puts the block (set, tag) into the set's least recently used
+// slot, an empty one first, for domain dom. When the victim is dirty it
+// returns the victim's block address, rebuilt from its set and tag, and
+// its fill domain.
+func (l *L1) fill(set int32, tag uint64, write bool, dom trace.Domain) (victim uint64, vdom trace.Domain, dirty bool) {
+	base := int(set) * l.cfg.Ways
+	seqs := l.seqs[base : base+l.cfg.Ways]
+	way := 0
+	for w := range seqs {
+		if seqs[w] < seqs[way] {
+			way = w
+		}
+	}
+	i := base + way
+	if fl := l.flags[i]; fl&l1Dirty != 0 {
+		victim = (l.tags[i]<<l.geom.TagShift | uint64(set)) << l.geom.BlockShift
+		vdom, dirty = trace.Domain(fl&1), true
+	}
+	l.seq++
+	l.tags[i], l.seqs[i] = tag, l.seq
+	l.flags[i] = uint8(dom & 1)
+	if write {
+		l.flags[i] |= l1Dirty
+	}
+	return victim, vdom, dirty
+}
+
+// Stats reports the L1's per-domain accesses, hits and misses.
+func (l *L1) Stats() *cache.Stats { return &l.stats }
 
 // Energy reports the L1's energy breakdown.
 func (l *L1) Energy() energy.Breakdown { return l.meter.Breakdown() }
@@ -210,12 +279,6 @@ type Front struct {
 	// addresses. A func field rather than a selector type keeps mem
 	// free of a sample-package dependency.
 	SampleFilter func(blockAddr uint64) bool
-
-	// now is the L1s' clock: the busy cycles of every record the front
-	// has run. The L1s' time stamps feed only their lifetime and
-	// write-interval histograms, so they may run on any monotone clock;
-	// this one needs nothing from the back stage.
-	now uint64
 }
 
 // NewFront builds a front stage with cold L1s and the prefetcher off.

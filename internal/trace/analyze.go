@@ -1,5 +1,7 @@
 package trace
 
+import "math/bits"
+
 // Reuse-distance analysis: for each access, the number of *distinct*
 // blocks touched since the previous access to the same block (LRU
 // stack distance, block granularity). The distribution explains every
@@ -49,102 +51,45 @@ func (r ReuseStats) HitRateAt(capacityBlocks uint64) float64 {
 	return r.CDF(exp) * float64(reuses) / float64(r.Accesses)
 }
 
-// reuseTree is an order-statistics treap over last-access timestamps:
-// it supports "how many distinct blocks were touched more recently
-// than t" in O(log n).
-type reuseTree struct {
-	nodes []reuseNode
-	root  int32
-	rng   uint64
+// reuseTimes is a Fenwick tree over one domain's access times that
+// holds a 1 at each block's last-access time, so a reuse distance is
+// the count of live times after the block's previous one. Times start
+// at 1; the tree's span is a power of two and doubles when a time
+// outgrows it, which leaves every old entry's range unchanged: of the
+// new entries only the top one, which covers every time, is nonzero,
+// and it holds the live count.
+type reuseTimes struct {
+	tree []uint32 // tree[i-1] covers times (i&(i-1), i]
+	live uint32
 }
 
-type reuseNode struct {
-	key         uint64 // last-access timestamp
-	prio        uint64
-	left, right int32
-	size        int32
-}
-
-func newReuseTree() *reuseTree {
-	return &reuseTree{root: -1, rng: 0x9e3779b97f4a7c15}
-}
-
-func (t *reuseTree) nextPrio() uint64 {
-	x := t.rng
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	t.rng = x
-	return x * 0x2545f4914f6cdd1d
-}
-
-func (t *reuseTree) size(n int32) int32 {
-	if n < 0 {
-		return 0
+// add marks time t live. Times arrive in increasing order.
+func (f *reuseTimes) add(t uint64) {
+	for uint64(len(f.tree)) < t {
+		f.tree = append(f.tree, make([]uint32, max(len(f.tree), 1))...)
+		f.tree[len(f.tree)-1] = f.live
 	}
-	return t.nodes[n].size
-}
-
-func (t *reuseTree) update(n int32) {
-	t.nodes[n].size = 1 + t.size(t.nodes[n].left) + t.size(t.nodes[n].right)
-}
-
-// split partitions by key: left subtree keys < key, right >= key.
-func (t *reuseTree) split(n int32, key uint64) (int32, int32) {
-	if n < 0 {
-		return -1, -1
+	for i := t; i <= uint64(len(f.tree)); i += i & -i {
+		f.tree[i-1]++
 	}
-	if t.nodes[n].key < key {
-		l, r := t.split(t.nodes[n].right, key)
-		t.nodes[n].right = l
-		t.update(n)
-		return n, r
-	}
-	l, r := t.split(t.nodes[n].left, key)
-	t.nodes[n].left = r
-	t.update(n)
-	return l, n
+	f.live++
 }
 
-func (t *reuseTree) merge(a, b int32) int32 {
-	if a < 0 {
-		return b
+// remove clears live time t.
+func (f *reuseTimes) remove(t uint64) {
+	for i := t; i <= uint64(len(f.tree)); i += i & -i {
+		f.tree[i-1]--
 	}
-	if b < 0 {
-		return a
-	}
-	if t.nodes[a].prio > t.nodes[b].prio {
-		t.nodes[a].right = t.merge(t.nodes[a].right, b)
-		t.update(a)
-		return a
-	}
-	t.nodes[b].left = t.merge(a, t.nodes[b].left)
-	t.update(b)
-	return b
+	f.live--
 }
 
-// insert adds a timestamp (all timestamps are unique and increasing,
-// so the new node always lands at the right edge).
-func (t *reuseTree) insert(key uint64) {
-	t.nodes = append(t.nodes, reuseNode{key: key, prio: t.nextPrio(), left: -1, right: -1, size: 1})
-	n := int32(len(t.nodes) - 1)
-	l, r := t.split(t.root, key)
-	t.root = t.merge(t.merge(l, n), r)
-}
-
-// remove deletes the node with exactly this timestamp.
-func (t *reuseTree) remove(key uint64) {
-	l, r := t.split(t.root, key)
-	_, r2 := t.split(r, key+1)
-	t.root = t.merge(l, r2)
-}
-
-// countGreater reports how many stored timestamps exceed key.
-func (t *reuseTree) countGreater(key uint64) uint64 {
-	l, r := t.split(t.root, key+1)
-	n := uint64(t.size(r))
-	t.root = t.merge(l, r)
-	return n
+// after counts the live times later than t.
+func (f *reuseTimes) after(t uint64) uint64 {
+	var n uint32
+	for i := t; i > 0; i &= i - 1 {
+		n += f.tree[i-1]
+	}
+	return uint64(f.live - n)
 }
 
 // ReuseAnalyzer computes per-domain block-granularity reuse-distance
@@ -152,9 +97,8 @@ func (t *reuseTree) countGreater(key uint64) uint64 {
 type ReuseAnalyzer struct {
 	blockBytes uint64
 	last       [NumDomains]map[uint64]uint64
-	tree       [NumDomains]*reuseTree
+	times      [NumDomains]reuseTimes
 	stats      [NumDomains]ReuseStats
-	clock      uint64
 }
 
 // NewReuseAnalyzer builds an analyzer at the given block granularity
@@ -166,7 +110,6 @@ func NewReuseAnalyzer(blockBytes int) *ReuseAnalyzer {
 	ra := &ReuseAnalyzer{blockBytes: uint64(blockBytes)}
 	for d := 0; d < NumDomains; d++ {
 		ra.last[d] = make(map[uint64]uint64)
-		ra.tree[d] = newReuseTree()
 	}
 	return ra
 }
@@ -177,24 +120,21 @@ func (ra *ReuseAnalyzer) Observe(a Access) {
 	if !d.Valid() {
 		return
 	}
-	ra.clock++
 	block := a.Addr / ra.blockBytes
 	st := &ra.stats[d]
 	st.Accesses++
+	now := st.Accesses // the domain's access time
+	times := &ra.times[d]
 	if prev, seen := ra.last[d][block]; seen {
-		dist := ra.tree[d].countGreater(prev)
-		i := 0
-		for (uint64(1)<<uint(i+1)) <= dist+1 && i < len(st.Hist)-1 {
-			i++
-		}
-		st.Hist[i]++
-		ra.tree[d].remove(prev)
+		dist := times.after(prev)
+		st.Hist[min(bits.Len64(dist+1)-1, len(st.Hist)-1)]++
+		times.remove(prev)
 	} else {
 		st.ColdMisses++
 		st.DistinctBlocks++
 	}
-	ra.last[d][block] = ra.clock
-	ra.tree[d].insert(ra.clock)
+	ra.last[d][block] = now
+	times.add(now)
 }
 
 // Stats returns the accumulated distribution for one domain.

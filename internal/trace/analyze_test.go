@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -140,6 +141,51 @@ func TestReuseAnalyzerMatchesNaive(t *testing.T) {
 	}
 	if st.Hist != wantHist {
 		t.Fatalf("analyzer disagrees with naive:\n got %v\nwant %v", st.Hist[:8], wantHist[:8])
+	}
+}
+
+// TestReuseAnalyzerMatchesLRUStack is a property test against the
+// definition: per domain, an LRU stack of blocks, most recent first,
+// where a re-accessed block's depth is its reuse distance. Random
+// streams interleave both domains, reuse pools from 1 block to far
+// more blocks than accesses, and lengths that carry the analyzer's
+// time index across many doublings; every domain's whole ReuseStats
+// must match.
+func TestReuseAnalyzerMatchesLRUStack(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 400; trial++ {
+		n := rng.Intn(700)
+		pool := 1 + rng.Intn(300)
+		ra := NewReuseAnalyzer(64)
+		var stack [NumDomains][]uint64
+		var want [NumDomains]ReuseStats
+		for i := 0; i < n; i++ {
+			block := uint64(rng.Intn(pool))
+			d := Domain(rng.Intn(2))
+			ra.Observe(Access{Addr: block*64 + uint64(rng.Intn(64)), Op: Op(rng.Intn(3)), Domain: d})
+
+			w := &want[d]
+			w.Accesses++
+			depth := slices.Index(stack[d], block)
+			if depth < 0 {
+				w.ColdMisses++
+				w.DistinctBlocks++
+			} else {
+				// Bin i holds the distances whose d+1 is in [2^i, 2^(i+1)).
+				bin := 0
+				for 1<<(bin+1) <= depth+1 {
+					bin++
+				}
+				w.Hist[bin]++
+				stack[d] = slices.Delete(stack[d], depth, depth+1)
+			}
+			stack[d] = slices.Insert(stack[d], 0, block)
+		}
+		for d := Domain(0); d < NumDomains; d++ {
+			if got := ra.Stats(d); got != want[d] {
+				t.Fatalf("trial %d (%d accesses, pool %d), %v: got %+v, want %+v", trial, n, pool, d, got, want[d])
+			}
+		}
 	}
 }
 

@@ -99,7 +99,7 @@ func MultiAppSession(names []string, seed uint64, quantum, n int) (trace.Source,
 		}
 		phaseLen := uint64(0)
 		if prof.Phases > 1 && n > 0 {
-			phaseLen = uint64(n / len(names) / maxI(prof.Phases, 1))
+			phaseLen = uint64(n / len(names) / max(prof.Phases, 1))
 		}
 		gen, err := NewGenerator(prof, seed+uint64(i)*131, phaseLen)
 		if err != nil {
@@ -108,11 +108,4 @@ func MultiAppSession(names []string, seed uint64, quantum, n int) (trace.Source,
 		srcs = append(srcs, NewASIDSource(gen, uint64(i)+1))
 	}
 	return trace.NewLimitSource(NewInterleaveSource(quantum, srcs...), n), nil
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

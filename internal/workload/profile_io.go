@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"mobilecache/internal/strictjson"
 )
 
 // profileJSON is the serialized form of a Profile; field names are
@@ -78,13 +80,8 @@ func SaveProfile(w io.Writer, p Profile) error {
 // LoadProfile reads and validates a profile from JSON.
 func LoadProfile(r io.Reader) (Profile, error) {
 	var j profileJSON
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&j); err != nil {
-		return Profile{}, fmt.Errorf("workload: decoding profile: %w", err)
-	}
-	if tok, err := dec.Token(); err != io.EOF {
-		return Profile{}, fmt.Errorf("workload: trailing data after the profile object (next token %v, err %v)", tok, err)
+	if err := strictjson.Decode(r, &j, "profile object"); err != nil {
+		return Profile{}, fmt.Errorf("workload: %w", err)
 	}
 	p := fromJSON(j)
 	if err := p.Validate(); err != nil {

@@ -110,3 +110,19 @@ func TestLoadedProfileGenerates(t *testing.T) {
 		t.Fatalf("generated %d records", len(recs))
 	}
 }
+
+// LoadProfile rejects a repeated key and names it: encoding/json alone
+// keeps the last value.
+func TestLoadProfileRejectsRepeatedKey(t *testing.T) {
+	var buf bytes.Buffer
+	if err := SaveProfile(&buf, Profiles()[0]); err != nil {
+		t.Fatal(err)
+	}
+	doc := strings.Replace(buf.String(), `"kernel_share":`, `"kernel_share": 0.9, "kernel_share":`, 1)
+	if doc == buf.String() {
+		t.Fatal("saved profile has no kernel_share")
+	}
+	if _, err := LoadProfile(strings.NewReader(doc)); err == nil || !strings.Contains(err.Error(), `repeated key "kernel_share"`) {
+		t.Fatalf("profile with kernel_share given twice: err = %v, want a repeated-key error", err)
+	}
+}

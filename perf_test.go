@@ -1,54 +1,40 @@
-// The packed-replay benchmark: the zero-allocation replay hot path
-// measured per simulated access (BenchmarkPackedReplay with -benchmem).
+// The replay benchmark: one sweep-shared trace's work as production
+// runs it, measured per simulated access (BenchmarkReplay).
 // make profile-replay profiles it; the repository benchmark under
 // bench/ is the end-to-end and per-layer measurement harness.
 package mobilecache
 
 import (
+	"context"
 	"testing"
 
+	"mobilecache/internal/sample"
 	"mobilecache/internal/sim"
 	"mobilecache/internal/tracestore"
 	"mobilecache/internal/workload"
 )
 
-// replayChunk is the packed-trace length the replay benchmark cycles
-// through; large enough that per-report costs amortize to zero against
-// the per-access path.
+// replayChunk is the trace length each replay runs; large
+// enough that per-run costs amortize against the per-access path.
 const replayChunk = 200_000
 
-// benchReplay measures the cached-replay hot path: machine built once,
-// trace packed once, then every iteration is one simulated access
-// decoded straight from the arena. This is the per-cell marginal cost
-// a sweep pays after the first machine has generated the trace.
-func benchReplay(b *testing.B) {
-	b.ReportAllocs()
-	store := tracestore.New(0)
+// BenchmarkReplay runs the seven standard machines on one trace
+// through sim.Run on a fresh arena per iteration: the generator and
+// the L1 front stage run once, building the front output the arena
+// stores, and each machine's back stage replays it. ns/access divides
+// the wall time by the accesses the seven machines simulate.
+func BenchmarkReplay(b *testing.B) {
+	machines := sim.StandardMachines()
 	prof := workload.Profiles()[0]
-	tr, err := store.GetTrace(prof, 1, replayChunk)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg, err := sim.MachineByName("baseline-sram")
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := sim.Build(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	b.ReportAllocs()
 	b.ResetTimer()
-	for done := 0; done < b.N; {
-		n := b.N - done
-		if n > replayChunk {
-			n = replayChunk
+	for i := 0; i < b.N; i++ {
+		store := tracestore.New(0)
+		for _, cfg := range machines {
+			if _, err := sim.Run(context.Background(), store, cfg, prof, 1, 0, replayChunk, sample.Spec{}); err != nil {
+				b.Fatal(err)
+			}
 		}
-		cur := tr.Packed.Cursor()
-		sim.RunTrace(m, "bench", &cur, uint64(n))
-		done += n
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(machines)*replayChunk), "ns/access")
 }
-
-// BenchmarkPackedReplay is the -benchmem target for the zero-allocation
-// claim: ns/op and allocs/op are per simulated access.
-func BenchmarkPackedReplay(b *testing.B) { benchReplay(b) }
