@@ -13,11 +13,12 @@ test:
 # exported-API scan TestNoTestOnlyExports, which skips under -short so
 # the race pass does not type-check the tree), a race-enabled short
 # pass (the engine/runner/chaos tests are where races would hide), fuzz
-# smokes over the crash-recovery scanner, the invariant auditor and the packed
-# trace format, the golden-audit gates (the quick experiment matrix must
-# be conservation-clean, and under a report-miscounting tamper every
-# experiment that builds its own machine — E3, E4, E9, E10, E11, E20 —
-# must fail with the violated invariant), the sampling validation
+# smokes over the crash-recovery scanner, the invariant auditor, the packed
+# trace format and the stored front output, the golden-audit gates (the
+# quick experiment matrix must be conservation-clean, and under a
+# report-miscounting tamper every experiment that builds its own
+# machine — E4, E9, E10, E11, E20 — must fail with the violated
+# invariant), the sampling validation
 # gate (1/8 set sampling within 2% on every standard machine), the
 # uncached exact-replay gates (the front stage's output — every
 # frame's events, busy cycles and L1 meter counts — must equal a
@@ -38,7 +39,10 @@ test:
 # one front-key field, run back to back on one arena, must each match
 # their arena-free run; and the standard machines on three apps, exact
 # and 1/8-sampled, must leave exactly their six front outputs in the
-# arena, charged at their own sizes) and the benchmark
+# arena, charged at their own sizes; and the L2-level stream read from a
+# front output must number each standard machine's L2 accesses per
+# domain, prefetcher off and on, and through a standalone LRU cache
+# reproduce baseline-sram's L2 hits and misses) and the benchmark
 # module's vet and tests (bench/ is its own Go module, so the root
 # ./... never compiles it).
 check:
@@ -51,11 +55,12 @@ check:
 	$(GO) test -run '^$$' -fuzz FuzzJournalDecode -fuzztime 5s ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzAuditReport -fuzztime 5s ./internal/invariant/
 	$(GO) test -run '^$$' -fuzz FuzzPackedRoundTrip -fuzztime 5s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzFrontOutputRoundTrip -fuzztime 5s ./internal/mem/
 	$(GO) test -run 'TestGoldenAuditQuickMatrix|TestHandBuiltRunsAudited' -count=1 ./internal/experiments/
 	$(GO) test -run TestSampleValidationQuickMatrix -count=1 ./internal/experiments/
 	$(GO) test -run TestAccessFrameMatchesCacheModel -count=1 ./internal/mem/
 	$(GO) test -run 'TestSidecarsMirrorLines|TestTopOfAddressSpace' -count=1 ./internal/cache/
-	$(GO) test -run 'TestRunFromSegmentComposition|TestRunSegmentedExact|TestRunArenaMatchesGenerator|TestRunReportDigests|TestFrontKeyAliasing|TestArenaHoldsOnlyFrontOutputs' -count=1 ./internal/sim/
+	$(GO) test -run 'TestRunFromSegmentComposition|TestRunSegmentedExact|TestRunArenaMatchesGenerator|TestRunReportDigests|TestFrontKeyAliasing|TestArenaHoldsOnlyFrontOutputs|TestL2StreamMatchesBackStage' -count=1 ./internal/sim/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the repository benchmark (bench/, described by

@@ -21,13 +21,13 @@ import (
 	"fmt"
 	"log"
 
-	"mobilecache/internal/cache"
 	"mobilecache/internal/config"
 	"mobilecache/internal/core"
 	"mobilecache/internal/sample"
 	"mobilecache/internal/sim"
 	"mobilecache/internal/sttram"
 	"mobilecache/internal/trace"
+	"mobilecache/internal/tracestore"
 	"mobilecache/internal/workload"
 )
 
@@ -38,20 +38,16 @@ func main() {
 	}
 	const seed, accesses = 7, 400_000
 
-	// Step 1: run the baseline and capture the L2-level stream with a
-	// recording L2 (demand fills + writebacks, with domains).
+	// Step 1: run the baseline, then read its L2-level stream (demand
+	// fills + writebacks, with domains) from the arena the run left it in.
+	ctx := context.Background()
+	store := tracestore.New(0)
 	baselineCfg := config.Default()
-	m, err := sim.Build(baselineCfg)
+	baseRep, err := sim.Run(ctx, store, baselineCfg, app, seed, 0, accesses, sample.Spec{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec := &core.L2Recorder{L2: m.Hier.L2}
-	m.Hier.L2 = rec
-	gen, err := workload.NewGenerator(app, seed, workload.PhaseLen(app, accesses))
-	if err != nil {
-		log.Fatal(err)
-	}
-	baseRep, err := sim.RunSampledTrace(m, app.Name, trace.NewLimitSource(gen, accesses), 0)
+	stream, err := sim.L2Stream(store, baselineCfg, app, seed, accesses)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,9 +55,12 @@ func main() {
 		baseRep.L2.TotalAccesses(), baseRep.L2.MissRate()*100, baseRep.L2.InterferenceEvictions)
 
 	// Step 2: sizing search over power-of-two segment candidates.
-	baseSeg := core.SegmentConfig{Name: "base", SizeBytes: 1 << 20, Ways: 16, BlockBytes: 64, Policy: cache.LRU}
+	baseSeg, err := baselineCfg.Unified.ToCore()
+	if err != nil {
+		log.Fatal(err)
+	}
 	candidates := []uint64{64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20}
-	sizing, err := core.ChooseStaticSizes(rec.Stream, baseSeg, candidates, 0.02)
+	sizing, err := core.ChooseStaticSizes(stream, baseSeg, candidates, 0.02)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,7 +72,9 @@ func main() {
 		sizing.CombinedMissRate*100, sizing.BaselineMissRate*100)
 
 	// Step 3: measure block lifetimes on the SRAM partition and let the
-	// library suggest a retention class per segment.
+	// library suggest a retention class per segment. The machine is
+	// built here so its segments can be read after the run, which
+	// replays the baseline's stored front output.
 	spCfg, err := sim.MachineByName("sp")
 	if err != nil {
 		log.Fatal(err)
@@ -82,11 +83,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	gen2, err := workload.NewGenerator(app, seed, workload.PhaseLen(app, accesses))
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := sim.RunSampledTrace(sp, app.Name, trace.NewLimitSource(gen2, accesses), 0); err != nil {
+	if _, err := sp.Run(ctx, store, app, seed, 0, accesses); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nretention matching:\n")
@@ -101,7 +98,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := sim.Run(context.Background(), nil, spmr, app, seed, 0, accesses, sample.Spec{})
+	rep, err := sim.Run(ctx, store, spmr, app, seed, 0, accesses, sample.Spec{})
 	if err != nil {
 		log.Fatal(err)
 	}

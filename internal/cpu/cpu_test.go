@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mobilecache/internal/cache"
+	"mobilecache/internal/config"
 	"mobilecache/internal/core"
 	"mobilecache/internal/energy"
 	"mobilecache/internal/mem"
@@ -15,9 +16,15 @@ import (
 	"mobilecache/internal/workload"
 )
 
+// The default machine's L1s.
+var (
+	defaultL1I = config.Default().L1I.L1Config("L1I")
+	defaultL1D = config.Default().L1D.L1Config("L1D")
+)
+
 func testHier(t *testing.T) *mem.Hierarchy {
 	t.Helper()
-	dram := mem.NewDRAM(mem.DefaultDRAMConfig())
+	dram := mem.NewDRAM(config.Default().DRAMConfig())
 	l2, err := core.NewUnified(core.SegmentConfig{
 		Name: "L2", SizeBytes: 256 * 1024, Ways: 8, BlockBytes: 64,
 		Policy: cache.LRU, Tech: energy.SRAM, Refresh: sttram.DirtyOnly,
@@ -25,7 +32,7 @@ func testHier(t *testing.T) *mem.Hierarchy {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := mem.NewHierarchy(mem.DefaultL1I(), mem.DefaultL1D(), l2, dram)
+	h, err := mem.NewHierarchy(defaultL1I, defaultL1D, l2, dram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +116,7 @@ func TestRunStopsAtPassedDeadline(t *testing.T) {
 	if res, err := c.Run(ctx, trace.NewSliceSource(recs), 0); !errors.Is(err, context.DeadlineExceeded) || res.Accesses != 0 {
 		t.Fatalf("pipelined run past its deadline = %d accesses, err %v; want 0 and context.DeadlineExceeded", res.Accesses, err)
 	}
-	f, err := mem.NewFront(mem.DefaultL1I(), mem.DefaultL1D())
+	f, err := mem.NewFront(defaultL1I, defaultL1D)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +280,7 @@ func TestBiggerCacheNoWorseIPC(t *testing.T) {
 	// Performance sanity: a machine with a larger L2 must not lose IPC
 	// on a cache-pressured workload.
 	run := func(size uint64) float64 {
-		dram := mem.NewDRAM(mem.DefaultDRAMConfig())
+		dram := mem.NewDRAM(config.Default().DRAMConfig())
 		l2, err := core.NewUnified(core.SegmentConfig{
 			Name: "L2", SizeBytes: size, Ways: 8, BlockBytes: 64,
 			Policy: cache.LRU, Tech: energy.SRAM, Refresh: sttram.DirtyOnly,
@@ -281,7 +288,7 @@ func TestBiggerCacheNoWorseIPC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := mem.NewHierarchy(mem.DefaultL1I(), mem.DefaultL1D(), l2, dram)
+		h, err := mem.NewHierarchy(defaultL1I, defaultL1D, l2, dram)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,7 +49,7 @@ func TestHandBuiltRunsAudited(t *testing.T) {
 		return err
 	}
 	t.Cleanup(sim.SetAuditTamper(func(r *sim.RunReport) { r.L2.Hits[0]++ }))
-	for _, id := range []string{"E3", "E4", "E9", "E10", "E11", "E20"} {
+	for _, id := range []string{"E4", "E9", "E10", "E11", "E20"} {
 		if err := run(id); err == nil || !strings.Contains(err.Error(), "l2.conservation") {
 			t.Errorf("%s under a miscounting tamper returned %v, want an l2.conservation violation", id, err)
 		}

@@ -22,7 +22,6 @@ import (
 	"mobilecache/internal/runner"
 	"mobilecache/internal/sample"
 	"mobilecache/internal/sim"
-	"mobilecache/internal/trace"
 	"mobilecache/internal/workload"
 )
 
@@ -75,18 +74,14 @@ func runWorkload(opts Options, cfg config.Machine, app workload.Profile, seed ui
 	}, opts.Accesses, 0, opts.Sample)
 }
 
-// runOnMachine replays opts.Accesses of app, generated from seed,
-// through a machine the experiment built itself, outside the engine:
-// the path of the experiments that wire a machine by hand or inspect
-// it after the run. The report is audited as an engine cell's is. The
-// phase length is workload.PhaseLen's, the rule sim.Run and the trace
-// store use.
+// runOnMachine runs opts.Accesses of app, generated from seed, on a
+// fresh machine the experiment built or rewired itself, to inspect it
+// after the run: exact and cold, through the replay an engine cell runs
+// (sim.Machine.Run) on the engine's arena, so variants that share a
+// front stage replay one stored front output. The report is audited as
+// a cell's is; the engine's memo does not see the run.
 func runOnMachine(opts Options, m *sim.Machine, app workload.Profile, seed uint64) (sim.RunReport, error) {
-	gen, err := workload.NewGenerator(app, seed, workload.PhaseLen(app, opts.Accesses))
-	if err != nil {
-		return sim.RunReport{}, err
-	}
-	return sim.RunSampledTrace(m, app.Name, trace.NewLimitSource(gen, opts.Accesses), 0)
+	return m.Run(context.Background(), opts.eng().Store(), app, seed, 0, opts.Accesses)
 }
 
 // DefaultOptions is the full-size configuration cmd/mcbench uses.

@@ -5,8 +5,6 @@ import (
 
 	"mobilecache/internal/config"
 	"mobilecache/internal/core"
-	"mobilecache/internal/cpu"
-	"mobilecache/internal/mem"
 	"mobilecache/internal/report"
 	"mobilecache/internal/sim"
 )
@@ -17,27 +15,26 @@ func init() {
 		runE20)
 }
 
-// buildSetPartMachine assembles a machine with a set-partitioned 1MB
-// SRAM L2 (userSets of 1024 to the user domain).
+// buildSetPartMachine builds the baseline machine, renamed setpart,
+// and swaps its L2 for a set partition of the same geometry (userSets
+// of its 1024 sets to the user domain).
 func buildSetPartMachine(userSets int) (*sim.Machine, error) {
-	dram := mem.NewDRAM(mem.DefaultDRAMConfig())
-	wb := func(addr uint64) { dram.Write(addr) }
-	seg := core.SegmentConfig{
-		Name: "L2-setpart", SizeBytes: 1 << 20, Ways: 16, BlockBytes: 64,
-	}
-	sp, err := core.NewSetPartition(seg, userSets, wb)
+	cfg := config.Default()
+	cfg.Name, cfg.Unified.Name = "setpart", "L2-setpart"
+	m, err := sim.Build(cfg)
 	if err != nil {
 		return nil, err
 	}
-	hier, err := mem.NewHierarchy(mem.DefaultL1I(), mem.DefaultL1D(), sp, dram)
+	seg, err := cfg.Unified.ToCore()
 	if err != nil {
 		return nil, err
 	}
-	c, err := cpu.New(cpu.Config{}, hier)
+	sp, err := core.NewSetPartition(seg, userSets, func(addr uint64) { m.DRAM.Write(addr) })
 	if err != nil {
 		return nil, err
 	}
-	return &sim.Machine{Config: config.Machine{Name: "setpart"}, CPU: c, Hier: hier, L2: sp, DRAM: dram}, nil
+	m.L2, m.Hier.L2 = sp, sp
+	return m, nil
 }
 
 // buildWayPartMachine builds a machine whose 1MB L2 is statically

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"mobilecache/internal/cache"
 	"mobilecache/internal/config"
 	"mobilecache/internal/core"
 	"mobilecache/internal/energy"
@@ -102,31 +101,29 @@ func runE2(opts Options) (Result, error) {
 	return res, nil
 }
 
-// runE3 runs the sizing search on a representative app's captured L2
-// stream: the per-domain miss curves and the chosen shrunk segments.
+// runE3 runs the sizing search on a representative app's L2-level
+// stream — the baseline's, read from the engine's arena — reporting the
+// per-domain miss curves and the chosen shrunk segments.
 func runE3(opts Options) (Result, error) {
 	var res Result
 	app := opts.Apps[0]
 
-	// Capture the L2-level stream from a baseline run.
-	m, err := sim.Build(config.Default())
+	base := config.Default()
+	stream, err := sim.L2Stream(opts.eng().Store(), base, app, appSeed(opts.Seed, 0), opts.Accesses)
 	if err != nil {
 		return res, err
 	}
-	rec := &core.L2Recorder{L2: m.Hier.L2}
-	m.Hier.L2 = rec
-	if _, err := runOnMachine(opts, m, app, appSeed(opts.Seed, 0)); err != nil {
+	baseline, err := base.Unified.ToCore()
+	if err != nil {
 		return res, err
 	}
-
-	baseline := core.SegmentConfig{Name: "base", SizeBytes: 1024 * 1024, Ways: 16, BlockBytes: 64, Policy: cache.LRU}
 	candidates := []uint64{64 * 1024, 128 * 1024, 256 * 1024, 512 * 1024, 1024 * 1024}
-	sizing, err := core.ChooseStaticSizes(rec.Stream, baseline, candidates, 0.02)
+	sizing, err := core.ChooseStaticSizes(stream, baseline, candidates, 0.02)
 	if err != nil {
 		return res, err
 	}
 
-	tb := report.NewTable(fmt.Sprintf("E3: miss rate vs segment size (app %s, %d L2 accesses)", app.Name, len(rec.Stream)),
+	tb := report.NewTable(fmt.Sprintf("E3: miss rate vs segment size (app %s, %d L2 accesses)", app.Name, len(stream)),
 		"segment size", "user missrate", "kernel missrate")
 	for i := range sizing.UserCurve {
 		tb.AddRow(report.Bytes(sizing.UserCurve[i].SizeBytes),

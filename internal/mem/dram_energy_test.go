@@ -80,7 +80,7 @@ func TestDRAMEnergyDeferralEquivalence(t *testing.T) {
 		name string
 		cfg  DRAMConfig
 	}{
-		{"flat", DefaultDRAMConfig()},
+		{"flat", testDRAMConfig()},
 		{"open-page", openPageTestConfig()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

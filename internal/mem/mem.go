@@ -23,9 +23,9 @@ import (
 type RowPolicy uint8
 
 const (
-	// RowFlat charges a single flat latency per access (closed-page
+	// rowFlat charges a single flat latency per access (closed-page
 	// abstraction) — the default the experiments calibrate against.
-	RowFlat RowPolicy = iota
+	rowFlat RowPolicy = iota
 	// RowOpenPage models per-bank open rows: accesses to the open row
 	// are faster and cheaper, row conflicts pay precharge+activate.
 	RowOpenPage
@@ -42,13 +42,6 @@ type DRAMConfig struct {
 	LatencyCycles uint64
 	ReadPJ        float64
 	WritePJ       float64
-}
-
-// DefaultDRAMConfig returns the LPDDR-style flat parameters used by
-// the experiments: 200 cycles (~100ns at 2GHz) and tens of nanojoules
-// per access.
-func DefaultDRAMConfig() DRAMConfig {
-	return DRAMConfig{Policy: RowFlat, LatencyCycles: 200, ReadPJ: 20_000, WritePJ: 22_000}
 }
 
 // The open-page model's LPDDR-style row buffers: 8 banks of 2KB rows,
@@ -152,16 +145,6 @@ type L1Config struct {
 	SizeBytes  uint64
 	Ways       int
 	BlockBytes int
-}
-
-// DefaultL1I returns the 32KB 2-way instruction cache used throughout.
-func DefaultL1I() L1Config {
-	return L1Config{Name: "L1I", SizeBytes: 32 * 1024, Ways: 2, BlockBytes: 64}
-}
-
-// DefaultL1D returns the 32KB 4-way data cache used throughout.
-func DefaultL1D() L1Config {
-	return L1Config{Name: "L1D", SizeBytes: 32 * 1024, Ways: 4, BlockBytes: 64}
 }
 
 // L1 is a first-level cache: SRAM, write-back, write-allocate, and LRU
@@ -309,8 +292,7 @@ type Hierarchy struct {
 	lastAdvance uint64
 }
 
-// NewHierarchy assembles a hierarchy; any argument may use defaults via
-// the Default* helpers.
+// NewHierarchy assembles a hierarchy.
 func NewHierarchy(l1i, l1d L1Config, l2 core.L2, dram *DRAM) (*Hierarchy, error) {
 	if l2 == nil {
 		return nil, fmt.Errorf("mem: hierarchy needs an L2")

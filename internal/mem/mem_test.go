@@ -22,10 +22,18 @@ func testL2(t *testing.T, dram *DRAM) core.L2 {
 	return u
 }
 
+// testL1I, testL1D and testDRAMConfig are the default machine's L1s
+// and DRAM (config.Default, which imports this package).
+func testL1I() L1Config { return L1Config{Name: "L1I", SizeBytes: 32 * 1024, Ways: 2, BlockBytes: 64} }
+func testL1D() L1Config { return L1Config{Name: "L1D", SizeBytes: 32 * 1024, Ways: 4, BlockBytes: 64} }
+func testDRAMConfig() DRAMConfig {
+	return DRAMConfig{Policy: rowFlat, LatencyCycles: 200, ReadPJ: 20_000, WritePJ: 22_000}
+}
+
 func testHierarchy(t *testing.T) (*Hierarchy, *DRAM) {
 	t.Helper()
-	dram := NewDRAM(DefaultDRAMConfig())
-	h, err := NewHierarchy(DefaultL1I(), DefaultL1D(), testL2(t, dram), dram)
+	dram := NewDRAM(testDRAMConfig())
+	h, err := NewHierarchy(testL1I(), testL1D(), testL2(t, dram), dram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,16 +51,16 @@ func access(h *Hierarchy, a trace.Access, now uint64) uint64 {
 }
 
 func TestDRAMAccounting(t *testing.T) {
-	d := NewDRAM(DefaultDRAMConfig())
+	d := NewDRAM(testDRAMConfig())
 	lat := d.Read(0x1000)
-	if lat != DefaultDRAMConfig().LatencyCycles {
+	if lat != testDRAMConfig().LatencyCycles {
 		t.Fatalf("read latency = %d", lat)
 	}
 	d.Write(0x2000)
 	if d.Reads() != 1 || d.Writes() != 1 {
 		t.Fatalf("counts = %d/%d", d.Reads(), d.Writes())
 	}
-	want := (DefaultDRAMConfig().ReadPJ + DefaultDRAMConfig().WritePJ) * 1e-12
+	want := (testDRAMConfig().ReadPJ + testDRAMConfig().WritePJ) * 1e-12
 	if got := d.EnergyJ(); got != want {
 		t.Fatalf("energy = %g, want %g", got, want)
 	}
@@ -112,16 +120,16 @@ func TestDRAMOpenPageEnergyCheaperOnHits(t *testing.T) {
 }
 
 func TestNewHierarchyValidation(t *testing.T) {
-	dram := NewDRAM(DefaultDRAMConfig())
-	if _, err := NewHierarchy(DefaultL1I(), DefaultL1D(), nil, dram); err == nil {
+	dram := NewDRAM(testDRAMConfig())
+	if _, err := NewHierarchy(testL1I(), testL1D(), nil, dram); err == nil {
 		t.Fatal("nil L2 accepted")
 	}
-	if _, err := NewHierarchy(DefaultL1I(), DefaultL1D(), testL2(t, dram), nil); err == nil {
+	if _, err := NewHierarchy(testL1I(), testL1D(), testL2(t, dram), nil); err == nil {
 		t.Fatal("nil DRAM accepted")
 	}
-	bad := DefaultL1I()
+	bad := testL1I()
 	bad.Ways = 0
-	if _, err := NewHierarchy(bad, DefaultL1D(), testL2(t, dram), dram); err == nil {
+	if _, err := NewHierarchy(bad, testL1D(), testL2(t, dram), dram); err == nil {
 		t.Fatal("bad L1 geometry accepted")
 	}
 }
@@ -154,7 +162,7 @@ func TestIfetchRoutesToL1I(t *testing.T) {
 func TestL2MissPaysDRAM(t *testing.T) {
 	h, dram := testHierarchy(t)
 	stall := access(h, trace.Access{Addr: 0x1000, Op: trace.Load, Domain: trace.User}, 100)
-	if stall < DefaultDRAMConfig().LatencyCycles {
+	if stall < testDRAMConfig().LatencyCycles {
 		t.Fatalf("cold stall %d below DRAM latency", stall)
 	}
 	if dram.Reads() != 1 {
@@ -176,7 +184,7 @@ func TestL2MissPaysDRAM(t *testing.T) {
 	if dram.Reads() != reads+5 {
 		t.Fatal("L2 hit went to DRAM")
 	}
-	if stall == 0 || stall >= DefaultDRAMConfig().LatencyCycles {
+	if stall == 0 || stall >= testDRAMConfig().LatencyCycles {
 		t.Fatalf("L2-hit stall = %d, want between 0 and DRAM latency", stall)
 	}
 }
@@ -192,35 +200,6 @@ func TestDirtyL1WritebackReachesL2(t *testing.T) {
 	// 5 demand reads + 1 writeback write.
 	if st.TotalAccesses() != 6 {
 		t.Fatalf("L2 accesses = %d, want 6 (5 fills + 1 writeback)", st.TotalAccesses())
-	}
-}
-
-// TestL2TapSeesDemandAndWriteback: an L2Recorder installed as the
-// hierarchy's L2 captures demand fills and dirty writebacks, each
-// writeback under the domain of the block's owner.
-func TestL2TapSeesDemandAndWriteback(t *testing.T) {
-	h, _ := testHierarchy(t)
-	rec := &core.L2Recorder{L2: h.L2}
-	h.L2 = rec
-	access(h, trace.Access{Addr: 0x100000, Op: trace.Store, Domain: trace.Kernel}, 1)
-	for i := uint64(1); i <= 4; i++ {
-		access(h, trace.Access{Addr: 0x100000 + i*8192, Op: trace.Load, Domain: trace.User}, 1+i)
-	}
-	tapped := rec.Stream
-	if len(tapped) != 6 {
-		t.Fatalf("recorder saw %d records, want 6", len(tapped))
-	}
-	stores := 0
-	for _, a := range tapped {
-		if a.Op == trace.Store {
-			stores++
-			if a.Domain != trace.Kernel {
-				t.Fatalf("writeback domain = %v, want kernel (owner of dirty block)", a.Domain)
-			}
-		}
-	}
-	if stores != 1 {
-		t.Fatalf("recorder saw %d stores, want 1 writeback", stores)
 	}
 }
 

@@ -7,11 +7,12 @@ import (
 )
 
 // This file wires the invariant auditor (internal/invariant) into the
-// run entry points. Every report Run and RunSampledTrace return is
-// checked against the simulator's conservation laws, and a report that
-// breaks one fails its run with a structured *invariant.Error, which
-// internal/runner records in the failure manifest. The check is always
-// on: a miscounted report is a simulator bug, never a result.
+// run entry points. Every report Run, Machine.Run and RunSampledTrace
+// return is checked against the simulator's conservation laws, and a
+// report that breaks one fails its run with a structured
+// *invariant.Error, which internal/runner records in the failure
+// manifest. The check is always on: a miscounted report is a simulator
+// bug, never a result.
 
 // auditTamper, when set, mutates reports before they are audited. It
 // exists so tests (and the golden-audit CI step) can prove a

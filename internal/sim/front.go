@@ -7,6 +7,7 @@ import (
 	"mobilecache/internal/cpu"
 	"mobilecache/internal/mem"
 	"mobilecache/internal/sample"
+	"mobilecache/internal/trace"
 	"mobilecache/internal/tracestore"
 	"mobilecache/internal/workload"
 )
@@ -88,4 +89,32 @@ func sharedFront(store *tracestore.Store, m *Machine, prof workload.Profile, see
 	}
 	e := v.(*frontEntry)
 	return e.out, e.st, nil
+}
+
+// L2Stream returns the L2-level stream of cfg's front stage over the
+// first accesses records of (prof, seed), exact and cold: the accesses
+// such a run sends its L2, in order. It reads the stored front output
+// (building it if the arena lacks it) and turns each event into a
+// record: a Load for a demand or prefetch fill and a Store for a dirty
+// L1 writeback, under the event's domain. Only the front stage's
+// fields of cfg matter, so no machine is built: sharedFront reads the
+// config and the selector of the one it is given, and an exact one has
+// none.
+func L2Stream(store *tracestore.Store, cfg config.Machine, prof workload.Profile, seed uint64, accesses int) ([]trace.Access, error) {
+	out, _, err := sharedFront(store, &Machine{Config: cfg}, prof, seed, accesses, 0)
+	if err != nil {
+		return nil, err
+	}
+	var recs []trace.Access
+	var ff mem.FrontFrame
+	for r := out.Reader(); r.Next(&ff); {
+		for _, e := range ff.Events {
+			op := trace.Load
+			if e.Kind == mem.Writeback {
+				op = trace.Store
+			}
+			recs = append(recs, trace.Access{Addr: e.Addr, Op: op, Domain: e.Dom})
+		}
+	}
+	return recs, nil
 }

@@ -6,8 +6,10 @@ import (
 	"sync"
 	"testing"
 
+	"mobilecache/internal/cache"
 	"mobilecache/internal/config"
 	"mobilecache/internal/sample"
+	"mobilecache/internal/trace"
 	"mobilecache/internal/tracestore"
 	"mobilecache/internal/workload"
 )
@@ -185,6 +187,57 @@ func TestSharedFrontConcurrentReaders(t *testing.T) {
 		}
 		if st := store.Stats(); st.Derived != uint64(n+1) {
 			t.Fatalf("%s: seven concurrent machines built %d front outputs in all, want %d", spec, st.Derived, n+1)
+		}
+	}
+}
+
+// TestL2StreamMatchesBackStage checks L2Stream against the back stage
+// it describes. For every standard machine, with the prefetcher off
+// and on, the stream's records per domain must number the audited
+// report's L2 accesses for the same app, seed and length. On
+// baseline-sram, replaying the stream through a standalone LRU cache
+// of its L2's geometry must also reproduce the report's L2 hits and
+// misses per domain: that is the premise of E3's sizing baseline.
+func TestL2StreamMatchesBackStage(t *testing.T) {
+	prof := workload.Profiles()[0]
+	const seed, accesses = 5, 60_000
+	store := tracestore.New(0)
+	for _, prefetch := range []bool{false, true} {
+		for _, cfg := range StandardMachines() {
+			cfg.Prefetch = prefetch
+			rep, err := Run(context.Background(), nil, cfg, prof, seed, 0, accesses, sample.Spec{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream, err := L2Stream(store, cfg, prof, seed, accesses)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var n [trace.NumDomains]uint64
+			for _, a := range stream {
+				n[a.Domain]++
+			}
+			if n != rep.L2.Accesses {
+				t.Errorf("%s prefetch=%v: stream has %v records per domain, the report %v L2 accesses", cfg.Name, prefetch, n, rep.L2.Accesses)
+			}
+			if cfg.Name != "baseline-sram" {
+				continue
+			}
+			seg, err := cfg.Unified.ToCore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := cache.New(cache.Config{SizeBytes: seg.SizeBytes, Ways: seg.Ways, BlockBytes: seg.BlockBytes, Policy: seg.Policy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, a := range stream {
+				c.Access(a.Addr, a.Op.IsWrite(), a.Domain, uint64(i+1))
+			}
+			if st := c.Stats(); st.Hits != rep.L2.Hits || st.Misses != rep.L2.Misses {
+				t.Errorf("%s prefetch=%v: the stream through a standalone cache hits/misses %v/%v, the report %v/%v",
+					cfg.Name, prefetch, st.Hits, st.Misses, rep.L2.Hits, rep.L2.Misses)
+			}
 		}
 	}
 }

@@ -116,7 +116,11 @@ func finishSampled(m *Machine, st sample.Stats, rep RunReport) (RunReport, error
 // RunSampledTrace replays a prepared source on a (possibly sampled)
 // machine and returns the scaled, audited report. maxAccesses bounds
 // the raw records consumed — the same trace extent a full run of the
-// same bound covers — not the post-filter count.
+// same bound covers — not the post-filter count. It serves the streams
+// no (app, seed) names, which the arena cannot share: trace files
+// (mcsim -trace) and multi-app sessions (E9, the multiapp and
+// dynamicpartition examples). A generated app trace replays through
+// Run, or Machine.Run on a machine built by hand.
 func RunSampledTrace(m *Machine, name string, src trace.Source, maxAccesses uint64) (RunReport, error) {
 	if m.Sample == nil {
 		return auditExit(RunTrace(m, name, src, maxAccesses))

@@ -341,9 +341,23 @@ func runTrace(ctx context.Context, m *Machine, name string, in input, maxAccesse
 
 // Run is the one workload entry point. It builds the machine fresh —
 // set-sampled under an enabled spec, and single-use, so every run
-// starts with cold caches — replays warmup+accesses records of the
-// app's trace and returns the audited report of the last accesses of
-// them, scaled to full-cache estimates when the machine is sampled.
+// starts with cold caches — and runs it (see Machine.Run).
+func Run(ctx context.Context, store *tracestore.Store, cfg config.Machine, prof workload.Profile, seed uint64, warmup, accesses int, spec sample.Spec) (RunReport, error) {
+	if err := chaosEnter(cfg.Name, prof.Name, seed); err != nil {
+		return RunReport{}, err
+	}
+	m, err := BuildSampled(cfg, spec)
+	if err != nil {
+		return RunReport{}, err
+	}
+	return m.Run(ctx, store, prof, seed, warmup, accesses)
+}
+
+// Run replays warmup+accesses records of the app's trace on m, which
+// must be fresh, and returns the audited report of the last accesses
+// of them, scaled to full-cache estimates when the machine is sampled.
+// It is the replay every engine cell runs, and an experiment that
+// builds or rewires a machine itself runs it the same way.
 //
 // Every run reads one stream (see source): the workload generator's,
 // filtered live when the machine is sampled. A nil store runs it
@@ -366,20 +380,14 @@ func runTrace(ctx context.Context, m *Machine, name string, in input, maxAccesse
 // The replay polls ctx once per frame: when ctx ends, Run returns its
 // error at the next frame boundary and no report. A front-output build
 // runs to completion first; it is bounded by the trace length.
-func Run(ctx context.Context, store *tracestore.Store, cfg config.Machine, prof workload.Profile, seed uint64, warmup, accesses int, spec sample.Spec) (RunReport, error) {
-	if err := chaosEnter(cfg.Name, prof.Name, seed); err != nil {
-		return RunReport{}, err
-	}
-	m, err := BuildSampled(cfg, spec)
-	if err != nil {
-		return RunReport{}, err
-	}
+func (m *Machine) Run(ctx context.Context, store *tracestore.Store, prof workload.Profile, seed uint64, warmup, accesses int) (RunReport, error) {
 	total := warmup + accesses
 	warm := uint64(warmup) / m.factor()
 	var (
 		in   input
 		live *sample.Source // the live filter, read after the replay
 		st   sample.Stats
+		err  error
 	)
 	if store == nil {
 		if in.src, live, err = source(m, prof, seed, total); err != nil {
